@@ -13,11 +13,11 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass
 
-from .graphs import (GraphFormatError, SimpleGraph, enumerate_graphs, is_complete, is_forest,
-                     connected_components, max_subgraph_density, parse_graph)
-from .homology import Field, has_linear_resolution, hochster_betti, parse_field
+from .graphs import (GraphFormatError, SimpleGraph, enumerate_graphs, max_subgraph_density,
+                     parse_graph)
+from .homology import hochster_betti, parse_field
 from .ideals import complementary_edge_ideal
-from .invariants import (NOTE_ISOLATED, cross_validate, is_licci, oracle_invariants,
+from .invariants import (NOTE_COMPLETE_PD, NOTE_ISOLATED, cross_validate, is_licci,
                          predict_invariants)
 from .experiments import (ExperimentConfig, estimate_licci_probability, summaries_to_csv,
                           threshold_sweep)
@@ -60,7 +60,8 @@ def _cmd_analyze(args: argparse.Namespace) -> CommandOutcome:
     graph = _load_graph(args.graph)
     field = parse_field(args.field)
     try:
-        report = predict_invariants(graph)
+        validation = cross_validate(graph, field) if args.oracle else None
+        report = validation.predicted if validation else predict_invariants(graph)
         verdict = is_licci(graph)
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
@@ -68,10 +69,8 @@ def _cmd_analyze(args: argparse.Namespace) -> CommandOutcome:
     payload.update(report.to_json_dict())
     payload["licci_reason"] = verdict.reason
     exit_code = 0
-    if args.oracle:
-        oracle = oracle_invariants(graph, field)
-        validation = cross_validate(graph, field)
-        payload["oracle"] = oracle.to_json_dict()
+    if validation:
+        payload["oracle"] = validation.oracle.to_json_dict()
         payload["mismatches"] = validation.to_json_dict()["mismatches"]
         if not validation.clean:
             exit_code = 1
@@ -105,15 +104,14 @@ def _cmd_verify(args: argparse.Namespace) -> CommandOutcome:
                 continue
             analyzed += 1
             report = cross_validate(graph, field)
-            prediction = predict_invariants(graph)
-            if "complete_pd_adjusted" in prediction.notes:
+            if NOTE_COMPLETE_PD in report.predicted.notes:
                 complete_pd_count += 1
-            isolated = NOTE_ISOLATED in prediction.notes
+            isolated = NOTE_ISOLATED in report.predicted.notes
             if isolated:
                 isolated_total += 1
-            if is_forest(graph) and len(connected_components(graph)) > 1:
-                ideal = complementary_edge_ideal(graph)
-                key = "true" if has_linear_resolution(ideal, field) else "false"
+            if report.predicted.graph_class == "disconnected_forest":
+                # every generator has degree n - 2, so the resolution is linear iff reg = n - 2
+                key = "true" if report.oracle.reg_ideal == graph.n - 2 else "false"
                 disc_forest_linear[key] += 1
             if report.clean:
                 clean += 1

@@ -9,9 +9,10 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterator
 
 DEFAULT_ENUMERATION_LIMIT = 7
+MDENSITY_LIMIT = 18
 
 
 class GraphFormatError(ValueError):
@@ -202,16 +203,19 @@ def is_complete(graph: SimpleGraph) -> bool:
 
 
 def is_tree(graph: SimpleGraph) -> bool:
-    return is_forest(graph) and len(connected_components(graph)) == 1
+    return len(connected_components(graph)) == 1 and graph.m == graph.n - 1
 
 
 def max_subgraph_density(graph: SimpleGraph) -> Fraction:
     """m(G) = max over nonempty W of |E(G[W])| / |W|, as an exact fraction.
 
-    Exponential in n; meant for the small fixed graphs fed to threshold formulas.
+    Walks all 2^n vertex subsets, so n is capped at MDENSITY_LIMIT; meant for
+    the small fixed graphs fed to threshold formulas.
     """
     if graph.m == 0:
         raise ValueError("density of an edgeless graph is undefined")
+    if graph.n > MDENSITY_LIMIT:
+        raise ValueError(f"density on {graph.n} vertices exceeds the limit of {MDENSITY_LIMIT}")
     masks = []
     for u, v in graph.edges:
         masks.append((1 << (u - 1)) | (1 << (v - 1)))
@@ -251,7 +255,3 @@ def cycle_graph(n: int) -> SimpleGraph:
     if n < 3:
         raise ValueError("a cycle needs at least 3 vertices")
     return SimpleGraph(n, tuple((i, i + 1) for i in range(1, n)) + ((1, n),))
-
-
-def graph_from_edges(n: int, edges: Iterable[tuple[int, int]]) -> SimpleGraph:
-    return SimpleGraph(n, tuple(edges))

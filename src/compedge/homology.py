@@ -148,13 +148,15 @@ def _rational_rank(matrix: list[list[int]]) -> int:
     return rank
 
 
-def _homology_from_faces(faces_by_size: list[list[int]], field: Field) -> list[int]:
-    """Reduced homology dims of a nonvoid downward-closed face family.
+def _homology_from_faces(faces: list[int], field: Field) -> list[int]:
+    """Reduced homology dims of a nonvoid downward-closed family of face masks.
 
-    faces_by_size[s] holds the masks of cardinality s; index 0 of the result is
-    dimension -1 of the reduced chain complex.
+    Index 0 of the result is dimension -1 of the reduced chain complex.
     """
-    top = len(faces_by_size) - 1
+    top = max(f.bit_count() for f in faces)
+    faces_by_size: list[list[int]] = [[] for _ in range(top + 1)]
+    for f in faces:
+        faces_by_size[f.bit_count()].append(f)
     sizes = [len(fs) for fs in faces_by_size]
     ranks = [0] * (top + 2)
     for s in range(1, top + 1):
@@ -194,11 +196,7 @@ def reduced_homology_dims(complex_: SimplicialComplex, field: Field = Field.GF2)
     """
     if complex_.is_void:
         return []
-    top = max(f.bit_count() for f in complex_.faces)
-    faces_by_size: list[list[int]] = [[] for _ in range(top + 1)]
-    for f in sorted(complex_.faces):
-        faces_by_size[f.bit_count()].append(f)
-    return _homology_from_faces(faces_by_size, field)
+    return _homology_from_faces(sorted(complex_.faces), field)
 
 
 @dataclass(frozen=True, eq=True)
@@ -292,11 +290,7 @@ def hochster_betti(ideal: SquarefreeIdeal, field: Field = Field.GF2,
         key = (field, tuple(compact))
         dims = _HOMOLOGY_CACHE.get(key)
         if dims is None:
-            top = max(f.bit_count() for f in compact)
-            faces_by_size: list[list[int]] = [[] for _ in range(top + 1)]
-            for f in compact:
-                faces_by_size[f.bit_count()].append(f)
-            dims = _homology_from_faces(faces_by_size, field)
+            dims = _homology_from_faces(compact, field)
             _HOMOLOGY_CACHE[key] = dims
         for k, h in enumerate(dims):
             if h:

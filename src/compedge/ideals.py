@@ -78,14 +78,18 @@ class SquarefreeIdeal:
         return {"n": self.n, "generators": [sorted(g) for g in self.gens]}
 
 
+def _check_ambient(n: int) -> None:
+    if n < 0 or n > AMBIENT_LIMIT:
+        raise ValueError(f"ambient size {n} outside supported range 0..{AMBIENT_LIMIT}")
+
+
 def minimalize(n: int, supports: Iterable[Iterable[int]]) -> SquarefreeIdeal:
     """Build the ideal generated by the given supports, discarding redundant ones.
 
     A support containing another is dropped. The empty support would make the
     ideal the unit ideal, which is rejected.
     """
-    if n < 0 or n > AMBIENT_LIMIT:
-        raise ValueError(f"ambient size {n} outside supported range 0..{AMBIENT_LIMIT}")
+    _check_ambient(n)
     sets = []
     for s in supports:
         fs = frozenset(s)
@@ -105,11 +109,11 @@ def complementary_edge_ideal(graph: SimpleGraph) -> SquarefreeIdeal:
     """
     if graph.n < 3:
         raise ValueError(f"degenerate ambient: need at least 3 vertices, got {graph.n}")
-    everything = frozenset(graph.vertices())
-    gens = [everything - {u, v} for u, v in graph.edges]
-    if not gens:
+    if not graph.edges:
         return SquarefreeIdeal(graph.n, ())
-    return minimalize(graph.n, gens)
+    _check_ambient(graph.n)
+    everything = frozenset(graph.vertices())
+    return minimalize(graph.n, [everything - {u, v} for u, v in graph.edges])
 
 
 def minimal_vertex_covers(ideal: SquarefreeIdeal) -> tuple[frozenset[int], ...]:

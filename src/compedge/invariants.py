@@ -99,11 +99,16 @@ class OracleInvariants:
 
 @dataclass(frozen=True)
 class DiscrepancyReport:
-    """Prediction-vs-oracle mismatches for one graph; empty means full agreement."""
+    """Prediction-vs-oracle mismatches for one graph; empty means full agreement.
+
+    Keeps the prediction and the oracle values it compared (not in the JSON).
+    """
 
     graph: SimpleGraph
     field: Field
     mismatches: tuple[tuple[str, object, object], ...]
+    predicted: InvariantReport
+    oracle: OracleInvariants
 
     @property
     def clean(self) -> bool:
@@ -164,7 +169,7 @@ def predict_invariants(graph: SimpleGraph) -> InvariantReport:
     verdict = is_licci(graph)
     if graph.isolated_vertices():
         notes.append(NOTE_ISOLATED)
-    if is_complete(graph):
+    if verdict.reason in (REASON_K3, REASON_COMPLETE):
         graph_class = "complete"
         ht, cm = 3, True
         pd, reg = 2, (n - 2, n - 2)
@@ -173,7 +178,7 @@ def predict_invariants(graph: SimpleGraph) -> InvariantReport:
                  ("cohen_macaulay", "cm_iff_complete_or_forest"),
                  ("pd_ideal", "complete_pd_from_height_and_cm"),
                  ("reg_ideal", "complete_reg_rule")]
-    elif is_forest(graph):
+    elif verdict.reason == REASON_FOREST:
         connected = len(connected_components(graph)) == 1
         graph_class = "tree" if connected else "disconnected_forest"
         ht, cm, pd = 2, True, 1
@@ -220,7 +225,7 @@ def cross_validate(graph: SimpleGraph, field: Field = Field.GF2) -> DiscrepancyR
     lo, hi = predicted.reg_ideal
     if not (lo <= oracle.reg_ideal <= hi):
         mismatches.append(("reg_ideal", predicted.reg_ideal, oracle.reg_ideal))
-    return DiscrepancyReport(graph, field, tuple(mismatches))
+    return DiscrepancyReport(graph, field, tuple(mismatches), predicted, oracle)
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from compedge import cli, graphs, invariants
 from compedge.cli import run
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -104,6 +105,15 @@ class TestAnalyze:
         assert outcome.exit_code == 2
         assert "edgeless" in outcome.diagnostics
 
+    def test_oracle_limit_is_a_usage_error(self, tmp_path):
+        path = tmp_path / "fifteen.txt"
+        path.write_text("15 1\n1 2\n")
+        outcome = run(["analyze", str(path), "--oracle"])
+        assert outcome.exit_code == 2
+        assert outcome.payload == ""
+        assert outcome.diagnostics.startswith("error: ")
+        assert "oracle limit" in outcome.diagnostics
+
 
 class TestBetti:
     def test_path_table(self):
@@ -139,6 +149,16 @@ class TestBetti:
         outcome = run(["betti", str(path)])
         assert outcome.exit_code == 2
 
+    def test_huge_header_refused_before_walking_the_vertices(self, tmp_path, monkeypatch):
+        def walk(graph):
+            raise AssertionError("walked every vertex before the ambient check")
+        monkeypatch.setattr(graphs.SimpleGraph, "vertices", walk)
+        path = tmp_path / "huge.txt"
+        path.write_text("1000000000 1\n1 2\n")
+        outcome = run(["betti", str(path)])
+        assert outcome.exit_code == 2
+        assert "ambient size" in outcome.diagnostics
+
 
 class TestVerify:
     def test_small_sweep_payload(self):
@@ -170,6 +190,35 @@ class TestVerify:
     def test_max_n_guard(self):
         assert run(["verify", "--max-n", "8"]).exit_code == 2
         assert run(["verify", "--max-n", "2"]).exit_code == 2
+
+
+def count_calls(monkeypatch, name: str, *modules) -> list:
+    """Replace `name` in each module by one counting wrapper; returns the call log."""
+    calls = []
+    real = getattr(modules[0], name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+    for module in modules:
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestOnePassPerGraph:
+    def test_analyze_oracle_computes_one_betti_table(self, monkeypatch):
+        calls = count_calls(monkeypatch, "hochster_betti", invariants)
+        outcome = run(["analyze", str(FIXTURES / "k4.json"), "--oracle"])
+        assert outcome.exit_code == 0
+        assert len(calls) == 1
+
+    def test_verify_predicts_each_graph_once(self, monkeypatch):
+        calls = count_calls(monkeypatch, "predict_invariants", invariants, cli)
+        outcome = run(["verify", "--max-n", "4"])
+        analyzed = json.loads(outcome.payload)["graphs_analyzed"]
+        assert analyzed == 70
+        assert len(calls) == analyzed
+        assert len(set(calls)) == analyzed
 
 
 class TestMonteCarloCommands:
@@ -222,6 +271,14 @@ class TestMdensity:
         path = tmp_path / "none.json"
         path.write_text('{"n": 3, "edges": []}')
         assert run(["mdensity", str(path)]).exit_code == 2
+
+    def test_vertex_limit(self, tmp_path):
+        path = tmp_path / "wide.txt"
+        path.write_text(f"{graphs.MDENSITY_LIMIT + 1} 1\n1 2\n")
+        outcome = run(["mdensity", str(path)])
+        assert outcome.exit_code == 2
+        assert outcome.payload == ""
+        assert "limit" in outcome.diagnostics
 
 
 class TestArgumentErrors:

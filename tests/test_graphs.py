@@ -11,7 +11,7 @@ from hypothesis import given, strategies as st
 from compedge import (GraphFormatError, SimpleGraph, connected_components, enumerate_graphs,
                       is_complete, is_forest, is_tree, max_subgraph_density, parse_graph,
                       complete_graph, cycle_graph, path_graph)
-from compedge.graphs import graph_from_edges
+from compedge import graphs as graphs_module
 
 
 def graphs(min_n: int = 3, max_n: int = 6, min_edges: int = 0) -> st.SearchStrategy[SimpleGraph]:
@@ -158,6 +158,13 @@ class TestPredicates:
         assert is_complete(cycle_graph(3))
         assert not is_forest(cycle_graph(3))
 
+    def test_tree_needs_one_component_not_just_n_minus_1_edges(self):
+        triangle_and_point = SimpleGraph(4, ((1, 2), (1, 3), (2, 3)))
+        assert triangle_and_point.m == triangle_and_point.n - 1
+        assert not is_tree(triangle_and_point)
+        assert not is_tree(SimpleGraph(0, ()))
+        assert is_tree(SimpleGraph(1, ()))
+
     def test_tiny_graphs_count_as_complete(self):
         assert is_complete(SimpleGraph(0, ()))
         assert is_complete(SimpleGraph(1, ()))
@@ -192,6 +199,12 @@ class TestMaxSubgraphDensity:
         with pytest.raises(ValueError, match="edgeless"):
             max_subgraph_density(SimpleGraph(3, ()))
 
+    def test_vertex_limit(self):
+        limit = graphs_module.MDENSITY_LIMIT
+        with pytest.raises(ValueError, match="limit"):
+            max_subgraph_density(SimpleGraph(limit + 1, ((1, 2),)))
+        assert max_subgraph_density(SimpleGraph(limit, ((1, 2),))) == Fraction(1, 2)
+
     @given(graphs(min_n=2, max_n=6, min_edges=1))
     def test_matches_subset_enumeration(self, g: SimpleGraph):
         brute = max(
@@ -220,4 +233,4 @@ class TestEnumeration:
 
     def test_builders(self):
         assert complete_graph(3).edges == ((1, 2), (1, 3), (2, 3))
-        assert graph_from_edges(4, [(4, 3)]) == SimpleGraph(4, ((3, 4),))
+        assert SimpleGraph(4, ((4, 3),)) == SimpleGraph(4, ((3, 4),))

@@ -88,6 +88,13 @@ class TestComplementaryEdgeIdeal:
         with pytest.raises(ValueError, match="degenerate ambient"):
             complementary_edge_ideal(SimpleGraph(2, ((1, 2),)))
 
+    def test_huge_ambient_refused_before_walking_the_vertices(self, monkeypatch):
+        def walk(graph):
+            raise AssertionError("walked every vertex before the ambient check")
+        monkeypatch.setattr(SimpleGraph, "vertices", walk)
+        with pytest.raises(ValueError, match="ambient size 1000000000"):
+            complementary_edge_ideal(SimpleGraph(10 ** 9, ((1, 2),)))
+
     @given(st.integers(3, 7).flatmap(lambda n: st.tuples(
         st.just(n),
         st.lists(st.sampled_from(list(combinations(range(1, n + 1), 2))),

@@ -139,6 +139,13 @@ class TestOracleAndCrossValidation:
         assert as_json["mismatches"][0]["invariant"] == "height"
         assert {"n": 4, "edges": [[1, 2]]} == as_json["graph"]
 
+    def test_report_keeps_what_it_compared(self):
+        for graph in (path_graph(4), complete_graph(4), SimpleGraph(4, ((1, 2),))):
+            report = cross_validate(graph)
+            assert report.predicted == predict_invariants(graph)
+            assert report.oracle == oracle_invariants(graph)
+            assert set(report.to_json_dict()) == {"graph", "field", "mismatches"}
+
     def test_guards(self):
         with pytest.raises(ValueError, match="edgeless"):
             cross_validate(SimpleGraph(5, ()))
