@@ -13,16 +13,14 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass
 
-from .graphs import (GraphFormatError, SimpleGraph, enumerate_graphs, max_subgraph_density,
-                     parse_graph)
+from .graphs import (DEFAULT_ENUMERATION_LIMIT, GraphFormatError, SimpleGraph,
+                     enumerate_graphs, max_subgraph_density, parse_graph)
 from .homology import hochster_betti, parse_field
 from .ideals import complementary_edge_ideal
 from .invariants import (NOTE_COMPLETE_PD, NOTE_ISOLATED, cross_validate, is_licci,
                          predict_invariants)
 from .experiments import (ExperimentConfig, estimate_licci_probability, summaries_to_csv,
                           threshold_sweep)
-
-VERIFY_MAX_N_CAP = 7
 
 
 @dataclass(frozen=True)
@@ -59,12 +57,9 @@ def _dump(obj, compact: bool) -> str:
 def _cmd_analyze(args: argparse.Namespace) -> CommandOutcome:
     graph = _load_graph(args.graph)
     field = parse_field(args.field)
-    try:
-        validation = cross_validate(graph, field) if args.oracle else None
-        report = validation.predicted if validation else predict_invariants(graph)
-        verdict = is_licci(graph)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
+    validation = cross_validate(graph, field) if args.oracle else None
+    report = validation.predicted if validation else predict_invariants(graph)
+    verdict = is_licci(graph)
     payload = {"graph": graph.to_json_dict()}
     payload.update(report.to_json_dict())
     payload["licci_reason"] = verdict.reason
@@ -80,17 +75,13 @@ def _cmd_analyze(args: argparse.Namespace) -> CommandOutcome:
 def _cmd_betti(args: argparse.Namespace) -> CommandOutcome:
     graph = _load_graph(args.graph)
     field = parse_field(args.field)
-    try:
-        ideal = complementary_edge_ideal(graph)
-        table = hochster_betti(ideal, field)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
+    table = hochster_betti(complementary_edge_ideal(graph), field)
     return CommandOutcome(0, _dump(table.to_json_dict(), False))
 
 
 def _cmd_verify(args: argparse.Namespace) -> CommandOutcome:
-    if not 3 <= args.max_n <= VERIFY_MAX_N_CAP:
-        raise _UsageError(f"--max-n must be between 3 and {VERIFY_MAX_N_CAP}")
+    if not 3 <= args.max_n <= DEFAULT_ENUMERATION_LIMIT:
+        raise _UsageError(f"--max-n must be between 3 and {DEFAULT_ENUMERATION_LIMIT}")
     field = parse_field(args.field)
     enumerated = analyzed = clean = 0
     complete_pd_count = 0
@@ -98,7 +89,7 @@ def _cmd_verify(args: argparse.Namespace) -> CommandOutcome:
     disc_forest_linear = {"true": 0, "false": 0}
     unflagged = []
     for n in range(3, args.max_n + 1):
-        for graph in enumerate_graphs(n, limit=args.max_n):
+        for graph in enumerate_graphs(n):
             enumerated += 1
             if graph.m == 0:
                 continue
@@ -143,11 +134,7 @@ def _cmd_verify(args: argparse.Namespace) -> CommandOutcome:
 
 
 def _cmd_montecarlo(args: argparse.Namespace) -> CommandOutcome:
-    try:
-        config = ExperimentConfig(n=args.n, trials=args.trials, seed=args.seed,
-                                  p=args.p, c=args.c)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
+    config = ExperimentConfig(n=args.n, trials=args.trials, seed=args.seed, p=args.p, c=args.c)
     summary = estimate_licci_probability(config)
     diag = f"wall time {summary.wall_time:.3f}s"
     return CommandOutcome(0, summaries_to_csv([summary]), diag)
@@ -160,10 +147,7 @@ def _cmd_sweep(args: argparse.Namespace) -> CommandOutcome:
         raise _UsageError(f"--c must be a comma-separated list of numbers: {exc}") from exc
     if not c_values:
         raise _UsageError("--c must name at least one value")
-    try:
-        result = threshold_sweep(args.n, c_values, args.trials, args.seed)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
+    result = threshold_sweep(args.n, c_values, args.trials, args.seed)
     diags = [f"wall time {sum(r.wall_time for r in result.rows):.3f}s"]
     for a, b in result.monotone_violations:
         diags.append(f"warning: licci fraction increased from c={a:g} to c={b:g}")
@@ -172,10 +156,7 @@ def _cmd_sweep(args: argparse.Namespace) -> CommandOutcome:
 
 def _cmd_mdensity(args: argparse.Namespace) -> CommandOutcome:
     graph = _load_graph(args.graph)
-    try:
-        value = max_subgraph_density(graph)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
+    value = max_subgraph_density(graph)
     return CommandOutcome(0, json.dumps(f"{value.numerator}/{value.denominator}"))
 
 
@@ -226,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str]) -> CommandOutcome:
-    """Parse and execute; argparse usage errors become exit code 2."""
+    """Parse and execute; usage errors and ValueErrors from the library become exit code 2."""
     parser = build_parser()
     captured_out, captured_err = io.StringIO(), io.StringIO()
     try:
@@ -237,7 +218,7 @@ def run(argv: list[str]) -> CommandOutcome:
         return CommandOutcome(code, captured_out.getvalue(), captured_err.getvalue())
     try:
         return args.func(args)
-    except _UsageError as exc:
+    except (_UsageError, ValueError) as exc:
         return CommandOutcome(2, "", f"error: {exc}")
 
 

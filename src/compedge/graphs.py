@@ -229,14 +229,15 @@ def max_subgraph_density(graph: SimpleGraph) -> Fraction:
     return best
 
 
-def enumerate_graphs(n: int, limit: int = DEFAULT_ENUMERATION_LIMIT) -> Iterator[SimpleGraph]:
+def enumerate_graphs(n: int) -> Iterator[SimpleGraph]:
     """Yield all 2^C(n,2) labeled graphs on {1..n} in a fixed order.
 
     Edge slots are the pairs of {1..n} in lexicographic order; graph k has edge
     slot i present iff bit i of k is set.
     """
-    if n > limit:
-        raise ValueError(f"enumeration of graphs on {n} vertices exceeds the limit of {limit}")
+    if n > DEFAULT_ENUMERATION_LIMIT:
+        raise ValueError(f"enumeration of graphs on {n} vertices exceeds the limit of "
+                         f"{DEFAULT_ENUMERATION_LIMIT}")
     slots = list(combinations(range(1, n + 1), 2))
     for mask in range(1 << len(slots)):
         edges = tuple(slots[i] for i in range(len(slots)) if (mask >> i) & 1)

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
-from .ideals import SquarefreeIdeal, alexander_dual, height, squarefree_component
+from .ideals import (SquarefreeIdeal, alexander_dual, height, mask_of, squarefree_component,
+                     support_of)
 
 ORACLE_LIMIT = 14
 
@@ -58,13 +59,11 @@ class SimplicialComplex:
         return max(f.bit_count() for f in self.faces) - 1
 
     def face_sets(self) -> list[tuple[int, ...]]:
-        from .ideals import support_of
         return sorted(tuple(sorted(support_of(f))) for f in self.faces)
 
 
 def simplicial_complex(n: int, facets: Iterable[Iterable[int]]) -> SimplicialComplex:
     """Downward closure of the given facets (always includes the empty face)."""
-    from .ideals import mask_of
     faces = {0}
     for facet in facets:
         fm = mask_of(facet)
@@ -249,49 +248,40 @@ def clear_homology_cache() -> None:
     _HOMOLOGY_CACHE.clear()
 
 
-def hochster_betti(ideal: SquarefreeIdeal, field: Field = Field.GF2,
-                   limit: int = ORACLE_LIMIT) -> BettiTable:
+def hochster_betti(ideal: SquarefreeIdeal, field: Field = Field.GF2) -> BettiTable:
     """Graded Betti numbers of S/I over the chosen field, degree by multidegree.
 
-    Runs over all subsets of the ground set, so it is exponential in n; the
-    limit guard (default 14) keeps accidental blowups out.
+    Runs over all subsets of the ground set, so it is exponential in n; ambient
+    sizes above ORACLE_LIMIT (14) are refused to keep accidental blowups out.
     """
     if ideal.is_zero:
         raise ValueError("Betti table undefined for the zero ideal")
     n = ideal.n
-    if n > limit:
-        raise ValueError(f"ambient size {n} exceeds the oracle limit of {limit}")
+    if n > ORACLE_LIMIT:
+        raise ValueError(f"ambient size {n} exceeds the oracle limit of {ORACLE_LIMIT}")
     nonface = _nonface_table(ideal)
     entries: dict[tuple[int, int], int] = {(0, 0): 1}
     for sigma in range(1, 1 << n):
         if not nonface[sigma]:
             # restriction to a face is a full simplex: no reduced homology
             continue
-        positions = []
+        # real[c] is the subset of sigma whose compact mask is c: bit i of c
+        # stands for the i-th lowest bit of sigma
+        real = [0]
         bits = sigma
         while bits:
             low = bits & -bits
-            positions.append(low)
             bits ^= low
-        ssize = len(positions)
-        compact = []
-        sub = sigma
-        while True:
-            if not nonface[sub]:
-                cf = 0
-                for i, low in enumerate(positions):
-                    if sub & low:
-                        cf |= 1 << i
-                compact.append(cf)
-            if sub == 0:
-                break
-            sub = (sub - 1) & sigma
-        compact.sort()
+            real += [r | low for r in real]
+        # a list, not a generator: tuple() of a generator over-allocates, and
+        # the cache keeps every key
+        compact = [c for c, r in enumerate(real) if not nonface[r]]
         key = (field, tuple(compact))
         dims = _HOMOLOGY_CACHE.get(key)
         if dims is None:
             dims = _homology_from_faces(compact, field)
             _HOMOLOGY_CACHE[key] = dims
+        ssize = sigma.bit_count()
         for k, h in enumerate(dims):
             if h:
                 i = ssize - k

@@ -184,13 +184,13 @@ class QuotientSearchResult:
     nodes: int = 0
 
 
-def has_linear_quotients(ideal: SquarefreeIdeal,
-                         budget: int = LINEAR_QUOTIENTS_BUDGET) -> QuotientSearchResult:
+def has_linear_quotients(ideal: SquarefreeIdeal) -> QuotientSearchResult:
     """Search for a linear-quotients ordering of the generators.
 
     Only degree-nondecreasing orderings are tried (a necessary shape for such
     an ordering), i.e. permutations within each degree class. The search is
-    backtracking with a node budget; exceeding it yields "inconclusive".
+    backtracking with a budget of LINEAR_QUOTIENTS_BUDGET nodes; exceeding it
+    yields "inconclusive".
     """
     if ideal.is_zero:
         raise ValueError("linear quotients undefined for the zero ideal")
@@ -227,7 +227,7 @@ def has_linear_quotients(ideal: SquarefreeIdeal,
             return search(group + 1, frozenset(by_degree[group + 1]))
         for j in sorted(remaining):
             nodes += 1
-            if nodes > budget:
+            if nodes > LINEAR_QUOTIENTS_BUDGET:
                 raise _BudgetExceeded
             if not admissible(j):
                 continue

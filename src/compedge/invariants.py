@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import SimpleGraph, connected_components, is_complete, is_forest
+from .graphs import SimpleGraph, is_complete, is_forest
 from .homology import Field, hochster_betti, reg_pd
 from .ideals import (SquarefreeIdeal, alexander_dual, complementary_edge_ideal, height,
                      has_linear_quotients)
@@ -179,7 +179,8 @@ def predict_invariants(graph: SimpleGraph) -> InvariantReport:
                  ("pd_ideal", "complete_pd_from_height_and_cm"),
                  ("reg_ideal", "complete_reg_rule")]
     elif verdict.reason == REASON_FOREST:
-        connected = len(connected_components(graph)) == 1
+        # a forest with c components has n - c edges
+        connected = graph.m == n - 1
         graph_class = "tree" if connected else "disconnected_forest"
         ht, cm, pd = 2, True, 1
         reg = (n - 2, n - 2) if connected else (n - 1, n - 1)
@@ -261,8 +262,7 @@ class ImplicationSuite:
         }
 
 
-def implication_suite(graph: SimpleGraph, field: Field = Field.GF2,
-                      budget: int | None = None) -> ImplicationSuite:
+def implication_suite(graph: SimpleGraph, field: Field = Field.GF2) -> ImplicationSuite:
     """Evaluate the five claims; failed_claims lists false ones on licci inputs."""
     _require_admissible(graph)
     verdict = is_licci(graph)
@@ -270,8 +270,7 @@ def implication_suite(graph: SimpleGraph, field: Field = Field.GF2,
     dual = alexander_dual(ideal)
     dual_cl = homology.is_componentwise_linear(dual, field)
     seq_cm = dual_cl
-    kwargs = {} if budget is None else {"budget": budget}
-    lq = has_linear_quotients(dual, **kwargs)
+    lq = has_linear_quotients(dual)
     dual_lin = homology.has_linear_resolution(dual, field)
     primal_lin = homology.has_linear_resolution(ideal, field)
     failed = []

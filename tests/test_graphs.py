@@ -227,9 +227,7 @@ class TestEnumeration:
     def test_limit_guard(self):
         with pytest.raises(ValueError, match="limit"):
             list(enumerate_graphs(8))
-        assert sum(1 for _ in enumerate_graphs(4, limit=4)) == 64
-        with pytest.raises(ValueError, match="limit"):
-            list(enumerate_graphs(5, limit=4))
+        assert sum(1 for _ in enumerate_graphs(4)) == 64
 
     def test_builders(self):
         assert complete_graph(3).edges == ((1, 2), (1, 3), (2, 3))

@@ -157,9 +157,9 @@ class TestBettiTables:
             hochster_betti(SquarefreeIdeal(3, ()))
 
     def test_ambient_limit_guard(self):
-        ideal = minimalize(5, [[1, 2]])
+        ideal = minimalize(15, [[1, 2]])
         with pytest.raises(ValueError, match="oracle limit"):
-            hochster_betti(ideal, limit=4)
+            hochster_betti(ideal)
 
     def test_value_defaults_to_zero(self):
         table = hochster_betti(minimalize(3, [[1]]))
@@ -180,6 +180,26 @@ class TestBettiTables:
         before = hochster_betti(ideal)
         clear_homology_cache()
         assert hochster_betti(ideal) == before
+
+    @settings(max_examples=40)
+    @given(st.integers(1, 6).flatmap(lambda n: st.lists(
+        st.sets(st.integers(1, n), min_size=1), min_size=1, max_size=6).map(
+            lambda supports: minimalize(n, supports))))
+    def test_matches_hochster_sum_over_unrelabeled_restrictions(self, ideal: SquarefreeIdeal):
+        # reference: restrict the Stanley-Reisner faces to each sigma as raw
+        # masks, with no relabeling and no cache in between
+        faces = stanley_reisner(ideal).faces
+        n = ideal.n
+        for field in Field:
+            expected: dict[tuple[int, int], int] = {}
+            for sigma in range(1 << n):
+                restricted = frozenset(f for f in faces if f & ~sigma == 0)
+                size = sigma.bit_count()
+                dims = reduced_homology_dims(SimplicialComplex(n, restricted), field)
+                for k, h in enumerate(dims):
+                    expected[(size - k, size)] = expected.get((size - k, size), 0) + h
+            clear_homology_cache()
+            assert hochster_betti(ideal, field) == BettiTable.from_dict(n, field, expected)
 
     @settings(max_examples=40)
     @given(st.integers(3, 6).flatmap(lambda n: st.lists(

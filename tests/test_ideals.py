@@ -215,9 +215,10 @@ class TestLinearQuotients:
         assert result.ordering is None
         assert result.nodes >= 2
 
-    def test_budget_exhaustion_is_inconclusive(self):
+    def test_budget_exhaustion_is_inconclusive(self, monkeypatch):
+        monkeypatch.setattr("compedge.ideals.LINEAR_QUOTIENTS_BUDGET", 1)
         ideal = minimalize(4, [[1, 2], [3, 4]])
-        result = has_linear_quotients(ideal, budget=1)
+        result = has_linear_quotients(ideal)
         assert result.status == "inconclusive"
 
     def test_zero_ideal_rejected(self):

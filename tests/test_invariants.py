@@ -191,7 +191,3 @@ class TestImplicationSuite:
         assert payload["licci"] == {"licci": True, "reason": "forest"}
         assert payload["dual_linear_quotients"] == "yes"
         assert payload["failed_claims"] == []
-
-    def test_budget_pass_through(self):
-        suite = implication_suite(path_graph(4), budget=10 ** 6)
-        assert suite.dual_linear_quotients == "yes"
