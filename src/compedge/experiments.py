@@ -2,19 +2,23 @@
 
 A sampled graph is licci iff it is a forest, or it is the triangle K_3 (only
 possible when n = 3). No homology runs here: the decision is a cheap cycle
-check, so n in the hundreds is fine.
+check, so n in the thousands is fine.
 
 Reproducibility: trial t draws its randomness from a generator seeded by
 counter-based splitting of the master seed (spawn key = (t,)), so a summary
-depends only on the configuration, not on scheduling or trial order. Sweep
-rows over different c share those per-trial draws; since an edge is present
-iff its uniform draw is below p, the sampled edge sets grow with p and the
-licci fraction is non-increasing in c exactly, not just on average.
+depends only on the configuration, not on scheduling or trial order.
+
+One pass per trial answers every edge probability: a pair is present iff its
+uniform draw is below p, so adding pairs in increasing draw order (union-find)
+gives tau, the draw of the first pair that closes a cycle, and the graph at p
+is a forest exactly when p <= tau. A sweep draws and sorts each trial once and
+reads every row from the same tau, so the licci fraction is non-increasing in
+c by construction, not just on average.
 """
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -47,9 +51,9 @@ class ExperimentConfig:
             raise ValueError("seed must fit in 64 bits")
         if (self.p is None) == (self.c is None):
             raise ValueError("give exactly one of p and c, not both or neither")
-        if self.p is not None and self.p < 0:
+        if self.p is not None and not self.p >= 0:
             raise ValueError(f"p must be nonnegative, got {self.p}")
-        if self.c is not None and self.c < 0:
+        if self.c is not None and not self.c >= 0:
             raise ValueError(f"c must be nonnegative, got {self.c}")
 
     @property
@@ -61,18 +65,13 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class ExperimentSummary:
-    """Counts from one experiment; fraction_licci is the exact count ratio.
-
-    wall_time is measurement metadata and takes no part in equality, so two
-    runs of the same configuration produce equal summaries.
-    """
+    """Counts from one experiment; fraction_licci is the exact count ratio."""
 
     config: ExperimentConfig
     licci_count: int
     forest_count: int
     cycle_count: int
     fraction_licci: Fraction
-    wall_time: float = field(compare=False, default=0.0)
 
 
 def _trial_generator(seed: int, trial: int) -> np.random.Generator:
@@ -88,68 +87,64 @@ def sample_gnp(n: int, p: float, rng: np.random.Generator) -> SimpleGraph:
     return SimpleGraph(n, edges)
 
 
-class _UnionFind:
-    __slots__ = ("parent",)
+def _run_trials(configs: Sequence[ExperimentConfig]) -> tuple[ExperimentSummary, ...]:
+    """One pass over the shared trials of configs that differ only in p.
 
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> bool:
-        """Join the classes of a and b; False if they were already joined."""
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[ra] = rb
-        return True
-
-
-def _forest_from_pairs(n: int, us: np.ndarray, vs: np.ndarray) -> bool:
-    uf = _UnionFind(n)
-    for u, v in zip(us.tolist(), vs.tolist()):
-        if not uf.union(u, v):
-            return False
-    return True
+    Each trial records tau, the draw of the first pair, in increasing draw
+    order, that closes a cycle (inf if none below the largest p does). A pair
+    is present at p iff its draw is below p, so the graph at p is a forest
+    exactly when p <= tau. Spot checks rebuild each graph from the raw draws,
+    independently of tau, and compare is_licci with the fast verdict.
+    """
+    n, trials, seed = configs[0].n, configs[0].trials, configs[0].seed
+    ps = [cfg.edge_probability for cfg in configs]
+    top = max(ps)
+    us_all, vs_all = np.triu_indices(n, k=1)
+    # int32 halves the resident pair indices; one at a time keeps the copy small
+    us_all = us_all.astype(np.int32)
+    vs_all = vs_all.astype(np.int32)
+    # one buffer for every trial: the spot checks keep draws alive to the end
+    # of a trial, so a fresh array per trial would coexist with the last one
+    draws = np.empty(us_all.shape[0])
+    licci = [0] * len(ps)
+    forest = [0] * len(ps)
+    for trial in range(trials):
+        _trial_generator(seed, trial).random(out=draws)
+        below = np.flatnonzero(draws < top)
+        order = below[np.argsort(draws[below])]
+        parent = list(range(n))
+        tau = math.inf
+        for u, v, d in zip(us_all[order].tolist(), vs_all[order].tolist(), draws[order].tolist()):
+            while parent[u] != u:
+                parent[u] = u = parent[parent[u]]
+            while parent[v] != v:
+                parent[v] = v = parent[parent[v]]
+            if u == v:
+                tau = d
+                break
+            parent[u] = v
+        for k, p in enumerate(ps):
+            forest_trial = p <= tau
+            # on three vertices the only cycle is the triangle K_3, which is licci
+            licci_trial = forest_trial or n == 3
+            if trial < SPOT_CHECK_TRIALS:
+                keep = below if p == top else draws < p
+                graph = SimpleGraph(n, tuple(
+                    (int(u) + 1, int(v) + 1) for u, v in zip(us_all[keep], vs_all[keep])))
+                if graph.m and is_licci(graph).licci != licci_trial:
+                    raise RuntimeError(
+                        f"licci fast path disagrees with the graph predicate on trial {trial}")
+            licci[k] += licci_trial
+            forest[k] += forest_trial
+    return tuple(
+        ExperimentSummary(config=cfg, licci_count=lc, forest_count=fc,
+                          cycle_count=trials - fc, fraction_licci=Fraction(lc, trials))
+        for cfg, lc, fc in zip(configs, licci, forest))
 
 
 def estimate_licci_probability(config: ExperimentConfig) -> ExperimentSummary:
     """Run the trials; licci means forest, or the full triangle when n = 3."""
-    start = time.perf_counter()
-    n = config.n
-    p = config.edge_probability
-    us_all, vs_all = np.triu_indices(n, k=1)
-    pair_count = us_all.shape[0]
-    licci = forest = 0
-    for trial in range(config.trials):
-        rng = _trial_generator(config.seed, trial)
-        keep = rng.random(pair_count) < p
-        us, vs = us_all[keep], vs_all[keep]
-        is_forest_trial = _forest_from_pairs(n, us, vs)
-        is_triangle = n == 3 and us.shape[0] == 3
-        licci_trial = is_forest_trial or is_triangle
-        if trial < SPOT_CHECK_TRIALS:
-            graph = SimpleGraph(n, tuple((int(u) + 1, int(v) + 1) for u, v in zip(us, vs)))
-            if graph.m and is_licci(graph).licci != licci_trial:
-                raise RuntimeError(
-                    f"licci fast path disagrees with the graph predicate on trial {trial}")
-        licci += licci_trial
-        forest += is_forest_trial
-    return ExperimentSummary(
-        config=config,
-        licci_count=licci,
-        forest_count=forest,
-        cycle_count=config.trials - forest,
-        fraction_licci=Fraction(licci, config.trials),
-        wall_time=time.perf_counter() - start,
-    )
+    return _run_trials([config])[0]
 
 
 @dataclass(frozen=True)
@@ -159,21 +154,20 @@ class SweepResult:
 
 
 def threshold_sweep(n: int, c_values: Sequence[float], trials: int, seed: int) -> SweepResult:
-    """One experiment per c, all rows sharing the master seed and per-trial draws.
+    """One row per c, all read from one pass over the shared per-trial draws.
 
     The monotone_violations diagnostic lists consecutive c pairs where the
-    licci fraction increased; with shared draws this should stay empty.
+    licci fraction increased; every row reads the same tau per trial, so it
+    stays empty by construction.
     """
-    rows = []
-    for c in c_values:
-        config = ExperimentConfig(n=n, trials=trials, seed=seed, c=float(c))
-        rows.append(estimate_licci_probability(config))
+    configs = [ExperimentConfig(n=n, trials=trials, seed=seed, c=float(c)) for c in c_values]
+    rows = _run_trials(configs) if configs else ()
     violations = []
     ordered = sorted(rows, key=lambda s: s.config.c)
     for a, b in zip(ordered, ordered[1:]):
         if b.fraction_licci > a.fraction_licci:
             violations.append((a.config.c, b.config.c))
-    return SweepResult(tuple(rows), tuple(violations))
+    return SweepResult(rows, tuple(violations))
 
 
 def _fraction_6dp(value: Fraction) -> str:

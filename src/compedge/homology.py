@@ -7,14 +7,16 @@ restriction to sigma, and the table aggregates multidegrees by cardinality.
 The convention that the complex {emptyset} has reduced H_(-1) = K makes the
 (0,0) entry come out as 1 without special-casing.
 
-All ranks are computed exactly: over GF(2) with bit-packed XOR elimination,
-over the rationals with Fraction arithmetic. No floating point anywhere.
+All ranks are computed exactly by one elimination scheme, pivots keyed by
+lowest column: over GF(2) on bit-packed rows with XOR, over the rationals on
+sparse integer rows, fraction-free with gcd reduction. No floating point
+anywhere.
 """
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from fractions import Fraction
+from math import gcd
 from typing import Iterable, NamedTuple
 
 from .ideals import (SquarefreeIdeal, alexander_dual, height, mask_of, squarefree_component,
@@ -118,33 +120,27 @@ def _gf2_rank(rows: list[int]) -> int:
     return len(pivots)
 
 
-def _rational_rank(matrix: list[list[int]]) -> int:
-    """Rank over Q by Gaussian elimination with exact fractions."""
-    rows = [[Fraction(x) for x in row] for row in matrix]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    pivot_row = 0
-    for col in range(ncols):
-        pr = next((r for r in range(pivot_row, len(rows)) if rows[r][col]), None)
-        if pr is None:
-            continue
-        rows[pivot_row], rows[pr] = rows[pr], rows[pivot_row]
-        pivot = rows[pivot_row]
-        inv = 1 / pivot[col]
-        for r in range(pivot_row + 1, len(rows)):
-            f = rows[r][col]
-            if f:
-                scale = f * inv
-                row = rows[r]
-                for c in range(col, ncols):
-                    row[c] -= scale * pivot[c]
-        rank += 1
-        pivot_row += 1
-        if pivot_row == len(rows):
-            break
-    return rank
+def _rational_rank(rows: list[dict[int, int]]) -> int:
+    """Rank over Q of sparse integer rows {column: value}, without fractions.
+
+    Same scheme as _gf2_rank: pivots are keyed by lowest column, and a row
+    meeting a pivot p at its lowest column becomes a*r - b*p (a = p[low],
+    b = r[low]), divided by the gcd of its entries to keep them small.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    for r in rows:
+        while r:
+            low = min(r)
+            p = pivots.get(low)
+            if p is None:
+                pivots[low] = r
+                break
+            a, b = p[low], r[low]
+            r = {c: v for c in r.keys() | p.keys() if (v := a * r.get(c, 0) - b * p.get(c, 0))}
+            g = gcd(*r.values())
+            if g > 1:
+                r = {c: v // g for c, v in r.items()}
+    return len(pivots)
 
 
 def _homology_from_faces(faces: list[int], field: Field) -> list[int]:
@@ -174,16 +170,16 @@ def _homology_from_faces(faces: list[int], field: Field) -> list[int]:
                     rows[row_index[f ^ low]] |= 1 << j
             ranks[s] = _gf2_rank(rows)
         else:
-            mat = [[0] * len(cols) for _ in range(len(below))]
+            sparse: list[dict[int, int]] = [{} for _ in below]
             for j, f in enumerate(cols):
                 bits = f
-                pos = 0
+                sign = 1
                 while bits:
                     low = bits & -bits
                     bits ^= low
-                    mat[row_index[f ^ low]][j] = 1 if pos % 2 == 0 else -1
-                    pos += 1
-            ranks[s] = _rational_rank(mat)
+                    sparse[row_index[f ^ low]][j] = sign
+                    sign = -sign
+            ranks[s] = _rational_rank(sparse)
     return [sizes[s] - ranks[s] - ranks[s + 1] for s in range(top + 1)]
 
 

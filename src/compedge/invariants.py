@@ -54,7 +54,7 @@ class InvariantReport:
     pd_ideal: int
     reg_ideal: tuple[int, int]
     indeg: int
-    licci: bool
+    verdict: LicciVerdict
     notes: tuple[str, ...]
     provenance: tuple[tuple[str, str], ...]
 
@@ -67,7 +67,7 @@ class InvariantReport:
             "pd_ideal": self.pd_ideal,
             "reg_ideal": lo if lo == hi else [lo, hi],
             "indeg": self.indeg,
-            "licci": self.licci,
+            "licci": self.verdict.licci,
             "notes": list(self.notes),
             "provenance": {k: v for k, v in self.provenance},
         }
@@ -197,7 +197,7 @@ def predict_invariants(graph: SimpleGraph) -> InvariantReport:
                  ("pd_ideal", "non_cm_pd_rule"),
                  ("reg_ideal", "reg_bounds_rule")]
     prov.append(("licci", "licci_iff_forest_or_triangle"))
-    return InvariantReport(graph_class, ht, cm, pd, reg, indeg, verdict.licci,
+    return InvariantReport(graph_class, ht, cm, pd, reg, indeg, verdict,
                            tuple(notes), tuple(prov))
 
 

@@ -252,6 +252,14 @@ class TestMonteCarloCommands:
         fractions = [float(line.split(",")[-1]) for line in lines[1:]]
         assert fractions == sorted(fractions, reverse=True)
 
+    def test_nan_probability_is_a_usage_error(self):
+        outcome = run(["montecarlo", "--n", "10", "--p", "nan"])
+        assert (outcome.exit_code, outcome.payload) == (2, "")
+        assert outcome.diagnostics == "error: p must be nonnegative, got nan"
+        outcome = run(["sweep", "--n", "10", "--c", "nan,1"])
+        assert (outcome.exit_code, outcome.payload) == (2, "")
+        assert outcome.diagnostics == "error: c must be nonnegative, got nan"
+
     def test_sweep_rejects_empty_c_list(self):
         assert run(["sweep", "--n", "10", "--c", ",", "--trials", "5"]).exit_code == 2
         assert run(["sweep", "--n", "10", "--c", "a,b", "--trials", "5"]).exit_code == 2

@@ -11,7 +11,8 @@ from compedge import (ExperimentConfig, estimate_licci_probability, sample_gnp,
                       summaries_to_csv, threshold_sweep)
 from compedge.experiments import (CSV_HEADER, _fraction_6dp, _trial_generator,
                                   summary_csv_line)
-from compedge.graphs import is_complete
+from compedge.graphs import is_complete, is_forest
+from compedge.invariants import is_licci
 
 
 class TestConfig:
@@ -32,6 +33,12 @@ class TestConfig:
             ExperimentConfig(n=10, trials=5, seed=0, p=-0.1)
         with pytest.raises(ValueError, match="nonnegative"):
             ExperimentConfig(n=10, trials=5, seed=0, c=-1.0)
+
+    def test_rejects_nan_probabilities(self):
+        with pytest.raises(ValueError, match="p must be nonnegative, got nan"):
+            ExperimentConfig(n=10, trials=5, seed=0, p=float("nan"))
+        with pytest.raises(ValueError, match="c must be nonnegative, got nan"):
+            ExperimentConfig(n=10, trials=5, seed=0, c=float("nan"))
 
     def test_edge_probability(self):
         assert ExperimentConfig(n=10, trials=1, seed=0, p=0.3).edge_probability == 0.3
@@ -115,6 +122,36 @@ class TestSweep:
         fractions = [row.fraction_licci for row in result.rows]
         assert fractions == sorted(fractions, reverse=True)
         assert result.monotone_violations == ()
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(3, 12), st.lists(st.floats(0, 15), min_size=1, max_size=3),
+           st.floats(0, 10), st.integers(1, 25), st.integers(0, 2 ** 32))
+    def test_rows_match_an_independent_recount(self, n, cs, above, trials, seed):
+        # 0, a repeated c and a c >= n (probability one) ride along
+        c_values = [0.0, *cs, cs[0], n + above]
+        result = threshold_sweep(n, c_values, trials=trials, seed=seed)
+        for row in result.rows:
+            graphs = [sample_gnp(n, row.config.edge_probability, _trial_generator(seed, t))
+                      for t in range(trials)]
+            assert row.licci_count == sum(g.m == 0 or is_licci(g).licci for g in graphs)
+            assert row.forest_count == sum(is_forest(g) for g in graphs)
+
+    def test_a_sweep_draws_each_trial_once(self, monkeypatch):
+        import compedge.experiments as exp
+        drawn = []
+        real = exp._trial_generator
+
+        def counting(seed, trial):
+            drawn.append(trial)
+            return real(seed, trial)
+        monkeypatch.setattr(exp, "_trial_generator", counting)
+        threshold_sweep(10, [0.5, 1.0, 2.0, 4.0], trials=7, seed=3)
+        assert drawn == list(range(7))
+
+    def test_estimate_equals_the_matching_sweep_row(self):
+        result = threshold_sweep(20, [0.5, 1.0, 3.0, 1.0], trials=80, seed=9)
+        for row in result.rows:
+            assert estimate_licci_probability(row.config) == row
 
 
 class TestCsv:

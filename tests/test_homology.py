@@ -1,6 +1,7 @@
 """Simplicial homology, Betti tables, and the resolution-shape predicates."""
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations
 from math import comb
 
@@ -12,8 +13,8 @@ from compedge import (Field, SimpleGraph, SquarefreeIdeal, alexander_dual,
                       is_cohen_macaulay, is_componentwise_linear, is_sequentially_cm,
                       minimalize, reg_pd, simplicial_complex, stanley_reisner)
 from compedge.graphs import complete_graph, cycle_graph, path_graph
-from compedge.homology import (BettiTable, SimplicialComplex, clear_homology_cache,
-                               parse_field, reduced_homology_dims)
+from compedge.homology import (BettiTable, SimplicialComplex, _rational_rank,
+                               clear_homology_cache, parse_field, reduced_homology_dims)
 
 
 def fs(*vertices: int) -> frozenset[int]:
@@ -119,6 +120,33 @@ class TestReducedHomology:
         over_q = reduced_homology_dims(c, Field.RATIONALS)
         assert len(over_2) == len(over_q)
         assert all(a >= b for a, b in zip(over_2, over_q))
+
+
+def dense_rational_rank(matrix: list[list[int]]) -> int:
+    """Textbook Gaussian elimination over Fraction, the reference for _rational_rank."""
+    rows = [[Fraction(x) for x in row] for row in matrix]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        found = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if found is None:
+            continue
+        rows[rank], rows[found] = rows[found], rows[rank]
+        pivot = rows[rank]
+        for row in rows[rank + 1:]:
+            scale = row[col] / pivot[col]
+            for c in range(col, len(row)):
+                row[c] -= scale * pivot[c]
+        rank += 1
+    return rank
+
+
+class TestRationalRank:
+    @settings(max_examples=200)
+    @given(st.integers(0, 8).flatmap(lambda cols: st.lists(
+        st.lists(st.integers(-3, 3), min_size=cols, max_size=cols), min_size=0, max_size=8)))
+    def test_matches_dense_fraction_elimination(self, matrix: list[list[int]]):
+        sparse = [{c: v for c, v in enumerate(row) if v} for row in matrix]
+        assert _rational_rank(sparse) == dense_rational_rank(matrix)
 
 
 class TestBettiTables:

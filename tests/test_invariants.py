@@ -65,27 +65,27 @@ class TestPredictions:
         assert (report.height, report.cohen_macaulay, report.pd_ideal) == (2, True, 1)
         assert report.reg_ideal == (2, 2)
         assert report.indeg == 2
-        assert report.licci
+        assert report.verdict.licci
         assert report.notes == ()
 
     def test_disconnected_forest(self):
         report = predict_invariants(SimpleGraph(4, ((1, 2), (3, 4))))
         assert report.graph_class == "disconnected_forest"
         assert report.reg_ideal == (3, 3)
-        assert report.licci
+        assert report.verdict.licci
 
     def test_complete(self):
         report = predict_invariants(complete_graph(4))
         assert report.graph_class == "complete"
         assert (report.height, report.cohen_macaulay, report.pd_ideal) == (3, True, 2)
         assert report.reg_ideal == (2, 2)
-        assert not report.licci
+        assert not report.verdict.licci
         assert NOTE_COMPLETE_PD in report.notes
 
     def test_triangle_is_complete_and_licci(self):
         report = predict_invariants(complete_graph(3))
         assert report.graph_class == "complete"
-        assert report.licci
+        assert report.verdict.licci
         assert report.reg_ideal == (1, 1)
 
     def test_cycle_gets_interval_regularity(self):
@@ -93,7 +93,7 @@ class TestPredictions:
         assert report.graph_class == "other"
         assert (report.height, report.cohen_macaulay, report.pd_ideal) == (2, False, 2)
         assert report.reg_ideal == (3, 4)
-        assert not report.licci
+        assert not report.verdict.licci
 
     def test_isolated_vertices_are_flagged(self):
         report = predict_invariants(SimpleGraph(4, ((1, 2),)))
