@@ -193,8 +193,26 @@ def connected_components(graph: SimpleGraph) -> list[tuple[int, ...]]:
 
 
 def is_forest(graph: SimpleGraph) -> bool:
-    """True iff the graph is acyclic: m = n - (number of components)."""
-    return graph.m == graph.n - len(connected_components(graph))
+    """True iff the graph is acyclic: m = n' - c' over the n' vertices that carry an edge.
+
+    Isolated vertices are their own components and add nothing to either
+    side, so this is O(m) however large n is.
+    """
+    adj: dict[int, list[int]] = {}
+    for u, v in graph.edges:
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    unseen = set(adj)
+    components = 0
+    while unseen:
+        components += 1
+        stack = [unseen.pop()]
+        while stack:
+            for w in adj[stack.pop()]:
+                if w in unseen:
+                    unseen.remove(w)
+                    stack.append(w)
+    return graph.m == len(adj) - components
 
 
 def is_complete(graph: SimpleGraph) -> bool:

@@ -1,11 +1,18 @@
 """Exact reduced simplicial homology and graded Betti numbers of squarefree ideals.
 
-Graded Betti numbers of S/I come from the reduced homology of induced
-subcomplexes of the Stanley-Reisner complex: the multidegree-sigma Betti number
-in homological position i equals dim of reduced H_(|sigma|-i-1) of the
-restriction to sigma, and the table aggregates multidegrees by cardinality.
-The convention that the complex {emptyset} has reduced H_(-1) = K makes the
-(0,0) entry come out as 1 without special-casing.
+The Betti oracle has two engines with one result. The primal engine is
+Hochster's formula: the multidegree-sigma Betti number of S/I in homological
+position i is dim of reduced H_(|sigma|-i-1) of the Stanley-Reisner complex
+restricted to sigma. It visits all 2^n subsets sigma. The dual engine reads
+the same numbers from the Alexander dual complex, whose faces are the
+complements of the nonfaces: position i of multidegree sigma is dim of
+reduced H_(i-2) of the link of sigma's complement. It visits one link per dual
+face. For a complementary edge ideal the dual complex is the graph itself, with
+1 + n' + m faces. hochster_betti runs the engine with less work to do,
+comparing the squared dual face count with the size of the primal walk (see
+its docstring); the table aggregates multidegrees by cardinality either way.
+The complex {emptyset} has reduced H_(-1) = K, which makes the links of the
+dual facets count the generators.
 
 All ranks are computed exactly by one elimination scheme, pivots keyed by
 lowest column: over GF(2) on bit-packed rows with XOR, over the rationals on
@@ -16,7 +23,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, isqrt
 from typing import Iterable, NamedTuple
 
 from .ideals import (SquarefreeIdeal, alexander_dual, height, mask_of, squarefree_component,
@@ -237,6 +244,8 @@ def reg_pd(table: BettiTable) -> Homological:
     return Homological(reg, pd, reg + 1, pd - 1)
 
 
+# Reduced homology keyed by (field, sorted face masks); the masks alone fix the
+# complex, so compact primal restrictions and raw dual links share one table.
 _HOMOLOGY_CACHE: dict[tuple[Field, tuple[int, ...]], list[int]] = {}
 
 
@@ -247,14 +256,35 @@ def clear_homology_cache() -> None:
 def hochster_betti(ideal: SquarefreeIdeal, field: Field = Field.GF2) -> BettiTable:
     """Graded Betti numbers of S/I over the chosen field, degree by multidegree.
 
-    Runs over all subsets of the ground set, so it is exponential in n; ambient
-    sizes above ORACLE_LIMIT (14) are refused to keep accidental blowups out.
+    Two engines compute the same table. The primal one walks all 2^n subsets
+    sigma of the ground set and sums the homology of the Stanley-Reisner
+    complex restricted to sigma, filling one 2^|sigma| table per nonface
+    sigma. The dual one reads the table from the links of the faces of the
+    Alexander dual complex, scanning all F dual faces once per face. Its faces
+    tau are the complements of the nonfaces, so the primal tables hold
+    P = sum over tau of 2^(n - |tau|) entries against F^2 scanned faces, and a
+    scanned face costs about a third of a table entry. The rule: the dual
+    engine runs when F^2 <= 3 * P, the primal one otherwise. The dual face
+    enumeration gives up past isqrt(3^(n+1)) faces, where the rule must fail
+    since P <= 3^n. Every complementary edge ideal takes the dual engine (its
+    dual complex is the graph: 1 + n' + m faces), the ideal of all n >= 5
+    variables the primal one. Ambient sizes above ORACLE_LIMIT (14) are
+    refused.
     """
     if ideal.is_zero:
         raise ValueError("Betti table undefined for the zero ideal")
     n = ideal.n
     if n > ORACLE_LIMIT:
         raise ValueError(f"ambient size {n} exceeds the oracle limit of {ORACLE_LIMIT}")
+    faces = _dual_faces(ideal, isqrt(3 ** (n + 1)))
+    if faces is None or len(faces) ** 2 > 3 * sum(1 << (n - tau.bit_count()) for tau in faces):
+        return _primal_betti(ideal, field)
+    return _dual_betti(n, faces, field)
+
+
+def _primal_betti(ideal: SquarefreeIdeal, field: Field) -> BettiTable:
+    """Hochster's formula: beta_(i,sigma) = dim H~_(|sigma|-i-1) of the restriction to sigma."""
+    n = ideal.n
     nonface = _nonface_table(ideal)
     entries: dict[tuple[int, int], int] = {(0, 0): 1}
     for sigma in range(1, 1 << n):
@@ -282,6 +312,55 @@ def hochster_betti(ideal: SquarefreeIdeal, field: Field = Field.GF2) -> BettiTab
             if h:
                 i = ssize - k
                 entries[(i, ssize)] = entries.get((i, ssize), 0) + h
+    return BettiTable.from_dict(n, field, entries)
+
+
+def _dual_faces(ideal: SquarefreeIdeal, max_faces: int) -> list[int] | None:
+    """Sorted faces of the Alexander dual complex, or None once there are more than max_faces.
+
+    The dual complex is the downward closure of the complements of the
+    generator supports: its faces are the complements of the nonfaces of the
+    Stanley-Reisner complex.
+    """
+    full = (1 << ideal.n) - 1
+    faces: set[int] = set()
+    stack = [full & ~g for g in ideal.generator_masks()]
+    while stack:
+        face = stack.pop()
+        if face in faces:
+            continue
+        faces.add(face)
+        if len(faces) > max_faces:
+            return None
+        bits = face
+        while bits:
+            low = bits & -bits
+            bits ^= low
+            stack.append(face ^ low)
+    return sorted(faces)
+
+
+def _dual_betti(n: int, faces: list[int], field: Field) -> BettiTable:
+    """Dual Hochster formula: beta_(i,sigma) = dim H~_(i-2) of the link of sigma's complement.
+
+    The link of tau in the dual complex is {f - tau : f a face containing
+    tau}; only faces tau contribute, with sigma = tau's complement
+    (Miller-Sturmfels, Combinatorial Commutative Algebra, Cor. 5.12).
+    """
+    entries: dict[tuple[int, int], int] = {(0, 0): 1}
+    for tau in faces:
+        # faces is sorted and f - tau keeps the order of the f containing tau,
+        # so equal links give equal keys
+        link = [f ^ tau for f in faces if f & tau == tau]
+        key = (field, tuple(link))
+        dims = _HOMOLOGY_CACHE.get(key)
+        if dims is None:
+            dims = _homology_from_faces(link, field)
+            _HOMOLOGY_CACHE[key] = dims
+        j = n - tau.bit_count()
+        for k, h in enumerate(dims):
+            if h:
+                entries[(k + 1, j)] = entries.get((k + 1, j), 0) + h
     return BettiTable.from_dict(n, field, entries)
 
 

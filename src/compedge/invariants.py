@@ -167,7 +167,7 @@ def predict_invariants(graph: SimpleGraph) -> InvariantReport:
     notes: list[str] = []
     prov: list[tuple[str, str]] = []
     verdict = is_licci(graph)
-    if graph.isolated_vertices():
+    if len({v for e in graph.edges for v in e}) < n:
         notes.append(NOTE_ISOLATED)
     if verdict.reason in (REASON_K3, REASON_COMPLETE):
         graph_class = "complete"

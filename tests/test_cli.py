@@ -114,6 +114,18 @@ class TestAnalyze:
         assert outcome.diagnostics.startswith("error: ")
         assert "oracle limit" in outcome.diagnostics
 
+    def test_huge_header_is_analyzed_without_walking_the_vertices(self, tmp_path, monkeypatch):
+        def walk(graph):
+            raise AssertionError("walked every vertex")
+        monkeypatch.setattr(graphs.SimpleGraph, "vertices", walk)
+        path = tmp_path / "huge.txt"
+        path.write_text("1000000000 1\n1 2\n")
+        outcome = run(["analyze", str(path)])
+        assert outcome.exit_code == 0
+        payload = check(outcome.payload, "analyze")
+        assert payload["graph_class"] == "disconnected_forest"
+        assert payload["notes"] == ["isolated_vertices_outside_hypotheses"]
+
 
 class TestBetti:
     def test_path_table(self):

@@ -182,6 +182,10 @@ class TestPredicates:
             for ws in map(set, combinations(g.vertices(), size)))
         assert is_forest(g) == brute
 
+    @given(graphs(min_n=0, max_n=9))
+    def test_forest_iff_edges_equal_vertices_minus_components(self, g: SimpleGraph):
+        assert is_forest(g) == (g.m == g.n - len(connected_components(g)))
+
 
 class TestMaxSubgraphDensity:
     def test_cycles_have_density_one(self):

@@ -9,16 +9,36 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from compedge import (Field, SimpleGraph, SquarefreeIdeal, alexander_dual,
-                      complementary_edge_ideal, has_linear_resolution, hochster_betti,
+                      complementary_edge_ideal, has_linear_resolution, hochster_betti, homology,
                       is_cohen_macaulay, is_componentwise_linear, is_sequentially_cm,
                       minimalize, reg_pd, simplicial_complex, stanley_reisner)
-from compedge.graphs import complete_graph, cycle_graph, path_graph
-from compedge.homology import (BettiTable, SimplicialComplex, _rational_rank,
-                               clear_homology_cache, parse_field, reduced_homology_dims)
+from compedge.graphs import complete_graph, connected_components, cycle_graph, path_graph
+from compedge.homology import (BettiTable, SimplicialComplex, _dual_betti, _dual_faces,
+                               _primal_betti, _rational_rank, clear_homology_cache, parse_field,
+                               reduced_homology_dims)
 
 
 def fs(*vertices: int) -> frozenset[int]:
     return frozenset(vertices)
+
+
+def gnp_graphs(min_n: int, max_n: int) -> st.SearchStrategy[SimpleGraph]:
+    """G(n, p) draws with at least one edge; isolated vertices are allowed."""
+    def draw(n: int, p: float, rng) -> SimpleGraph:
+        edges = tuple(e for e in combinations(range(1, n + 1), 2) if rng.random() < p)
+        return SimpleGraph(n, edges or ((1, 2),))
+    return st.builds(draw, st.integers(min_n, max_n), st.floats(0.05, 0.95),
+                     st.randoms(use_true_random=False))
+
+
+def closed_form_betti(graph: SimpleGraph, field: Field) -> BettiTable:
+    """Betti table of S/I_c(G) from m, n' (vertices on an edge) and c' (components with an edge)."""
+    n, m = graph.n, graph.m
+    blocks = [b for b in connected_components(graph) if len(b) > 1]
+    n_prime, c_prime = sum(map(len, blocks)), len(blocks)
+    return BettiTable.from_dict(n, field, {
+        (0, 0): 1, (1, n - 2): m, (2, n - 1): 2 * m - n_prime,
+        (2, n): c_prime - 1, (3, n): m - n_prime + c_prime})
 
 
 def complexes(max_n: int = 5) -> st.SearchStrategy[SimplicialComplex]:
@@ -228,6 +248,39 @@ class TestBettiTables:
                     expected[(size - k, size)] = expected.get((size - k, size), 0) + h
             clear_homology_cache()
             assert hochster_betti(ideal, field) == BettiTable.from_dict(n, field, expected)
+
+    @settings(max_examples=100)
+    @given(st.integers(1, 8).flatmap(lambda n: st.lists(
+        st.sets(st.integers(1, n), min_size=1), min_size=1, max_size=6).map(
+            lambda supports: minimalize(n, supports))))
+    def test_primal_and_dual_engines_agree(self, ideal: SquarefreeIdeal):
+        faces = _dual_faces(ideal, 1 << ideal.n)
+        for field in Field:
+            clear_homology_cache()
+            primal = _primal_betti(ideal, field)
+            clear_homology_cache()
+            assert _dual_betti(ideal.n, faces, field) == primal
+
+    def test_complementary_edge_ideals_skip_the_subset_walk(self, monkeypatch):
+        def walk(ideal):
+            raise AssertionError("built the 2^n nonface table")
+        monkeypatch.setattr(homology, "_nonface_table", walk)
+        for graph in (cycle_graph(14), complete_graph(14), SimpleGraph(14, ((1, 2),))):
+            for field in Field:
+                table = hochster_betti(complementary_edge_ideal(graph), field)
+                assert table == closed_form_betti(graph, field)
+
+    def test_irrelevant_ideal_is_koszul(self):
+        for n in range(1, 11):
+            table = hochster_betti(minimalize(n, [[v] for v in range(1, n + 1)]))
+            assert table.as_dict() == {(i, i): comb(n, i) for i in range(n + 1)}
+
+    @settings(max_examples=60, deadline=None)
+    @given(gnp_graphs(7, 14))
+    def test_matches_the_closed_form_from_edge_and_component_counts(self, graph: SimpleGraph):
+        for field in Field:
+            table = hochster_betti(complementary_edge_ideal(graph), field)
+            assert table == closed_form_betti(graph, field)
 
     @settings(max_examples=40)
     @given(st.integers(3, 6).flatmap(lambda n: st.lists(
