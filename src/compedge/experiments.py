@@ -14,6 +14,14 @@ gives tau, the draw of the first pair that closes a cycle, and the graph at p
 is a forest exactly when p <= tau. A sweep draws and sorts each trial once and
 reads every row from the same tau, so the licci fraction is non-increasing in
 c by construction, not just on average.
+
+Memory is O(CHUNK + n + pairs below the largest p), the size of the sampled
+graph, whatever C(n, 2) is. Each trial streams its C(n, 2) draws through one
+buffer of CHUNK doubles and keeps only the flat offsets (pair positions in
+np.triu_indices(n, k=1) order) and draws below the largest p; a PCG64 double
+takes one 64-bit output, so the chunked stream equals a one-shot draw bit for
+bit. The kept offsets map to pairs (u, v) arithmetically, so no O(n^2) index
+array is built.
 """
 from __future__ import annotations
 
@@ -28,6 +36,16 @@ from .graphs import SimpleGraph
 from .invariants import is_licci
 
 SPOT_CHECK_TRIALS = 100
+
+# Doubles drawn per fill of a trial's buffer (2 MiB). Per-fill Python work (a
+# call, a mask, two appends) is a fixed cost: at n = 5000, three one-trial
+# estimates took the same time for 2^14 to 2^20, 30 % longer at 2^12, and
+# 2^22 only grew the traced peak (2.8 MiB at 2^18, 36 MiB at 2^22).
+CHUNK = 2 ** 18
+
+# Each trial draws all C(n, 2) uniforms: n = 100,000 is 5 * 10^9 draws, tens of
+# seconds per trial, and n beyond it would run for hours without failing.
+MONTECARLO_LIMIT = 100_000
 
 CSV_HEADER = "n,c,p,trials,seed,licci_count,fraction_licci"
 
@@ -45,6 +63,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.n < 3:
             raise ValueError(f"need n >= 3, got {self.n}")
+        if self.n > MONTECARLO_LIMIT:
+            raise ValueError(f"n = {self.n} exceeds the Monte Carlo limit of {MONTECARLO_LIMIT}")
         if self.trials < 1:
             raise ValueError(f"need at least one trial, got {self.trials}")
         if not 0 <= self.seed < 2 ** 64:
@@ -80,11 +100,29 @@ def _trial_generator(seed: int, trial: int) -> np.random.Generator:
 
 
 def sample_gnp(n: int, p: float, rng: np.random.Generator) -> SimpleGraph:
-    """One Erdos-Renyi draw: each pair independently with probability min(p, 1)."""
+    """One Erdos-Renyi draw: each pair independently with probability min(p, 1).
+
+    This is the one-shot reference: it builds np.triu_indices and draws every
+    pair at once, sharing no code with the chunked stream of _run_trials, so
+    tests and the benchmark recount trials through it independently.
+    """
     us, vs = np.triu_indices(n, k=1)
     keep = rng.random(us.shape[0]) < min(p, 1.0)
     edges = tuple((int(u) + 1, int(v) + 1) for u, v in zip(us[keep], vs[keep]))
     return SimpleGraph(n, edges)
+
+
+def _pairs(n: int, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(u, v), 0-based, of each flat offset into the pairs in np.triu_indices(n, k=1) order.
+
+    Row u starts at offset starts[u] = u(2n - u - 1)/2, so u is the last row
+    starting at or before k and v = k - starts[u] + u + 1; int64 holds C(n, 2)
+    for every n up to MONTECARLO_LIMIT.
+    """
+    u = np.arange(n, dtype=np.int64)
+    starts = u * (2 * n - u - 1) // 2
+    us = np.searchsorted(starts, offsets, side="right") - 1
+    return us, offsets - starts[us] + us + 1
 
 
 def _run_trials(configs: Sequence[ExperimentConfig]) -> tuple[ExperimentSummary, ...]:
@@ -99,22 +137,25 @@ def _run_trials(configs: Sequence[ExperimentConfig]) -> tuple[ExperimentSummary,
     n, trials, seed = configs[0].n, configs[0].trials, configs[0].seed
     ps = [cfg.edge_probability for cfg in configs]
     top = max(ps)
-    us_all, vs_all = np.triu_indices(n, k=1)
-    # int32 halves the resident pair indices; one at a time keeps the copy small
-    us_all = us_all.astype(np.int32)
-    vs_all = vs_all.astype(np.int32)
-    # one buffer for every trial: the spot checks keep draws alive to the end
-    # of a trial, so a fresh array per trial would coexist with the last one
-    draws = np.empty(us_all.shape[0])
+    total = n * (n - 1) // 2
+    chunk = np.empty(min(CHUNK, total))
     licci = [0] * len(ps)
     forest = [0] * len(ps)
     for trial in range(trials):
-        _trial_generator(seed, trial).random(out=draws)
-        below = np.flatnonzero(draws < top)
-        order = below[np.argsort(draws[below])]
+        rng = _trial_generator(seed, trial)
+        offsets, kept = [], []
+        for lo in range(0, total, CHUNK):
+            draws = chunk[:total - lo]
+            rng.random(out=draws)
+            hits = np.flatnonzero(draws < top)
+            offsets.append(hits + lo)
+            kept.append(draws[hits])
+        below, bdraws = np.concatenate(offsets), np.concatenate(kept)
+        us, vs = _pairs(n, below)
+        order = np.argsort(bdraws)
         parent = list(range(n))
         tau = math.inf
-        for u, v, d in zip(us_all[order].tolist(), vs_all[order].tolist(), draws[order].tolist()):
+        for u, v, d in zip(us[order].tolist(), vs[order].tolist(), bdraws[order].tolist()):
             while parent[u] != u:
                 parent[u] = u = parent[parent[u]]
             while parent[v] != v:
@@ -128,9 +169,9 @@ def _run_trials(configs: Sequence[ExperimentConfig]) -> tuple[ExperimentSummary,
             # on three vertices the only cycle is the triangle K_3, which is licci
             licci_trial = forest_trial or n == 3
             if trial < SPOT_CHECK_TRIALS:
-                keep = below if p == top else draws < p
-                graph = SimpleGraph(n, tuple(
-                    (int(u) + 1, int(v) + 1) for u, v in zip(us_all[keep], vs_all[keep])))
+                keep = bdraws < p
+                edges = zip((us[keep] + 1).tolist(), (vs[keep] + 1).tolist())
+                graph = SimpleGraph(n, tuple(edges))
                 if graph.m and is_licci(graph).licci != licci_trial:
                     raise RuntimeError(
                         f"licci fast path disagrees with the graph predicate on trial {trial}")

@@ -196,8 +196,11 @@ def is_forest(graph: SimpleGraph) -> bool:
     """True iff the graph is acyclic: m = n' - c' over the n' vertices that carry an edge.
 
     Isolated vertices are their own components and add nothing to either
-    side, so this is O(m) however large n is.
+    side, so this is O(m) however large n is. A forest has at most n - 1
+    edges, so a denser graph is refused before any walk.
     """
+    if graph.m >= max(graph.n, 1):
+        return False
     adj: dict[int, list[int]] = {}
     for u, v in graph.edges:
         adj.setdefault(u, []).append(v)

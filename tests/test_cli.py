@@ -254,6 +254,18 @@ class TestMonteCarloCommands:
         assert outcome.exit_code == 2
         assert "n >= 3" in outcome.diagnostics
 
+    def test_n_above_the_monte_carlo_limit_is_a_usage_error(self, monkeypatch):
+        from compedge import experiments
+
+        def no_trials(seed, trial):
+            raise AssertionError("a refused configuration must not draw")
+        monkeypatch.setattr(experiments, "_trial_generator", no_trials)
+        want = "error: n = 1000000000 exceeds the Monte Carlo limit of 100000"
+        for argv in (["montecarlo", "--n", "1000000000", "--c", "1"],
+                     ["sweep", "--n", "1000000000", "--c", "1,2"]):
+            outcome = run(argv)
+            assert (outcome.exit_code, outcome.payload, outcome.diagnostics) == (2, "", want)
+
     def test_sweep_rows(self):
         outcome = run(["sweep", "--n", "40", "--c", "0.2,2,8",
                        "--trials", "50", "--seed", "3"])

@@ -1,7 +1,9 @@
 """Monte Carlo sampling: configuration, determinism, regimes, CSV rendering."""
 from __future__ import annotations
 
+import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,8 +11,9 @@ from hypothesis import given, settings, strategies as st
 
 from compedge import (ExperimentConfig, estimate_licci_probability, sample_gnp,
                       summaries_to_csv, threshold_sweep)
-from compedge.experiments import (CSV_HEADER, _fraction_6dp, _trial_generator,
-                                  summary_csv_line)
+from compedge import experiments
+from compedge.experiments import (CSV_HEADER, MONTECARLO_LIMIT, _fraction_6dp, _pairs,
+                                  _trial_generator, summary_csv_line)
 from compedge.graphs import is_complete, is_forest
 from compedge.invariants import is_licci
 
@@ -40,6 +43,11 @@ class TestConfig:
         with pytest.raises(ValueError, match="c must be nonnegative, got nan"):
             ExperimentConfig(n=10, trials=5, seed=0, c=float("nan"))
 
+    def test_refuses_n_above_the_limit(self):
+        with pytest.raises(ValueError, match="exceeds the Monte Carlo limit of 100000"):
+            ExperimentConfig(n=MONTECARLO_LIMIT + 1, trials=1, seed=0, c=1.0)
+        assert ExperimentConfig(n=MONTECARLO_LIMIT, trials=1, seed=0, c=1.0).n == MONTECARLO_LIMIT
+
     def test_edge_probability(self):
         assert ExperimentConfig(n=10, trials=1, seed=0, p=0.3).edge_probability == 0.3
         assert ExperimentConfig(n=10, trials=1, seed=0, p=7.0).edge_probability == 1.0
@@ -68,6 +76,42 @@ class TestSampling:
         # C(100,2) = 4950 pairs at p = 1/2: five sigmas is about 175
         g = sample_gnp(100, 0.5, _trial_generator(123, 0))
         assert abs(g.m - 2475) < 175
+
+
+class TestChunkedStream:
+    def test_offsets_map_to_the_triu_indices_pairs(self):
+        for n in range(2, 81):
+            us, vs = _pairs(n, np.arange(n * (n - 1) // 2))
+            want_us, want_vs = np.triu_indices(n, k=1)
+            assert np.array_equal(us, want_us) and np.array_equal(vs, want_vs)
+        # the first and last pair at the limit, where C(n, 2) is about 5 * 10^9
+        n = MONTECARLO_LIMIT
+        us, vs = _pairs(n, np.array([0, n * (n - 1) // 2 - 1]))
+        assert us.tolist() == [0, n - 2] and vs.tolist() == [1, n - 1]
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(3, 40), st.lists(st.floats(0, 45), min_size=1, max_size=3),
+           st.integers(1, 8), st.integers(0, 2 ** 32))
+    def test_rows_do_not_depend_on_the_chunk_size(self, n, cs, trials, seed):
+        want = threshold_sweep(n, cs, trials=trials, seed=seed).rows
+        for chunk in (1, 7, 64):
+            with mock.patch.object(experiments, "CHUNK", chunk):
+                assert threshold_sweep(n, cs, trials=trials, seed=seed).rows == want
+
+    def test_golden_line_at_a_small_chunk(self, monkeypatch):
+        monkeypatch.setattr(experiments, "CHUNK", 7)
+        summary = estimate_licci_probability(ExperimentConfig(n=50, trials=20, seed=7, c=0.5))
+        assert summary_csv_line(summary) == "50,0.5,0.01,20,7,18,0.900000"
+
+    def test_memory_follows_the_sampled_graph_not_the_pair_count(self):
+        # C(3000, 2) pairs would take 36 MB of draws alone, 108 MB with their indices
+        tracemalloc.start()
+        try:
+            estimate_licci_probability(ExperimentConfig(n=3000, trials=2, seed=0, c=1.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
 
 
 class TestEstimates:
