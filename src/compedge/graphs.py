@@ -87,6 +87,8 @@ def _parse_json_graph(text: str) -> SimpleGraph:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise GraphFormatError(f"invalid JSON: {exc.msg}", line=exc.lineno) from exc
+    except RecursionError:
+        raise GraphFormatError("invalid JSON: nested too deeply") from None
     if not isinstance(obj, dict):
         raise GraphFormatError("JSON graph must be an object")
     if "n" not in obj or "edges" not in obj:
@@ -224,7 +226,8 @@ def is_complete(graph: SimpleGraph) -> bool:
 
 
 def is_tree(graph: SimpleGraph) -> bool:
-    return len(connected_components(graph)) == 1 and graph.m == graph.n - 1
+    """A forest with n - 1 edges has exactly one component; O(m) like is_forest."""
+    return graph.m == graph.n - 1 and is_forest(graph)
 
 
 def max_subgraph_density(graph: SimpleGraph) -> Fraction:

@@ -14,6 +14,11 @@ its docstring); the table aggregates multidegrees by cardinality either way.
 The complex {emptyset} has reduced H_(-1) = K, which makes the links of the
 dual facets count the generators.
 
+Reduced homology is memoised per complex with functools.cache, keyed by the
+field and the sorted face masks. The masks alone fix the complex, so compact
+primal restrictions and raw dual links share one memo; it is unbounded, and
+clear_homology_cache() empties it.
+
 All ranks are computed exactly by one elimination scheme, pivots keyed by
 lowest column: over GF(2) on bit-packed rows with XOR, over the rationals on
 sparse integer rows, fraction-free with gcd reduction. No floating point
@@ -23,6 +28,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cache
 from math import gcd, isqrt
 from typing import Iterable, NamedTuple
 
@@ -73,18 +79,26 @@ class SimplicialComplex:
 
 def simplicial_complex(n: int, facets: Iterable[Iterable[int]]) -> SimplicialComplex:
     """Downward closure of the given facets (always includes the empty face)."""
-    faces = {0}
+    tops = []
     for facet in facets:
         fm = mask_of(facet)
         if fm >> n:
             raise ValueError(f"facet {sorted(facet)} out of ground range 1..{n}")
-        sub = fm
-        while True:
+        tops.append(fm)
+    return SimplicialComplex(n, frozenset(_closure(tops, 1 << n)))
+
+
+def _closure(tops: Iterable[int], max_faces: int) -> set[int] | None:
+    """The empty face and every subset of the given masks, or None past max_faces faces."""
+    faces = {0}
+    for top in tops:
+        sub = top
+        while sub:
             faces.add(sub)
-            if sub == 0:
-                break
-            sub = (sub - 1) & fm
-    return SimplicialComplex(n, frozenset(faces))
+            sub = (sub - 1) & top
+        if len(faces) > max_faces:
+            return None
+    return faces
 
 
 def stanley_reisner(ideal: SquarefreeIdeal) -> SimplicialComplex:
@@ -150,10 +164,12 @@ def _rational_rank(rows: list[dict[int, int]]) -> int:
     return len(pivots)
 
 
-def _homology_from_faces(faces: list[int], field: Field) -> list[int]:
+@cache
+def _homology_from_faces(faces: tuple[int, ...], field: Field) -> tuple[int, ...]:
     """Reduced homology dims of a nonvoid downward-closed family of face masks.
 
     Index 0 of the result is dimension -1 of the reduced chain complex.
+    Callers pass both arguments positionally, so one complex has one memo key.
     """
     top = max(f.bit_count() for f in faces)
     faces_by_size: list[list[int]] = [[] for _ in range(top + 1)]
@@ -187,7 +203,7 @@ def _homology_from_faces(faces: list[int], field: Field) -> list[int]:
                     sparse[row_index[f ^ low]][j] = sign
                     sign = -sign
             ranks[s] = _rational_rank(sparse)
-    return [sizes[s] - ranks[s] - ranks[s + 1] for s in range(top + 1)]
+    return tuple(sizes[s] - ranks[s] - ranks[s + 1] for s in range(top + 1))
 
 
 def reduced_homology_dims(complex_: SimplicialComplex, field: Field = Field.GF2) -> list[int]:
@@ -198,7 +214,7 @@ def reduced_homology_dims(complex_: SimplicialComplex, field: Field = Field.GF2)
     """
     if complex_.is_void:
         return []
-    return _homology_from_faces(sorted(complex_.faces), field)
+    return list(_homology_from_faces(tuple(sorted(complex_.faces)), field))
 
 
 @dataclass(frozen=True, eq=True)
@@ -244,13 +260,8 @@ def reg_pd(table: BettiTable) -> Homological:
     return Homological(reg, pd, reg + 1, pd - 1)
 
 
-# Reduced homology keyed by (field, sorted face masks); the masks alone fix the
-# complex, so compact primal restrictions and raw dual links share one table.
-_HOMOLOGY_CACHE: dict[tuple[Field, tuple[int, ...]], list[int]] = {}
-
-
 def clear_homology_cache() -> None:
-    _HOMOLOGY_CACHE.clear()
+    _homology_from_faces.cache_clear()
 
 
 def hochster_betti(ideal: SquarefreeIdeal, field: Field = Field.GF2) -> BettiTable:
@@ -276,10 +287,11 @@ def hochster_betti(ideal: SquarefreeIdeal, field: Field = Field.GF2) -> BettiTab
     n = ideal.n
     if n > ORACLE_LIMIT:
         raise ValueError(f"ambient size {n} exceeds the oracle limit of {ORACLE_LIMIT}")
-    faces = _dual_faces(ideal, isqrt(3 ** (n + 1)))
+    full = (1 << n) - 1
+    faces = _closure([full & ~g for g in ideal.generator_masks()], isqrt(3 ** (n + 1)))
     if faces is None or len(faces) ** 2 > 3 * sum(1 << (n - tau.bit_count()) for tau in faces):
         return _primal_betti(ideal, field)
-    return _dual_betti(n, faces, field)
+    return _dual_betti(n, sorted(faces), field)
 
 
 def _primal_betti(ideal: SquarefreeIdeal, field: Field) -> BettiTable:
@@ -299,45 +311,16 @@ def _primal_betti(ideal: SquarefreeIdeal, field: Field) -> BettiTable:
             low = bits & -bits
             bits ^= low
             real += [r | low for r in real]
-        # a list, not a generator: tuple() of a generator over-allocates, and
-        # the cache keeps every key
-        compact = [c for c, r in enumerate(real) if not nonface[r]]
-        key = (field, tuple(compact))
-        dims = _HOMOLOGY_CACHE.get(key)
-        if dims is None:
-            dims = _homology_from_faces(compact, field)
-            _HOMOLOGY_CACHE[key] = dims
+        # a list first: tuple() of a generator over-allocates, and the memo
+        # keeps every key
+        compact = tuple([c for c, r in enumerate(real) if not nonface[r]])
+        dims = _homology_from_faces(compact, field)
         ssize = sigma.bit_count()
         for k, h in enumerate(dims):
             if h:
                 i = ssize - k
                 entries[(i, ssize)] = entries.get((i, ssize), 0) + h
     return BettiTable.from_dict(n, field, entries)
-
-
-def _dual_faces(ideal: SquarefreeIdeal, max_faces: int) -> list[int] | None:
-    """Sorted faces of the Alexander dual complex, or None once there are more than max_faces.
-
-    The dual complex is the downward closure of the complements of the
-    generator supports: its faces are the complements of the nonfaces of the
-    Stanley-Reisner complex.
-    """
-    full = (1 << ideal.n) - 1
-    faces: set[int] = set()
-    stack = [full & ~g for g in ideal.generator_masks()]
-    while stack:
-        face = stack.pop()
-        if face in faces:
-            continue
-        faces.add(face)
-        if len(faces) > max_faces:
-            return None
-        bits = face
-        while bits:
-            low = bits & -bits
-            bits ^= low
-            stack.append(face ^ low)
-    return sorted(faces)
 
 
 def _dual_betti(n: int, faces: list[int], field: Field) -> BettiTable:
@@ -351,12 +334,8 @@ def _dual_betti(n: int, faces: list[int], field: Field) -> BettiTable:
     for tau in faces:
         # faces is sorted and f - tau keeps the order of the f containing tau,
         # so equal links give equal keys
-        link = [f ^ tau for f in faces if f & tau == tau]
-        key = (field, tuple(link))
-        dims = _HOMOLOGY_CACHE.get(key)
-        if dims is None:
-            dims = _homology_from_faces(link, field)
-            _HOMOLOGY_CACHE[key] = dims
+        link = tuple([f ^ tau for f in faces if f & tau == tau])
+        dims = _homology_from_faces(link, field)
         j = n - tau.bit_count()
         for k, h in enumerate(dims):
             if h:

@@ -83,6 +83,15 @@ def _check_ambient(n: int) -> None:
         raise ValueError(f"ambient size {n} outside supported range 0..{AMBIENT_LIMIT}")
 
 
+def _minimal_masks(masks: Iterable[int]) -> list[int]:
+    """Inclusion-minimal masks, each once: by size, each kept unless it contains a kept one."""
+    kept: list[int] = []
+    for c in sorted(set(masks), key=int.bit_count):
+        if not any(d & c == d for d in kept):
+            kept.append(c)
+    return kept
+
+
 def minimalize(n: int, supports: Iterable[Iterable[int]]) -> SquarefreeIdeal:
     """Build the ideal generated by the given supports, discarding redundant ones.
 
@@ -90,22 +99,22 @@ def minimalize(n: int, supports: Iterable[Iterable[int]]) -> SquarefreeIdeal:
     ideal the unit ideal, which is rejected.
     """
     _check_ambient(n)
-    sets = []
+    masks = []
     for s in supports:
         fs = frozenset(s)
         if not fs:
             raise ValueError("unit ideal: a generator has empty support")
         if any(v < 1 or v > n for v in fs):
             raise ValueError(f"support {sorted(fs)} out of ambient range 1..{n}")
-        sets.append(fs)
-    minimal = [s for s in sets if not any(t < s for t in sets)]
-    return SquarefreeIdeal(n, _canonical(minimal))
+        masks.append(mask_of(fs))
+    return SquarefreeIdeal(n, _canonical(support_of(c) for c in _minimal_masks(masks)))
 
 
 def complementary_edge_ideal(graph: SimpleGraph) -> SquarefreeIdeal:
     """The ideal with one generator per edge {i,j}: support {1..n} minus {i,j}.
 
     Every generator has degree n-2. An edgeless graph yields the zero ideal.
+    The supports are distinct and of one size, so they are already minimal.
     """
     if graph.n < 3:
         raise ValueError(f"degenerate ambient: need at least 3 vertices, got {graph.n}")
@@ -113,7 +122,7 @@ def complementary_edge_ideal(graph: SimpleGraph) -> SquarefreeIdeal:
         return SquarefreeIdeal(graph.n, ())
     _check_ambient(graph.n)
     everything = frozenset(graph.vertices())
-    return minimalize(graph.n, [everything - {u, v} for u, v in graph.edges])
+    return SquarefreeIdeal(graph.n, _canonical(everything - {u, v} for u, v in graph.edges))
 
 
 def minimal_vertex_covers(ideal: SquarefreeIdeal) -> tuple[frozenset[int], ...]:
@@ -140,8 +149,7 @@ def minimal_vertex_covers(ideal: SquarefreeIdeal) -> tuple[frozenset[int], ...]:
             extend(nxt, rest)
 
     extend(0, gen_masks)
-    minimal = [c for c in found if not any(d != c and d & c == d for d in found)]
-    return _canonical(support_of(c) for c in minimal)
+    return _canonical(support_of(c) for c in _minimal_masks(found))
 
 
 def height(ideal: SquarefreeIdeal) -> int:

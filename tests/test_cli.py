@@ -9,11 +9,13 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from compedge import cli, graphs, invariants
 from compedge.cli import run
 
 FIXTURES = Path(__file__).parent / "fixtures"
+DEEP_JSON = '{"n": 3, "edges": ' + "[" * 2000 + "]" * 2000 + "}"
 
 
 def schema(name: str) -> dict:
@@ -311,6 +313,69 @@ class TestMdensity:
         assert outcome.exit_code == 2
         assert outcome.payload == ""
         assert "limit" in outcome.diagnostics
+
+
+TOKENS = ["{", "}", "[", "]", ",", ":", '"n"', '"edges"', '"x"', "true", "null", "-1", "1.5",
+          "1e3", "#", *map(str, range(13))]
+# every number a strategy writes stands alone, so no two can run together
+# into an n above 12 that the commands would accept and walk
+SPACED_TOKEN = st.sampled_from(TOKENS).map(lambda token: f" {token} ")
+FIXTURE_TEXTS = [path.read_text() for path in sorted(FIXTURES.iterdir())]
+
+
+def mutate(text: str, at: int, cut: int, insert: str) -> str:
+    at %= len(text)
+    return text[:at] + insert + text[at + cut:]
+
+
+def render(n: int, edges: list[tuple[int, int]], as_json: bool) -> str:
+    if as_json:
+        return json.dumps({"n": n, "edges": edges})
+    return f"{n} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges)
+
+
+GRAPH_TEXTS = st.one_of(
+    st.lists(st.tuples(SPACED_TOKEN, st.sampled_from(["", "\n"])), max_size=30).map(
+        lambda parts: "".join(token + sep for token, sep in parts)),
+    st.builds(mutate, st.sampled_from(FIXTURE_TEXTS), st.integers(0, 200), st.integers(0, 3),
+              SPACED_TOKEN | st.just("")),
+    st.builds(render, st.integers(0, 12),
+              st.lists(st.tuples(st.integers(1, 12), st.integers(1, 12)), max_size=12),
+              st.booleans()),
+    # headers every command but a plain analyze must refuse
+    st.builds(render, st.integers(25, 10 ** 12),
+              st.lists(st.sampled_from([(1, 2), (2, 3), (1, 3), (3, 4)]), max_size=3, unique=True),
+              st.just(False)),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=40),
+)
+GRAPH_COMMANDS = [["analyze"], ["analyze", "--oracle"], ["analyze", "--oracle", "--field", "q"],
+                  ["betti"], ["betti", "--field", "q"], ["mdensity"]]
+
+
+class TestMalformedGraphText:
+    @pytest.mark.parametrize("command", ["analyze", "betti", "mdensity"])
+    def test_deeply_nested_json_is_an_input_error(self, tmp_path, command):
+        path = tmp_path / "deep.json"
+        path.write_text(DEEP_JSON)
+        outcome = run([command, str(path)])
+        assert outcome.exit_code == 2
+        assert outcome.payload == ""
+        assert outcome.diagnostics.startswith("error: ")
+        assert "nested too deeply" in outcome.diagnostics
+
+    @settings(max_examples=150, deadline=None)
+    @example(text=DEEP_JSON, command=["analyze"])
+    @given(text=GRAPH_TEXTS, command=st.sampled_from(GRAPH_COMMANDS))
+    def test_any_text_gets_an_exit_code_and_no_traceback(self, tmp_path_factory, text, command):
+        path = tmp_path_factory.getbasetemp() / "fuzzed_graph.txt"
+        path.write_text(text, encoding="utf-8")
+        outcome = run([command[0], str(path), *command[1:]])
+        assert outcome.exit_code in (0, 1, 2)
+        if outcome.exit_code == 2:
+            assert outcome.payload == ""
+            assert outcome.diagnostics.startswith("error: ")
+        else:
+            json.loads(outcome.payload)
 
 
 class TestArgumentErrors:

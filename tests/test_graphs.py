@@ -165,6 +165,12 @@ class TestPredicates:
         assert not is_tree(SimpleGraph(0, ()))
         assert is_tree(SimpleGraph(1, ()))
 
+    def test_tree_check_does_not_walk_the_vertices(self, monkeypatch):
+        def walk(graph):
+            raise AssertionError("walked every vertex")
+        monkeypatch.setattr(SimpleGraph, "vertices", walk)
+        assert not is_tree(SimpleGraph(10 ** 9, ((1, 2),)))
+
     def test_tiny_graphs_count_as_complete(self):
         assert is_complete(SimpleGraph(0, ()))
         assert is_complete(SimpleGraph(1, ()))
@@ -185,6 +191,10 @@ class TestPredicates:
     @given(graphs(min_n=0, max_n=9))
     def test_forest_iff_edges_equal_vertices_minus_components(self, g: SimpleGraph):
         assert is_forest(g) == (g.m == g.n - len(connected_components(g)))
+
+    @given(graphs(min_n=0, max_n=9))
+    def test_tree_iff_one_component_and_n_minus_1_edges(self, g: SimpleGraph):
+        assert is_tree(g) == (len(connected_components(g)) == 1 and g.m == g.n - 1)
 
 
 class TestMaxSubgraphDensity:

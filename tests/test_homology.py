@@ -13,9 +13,9 @@ from compedge import (Field, SimpleGraph, SquarefreeIdeal, alexander_dual,
                       is_cohen_macaulay, is_componentwise_linear, is_sequentially_cm,
                       minimalize, reg_pd, simplicial_complex, stanley_reisner)
 from compedge.graphs import complete_graph, connected_components, cycle_graph, path_graph
-from compedge.homology import (BettiTable, SimplicialComplex, _dual_betti, _dual_faces,
-                               _primal_betti, _rational_rank, clear_homology_cache, parse_field,
-                               reduced_homology_dims)
+from compedge.homology import (BettiTable, SimplicialComplex, _closure, _dual_betti,
+                               _homology_from_faces, _primal_betti, _rational_rank,
+                               clear_homology_cache, parse_field, reduced_homology_dims)
 
 
 def fs(*vertices: int) -> frozenset[int]:
@@ -87,6 +87,13 @@ class TestSimplicialComplexes:
         with pytest.raises(ValueError, match="zero ideal"):
             stanley_reisner(SquarefreeIdeal(3, ()))
 
+    @given(st.lists(st.integers(0, (1 << 7) - 1), max_size=5), st.integers(1, 1 << 7))
+    def test_closure_is_every_subset_of_the_tops(self, tops: list[int], max_faces: int):
+        # reference: scan all 2^7 masks for one contained in some top
+        every = {0} | {f for f in range(1 << 7) if any(f & t == f for t in tops)}
+        expected = every if len(every) <= max_faces else None
+        assert _closure(tops, max_faces) == expected
+
 
 class TestReducedHomology:
     def test_void_complex_has_no_homology(self):
@@ -132,6 +139,12 @@ class TestReducedHomology:
         for field in Field:
             dims = reduced_homology_dims(c, field)
             assert sum((-1) ** k * h for k, h in enumerate(dims)) == chi_faces
+
+    def test_returned_dims_are_a_copy_of_the_memo(self):
+        square = simplicial_complex(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
+        reduced_homology_dims(square).append(7)
+        reduced_homology_dims(square)[2] = 5
+        assert reduced_homology_dims(square) == [0, 0, 1]
 
     @settings(max_examples=80)
     @given(complexes())
@@ -229,6 +242,17 @@ class TestBettiTables:
         clear_homology_cache()
         assert hochster_betti(ideal) == before
 
+    def test_a_repeated_table_only_hits_the_memo(self):
+        ideal = complementary_edge_ideal(cycle_graph(6))
+        clear_homology_cache()
+        assert _homology_from_faces.cache_info().currsize == 0
+        first = hochster_betti(ideal)
+        before = _homology_from_faces.cache_info()
+        assert hochster_betti(ideal) == first
+        after = _homology_from_faces.cache_info()
+        assert after.misses == before.misses and after.currsize == before.currsize
+        assert after.hits > before.hits
+
     @settings(max_examples=40)
     @given(st.integers(1, 6).flatmap(lambda n: st.lists(
         st.sets(st.integers(1, n), min_size=1), min_size=1, max_size=6).map(
@@ -254,7 +278,8 @@ class TestBettiTables:
         st.sets(st.integers(1, n), min_size=1), min_size=1, max_size=6).map(
             lambda supports: minimalize(n, supports))))
     def test_primal_and_dual_engines_agree(self, ideal: SquarefreeIdeal):
-        faces = _dual_faces(ideal, 1 << ideal.n)
+        full = (1 << ideal.n) - 1
+        faces = sorted(_closure([full & ~g for g in ideal.generator_masks()], 1 << ideal.n))
         for field in Field:
             clear_homology_cache()
             primal = _primal_betti(ideal, field)

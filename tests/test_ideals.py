@@ -10,6 +10,7 @@ from compedge import (SimpleGraph, SquarefreeIdeal, UNIT, alexander_dual,
                       complementary_edge_ideal, has_linear_quotients, height,
                       minimal_vertex_covers, minimalize, squarefree_component)
 from compedge.graphs import complete_graph, path_graph
+from compedge import ideals as ideals_module
 from compedge.ideals import colon_by_monomial, mask_of, support_of
 
 
@@ -107,6 +108,20 @@ class TestComplementaryEdgeIdeal:
         assert all(len(g) == n - 2 for g in ideal.gens)
         for u, v in graph.edges:
             assert frozenset(graph.vertices()) - {u, v} in ideal.gens
+
+    @given(st.integers(3, 8).flatmap(lambda n: st.lists(
+        st.sampled_from(list(combinations(range(1, n + 1), 2))), unique=True, min_size=1).map(
+            lambda edges: SimpleGraph(n, tuple(edges)))))
+    def test_equals_the_minimalized_supports(self, graph: SimpleGraph):
+        supports = [set(graph.vertices()) - {u, v} for u, v in graph.edges]
+        assert complementary_edge_ideal(graph) == minimalize(graph.n, supports)
+
+    def test_built_without_minimalizing(self, monkeypatch):
+        def filter_(n, supports):
+            raise AssertionError("ran the minimality filter on an antichain")
+        monkeypatch.setattr(ideals_module, "minimalize", filter_)
+        ideal = complementary_edge_ideal(path_graph(4))
+        assert ideal.gens == (fs(1, 2), fs(1, 4), fs(3, 4))
 
 
 def brute_minimal_covers(ideal: SquarefreeIdeal) -> set[frozenset[int]]:
