@@ -14,8 +14,8 @@ import time
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass
 
-from .graphs import (DEFAULT_ENUMERATION_LIMIT, GraphFormatError, SimpleGraph,
-                     enumerate_graphs, max_subgraph_density, parse_graph)
+from .graphs import (DEFAULT_ENUMERATION_LIMIT, SimpleGraph, enumerate_graphs,
+                     max_subgraph_density, parse_graph)
 from .homology import hochster_betti, parse_field
 from .ideals import complementary_edge_ideal
 from .invariants import NOTE_COMPLETE_PD, NOTE_ISOLATED, cross_validate, predict_invariants
@@ -33,19 +33,14 @@ class CommandOutcome:
 
 
 def _load_graph(path: str) -> SimpleGraph:
+    """Read, decode and parse a graph file; every failure is a ValueError that names the path."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            return parse_graph(fh.read())
     except OSError as exc:
-        raise _UsageError(f"cannot read graph file {path}: {exc.strerror}") from exc
-    try:
-        return parse_graph(text)
-    except GraphFormatError as exc:
-        raise _UsageError(f"{path}: {exc}") from exc
-
-
-class _UsageError(Exception):
-    pass
+        raise ValueError(f"cannot read graph file {path}: {exc.strerror}") from exc
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _dump(obj, compact: bool) -> str:
@@ -80,7 +75,7 @@ def _cmd_betti(args: argparse.Namespace) -> CommandOutcome:
 
 def _cmd_verify(args: argparse.Namespace) -> CommandOutcome:
     if not 3 <= args.max_n <= DEFAULT_ENUMERATION_LIMIT:
-        raise _UsageError(f"--max-n must be between 3 and {DEFAULT_ENUMERATION_LIMIT}")
+        raise ValueError(f"--max-n must be between 3 and {DEFAULT_ENUMERATION_LIMIT}")
     field = parse_field(args.field)
     enumerated = analyzed = clean = 0
     complete_pd_count = 0
@@ -144,9 +139,9 @@ def _cmd_sweep(args: argparse.Namespace) -> CommandOutcome:
     try:
         c_values = [float(part) for part in args.c.split(",") if part.strip()]
     except ValueError as exc:
-        raise _UsageError(f"--c must be a comma-separated list of numbers: {exc}") from exc
+        raise ValueError(f"--c must be a comma-separated list of numbers: {exc}") from exc
     if not c_values:
-        raise _UsageError("--c must name at least one value")
+        raise ValueError("--c must name at least one value")
     start = time.perf_counter()
     result = threshold_sweep(args.n, c_values, args.trials, args.seed)
     diags = [f"wall time {time.perf_counter() - start:.3f}s"]
@@ -208,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str]) -> CommandOutcome:
-    """Parse and execute; usage errors and ValueErrors from the library become exit code 2."""
+    """Parse and execute; a ValueError, from the library or the input checks, is exit code 2."""
     parser = build_parser()
     captured_out, captured_err = io.StringIO(), io.StringIO()
     try:
@@ -219,7 +214,7 @@ def run(argv: list[str]) -> CommandOutcome:
         return CommandOutcome(code, captured_out.getvalue(), captured_err.getvalue())
     try:
         return args.func(args)
-    except (_UsageError, ValueError) as exc:
+    except ValueError as exc:
         return CommandOutcome(2, "", f"error: {exc}")
 
 

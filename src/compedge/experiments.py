@@ -15,13 +15,15 @@ is a forest exactly when p <= tau. A sweep draws and sorts each trial once and
 reads every row from the same tau, so the licci fraction is non-increasing in
 c by construction, not just on average.
 
-Memory is O(CHUNK + n + pairs below the largest p), the size of the sampled
-graph, whatever C(n, 2) is. Each trial streams its C(n, 2) draws through one
-buffer of CHUNK doubles and keeps only the flat offsets (pair positions in
-np.triu_indices(n, k=1) order) and draws below the largest p; a PCG64 double
-takes one 64-bit output, so the chunked stream equals a one-shot draw bit for
-bit. The kept offsets map to pairs (u, v) arithmetically, so no O(n^2) index
-array is built.
+Memory is O(CHUNK + n) per trial, whatever C(n, 2) and p are. Each trial
+streams its C(n, 2) draws through one buffer of CHUNK doubles and keeps the
+flat offsets (pair positions in np.triu_indices(n, k=1) order) of only the n
+smallest draws below the largest p: n pairs on n vertices always close a
+cycle, so tau never lies past them. The cut-off falls to the n-th smallest
+draw whenever more than 2n are held, so each partition is paid for by at
+least n new hits. A PCG64 double takes one 64-bit output, so the chunked
+stream equals a one-shot draw bit for bit. The kept offsets map to pairs
+(u, v) arithmetically, so no O(n^2) index array is built.
 """
 from __future__ import annotations
 
@@ -125,14 +127,27 @@ def _pairs(n: int, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return us, offsets - starts[us] + us + 1
 
 
+def _smallest(offsets: list[np.ndarray], draws: list[np.ndarray],
+              n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The offsets and draws of the (at most) n smallest of the listed draws."""
+    offsets, draws = np.concatenate(offsets), np.concatenate(draws)
+    if draws.size > n:
+        small = np.argpartition(draws, n - 1)[:n]
+        offsets, draws = offsets[small], draws[small]
+    return offsets, draws
+
+
 def _run_trials(configs: Sequence[ExperimentConfig]) -> tuple[ExperimentSummary, ...]:
     """One pass over the shared trials of configs that differ only in p.
 
     Each trial records tau, the draw of the first pair, in increasing draw
     order, that closes a cycle (inf if none below the largest p does). A pair
     is present at p iff its draw is below p, so the graph at p is a forest
-    exactly when p <= tau. Spot checks rebuild each graph from the raw draws,
-    independently of tau, and compare is_licci with the fast verdict.
+    exactly when p <= tau; tau lies among the n smallest draws, the only ones
+    kept. Spot checks rebuild each graph from those raw draws, independently
+    of tau, and compare is_licci with the fast verdict. A graph at p with more
+    than n pairs is seen as its n smallest, which hold a cycle too (K_3 itself
+    when n = 3), so the verdict is the same.
     """
     n, trials, seed = configs[0].n, configs[0].trials, configs[0].seed
     ps = [cfg.edge_probability for cfg in configs]
@@ -143,14 +158,18 @@ def _run_trials(configs: Sequence[ExperimentConfig]) -> tuple[ExperimentSummary,
     forest = [0] * len(ps)
     for trial in range(trials):
         rng = _trial_generator(seed, trial)
-        offsets, kept = [], []
+        cut, offsets, kept, size = top, [], [], 0
         for lo in range(0, total, CHUNK):
             draws = chunk[:total - lo]
             rng.random(out=draws)
-            hits = np.flatnonzero(draws < top)
+            hits = np.flatnonzero(draws < cut)
             offsets.append(hits + lo)
             kept.append(draws[hits])
-        below, bdraws = np.concatenate(offsets), np.concatenate(kept)
+            size += hits.size
+            if size > 2 * n:
+                below, bdraws = _smallest(offsets, kept, n)
+                offsets, kept, cut, size = [below], [bdraws], bdraws.max(), n
+        below, bdraws = _smallest(offsets, kept, n)
         us, vs = _pairs(n, below)
         order = np.argsort(bdraws)
         parent = list(range(n))

@@ -16,10 +16,11 @@ MDENSITY_LIMIT = 18
 
 
 class GraphFormatError(ValueError):
-    """Raised when a graph description is malformed; carries a 1-based line number."""
+    """A malformed graph; `line` is its 1-based line, `edge` the 0-based index of a bad edge."""
 
-    def __init__(self, message: str, line: int | None = None):
+    def __init__(self, message: str, line: int | None = None, edge: int | None = None):
         self.line = line
+        self.edge = edge
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
@@ -33,22 +34,23 @@ class SimpleGraph:
     edges: tuple[tuple[int, int], ...] = field(default=())
 
     def __post_init__(self):
-        if self.n < 0:
-            raise ValueError(f"vertex count must be nonnegative, got {self.n}")
+        """The one edge check: a GraphFormatError names the input edge at fault by index."""
+        n = self.n
+        if n < 0:
+            raise ValueError(f"vertex count must be nonnegative, got {n}")
         seen = set()
         canon = []
-        for e in self.edges:
-            u, v = e
-            if u > v:
-                u, v = v, u
+        for k, (u, v) in enumerate(self.edges):
+            pair = (u, v) if u < v else (v, u)
             if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if not (1 <= u and v <= self.n):
-                raise ValueError(f"edge ({u}, {v}) out of range 1..{self.n}")
-            if (u, v) in seen:
-                raise ValueError(f"duplicate edge ({u}, {v})")
-            seen.add((u, v))
-            canon.append((u, v))
+                raise GraphFormatError(f"self-loop {u} {v}", edge=k)
+            if not (0 < u <= n and 0 < v <= n):
+                raise GraphFormatError(f"vertex label out of range 1..{n} in edge {u} {v}", edge=k)
+            if pair in seen:
+                raise GraphFormatError(f"duplicate edge {u} {v}", edge=k)
+            seen.add(pair)
+            canon.append(pair)
+        # sort the input-order list: timsort is linear on already-sorted pairs
         object.__setattr__(self, "edges", tuple(sorted(canon)))
 
     @property
@@ -89,6 +91,8 @@ def _parse_json_graph(text: str) -> SimpleGraph:
         raise GraphFormatError(f"invalid JSON: {exc.msg}", line=exc.lineno) from exc
     except RecursionError:
         raise GraphFormatError("invalid JSON: nested too deeply") from None
+    except ValueError as exc:  # an integer longer than Python's int-string limit
+        raise GraphFormatError(f"invalid JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise GraphFormatError("JSON graph must be an object")
     if "n" not in obj or "edges" not in obj:
@@ -105,7 +109,7 @@ def _parse_json_graph(text: str) -> SimpleGraph:
                 or not all(isinstance(x, int) and not isinstance(x, bool) for x in item)):
             raise GraphFormatError(f"edge #{k + 1} must be a pair of integers, got {item!r}")
         edges.append((item[0], item[1]))
-    return _build_graph(n, edges, lines=None)
+    return SimpleGraph(n, tuple(edges))
 
 
 def _parse_edge_list(text: str) -> SimpleGraph:
@@ -149,24 +153,10 @@ def _parse_edge_list(text: str) -> SimpleGraph:
     if len(edges) != m:
         raise GraphFormatError(f"header promised {m} edges, found {len(edges)}",
                                line=header_idx + 1)
-    return _build_graph(n, edges, lines=line_nos)
-
-
-def _build_graph(n: int, edges: list[tuple[int, int]], lines: list[int] | None) -> SimpleGraph:
-    seen: dict[tuple[int, int], int] = {}
-    canon = []
-    for k, (u, v) in enumerate(edges):
-        where = lines[k] if lines else None
-        if u == v:
-            raise GraphFormatError(f"self-loop {u} {v}", line=where)
-        a, b = (u, v) if u < v else (v, u)
-        if not (1 <= a and b <= n):
-            raise GraphFormatError(f"vertex label out of range 1..{n} in edge {u} {v}", line=where)
-        if (a, b) in seen:
-            raise GraphFormatError(f"duplicate edge {u} {v}", line=where)
-        seen[(a, b)] = k
-        canon.append((a, b))
-    return SimpleGraph(n, tuple(canon))
+    try:
+        return SimpleGraph(n, tuple(edges))
+    except GraphFormatError as exc:
+        raise GraphFormatError(str(exc), line=line_nos[exc.edge]) from None
 
 
 def connected_components(graph: SimpleGraph) -> list[tuple[int, ...]]:

@@ -315,8 +315,9 @@ class TestMdensity:
         assert "limit" in outcome.diagnostics
 
 
+# one token is a digit past Python's 4,300-digit int-string limit, so it never parses
 TOKENS = ["{", "}", "[", "]", ",", ":", '"n"', '"edges"', '"x"', "true", "null", "-1", "1.5",
-          "1e3", "#", *map(str, range(13))]
+          "1e3", "#", "9" * 4301, *map(str, range(13))]
 # every number a strategy writes stands alone, so no two can run together
 # into an n above 12 that the commands would accept and walk
 SPACED_TOKEN = st.sampled_from(TOKENS).map(lambda token: f" {token} ")
@@ -363,12 +364,25 @@ class TestMalformedGraphText:
         assert outcome.diagnostics.startswith("error: ")
         assert "nested too deeply" in outcome.diagnostics
 
+    @pytest.mark.parametrize("command", ["analyze", "betti", "mdensity"])
+    @pytest.mark.parametrize("raw", [b"3 1\n1 2\xff", b'{"n": ' + b"9" * 5000 + b', "edges": []}'],
+                             ids=["invalid_utf8", "long_json_integer"])
+    def test_undecodable_file_is_an_input_error_that_names_it(self, tmp_path, command, raw):
+        path = tmp_path / "graph.txt"
+        path.write_bytes(raw)
+        outcome = run([command, str(path)])
+        assert outcome.exit_code == 2
+        assert outcome.payload == ""
+        assert outcome.diagnostics.startswith(f"error: {path}: ")
+
     @settings(max_examples=150, deadline=None)
-    @example(text=DEEP_JSON, command=["analyze"])
-    @given(text=GRAPH_TEXTS, command=st.sampled_from(GRAPH_COMMANDS))
-    def test_any_text_gets_an_exit_code_and_no_traceback(self, tmp_path_factory, text, command):
+    @example(text=DEEP_JSON, tail=b"", command=["analyze"])
+    @given(text=GRAPH_TEXTS, tail=st.sampled_from([b"", b"\xff", b"\xc3("]),
+           command=st.sampled_from(GRAPH_COMMANDS))
+    def test_any_text_gets_an_exit_code_and_no_traceback(self, tmp_path_factory, text, tail,
+                                                         command):
         path = tmp_path_factory.getbasetemp() / "fuzzed_graph.txt"
-        path.write_text(text, encoding="utf-8")
+        path.write_bytes(text.encode("utf-8") + tail)
         outcome = run([command[0], str(path), *command[1:]])
         assert outcome.exit_code in (0, 1, 2)
         if outcome.exit_code == 2:
@@ -376,6 +390,9 @@ class TestMalformedGraphText:
             assert outcome.diagnostics.startswith("error: ")
         else:
             json.loads(outcome.payload)
+        if tail:
+            # raw bytes that are not UTF-8 never reach the parser
+            assert outcome.exit_code == 2 and str(path) in outcome.diagnostics
 
 
 class TestArgumentErrors:

@@ -113,6 +113,27 @@ class TestChunkedStream:
             tracemalloc.stop()
         assert peak < 16 * 2 ** 20
 
+    def test_memory_stays_flat_at_a_dense_p(self):
+        # every pair below p = 1/2 would be 2.25 million pairs, hundreds of MB
+        tracemalloc.start()
+        try:
+            estimate_licci_probability(ExperimentConfig(n=3000, trials=1, seed=0, p=0.5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
+
+    @pytest.mark.parametrize("n, p", [(3, 1.0), (12, 0.5), (30, 0.03), (200, 0.02)])
+    def test_spot_checks_see_at_most_n_edges_and_the_full_verdict(self, monkeypatch, n, p):
+        seen = []
+        monkeypatch.setattr(experiments, "is_licci", lambda g: seen.append(g) or is_licci(g))
+        estimate_licci_probability(ExperimentConfig(n=n, trials=30, seed=9, p=p))
+        full = [g for g in (sample_gnp(n, p, _trial_generator(9, t)) for t in range(30)) if g.m]
+        assert len(seen) == len(full)
+        for spot, graph in zip(seen, full):
+            assert set(spot.edges) <= set(graph.edges) and spot.m == min(graph.m, n)
+            assert is_licci(spot).licci == is_licci(graph).licci
+
 
 class TestEstimates:
     def test_empty_graphs_always_count_as_licci(self):

@@ -62,6 +62,41 @@ class TestSimpleGraph:
         g = SimpleGraph(4, ((3, 1), (1, 2)))
         assert g.to_json_dict() == {"n": 4, "edges": [[1, 2], [1, 3]]}
 
+    def test_error_names_the_input_edge(self):
+        with pytest.raises(GraphFormatError, match="^duplicate edge 2 1$") as info:
+            SimpleGraph(3, ((1, 3), (1, 2), (2, 1)))
+        assert info.value.edge == 2 and info.value.line is None
+
+
+def outcome(build):
+    try:
+        return build(), None
+    except GraphFormatError as exc:
+        return None, str(exc)
+
+
+@given(st.integers(0, 6).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(st.integers(0, n + 1), st.integers(0, n + 1)), max_size=8))))
+def test_constructor_and_both_parsers_agree(case):
+    # labels 0 and n + 1, self-loops, reversed pairs and duplicates all occur
+    n, pairs = case
+    graph, message = outcome(lambda: SimpleGraph(n, tuple(pairs)))
+    as_json = outcome(lambda: parse_graph(json.dumps({"n": n, "edges": pairs})))
+    as_lines = outcome(lambda: parse_graph(
+        f"{n} {len(pairs)}\n" + "".join(f"{u} {v}\n" for u, v in pairs)))
+    assert as_json == (graph, message)
+    seen, bad = set(), None
+    for k, (u, v) in enumerate(pairs):
+        if u == v or not 1 <= min(u, v) <= max(u, v) <= n or frozenset((u, v)) in seen:
+            bad = k
+            break
+        seen.add(frozenset((u, v)))
+    if bad is None:
+        assert message is None and as_lines == (graph, None)
+    else:
+        assert message.endswith(f" {pairs[bad][0]} {pairs[bad][1]}")
+        assert as_lines == (None, f"line {bad + 2}: {message}")
+
 
 class TestParseLineFormat:
     def test_basic(self):
