@@ -26,6 +26,12 @@ class GraphFormatError(ValueError):
         super().__init__(message)
 
 
+def _clip(token: object) -> str:
+    """An echoed input token, cut after 80 characters so one bad token cannot flood stderr."""
+    text = str(token)
+    return text if len(text) <= 80 else f"{text[:80]}... ({len(text)} characters)"
+
+
 @dataclass(frozen=True)
 class SimpleGraph:
     """A finite simple graph on {1, ..., n}."""
@@ -37,17 +43,18 @@ class SimpleGraph:
         """The one edge check: a GraphFormatError names the input edge at fault by index."""
         n = self.n
         if n < 0:
-            raise ValueError(f"vertex count must be nonnegative, got {n}")
+            raise ValueError(f"vertex count must be nonnegative, got {_clip(n)}")
         seen = set()
         canon = []
         for k, (u, v) in enumerate(self.edges):
             pair = (u, v) if u < v else (v, u)
             if u == v:
-                raise GraphFormatError(f"self-loop {u} {v}", edge=k)
+                raise GraphFormatError(f"self-loop {_clip(u)} {_clip(v)}", edge=k)
             if not (0 < u <= n and 0 < v <= n):
-                raise GraphFormatError(f"vertex label out of range 1..{n} in edge {u} {v}", edge=k)
+                raise GraphFormatError(f"vertex label out of range 1..{_clip(n)} in edge "
+                                       f"{_clip(u)} {_clip(v)}", edge=k)
             if pair in seen:
-                raise GraphFormatError(f"duplicate edge {u} {v}", edge=k)
+                raise GraphFormatError(f"duplicate edge {_clip(u)} {_clip(v)}", edge=k)
             seen.add(pair)
             canon.append(pair)
         # sort the input-order list: timsort is linear on already-sorted pairs
@@ -99,7 +106,7 @@ def _parse_json_graph(text: str) -> SimpleGraph:
         raise GraphFormatError("JSON graph needs fields 'n' and 'edges'")
     n = obj["n"]
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-        raise GraphFormatError(f"field 'n' must be a nonnegative integer, got {n!r}")
+        raise GraphFormatError(f"field 'n' must be a nonnegative integer, got {_clip(repr(n))}")
     raw = obj["edges"]
     if not isinstance(raw, list):
         raise GraphFormatError("field 'edges' must be an array of pairs")
@@ -107,9 +114,24 @@ def _parse_json_graph(text: str) -> SimpleGraph:
     for k, item in enumerate(raw):
         if (not isinstance(item, list) or len(item) != 2
                 or not all(isinstance(x, int) and not isinstance(x, bool) for x in item)):
-            raise GraphFormatError(f"edge #{k + 1} must be a pair of integers, got {item!r}")
+            raise GraphFormatError(
+                f"edge #{k + 1} must be a pair of integers, got {_clip(repr(item))}")
         edges.append((item[0], item[1]))
     return SimpleGraph(n, tuple(edges))
+
+
+def _integer(token: str, line: int) -> int | None:
+    """The token as an int, or None if it is not one.
+
+    A signed run of decimal digits always is one, so int() refuses it only past
+    Python's int-string digit limit: that is a number out of range.
+    """
+    try:
+        return int(token)
+    except ValueError:
+        if (token[1:] if token[:1] in "+-" else token).isdecimal():
+            raise GraphFormatError(f"number {_clip(token)} out of range", line=line) from None
+        return None
 
 
 def _parse_edge_list(text: str) -> SimpleGraph:
@@ -124,14 +146,13 @@ def _parse_edge_list(text: str) -> SimpleGraph:
     header = lines[header_idx].split()
     if len(header) != 2:
         raise GraphFormatError(
-            f"malformed header, expected 'n m', got {lines[header_idx].strip()!r}",
+            f"malformed header, expected 'n m', got {_clip(lines[header_idx].strip())!r}",
             line=header_idx + 1)
-    try:
-        n, m = int(header[0]), int(header[1])
-    except ValueError:
+    n, m = (_integer(token, header_idx + 1) for token in header)
+    if n is None or m is None:
         raise GraphFormatError(
-            f"malformed header, expected two integers, got {lines[header_idx].strip()!r}",
-            line=header_idx + 1) from None
+            f"malformed header, expected two integers, got {_clip(lines[header_idx].strip())!r}",
+            line=header_idx + 1)
     if n < 0 or m < 0:
         raise GraphFormatError("header counts must be nonnegative", line=header_idx + 1)
     edges: list[tuple[int, int]] = []
@@ -142,12 +163,12 @@ def _parse_edge_list(text: str) -> SimpleGraph:
             continue
         parts = line.split()
         if len(parts) != 2:
-            raise GraphFormatError(f"expected an edge 'u v', got {line.strip()!r}", line=idx + 1)
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise GraphFormatError(f"edge endpoints must be integers, got {line.strip()!r}",
-                                   line=idx + 1) from None
+            raise GraphFormatError(f"expected an edge 'u v', got {_clip(line.strip())!r}",
+                                   line=idx + 1)
+        u, v = (_integer(token, idx + 1) for token in parts)
+        if u is None or v is None:
+            raise GraphFormatError(f"edge endpoints must be integers, got {_clip(line.strip())!r}",
+                                   line=idx + 1)
         edges.append((u, v))
         line_nos.append(idx + 1)
     if len(edges) != m:

@@ -32,8 +32,7 @@ from functools import cache
 from math import gcd, isqrt
 from typing import Iterable, NamedTuple
 
-from .ideals import (SquarefreeIdeal, alexander_dual, height, mask_of, squarefree_component,
-                     support_of)
+from .ideals import SquarefreeIdeal, alexander_dual, height, squarefree_component, support_of
 
 ORACLE_LIMIT = 14
 
@@ -57,11 +56,25 @@ class SimplicialComplex:
     """A simplicial complex on ground set {1..n}, faces stored as bit masks.
 
     The void complex (no faces at all) is distinct from the complex whose only
-    face is the empty set (mask 0).
+    face is the empty set (mask 0). The constructor refuses a face outside
+    1..n and a family that is not downward closed.
     """
 
     n: int
     faces: frozenset[int]
+
+    def __post_init__(self):
+        for f in self.faces:
+            if f < 0 or f >> self.n:
+                raise ValueError(f"face mask {f} out of ground range 1..{self.n}")
+            # closed under dropping one vertex means closed under every subset
+            bits = f
+            while bits:
+                low = bits & -bits
+                bits ^= low
+                if f ^ low not in self.faces:
+                    raise ValueError(f"not downward closed: face {sorted(support_of(f))} "
+                                     f"lacks {sorted(support_of(f ^ low))}")
 
     @property
     def is_void(self) -> bool:
@@ -80,11 +93,11 @@ class SimplicialComplex:
 def simplicial_complex(n: int, facets: Iterable[Iterable[int]]) -> SimplicialComplex:
     """Downward closure of the given facets (always includes the empty face)."""
     tops = []
-    for facet in facets:
-        fm = mask_of(facet)
-        if fm >> n:
+    for facet in map(set, facets):
+        # labels first: a huge one would make a huge mask
+        if not all(0 < v <= n for v in facet):
             raise ValueError(f"facet {sorted(facet)} out of ground range 1..{n}")
-        tops.append(fm)
+        tops.append(sum(1 << (v - 1) for v in facet))
     return SimplicialComplex(n, frozenset(_closure(tops, 1 << n)))
 
 
@@ -116,7 +129,7 @@ def _nonface_table(ideal: SquarefreeIdeal) -> bytearray:
     n = ideal.n
     full = (1 << n) - 1
     nonface = bytearray(1 << n)
-    for g in ideal.generator_masks():
+    for g in ideal.masks:
         rest = full & ~g
         sub = rest
         while True:
@@ -288,7 +301,7 @@ def hochster_betti(ideal: SquarefreeIdeal, field: Field = Field.GF2) -> BettiTab
     if n > ORACLE_LIMIT:
         raise ValueError(f"ambient size {n} exceeds the oracle limit of {ORACLE_LIMIT}")
     full = (1 << n) - 1
-    faces = _closure([full & ~g for g in ideal.generator_masks()], isqrt(3 ** (n + 1)))
+    faces = _closure([full & ~g for g in ideal.masks], isqrt(3 ** (n + 1)))
     if faces is None or len(faces) ** 2 > 3 * sum(1 << (n - tau.bit_count()) for tau in faces):
         return _primal_betti(ideal, field)
     return _dual_betti(n, sorted(faces), field)
@@ -353,7 +366,7 @@ def has_linear_resolution(ideal: SquarefreeIdeal, field: Field = Field.GF2) -> b
     """True iff all generators share one degree d and reg(I) = d."""
     if ideal.is_zero:
         raise ValueError("linear resolution undefined for the zero ideal")
-    degrees = set(len(g) for g in ideal.gens)
+    degrees = set(ideal.degrees)
     if len(degrees) != 1:
         return False
     d = degrees.pop()

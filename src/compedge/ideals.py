@@ -1,9 +1,11 @@
-"""Squarefree monomial ideals, stored by generator supports.
+"""Squarefree monomial ideals, stored by generator bit masks.
 
 A squarefree monomial in K[x_1..x_n] is identified with its support, a subset
-of {1..n}. An ideal is a minimal antichain of supports in a fixed canonical
-order (lexicographic on the sorted index tuples). Hot paths work on integer
-bit masks (vertex i <-> bit i-1); the ambient guard keeps that honest.
+of {1..n}, and a support with its bit mask (vertex i <-> bit i-1). An ideal is
+a minimal antichain of masks in a fixed canonical order (lexicographic on the
+sorted index tuples). SquarefreeIdeal's constructor is the one place that
+checks, minimalizes and orders generators; every producer below hands it raw
+masks, and the frozenset supports (`gens`) are derived on demand.
 """
 from __future__ import annotations
 
@@ -35,8 +37,15 @@ UNIT = UnitIdeal()
 
 
 def mask_of(support: Iterable[int]) -> int:
+    """Bit mask of a support (vertex i <-> bit i-1).
+
+    A label outside 1..AMBIENT_LIMIT lies in no ambient, so it gives -1, which
+    every ambient refuses, in place of a mask that could be huge.
+    """
     mask = 0
     for v in support:
+        if not 0 < v <= AMBIENT_LIMIT:
+            return -1
         mask |= 1 << (v - 1)
     return mask
 
@@ -45,97 +54,105 @@ def support_of(mask: int) -> frozenset[int]:
     return frozenset(i + 1 for i in range(mask.bit_length()) if (mask >> i) & 1)
 
 
-def _canonical(gens: Iterable[frozenset[int]]) -> tuple[frozenset[int], ...]:
-    return tuple(sorted(set(gens), key=lambda g: tuple(sorted(g))))
+# Read LSB first with in/out swapped, a mask's binary string has '0' at its
+# elements and '1' at the gaps up to its largest one; strings compare like the
+# sorted index tuples (a proper prefix first).
+_LEX = str.maketrans("01", "10")
+
+
+def _lex_key(mask: int) -> str:
+    return bin(mask)[:1:-1].translate(_LEX)
 
 
 @dataclass(frozen=True)
 class SquarefreeIdeal:
-    """A squarefree monomial ideal given by its minimal generating supports."""
+    """A squarefree monomial ideal in K[x_1..x_n], stored by generator bit masks.
+
+    The constructor takes any iterable of masks and is the one generator check:
+    it refuses n outside 0..AMBIENT_LIMIT before reading a mask, refuses a zero
+    mask (the unit ideal) and a mask outside 1..n, drops duplicate and
+    redundant masks, and stores the minimal ones in the canonical order.
+    """
 
     n: int
-    gens: tuple[frozenset[int], ...]
+    masks: tuple[int, ...]
+
+    def __post_init__(self):
+        n = self.n
+        if not 0 <= n <= AMBIENT_LIMIT:
+            raise ValueError(f"ambient size {n} outside supported range 0..{AMBIENT_LIMIT}")
+        masks = set(self.masks)
+        if 0 in masks:
+            raise ValueError("unit ideal: a generator has empty support")
+        if masks and (min(masks) < 0 or max(masks) >> n):
+            raise ValueError(f"a generator is out of ambient range 1..{n}")
+        # masks of one degree form an antichain: nothing to filter
+        if len({m.bit_count() for m in masks}) > 1:
+            masks = _minimal_masks(masks)
+        object.__setattr__(self, "masks", tuple(sorted(masks, key=_lex_key)))
+
+    @property
+    def gens(self) -> tuple[frozenset[int], ...]:
+        """The generator supports, in the canonical order of masks."""
+        return tuple(map(support_of, self.masks))
 
     @property
     def is_zero(self) -> bool:
-        return not self.gens
+        return not self.masks
 
     @property
     def indeg(self) -> int:
         """Smallest generator degree (initial degree)."""
         if self.is_zero:
             raise ValueError("the zero ideal has no initial degree")
-        return min(len(g) for g in self.gens)
+        return min(m.bit_count() for m in self.masks)
 
     @property
     def degrees(self) -> tuple[int, ...]:
-        return tuple(sorted(len(g) for g in self.gens))
-
-    def generator_masks(self) -> list[int]:
-        return [mask_of(g) for g in self.gens]
+        return tuple(sorted(m.bit_count() for m in self.masks))
 
     def to_json_dict(self) -> dict:
         return {"n": self.n, "generators": [sorted(g) for g in self.gens]}
 
 
-def _check_ambient(n: int) -> None:
-    if n < 0 or n > AMBIENT_LIMIT:
-        raise ValueError(f"ambient size {n} outside supported range 0..{AMBIENT_LIMIT}")
-
-
-def _minimal_masks(masks: Iterable[int]) -> list[int]:
-    """Inclusion-minimal masks, each once: by size, each kept unless it contains a kept one."""
+def _minimal_masks(masks: set[int]) -> list[int]:
+    """Inclusion-minimal masks: by size, each kept unless it contains a kept one."""
     kept: list[int] = []
-    for c in sorted(set(masks), key=int.bit_count):
+    for c in sorted(masks, key=int.bit_count):
         if not any(d & c == d for d in kept):
             kept.append(c)
     return kept
 
 
 def minimalize(n: int, supports: Iterable[Iterable[int]]) -> SquarefreeIdeal:
-    """Build the ideal generated by the given supports, discarding redundant ones.
-
-    A support containing another is dropped. The empty support would make the
-    ideal the unit ideal, which is rejected.
-    """
-    _check_ambient(n)
-    masks = []
-    for s in supports:
-        fs = frozenset(s)
-        if not fs:
-            raise ValueError("unit ideal: a generator has empty support")
-        if any(v < 1 or v > n for v in fs):
-            raise ValueError(f"support {sorted(fs)} out of ambient range 1..{n}")
-        masks.append(mask_of(fs))
-    return SquarefreeIdeal(n, _canonical(support_of(c) for c in _minimal_masks(masks)))
+    """The ideal generated by the given supports; the constructor drops redundant ones."""
+    return SquarefreeIdeal(n, [mask_of(s) for s in supports])
 
 
 def complementary_edge_ideal(graph: SimpleGraph) -> SquarefreeIdeal:
     """The ideal with one generator per edge {i,j}: support {1..n} minus {i,j}.
 
     Every generator has degree n-2. An edgeless graph yields the zero ideal.
-    The supports are distinct and of one size, so they are already minimal.
+    The masks are lazy, so an n past AMBIENT_LIMIT is refused before 2^n is built.
     """
-    if graph.n < 3:
-        raise ValueError(f"degenerate ambient: need at least 3 vertices, got {graph.n}")
-    if not graph.edges:
-        return SquarefreeIdeal(graph.n, ())
-    _check_ambient(graph.n)
-    everything = frozenset(graph.vertices())
-    return SquarefreeIdeal(graph.n, _canonical(everything - {u, v} for u, v in graph.edges))
+    n = graph.n
+    if n < 3:
+        raise ValueError(f"degenerate ambient: need at least 3 vertices, got {n}")
+    return SquarefreeIdeal(n, (((1 << n) - 1) ^ (1 << (u - 1)) ^ (1 << (v - 1))
+                               for u, v in graph.edges))
 
 
-def minimal_vertex_covers(ideal: SquarefreeIdeal) -> tuple[frozenset[int], ...]:
-    """Inclusion-minimal transversals of the generator supports, canonically ordered.
+def alexander_dual(ideal: SquarefreeIdeal) -> SquarefreeIdeal:
+    """The ideal generated by the minimal vertex covers; an involution.
 
-    These are exactly the supports of the minimal primes of the ideal.
+    The covers are the inclusion-minimal transversals of the generator
+    supports, i.e. the supports of the minimal primes of the ideal.
     """
     if ideal.is_zero:
         raise ValueError("no associated primes computed for zero ideal")
-    gen_masks = ideal.generator_masks()
     found: set[int] = set()
 
-    def extend(chosen: int, remaining: list[int]) -> None:
+    def extend(chosen: int, remaining: Sequence[int]) -> None:
         if not remaining:
             found.add(chosen)
             return
@@ -148,18 +165,21 @@ def minimal_vertex_covers(ideal: SquarefreeIdeal) -> tuple[frozenset[int], ...]:
             rest = [g for g in remaining[1:] if g & nxt == 0]
             extend(nxt, rest)
 
-    extend(0, gen_masks)
-    return _canonical(support_of(c) for c in _minimal_masks(found))
+    extend(0, ideal.masks)
+    return SquarefreeIdeal(ideal.n, found)
+
+
+def minimal_vertex_covers(ideal: SquarefreeIdeal) -> tuple[frozenset[int], ...]:
+    """Inclusion-minimal transversals of the generator supports, canonically ordered.
+
+    These are exactly the supports of the minimal primes of the ideal.
+    """
+    return alexander_dual(ideal).gens
 
 
 def height(ideal: SquarefreeIdeal) -> int:
     """Smallest size of a minimal vertex cover, i.e. the codimension."""
-    return min(len(c) for c in minimal_vertex_covers(ideal))
-
-
-def alexander_dual(ideal: SquarefreeIdeal) -> SquarefreeIdeal:
-    """The ideal generated by the minimal vertex covers; an involution."""
-    return SquarefreeIdeal(ideal.n, minimal_vertex_covers(ideal))
+    return alexander_dual(ideal).indeg
 
 
 def colon_by_monomial(ideal: SquarefreeIdeal, monomial: Iterable[int]) -> SquarefreeIdeal | UnitIdeal:
@@ -169,14 +189,15 @@ def colon_by_monomial(ideal: SquarefreeIdeal, monomial: Iterable[int]) -> Square
     colon contains 1 and the distinguished unit marker is returned.
     """
     if ideal.is_zero:
-        return SquarefreeIdeal(ideal.n, ())
-    m = frozenset(monomial)
-    if any(v < 1 or v > ideal.n for v in m):
-        raise ValueError(f"monomial support {sorted(m)} out of ambient range 1..{ideal.n}")
-    quotients = [g - m for g in ideal.gens]
-    if any(not q for q in quotients):
+        return ideal
+    support = sorted(set(monomial))
+    mask = mask_of(support)
+    if mask < 0 or mask >> ideal.n:
+        raise ValueError(f"monomial support {support} out of ambient range 1..{ideal.n}")
+    quotients = [g & ~mask for g in ideal.masks]
+    if 0 in quotients:
         return UNIT
-    return minimalize(ideal.n, quotients)
+    return SquarefreeIdeal(ideal.n, quotients)
 
 
 @dataclass(frozen=True)
@@ -202,7 +223,7 @@ def has_linear_quotients(ideal: SquarefreeIdeal) -> QuotientSearchResult:
     """
     if ideal.is_zero:
         raise ValueError("linear quotients undefined for the zero ideal")
-    masks = ideal.generator_masks()
+    masks = ideal.masks
     order_all = sorted(range(len(masks)), key=lambda i: (masks[i].bit_count(), masks[i]))
     by_degree: list[list[int]] = []
     for idx in order_all:
@@ -231,7 +252,7 @@ def has_linear_quotients(ideal: SquarefreeIdeal) -> QuotientSearchResult:
         nonlocal nodes
         if not remaining:
             if group + 1 == len(by_degree):
-                return tuple(ideal.gens[i] for i in chosen)
+                return tuple(support_of(masks[i]) for i in chosen)
             return search(group + 1, frozenset(by_degree[group + 1]))
         for j in sorted(remaining):
             nodes += 1
@@ -267,12 +288,11 @@ def squarefree_component(ideal: SquarefreeIdeal, d: int) -> SquarefreeIdeal:
     """
     if d < 0 or d > ideal.n:
         raise ValueError(f"degree {d} outside 0..{ideal.n}")
-    ground = range(1, ideal.n + 1)
-    out: set[frozenset[int]] = set()
-    for g in ideal.gens:
-        if len(g) > d:
+    out: set[int] = set()
+    for g in ideal.masks:
+        if g.bit_count() > d:
             continue
-        others = [v for v in ground if v not in g]
-        for extra in combinations(others, d - len(g)):
-            out.add(g | frozenset(extra))
-    return SquarefreeIdeal(ideal.n, _canonical(out))
+        free = [1 << i for i in range(ideal.n) if not (g >> i) & 1]
+        for extra in combinations(free, d - g.bit_count()):
+            out.add(g | sum(extra))
+    return SquarefreeIdeal(ideal.n, out)

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 from importlib import resources
@@ -15,6 +16,7 @@ from compedge import cli, graphs, invariants
 from compedge.cli import run
 
 FIXTURES = Path(__file__).parent / "fixtures"
+SRC = Path(__file__).parents[1] / "src"
 DEEP_JSON = '{"n": 3, "edges": ' + "[" * 2000 + "]" * 2000 + "}"
 
 
@@ -375,6 +377,20 @@ class TestMalformedGraphText:
         assert outcome.payload == ""
         assert outcome.diagnostics.startswith(f"error: {path}: ")
 
+    @pytest.mark.parametrize("command", ["analyze", "betti", "mdensity"])
+    @pytest.mark.parametrize("text", ["9" * 4301 + " 1\n1 2\n", "3 1\n1 " + "9" * 4301 + "\n",
+                                      "3 1\n1 " + "9" * 4000 + "\n"],
+                             ids=["header_past_digit_limit", "edge_past_digit_limit", "long_label"])
+    def test_long_number_is_out_of_range_and_clipped(self, tmp_path, command, text):
+        path = tmp_path / "graph.txt"
+        path.write_text(text)
+        outcome = run([command, str(path)])
+        assert outcome.exit_code == 2
+        assert outcome.payload == ""
+        assert outcome.diagnostics.startswith(f"error: {path}: ")
+        assert "out of range" in outcome.diagnostics
+        assert len(outcome.diagnostics) < 200 + len(str(path))
+
     @settings(max_examples=150, deadline=None)
     @example(text=DEEP_JSON, tail=b"", command=["analyze"])
     @given(text=GRAPH_TEXTS, tail=st.sampled_from([b"", b"\xff", b"\xc3("]),
@@ -407,28 +423,28 @@ class TestArgumentErrors:
         assert outcome.exit_code == 2
 
 
+def run_process(*argv: str) -> subprocess.CompletedProcess:
+    """`python -m compedge.cli` in a child that imports this checkout's src/."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "compedge.cli", *argv], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path})
+
+
 class TestProcessEntryPoint:
     def test_stdout_stderr_and_exit_code(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "compedge.cli", "mdensity", str(FIXTURES / "k4.json")],
-            capture_output=True, text=True)
+        proc = run_process("mdensity", str(FIXTURES / "k4.json"))
         assert proc.returncode == 0
         assert proc.stdout == '"3/2"\n'
         assert proc.stderr == ""
 
     def test_csv_goes_to_stdout_diagnostics_to_stderr(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "compedge.cli", "montecarlo", "--n", "20",
-             "--c", "1.0", "--trials", "10", "--seed", "5"],
-            capture_output=True, text=True)
+        proc = run_process("montecarlo", "--n", "20", "--c", "1.0", "--trials", "10", "--seed", "5")
         assert proc.returncode == 0
         assert proc.stdout.startswith("n,c,p,")
         assert "wall time" in proc.stderr
 
     def test_usage_error_exit_code(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "compedge.cli", "analyze", "missing.json"],
-            capture_output=True, text=True)
+        proc = run_process("analyze", "missing.json")
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert "error:" in proc.stderr

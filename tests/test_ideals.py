@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from compedge import (SimpleGraph, SquarefreeIdeal, UNIT, alexander_dual,
-                      complementary_edge_ideal, has_linear_quotients, height,
-                      minimal_vertex_covers, minimalize, squarefree_component)
+                      complementary_edge_ideal, has_linear_quotients, has_linear_resolution,
+                      height, minimal_vertex_covers, minimalize, squarefree_component)
 from compedge.graphs import complete_graph, path_graph
 from compedge import ideals as ideals_module
 from compedge.ideals import colon_by_monomial, mask_of, support_of
@@ -39,6 +39,50 @@ class TestMasks:
         assert support_of(0) == frozenset()
 
 
+def outcome(build) -> tuple[frozenset[int], ...] | str:
+    """The generator supports of the built ideal, or the message of its ValueError."""
+    try:
+        return build().gens
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestConstructor:
+    @settings(max_examples=200)
+    @given(st.integers(0, 8).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.integers(-3, 1 << (n + 1)), max_size=8))))
+    def test_checks_and_minimalizes_like_minimalize_and_brute_force(self, case):
+        n, masks = case
+        # a negative mask stands for a support with a label below 1
+        supports = [support_of(m) if m >= 0 else {m} for m in masks]
+        if 0 in masks:
+            expected = "unit ideal: a generator has empty support"
+        elif any(m < 0 or m >= 1 << n for m in masks):
+            expected = f"a generator is out of ambient range 1..{n}"
+        else:
+            sets = {support_of(m) for m in masks}
+            expected = tuple(sorted((s for s in sets if not any(t < s for t in sets)), key=sorted))
+        assert outcome(lambda: SquarefreeIdeal(n, masks)) == expected
+        assert outcome(lambda: minimalize(n, supports)) == expected
+
+    def test_generator_outside_the_ambient_is_refused(self):
+        with pytest.raises(ValueError, match="out of ambient range"):
+            SquarefreeIdeal(3, (mask_of([5]),))
+
+    def test_unit_ideal_is_refused(self):
+        with pytest.raises(ValueError, match="unit ideal"):
+            SquarefreeIdeal(3, (0,))
+
+    def test_redundant_generator_is_dropped(self):
+        ideal = SquarefreeIdeal(3, (mask_of([1, 2]), mask_of([1, 2, 3])))
+        assert ideal.gens == (fs(1, 2),)
+        assert has_linear_resolution(ideal)
+
+    def test_generator_order_does_not_matter(self):
+        ideal = SquarefreeIdeal(3, (mask_of([2, 3]), mask_of([1, 2])))
+        assert ideal == minimalize(3, [[1, 2], [2, 3]])
+
+
 class TestMinimalize:
     def test_drops_redundant_supports(self):
         ideal = minimalize(4, [[1, 2], [1, 2, 3], [4]])
@@ -53,8 +97,9 @@ class TestMinimalize:
             minimalize(3, [[1], []])
 
     def test_rejects_out_of_range_support(self):
-        with pytest.raises(ValueError, match="out of ambient range"):
-            minimalize(3, [[1, 4]])
+        for support in ([1, 4], [0, 1], [1, 10 ** 12]):
+            with pytest.raises(ValueError, match="out of ambient range"):
+                minimalize(3, [support])
 
     def test_rejects_oversized_ambient(self):
         with pytest.raises(ValueError, match="ambient size"):
@@ -117,11 +162,15 @@ class TestComplementaryEdgeIdeal:
         assert complementary_edge_ideal(graph) == minimalize(graph.n, supports)
 
     def test_built_without_minimalizing(self, monkeypatch):
-        def filter_(n, supports):
+        def filter_(masks):
             raise AssertionError("ran the minimality filter on an antichain")
-        monkeypatch.setattr(ideals_module, "minimalize", filter_)
+        monkeypatch.setattr(ideals_module, "_minimal_masks", filter_)
         ideal = complementary_edge_ideal(path_graph(4))
         assert ideal.gens == (fs(1, 2), fs(1, 4), fs(3, 4))
+        assert squarefree_component(minimalize(4, [[1], [2]]), 2).gens == (
+            fs(1, 2), fs(1, 3), fs(1, 4), fs(2, 3), fs(2, 4))
+        with pytest.raises(AssertionError, match="minimality filter"):
+            minimalize(3, [[1], [1, 2]])
 
 
 def brute_minimal_covers(ideal: SquarefreeIdeal) -> set[frozenset[int]]:
@@ -181,6 +230,8 @@ class TestColon:
     def test_out_of_range_monomial(self):
         with pytest.raises(ValueError, match="out of ambient range"):
             colon_by_monomial(minimalize(3, [[1]]), [5])
+        with pytest.raises(ValueError, match="out of ambient range"):
+            colon_by_monomial(minimalize(3, [[1]]), [10 ** 12])
 
     @settings(max_examples=60)
     @given(ideals(max_n=5), st.sets(st.integers(1, 5), max_size=3))
