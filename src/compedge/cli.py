@@ -32,15 +32,22 @@ class CommandOutcome:
     diagnostics: str = ""
 
 
-def _load_graph(path: str) -> SimpleGraph:
-    """Read, decode and parse a graph file; every failure is a ValueError that names the path."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return parse_graph(fh.read())
-    except OSError as exc:
-        raise ValueError(f"cannot read graph file {path}: {exc.strerror}") from exc
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+def _on_graph_file(command):
+    """Run command on the graph file args.graph; every ValueError it meets names the file.
+
+    That covers reading, decoding and parsing, and library errors after parsing.
+    """
+    def run_on_file(args: argparse.Namespace) -> CommandOutcome:
+        path = args.graph
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+            return command(args, parse_graph(text))
+        except OSError as exc:
+            raise ValueError(f"cannot read graph file {path}: {exc.strerror}") from exc
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+    return run_on_file
 
 
 def _dump(obj, compact: bool) -> str:
@@ -49,8 +56,7 @@ def _dump(obj, compact: bool) -> str:
     return json.dumps(obj, indent=2)
 
 
-def _cmd_analyze(args: argparse.Namespace) -> CommandOutcome:
-    graph = _load_graph(args.graph)
+def _cmd_analyze(args: argparse.Namespace, graph: SimpleGraph) -> CommandOutcome:
     field = parse_field(args.field)
     validation = cross_validate(graph, field) if args.oracle else None
     report = validation.predicted if validation else predict_invariants(graph)
@@ -66,8 +72,7 @@ def _cmd_analyze(args: argparse.Namespace) -> CommandOutcome:
     return CommandOutcome(exit_code, _dump(payload, args.json))
 
 
-def _cmd_betti(args: argparse.Namespace) -> CommandOutcome:
-    graph = _load_graph(args.graph)
+def _cmd_betti(args: argparse.Namespace, graph: SimpleGraph) -> CommandOutcome:
     field = parse_field(args.field)
     table = hochster_betti(complementary_edge_ideal(graph), field)
     return CommandOutcome(0, _dump(table.to_json_dict(), False))
@@ -150,8 +155,7 @@ def _cmd_sweep(args: argparse.Namespace) -> CommandOutcome:
     return CommandOutcome(0, summaries_to_csv(result.rows), "\n".join(diags))
 
 
-def _cmd_mdensity(args: argparse.Namespace) -> CommandOutcome:
-    graph = _load_graph(args.graph)
+def _cmd_mdensity(args: argparse.Namespace, graph: SimpleGraph) -> CommandOutcome:
     value = max_subgraph_density(graph)
     return CommandOutcome(0, json.dumps(f"{value.numerator}/{value.denominator}"))
 
@@ -167,12 +171,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle", action="store_true", help="also run the homology oracle")
     p.add_argument("--field", choices=["gf2", "q"], default="gf2")
     p.add_argument("--json", action="store_true", help="compact single-line JSON")
-    p.set_defaults(func=_cmd_analyze)
+    p.set_defaults(func=_on_graph_file(_cmd_analyze))
 
     p = sub.add_parser("betti", help="graded Betti table of the complementary edge ideal")
     p.add_argument("graph")
     p.add_argument("--field", choices=["gf2", "q"], default="gf2")
-    p.set_defaults(func=_cmd_betti)
+    p.set_defaults(func=_on_graph_file(_cmd_betti))
 
     p = sub.add_parser("verify", help="exhaustive prediction-vs-oracle sweep")
     p.add_argument("--max-n", type=int, default=5, dest="max_n")
@@ -197,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("mdensity", help="maximum subgraph density m(H), exact")
     p.add_argument("graph")
-    p.set_defaults(func=_cmd_mdensity)
+    p.set_defaults(func=_on_graph_file(_cmd_mdensity))
 
     return parser
 

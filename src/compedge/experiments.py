@@ -34,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graphs import SimpleGraph
+from .graphs import SimpleGraph, _clip
 from .invariants import is_licci
 
 SPOT_CHECK_TRIALS = 100
@@ -64,11 +64,12 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.n < 3:
-            raise ValueError(f"need n >= 3, got {self.n}")
+            raise ValueError(f"need n >= 3, got {_clip(self.n)}")
         if self.n > MONTECARLO_LIMIT:
-            raise ValueError(f"n = {self.n} exceeds the Monte Carlo limit of {MONTECARLO_LIMIT}")
+            raise ValueError(f"n = {_clip(self.n)} exceeds the Monte Carlo limit of "
+                             f"{MONTECARLO_LIMIT}")
         if self.trials < 1:
-            raise ValueError(f"need at least one trial, got {self.trials}")
+            raise ValueError(f"need at least one trial, got {_clip(self.trials)}")
         if not 0 <= self.seed < 2 ** 64:
             raise ValueError("seed must fit in 64 bits")
         if (self.p is None) == (self.c is None):

@@ -250,7 +250,8 @@ def max_subgraph_density(graph: SimpleGraph) -> Fraction:
     if graph.m == 0:
         raise ValueError("density of an edgeless graph is undefined")
     if graph.n > MDENSITY_LIMIT:
-        raise ValueError(f"density on {graph.n} vertices exceeds the limit of {MDENSITY_LIMIT}")
+        raise ValueError(f"density on {_clip(graph.n)} vertices exceeds the limit of "
+                         f"{MDENSITY_LIMIT}")
     masks = []
     for u, v in graph.edges:
         masks.append((1 << (u - 1)) | (1 << (v - 1)))

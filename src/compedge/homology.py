@@ -14,10 +14,13 @@ its docstring); the table aggregates multidegrees by cardinality either way.
 The complex {emptyset} has reduced H_(-1) = K, which makes the links of the
 dual facets count the generators.
 
-Reduced homology is memoised per complex with functools.cache, keyed by the
-field and the sorted face masks. The masks alone fix the complex, so compact
-primal restrictions and raw dual links share one memo; it is unbounded, and
-clear_homology_cache() empties it.
+Two memos keep repeated work away. Reduced homology is memoised per complex
+with functools.cache, keyed by the field and the sorted face masks. The masks
+alone fix the complex, so compact primal restrictions and raw dual links share
+one memo; it is unbounded. Whole Betti tables are memoised per (ideal, field)
+in a functools.lru_cache of _TABLE_MEMO_SIZE entries: a verify sweep asks for
+the same small tables again and again, and an unbounded table memo costs more
+memory than the extra hits repay. clear_homology_cache() empties both.
 
 All ranks are computed exactly by one elimination scheme, pivots keyed by
 lowest column: over GF(2) on bit-packed rows with XOR, over the rationals on
@@ -28,13 +31,19 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 from math import gcd, isqrt
 from typing import Iterable, NamedTuple
 
-from .ideals import SquarefreeIdeal, alexander_dual, height, squarefree_component, support_of
+from .graphs import _clip
+from .ideals import (SquarefreeIdeal, _closure, alexander_dual, height, squarefree_component,
+                     support_of)
 
 ORACLE_LIMIT = 14
+# One verify round asks for 26,872 tables of 8,444 distinct (ideal, field)
+# pairs; 32 recent tables serve 15,489 of them, an unbounded memo 18,428 for
+# about 7 MB more peak memory.
+_TABLE_MEMO_SIZE = 32
 
 
 class Field(enum.Enum):
@@ -101,25 +110,13 @@ def simplicial_complex(n: int, facets: Iterable[Iterable[int]]) -> SimplicialCom
     return SimplicialComplex(n, frozenset(_closure(tops, 1 << n)))
 
 
-def _closure(tops: Iterable[int], max_faces: int) -> set[int] | None:
-    """The empty face and every subset of the given masks, or None past max_faces faces."""
-    faces = {0}
-    for top in tops:
-        sub = top
-        while sub:
-            faces.add(sub)
-            sub = (sub - 1) & top
-        if len(faces) > max_faces:
-            return None
-    return faces
-
-
 def stanley_reisner(ideal: SquarefreeIdeal) -> SimplicialComplex:
     """Faces are the subsets of {1..n} containing no generator support."""
     if ideal.is_zero:
         raise ValueError("Stanley-Reisner complex undefined for the zero ideal")
     if ideal.n > ORACLE_LIMIT:
-        raise ValueError(f"ambient size {ideal.n} exceeds the oracle limit of {ORACLE_LIMIT}")
+        raise ValueError(f"ambient size {_clip(ideal.n)} exceeds the oracle limit of "
+                         f"{ORACLE_LIMIT}")
     nonface = _nonface_table(ideal)
     return SimplicialComplex(
         ideal.n, frozenset(s for s in range(1 << ideal.n) if not nonface[s]))
@@ -274,6 +271,8 @@ def reg_pd(table: BettiTable) -> Homological:
 
 
 def clear_homology_cache() -> None:
+    """Empty both memos: Betti tables and reduced homology."""
+    _betti_table.cache_clear()
     _homology_from_faces.cache_clear()
 
 
@@ -284,22 +283,33 @@ def hochster_betti(ideal: SquarefreeIdeal, field: Field = Field.GF2) -> BettiTab
     sigma of the ground set and sums the homology of the Stanley-Reisner
     complex restricted to sigma, filling one 2^|sigma| table per nonface
     sigma. The dual one reads the table from the links of the faces of the
-    Alexander dual complex, scanning all F dual faces once per face. Its faces
-    tau are the complements of the nonfaces, so the primal tables hold
-    P = sum over tau of 2^(n - |tau|) entries against F^2 scanned faces, and a
-    scanned face costs about a third of a table entry. The rule: the dual
-    engine runs when F^2 <= 3 * P, the primal one otherwise. The dual face
-    enumeration gives up past isqrt(3^(n+1)) faces, where the rule must fail
-    since P <= 3^n. Every complementary edge ideal takes the dual engine (its
-    dual complex is the graph: 1 + n' + m faces), the ideal of all n >= 5
-    variables the primal one. Ambient sizes above ORACLE_LIMIT (14) are
-    refused.
+    Alexander dual complex; it collects them by subset inversion, which costs
+    sum over dual faces f of 2^|f| (at most 4F for the F faces of a graph).
+    Its faces tau are the complements of the nonfaces, so the primal tables
+    hold P = sum over tau of 2^(n - |tau|) entries. The rule: the dual engine
+    runs when F^2 <= 3 * P, the primal one otherwise. It was fitted when the
+    dual engine scanned all F faces per face, and is kept because a rule on
+    the new cost (sum of 2^|f| <= c * P for c = 0.5, 1 or 2) did not move the
+    verify benchmark. The dual face enumeration gives up past isqrt(3^(n+1))
+    faces, where the rule must fail since P <= 3^n. Every complementary edge
+    ideal takes the dual engine (its dual complex is the graph: 1 + n' + m
+    faces), the ideal of all n >= 5 variables the primal one. Ambient sizes
+    above ORACLE_LIMIT (14) are refused.
+
+    The last _TABLE_MEMO_SIZE tables are memoised by (ideal, field), so a
+    repeated table costs one lookup; clear_homology_cache() empties the memo.
     """
     if ideal.is_zero:
         raise ValueError("Betti table undefined for the zero ideal")
+    if ideal.n > ORACLE_LIMIT:
+        raise ValueError(f"ambient size {_clip(ideal.n)} exceeds the oracle limit of "
+                         f"{ORACLE_LIMIT}")
+    return _betti_table(ideal, field)
+
+
+@lru_cache(maxsize=_TABLE_MEMO_SIZE)
+def _betti_table(ideal: SquarefreeIdeal, field: Field) -> BettiTable:
     n = ideal.n
-    if n > ORACLE_LIMIT:
-        raise ValueError(f"ambient size {n} exceeds the oracle limit of {ORACLE_LIMIT}")
     full = (1 << n) - 1
     faces = _closure([full & ~g for g in ideal.masks], isqrt(3 ** (n + 1)))
     if faces is None or len(faces) ** 2 > 3 * sum(1 << (n - tau.bit_count()) for tau in faces):
@@ -341,14 +351,23 @@ def _dual_betti(n: int, faces: list[int], field: Field) -> BettiTable:
 
     The link of tau in the dual complex is {f - tau : f a face containing
     tau}; only faces tau contribute, with sigma = tau's complement
-    (Miller-Sturmfels, Combinatorial Commutative Algebra, Cor. 5.12).
+    (Miller-Sturmfels, Combinatorial Commutative Algebra, Cor. 5.12). Each
+    face f adds f - tau to the link of every tau inside it: sum of 2^|f| steps
+    in place of a scan of all faces per face.
     """
+    links: dict[int, list[int]] = {tau: [] for tau in faces}
+    # faces is sorted, so every link lists f - tau in the order of f, and
+    # equal links give equal memo keys
+    for f in faces:
+        tau = f
+        while True:
+            links[tau].append(f ^ tau)
+            if not tau:
+                break
+            tau = (tau - 1) & f
     entries: dict[tuple[int, int], int] = {(0, 0): 1}
-    for tau in faces:
-        # faces is sorted and f - tau keeps the order of the f containing tau,
-        # so equal links give equal keys
-        link = tuple([f ^ tau for f in faces if f & tau == tau])
-        dims = _homology_from_faces(link, field)
+    for tau, link in links.items():
+        dims = _homology_from_faces(tuple(link), field)
         j = n - tau.bit_count()
         for k, h in enumerate(dims):
             if h:

@@ -11,29 +11,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 from typing import Iterable, Sequence
 
-from .graphs import SimpleGraph
+from .graphs import SimpleGraph, _clip
 
 AMBIENT_LIMIT = 24
 LINEAR_QUOTIENTS_BUDGET = 10 ** 6
-
-
-class UnitIdeal:
-    """Distinguished result for colon ideals that contain 1."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "UnitIdeal()"
-
-
-UNIT = UnitIdeal()
+# height reads the f-vector of the dual complex up to this many faces
+_HEIGHT_FACE_CAP = 4096
 
 
 def mask_of(support: Iterable[int]) -> int:
@@ -80,7 +66,7 @@ class SquarefreeIdeal:
     def __post_init__(self):
         n = self.n
         if not 0 <= n <= AMBIENT_LIMIT:
-            raise ValueError(f"ambient size {n} outside supported range 0..{AMBIENT_LIMIT}")
+            raise ValueError(f"ambient size {_clip(n)} outside supported range 0..{AMBIENT_LIMIT}")
         masks = set(self.masks)
         if 0 in masks:
             raise ValueError("unit ideal: a generator has empty support")
@@ -177,27 +163,43 @@ def minimal_vertex_covers(ideal: SquarefreeIdeal) -> tuple[frozenset[int], ...]:
     return alexander_dual(ideal).gens
 
 
+def _closure(tops: Iterable[int], max_faces: int) -> set[int] | None:
+    """The empty face and every subset of the given masks, or None past max_faces faces."""
+    faces = {0}
+    for top in tops:
+        # a top alone has 2^|top| subsets
+        if 1 << top.bit_count() > max_faces:
+            return None
+        sub = top
+        while sub:
+            faces.add(sub)
+            sub = (sub - 1) & top
+        if len(faces) > max_faces:
+            return None
+    return faces
+
+
 def height(ideal: SquarefreeIdeal) -> int:
-    """Smallest size of a minimal vertex cover, i.e. the codimension."""
-    return alexander_dual(ideal).indeg
+    """Smallest size of a minimal vertex cover, i.e. the codimension.
 
-
-def colon_by_monomial(ideal: SquarefreeIdeal, monomial: Iterable[int]) -> SquarefreeIdeal | UnitIdeal:
-    """I : m for a squarefree monomial m, given by its support.
-
-    Each generator support loses the variables of m; an empty result means the
-    colon contains 1 and the distinguished unit marker is returned.
+    The covers are the nonfaces of the Alexander dual complex, the closure of
+    the generator complements (Miller-Sturmfels, Combinatorial Commutative
+    Algebra, Ch. 1 and 5). That complex is closed downward, so the smallest
+    cover has the least size k at which it lacks a k-subset: the least k with
+    f_(k-1) < C(n, k) in its f-vector. Past _HEIGHT_FACE_CAP dual faces the
+    cover search of alexander_dual answers instead.
     """
     if ideal.is_zero:
-        return ideal
-    support = sorted(set(monomial))
-    mask = mask_of(support)
-    if mask < 0 or mask >> ideal.n:
-        raise ValueError(f"monomial support {support} out of ambient range 1..{ideal.n}")
-    quotients = [g & ~mask for g in ideal.masks]
-    if 0 in quotients:
-        return UNIT
-    return SquarefreeIdeal(ideal.n, quotients)
+        raise ValueError("no associated primes computed for zero ideal")
+    n = ideal.n
+    faces = _closure([((1 << n) - 1) & ~g for g in ideal.masks], _HEIGHT_FACE_CAP)
+    if faces is None:
+        return alexander_dual(ideal).indeg
+    f_vector = [0] * (n + 1)
+    for f in faces:
+        f_vector[f.bit_count()] += 1
+    # the full set is no face (no generator is empty), so some k <= n qualifies
+    return next(k for k in range(n + 1) if f_vector[k] < comb(n, k))
 
 
 @dataclass(frozen=True)

@@ -391,6 +391,22 @@ class TestMalformedGraphText:
         assert "out of range" in outcome.diagnostics
         assert len(outcome.diagnostics) < 200 + len(str(path))
 
+    @pytest.mark.parametrize("argv", [["betti", "{path}"], ["analyze", "--oracle", "{path}"],
+                                      ["mdensity", "{path}"], ["montecarlo", "--n", "9" * 3000,
+                                                               "--c", "1"]],
+                             ids=["betti", "analyze_oracle", "mdensity", "montecarlo"])
+    def test_a_long_vertex_count_is_clipped_in_library_errors(self, tmp_path, argv):
+        # a 4,000-digit header parses, and the library refuses the vertex count
+        path = tmp_path / "graph.txt"
+        path.write_text("9" * 4000 + " 1\n1 2\n")
+        argv = [arg.format(path=path) for arg in argv]
+        outcome = run(argv)
+        assert (outcome.exit_code, outcome.payload) == (2, "")
+        assert "\n" not in outcome.diagnostics
+        prefix = "error: " if argv[0] == "montecarlo" else f"error: {path}: "
+        assert outcome.diagnostics.startswith(prefix)
+        assert len(outcome.diagnostics) < 200 + len(prefix)
+
     @settings(max_examples=150, deadline=None)
     @example(text=DEEP_JSON, tail=b"", command=["analyze"])
     @given(text=GRAPH_TEXTS, tail=st.sampled_from([b"", b"\xff", b"\xc3("]),

@@ -13,9 +13,10 @@ from compedge import (Field, SimpleGraph, SquarefreeIdeal, alexander_dual,
                       is_cohen_macaulay, is_componentwise_linear, is_sequentially_cm,
                       minimalize, reg_pd, simplicial_complex, stanley_reisner)
 from compedge.graphs import complete_graph, connected_components, cycle_graph, path_graph
-from compedge.homology import (BettiTable, SimplicialComplex, _closure, _dual_betti,
-                               _homology_from_faces, _primal_betti, _rational_rank,
-                               clear_homology_cache, parse_field, reduced_homology_dims)
+from compedge.homology import (_TABLE_MEMO_SIZE, BettiTable, SimplicialComplex, _betti_table,
+                               _closure, _dual_betti, _homology_from_faces, _primal_betti,
+                               _rational_rank, clear_homology_cache, parse_field,
+                               reduced_homology_dims)
 
 
 def fs(*vertices: int) -> frozenset[int]:
@@ -251,15 +252,43 @@ class TestBettiTables:
         assert hochster_betti(ideal) == before
 
     def test_a_repeated_table_only_hits_the_memo(self):
+        # the second call computes nothing: no homology lookup at all, one table hit
         ideal = complementary_edge_ideal(cycle_graph(6))
         clear_homology_cache()
         assert _homology_from_faces.cache_info().currsize == 0
         first = hochster_betti(ideal)
-        before = _homology_from_faces.cache_info()
+        homology_before = _homology_from_faces.cache_info()
+        tables_before = _betti_table.cache_info()
         assert hochster_betti(ideal) == first
-        after = _homology_from_faces.cache_info()
-        assert after.misses == before.misses and after.currsize == before.currsize
-        assert after.hits > before.hits
+        homology_after = _homology_from_faces.cache_info()
+        tables_after = _betti_table.cache_info()
+        assert homology_after.misses == homology_before.misses
+        assert homology_after.currsize == homology_before.currsize
+        assert tables_after.hits == tables_before.hits + 1
+        assert tables_after.misses == tables_before.misses
+
+    def test_clearing_empties_both_memos(self):
+        hochster_betti(complementary_edge_ideal(cycle_graph(5)), Field.RATIONALS)
+        assert _betti_table.cache_info().currsize > 0
+        assert _homology_from_faces.cache_info().currsize > 0
+        clear_homology_cache()
+        assert _betti_table.cache_info().currsize == 0
+        assert _homology_from_faces.cache_info().currsize == 0
+
+    def test_an_evicted_table_is_recomputed_equal(self):
+        ideal = complementary_edge_ideal(cycle_graph(6))
+        clear_homology_cache()
+        first = hochster_betti(ideal)
+        # more distinct principal ideals than the memo holds push the cycle out
+        others = [minimalize(10, [pair]) for pair in combinations(range(1, 11), 2)]
+        assert len(others) > _TABLE_MEMO_SIZE
+        for other in others:
+            hochster_betti(other)
+        info = _betti_table.cache_info()
+        assert info.currsize == info.maxsize == _TABLE_MEMO_SIZE
+        again = hochster_betti(ideal)
+        assert _betti_table.cache_info().misses == info.misses + 1
+        assert again == first and again is not first
 
     @settings(max_examples=40)
     @given(st.integers(1, 6).flatmap(lambda n: st.lists(

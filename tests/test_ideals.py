@@ -1,17 +1,17 @@
-"""Squarefree ideals: construction, covers, duality, colons, linear quotients."""
+"""Squarefree ideals: construction, covers, height, duality, linear quotients."""
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from compedge import (SimpleGraph, SquarefreeIdeal, UNIT, alexander_dual,
+from compedge import (SimpleGraph, SquarefreeIdeal, alexander_dual,
                       complementary_edge_ideal, has_linear_quotients, has_linear_resolution,
                       height, minimal_vertex_covers, minimalize, squarefree_component)
-from compedge.graphs import complete_graph, path_graph
+from compedge.graphs import complete_graph, is_complete, path_graph
 from compedge import ideals as ideals_module
-from compedge.ideals import colon_by_monomial, mask_of, support_of
+from compedge.ideals import mask_of, support_of
 
 
 def fs(*vertices: int) -> frozenset[int]:
@@ -199,6 +199,43 @@ class TestCoversHeightDual:
         assert minimal_vertex_covers(ideal) == (fs(1), fs(3))
         assert height(ideal) == 1
 
+    @settings(max_examples=150)
+    @given(ideals(max_n=10))
+    def test_height_from_the_f_vector_matches_the_cover_search(self, ideal: SquarefreeIdeal):
+        assert height(ideal) == alexander_dual(ideal).indeg
+
+    def test_height_does_not_search_covers_under_the_face_cap(self, monkeypatch):
+        def search(ideal):
+            raise AssertionError("ran the cover search")
+        monkeypatch.setattr(ideals_module, "alexander_dual", search)
+        assert height(complementary_edge_ideal(complete_graph(12))) == 3
+        assert height(minimalize(12, [[1], [2, 3]])) == 2
+
+    def test_height_past_the_face_cap_falls_back_to_the_cover_search(self, monkeypatch):
+        searched = []
+
+        def search(ideal):
+            searched.append(ideal)
+            return alexander_dual(ideal)
+        monkeypatch.setattr(ideals_module, "alexander_dual", search)
+        # the one generator complement has 2^19 subsets
+        ideal = minimalize(20, [[1]])
+        assert height(ideal) == 1
+        assert searched == [ideal]
+
+    def test_height_of_the_zero_ideal_is_refused(self):
+        with pytest.raises(ValueError, match="zero ideal"):
+            height(SquarefreeIdeal(3, ()))
+
+    def test_height_of_every_complementary_edge_ideal_up_to_six(self, oracle_sweep):
+        # every graph on n = 3..6 with an edge (an edgeless one gives the zero ideal)
+        records, _ = oracle_sweep
+        assert len(records) == sum(2 ** (n * (n - 1) // 2) - 1 for n in range(3, 7))
+        for r in records:
+            isolated = len({v for e in r.graph.edges for v in e}) < r.graph.n
+            expected = 1 if isolated else 3 if is_complete(r.graph) else 2
+            assert r.height == expected, r.graph
+
     @settings(max_examples=60)
     @given(ideals())
     def test_covers_match_subset_enumeration(self, ideal: SquarefreeIdeal):
@@ -214,38 +251,58 @@ class TestCoversHeightDual:
         assert alexander_dual(alexander_dual(ideal)) == ideal
 
 
-class TestColon:
-    def test_path_ideal_by_variable(self):
+def colon(earlier, g, n: int) -> list[frozenset[int]]:
+    """Minimal supports of (earlier) : g by definition: u is in it iff u | g is in (earlier)."""
+    members = [fs(*sub) for size in range(n + 1) for sub in combinations(range(1, n + 1), size)
+               if any(e <= fs(*sub) | g for e in earlier)]
+    return [u for u in members if not any(v < u for v in members)]
+
+
+def has_variable_colons(ordering, n: int) -> bool:
+    """Each colon of the earlier generators by the next is generated by variables."""
+    return all(all(len(u) == 1 for u in colon(ordering[:k], ordering[k], n))
+               for k in range(1, len(ordering)))
+
+
+class TestLinearQuotientColons:
+    """The colons the linear-quotient search forms, against colons by definition."""
+
+    def test_path_ideal_colons_are_single_variables(self):
         ideal = complementary_edge_ideal(path_graph(4))
-        assert colon_by_monomial(ideal, [1]) == minimalize(4, [[2], [4]])
+        assert colon([fs(3, 4), fs(1, 4)], fs(1, 2), 4) == [fs(4)]
+        result = has_linear_quotients(ideal)
+        assert result.status == "yes"
+        assert has_variable_colons(result.ordering, 4)
 
-    def test_unit_when_monomial_is_a_multiple_of_a_generator(self):
-        ideal = minimalize(3, [[1, 2]])
-        assert colon_by_monomial(ideal, [1, 2]) is UNIT
-        assert colon_by_monomial(ideal, [1, 2, 3]) is UNIT
+    def test_a_multiple_of_a_generator_never_reaches_a_colon(self):
+        # its colon would be the unit ideal; the constructor drops it first
+        ideal = minimalize(3, [[1, 2], [1, 2, 3]])
+        assert colon([fs(1, 2)], fs(1, 2, 3), 3) == [fs()]
+        result = has_linear_quotients(ideal)
+        assert (result.status, result.ordering) == ("yes", (fs(1, 2),))
 
-    def test_zero_ideal_stays_zero(self):
-        assert colon_by_monomial(SquarefreeIdeal(3, ()), [1]).is_zero
+    def test_zero_ideal_has_no_colons(self):
+        with pytest.raises(ValueError, match="zero ideal"):
+            has_linear_quotients(SquarefreeIdeal(3, ()))
 
-    def test_out_of_range_monomial(self):
-        with pytest.raises(ValueError, match="out of ambient range"):
-            colon_by_monomial(minimalize(3, [[1]]), [5])
-        with pytest.raises(ValueError, match="out of ambient range"):
-            colon_by_monomial(minimalize(3, [[1]]), [10 ** 12])
+    def test_out_of_range_support_is_refused_before_the_search(self):
+        for support in ([5], [10 ** 12]):
+            with pytest.raises(ValueError, match="out of ambient range"):
+                has_linear_quotients(minimalize(3, [[1], support]))
 
     @settings(max_examples=60)
-    @given(ideals(max_n=5), st.sets(st.integers(1, 5), max_size=3))
-    def test_membership_agrees_with_definition(self, ideal, m):
-        m = frozenset(v for v in m if v <= ideal.n)
-        result = colon_by_monomial(ideal, m)
-        subsets = [fs(*sub) for size in range(ideal.n + 1)
-                   for sub in combinations(range(1, ideal.n + 1), size)]
-        if result is UNIT:
-            assert any(g <= m for g in ideal.gens)
-            return
-        for u in subsets:
-            # u lies in (I : m) exactly when u*m lies in I
-            assert contains(result, u) == contains(ideal, u | m)
+    @given(ideals(max_n=5))
+    def test_verdict_agrees_with_colons_by_definition(self, ideal: SquarefreeIdeal):
+        gens = sorted(ideal.gens, key=len)
+        groups = [[g for g in gens if len(g) == d] for d in sorted({len(g) for g in gens})]
+        # every degree-nondecreasing ordering, the shape the search tries
+        orderings = [sum(map(list, choice), [])
+                     for choice in product(*(permutations(group) for group in groups))]
+        exists = any(has_variable_colons(o, ideal.n) for o in orderings)
+        result = has_linear_quotients(ideal)
+        assert result.status == ("yes" if exists else "no")
+        if exists:
+            assert has_variable_colons(result.ordering, ideal.n)
 
 
 def linear_quotients_ordering_is_valid(ordering) -> bool:
