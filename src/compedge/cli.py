@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 a verification found discrepancies, 2 usage or input
 errors. Whenever the exit code is not 2, the payload on stdout is valid JSON,
-except for the montecarlo and sweep subcommands, which emit CSV.
+except for the montecarlo and sweep subcommands, which emit CSV. Those two are
+the only commands that import `experiments`, and with it numpy.
 """
 from __future__ import annotations
 
@@ -19,8 +20,6 @@ from .graphs import (DEFAULT_ENUMERATION_LIMIT, SimpleGraph, enumerate_graphs,
 from .homology import hochster_betti, parse_field
 from .ideals import complementary_edge_ideal
 from .invariants import NOTE_COMPLETE_PD, NOTE_ISOLATED, cross_validate, predict_invariants
-from .experiments import (ExperimentConfig, estimate_licci_probability, summaries_to_csv,
-                          threshold_sweep)
 
 
 @dataclass(frozen=True)
@@ -133,6 +132,7 @@ def _cmd_verify(args: argparse.Namespace) -> CommandOutcome:
 
 
 def _cmd_montecarlo(args: argparse.Namespace) -> CommandOutcome:
+    from .experiments import ExperimentConfig, estimate_licci_probability, summaries_to_csv
     config = ExperimentConfig(n=args.n, trials=args.trials, seed=args.seed, p=args.p, c=args.c)
     start = time.perf_counter()
     summary = estimate_licci_probability(config)
@@ -141,6 +141,7 @@ def _cmd_montecarlo(args: argparse.Namespace) -> CommandOutcome:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> CommandOutcome:
+    from .experiments import summaries_to_csv, threshold_sweep
     try:
         c_values = [float(part) for part in args.c.split(",") if part.strip()]
     except ValueError as exc:

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 from importlib import resources
 from pathlib import Path
 
@@ -12,11 +13,15 @@ import jsonschema
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import compedge
 from compedge import cli, graphs, invariants
 from compedge.cli import run
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SRC = Path(__file__).parents[1] / "src"
+# the Monte Carlo names that `compedge` resolves on first use
+LAZY_NAMES = ("ExperimentConfig", "ExperimentSummary", "SweepResult", "sample_gnp",
+              "estimate_licci_probability", "threshold_sweep", "summaries_to_csv")
 DEEP_JSON = '{"n": 3, "edges": ' + "[" * 2000 + "]" * 2000 + "}"
 
 
@@ -439,11 +444,16 @@ class TestArgumentErrors:
         assert outcome.exit_code == 2
 
 
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter with these arguments that imports this checkout's src/."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+
+
 def run_process(*argv: str) -> subprocess.CompletedProcess:
     """`python -m compedge.cli` in a child that imports this checkout's src/."""
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "compedge.cli", *argv], capture_output=True,
-                          text=True, env={**os.environ, "PYTHONPATH": path})
+    return run_python("-m", "compedge.cli", *argv)
 
 
 class TestProcessEntryPoint:
@@ -464,3 +474,63 @@ class TestProcessEntryPoint:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert "error:" in proc.stderr
+
+
+class TestNumpyLoadsLazily:
+    """Only the Monte Carlo commands and the `experiments` names import numpy."""
+
+    def test_only_the_monte_carlo_commands_import_numpy(self):
+        script = textwrap.dedent("""
+            import json, sys
+            import compedge
+            from compedge import cli
+            codes = [cli.run(argv).exit_code for argv in json.loads(sys.argv[1])]
+            exact_only = "numpy" not in sys.modules
+            outcome = cli.run(["montecarlo", "--n", "50", "--c", "0.5", "--trials", "20",
+                               "--seed", "7"])
+            print(json.dumps([codes, exact_only, "numpy" in sys.modules,
+                              outcome.payload.splitlines()[1]]))
+        """)
+        commands = [["betti", str(FIXTURES / "k4.json")],
+                    ["analyze", "--oracle", str(FIXTURES / "c4.json")],
+                    ["mdensity", str(FIXTURES / "c5.txt")],
+                    ["verify", "--max-n", "3"]]
+        proc = run_python("-c", script, json.dumps(commands))
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [[0, 0, 0, 0], True, True,
+                                           "50,0.5,0.01,20,7,18,0.900000"]
+
+    def test_lazy_names_are_the_experiments_objects(self):
+        from compedge import experiments
+        for name in LAZY_NAMES:
+            assert getattr(compedge, name) is getattr(experiments, name)
+
+    def test_unknown_attribute_is_the_standard_error(self):
+        with pytest.raises(AttributeError, match="^module 'compedge' has no attribute 'nope'$"):
+            compedge.nope
+
+    @pytest.mark.parametrize("first", ["experiments", "estimate_licci_probability"])
+    def test_fresh_interpreter_lists_imports_and_star_imports_them(self, first):
+        script = textwrap.dedent(f"""
+            import json, sys
+            import compedge
+            listed = dir(compedge)
+            numpy_on_import = "numpy" in sys.modules
+            from compedge import {first}
+            from compedge import experiments, estimate_licci_probability
+            star = {{}}
+            exec("from compedge import *", star)
+            public = [name for name in dir(compedge) if not name.startswith("_")]
+            print(json.dumps([numpy_on_import, listed, sorted(set(star) - {{"__builtins__"}}),
+                              public, estimate_licci_probability
+                              is experiments.estimate_licci_probability]))
+        """)
+        proc = run_python("-c", script)
+        assert proc.returncode == 0, proc.stderr
+        numpy_on_import, listed, star, public, same = json.loads(proc.stdout)
+        assert not numpy_on_import
+        assert set(LAZY_NAMES) | {"experiments"} <= set(listed)
+        assert star == public
+        assert set(LAZY_NAMES) | {"experiments", "graphs", "ideals", "homology",
+                                  "invariants"} <= set(star)
+        assert same

@@ -5,13 +5,15 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from compedge import (Field, SimpleGraph, SquarefreeIdeal, alexander_dual,
                       complementary_edge_ideal, has_linear_resolution, hochster_betti, homology,
                       is_cohen_macaulay, is_componentwise_linear, is_sequentially_cm,
-                      minimalize, reg_pd, simplicial_complex, stanley_reisner)
+                      minimalize, reg_pd, simplicial_complex, squarefree_component,
+                      stanley_reisner)
 from compedge.graphs import complete_graph, connected_components, cycle_graph, path_graph
 from compedge.homology import (_TABLE_MEMO_SIZE, BettiTable, SimplicialComplex, _betti_table,
                                _closure, _dual_betti, _homology_from_faces, _primal_betti,
@@ -401,6 +403,37 @@ class TestRingPredicates:
         assert is_componentwise_linear(complementary_edge_ideal(cycle_graph(4)))
         two_edges = complementary_edge_ideal(SimpleGraph(4, ((1, 2), (3, 4))))
         assert not is_componentwise_linear(two_edges)
+
+    @staticmethod
+    def every_component_linear(ideal: SquarefreeIdeal, field: Field) -> bool:
+        """The Herzog-Hibi criterion walked over every degree up to n, with no early exit."""
+        return all(has_linear_resolution(component, field)
+                   for component in (squarefree_component(ideal, d)
+                                     for d in range(ideal.indeg, ideal.n + 1))
+                   if not component.is_zero)
+
+    @pytest.mark.parametrize("field", list(Field))
+    def test_veronese_exit_agrees_with_every_degree_on_graph_duals(self, field):
+        """The dual of I_c(G) for every graph G with an edge on 3..6 vertices, up to isomorphism.
+
+        Both sides are invariant under relabeling the vertices, so one graph per
+        isomorphism class (the networkx atlas) covers every labeled graph; the
+        labeled sweep would walk 32,768 graphs on n = 6 alone.
+        """
+        graphs = [SimpleGraph(g.number_of_nodes(), tuple((u + 1, v + 1) for u, v in g.edges))
+                  for g in nx.graph_atlas_g()
+                  if 3 <= g.number_of_nodes() <= 6 and g.number_of_edges()]
+        assert len(graphs) == 3 + 10 + 33 + 155
+        for graph in graphs:
+            dual = alexander_dual(complementary_edge_ideal(graph))
+            assert is_componentwise_linear(dual, field) == self.every_component_linear(dual, field)
+
+    @settings(max_examples=100)
+    @given(st.integers(1, 8).flatmap(lambda n: st.lists(
+        st.sets(st.integers(1, n), min_size=1), min_size=1, max_size=6).map(
+            lambda gens: minimalize(n, gens))), st.sampled_from(list(Field)))
+    def test_veronese_exit_agrees_with_every_degree(self, ideal: SquarefreeIdeal, field: Field):
+        assert is_componentwise_linear(ideal, field) == self.every_component_linear(ideal, field)
 
     def test_sequentially_cm_examples(self):
         two_edges = complementary_edge_ideal(SimpleGraph(4, ((1, 2), (3, 4))))
