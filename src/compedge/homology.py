@@ -3,21 +3,23 @@
 The Betti oracle has two engines with one result. The primal engine is
 Hochster's formula: the multidegree-sigma Betti number of S/I in homological
 position i is dim of reduced H_(|sigma|-i-1) of the Stanley-Reisner complex
-restricted to sigma. It visits all 2^n subsets sigma. The dual engine reads
-the same numbers from the Alexander dual complex, whose faces are the
-complements of the nonfaces: position i of multidegree sigma is dim of
-reduced H_(i-2) of the link of sigma's complement. It visits one link per dual
-face. For a complementary edge ideal the dual complex is the graph itself, with
-1 + n' + m faces. hochster_betti runs the engine with less work to do,
-comparing the squared dual face count with the size of the primal walk (see
-its docstring); the table aggregates multidegrees by cardinality either way.
-The complex {emptyset} has reduced H_(-1) = K, which makes the links of the
-dual facets count the generators.
+restricted to sigma. One table of 2^n entries holds, for every subset, the
+union of the generators inside it; only the sigma equal to their entry, the
+lcm lattice, are restricted to, since any other restriction is a cone. The
+dual engine reads the same numbers from the Alexander dual complex, whose
+faces are the complements of the nonfaces: position i of multidegree sigma is
+dim of reduced H_(i-2) of the link of sigma's complement. It visits one link
+per dual face. For a complementary edge ideal the dual complex is the graph
+itself, with 1 + n' + m faces. hochster_betti runs the engine with less work
+to do, comparing the squared dual face count with a bound on the primal
+restrictions (see its docstring); the table aggregates multidegrees by
+cardinality either way. The complex {emptyset} has reduced H_(-1) = K, which
+makes the links of the dual facets count the generators.
 
 Two memos keep repeated work away. Reduced homology is memoised per complex
 with functools.cache, keyed by the field and the sorted face masks. The masks
-alone fix the complex, so compact primal restrictions and raw dual links share
-one memo; it is unbounded. Whole Betti tables are memoised per (ideal, field)
+alone fix the complex, so primal restrictions and dual links share one memo;
+it is unbounded. Whole Betti tables are memoised per (ideal, field)
 in a functools.lru_cache of _TABLE_MEMO_SIZE entries: a verify sweep asks for
 the same small tables again and again, and an unbounded table memo costs more
 memory than the extra hits repay. clear_homology_cache() empties both.
@@ -51,6 +53,10 @@ class Field(enum.Enum):
 
     GF2 = "gf2"
     RATIONALS = "q"
+
+    # members are singletons compared by identity, so the C-level identity
+    # hash is valid and spares every memo lookup Enum's Python-level __hash__
+    __hash__ = object.__hash__
 
 
 def parse_field(name: str) -> Field:
@@ -117,24 +123,24 @@ def stanley_reisner(ideal: SquarefreeIdeal) -> SimplicialComplex:
     if ideal.n > ORACLE_LIMIT:
         raise ValueError(f"ambient size {_clip(ideal.n)} exceeds the oracle limit of "
                          f"{ORACLE_LIMIT}")
-    nonface = _nonface_table(ideal)
-    return SimplicialComplex(
-        ideal.n, frozenset(s for s in range(1 << ideal.n) if not nonface[s]))
+    union = _union_table(ideal)
+    return SimplicialComplex(ideal.n, frozenset(s for s, u in enumerate(union) if not u))
 
 
-def _nonface_table(ideal: SquarefreeIdeal) -> bytearray:
+def _union_table(ideal: SquarefreeIdeal) -> list[int]:
+    """union[s] is the OR of the generators inside s: 0 exactly on the faces."""
     n = ideal.n
     full = (1 << n) - 1
-    nonface = bytearray(1 << n)
+    union = [0] * (1 << n)
     for g in ideal.masks:
         rest = full & ~g
         sub = rest
         while True:
-            nonface[g | sub] = 1
+            union[g | sub] |= g
             if sub == 0:
                 break
             sub = (sub - 1) & rest
-    return nonface
+    return union
 
 
 def _gf2_rank(rows: list[int]) -> int:
@@ -279,14 +285,17 @@ def clear_homology_cache() -> None:
 def hochster_betti(ideal: SquarefreeIdeal, field: Field = Field.GF2) -> BettiTable:
     """Graded Betti numbers of S/I over the chosen field, degree by multidegree.
 
-    Two engines compute the same table. The primal one walks all 2^n subsets
-    sigma of the ground set and sums the homology of the Stanley-Reisner
-    complex restricted to sigma, filling one 2^|sigma| table per nonface
-    sigma. The dual one reads the table from the links of the faces of the
-    Alexander dual complex; it collects them by subset inversion, which costs
-    sum over dual faces f of 2^|f| (at most 4F for the F faces of a graph).
-    Its faces tau are the complements of the nonfaces, so the primal tables
-    hold P = sum over tau of 2^(n - |tau|) entries. The rule: the dual engine
+    Two engines compute the same table. The primal one sums the homology of
+    the Stanley-Reisner complex restricted to each sigma of the lcm lattice
+    (the unions of generators; every other restriction is a cone), collected
+    by superset inversion after one table of 2^n entries. The dual one reads
+    the table from the links of the faces of the Alexander dual complex; it
+    collects them by subset inversion, which costs sum over dual faces f of
+    2^|f| (at most 4F for the F faces of a graph). Its faces tau are the
+    complements of the nonfaces sigma, so P = sum over tau of 2^(n - |tau|)
+    is the sum over nonfaces of 2^|sigma|: an upper bound on the faces the
+    primal restrictions hold, since every lattice sigma but the empty one is a
+    nonface with at most 2^|sigma| faces inside it. The rule: the dual engine
     runs when F^2 <= 3 * P, the primal one otherwise. It was fitted when the
     dual engine scanned all F faces per face, and is kept because a rule on
     the new cost (sum of 2^|f| <= c * P for c = 0.5, 1 or 2) did not move the
@@ -318,26 +327,37 @@ def _betti_table(ideal: SquarefreeIdeal, field: Field) -> BettiTable:
 
 
 def _primal_betti(ideal: SquarefreeIdeal, field: Field) -> BettiTable:
-    """Hochster's formula: beta_(i,sigma) = dim H~_(|sigma|-i-1) of the restriction to sigma."""
+    """Hochster's formula: beta_(i,sigma) = dim H~_(|sigma|-i-1) of the restriction to sigma.
+
+    Only sigma in the lcm lattice, the unions of generators, can carry
+    homology: any other sigma has a vertex in no generator inside sigma, and
+    the restriction is a cone on that vertex (Gasharov-Peeva-Welker, The
+    lcm-lattice in monomial resolutions, 1999). Each face f joins the
+    restriction of every lattice sigma containing it, the superset mirror of
+    the subset inversion in _dual_betti.
+    """
     n = ideal.n
-    nonface = _nonface_table(ideal)
-    entries: dict[tuple[int, int], int] = {(0, 0): 1}
-    for sigma in range(1, 1 << n):
-        if not nonface[sigma]:
-            # restriction to a face is a full simplex: no reduced homology
+    union = _union_table(ideal)
+    lattice = [s for s, u in enumerate(union) if u == s]
+    restrictions: dict[int, list[int]] = {s: [0] for s in lattice}
+    # faces come in increasing order, a depth-first walk in which f's parent
+    # is f minus its lowest vertex; so the last face met of size |f| - 1 is
+    # f's parent, and above[k] lists the lattice elements over it
+    above = [lattice] * (n + 1)
+    for f in range(1, 1 << n):
+        if union[f]:
             continue
-        # real[c] is the subset of sigma whose compact mask is c: bit i of c
-        # stands for the i-th lowest bit of sigma
-        real = [0]
-        bits = sigma
-        while bits:
-            low = bits & -bits
-            bits ^= low
-            real += [r | low for r in real]
-        # a list first: tuple() of a generator over-allocates, and the memo
-        # keeps every key
-        compact = tuple([c for c, r in enumerate(real) if not nonface[r]])
-        dims = _homology_from_faces(compact, field)
+        low = f & -f
+        k = f.bit_count()
+        above[k] = up = [s for s in above[k - 1] if s & low]
+        for s in up:
+            restrictions[s].append(f)
+    entries: dict[tuple[int, int], int] = {}
+    while restrictions:
+        # popped, so each list is freed once the memo holds its tuple; faces
+        # is sorted, as in the dual links, so one complex has one memo key
+        sigma, faces = restrictions.popitem()
+        dims = _homology_from_faces(tuple(faces), field)
         ssize = sigma.bit_count()
         for k, h in enumerate(dims):
             if h:

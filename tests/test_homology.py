@@ -52,6 +52,56 @@ def complexes(max_n: int = 5) -> st.SearchStrategy[SimplicialComplex]:
     return st.integers(1, max_n).flatmap(build)
 
 
+def ideals(max_n: int) -> st.SearchStrategy[SquarefreeIdeal]:
+    """Nonzero squarefree ideals of up to six generators on 1..max_n variables."""
+    return st.integers(1, max_n).flatmap(lambda n: st.lists(
+        st.sets(st.integers(1, n), min_size=1), min_size=1, max_size=6).map(
+            lambda supports: minimalize(n, supports)))
+
+
+def antichain_ideals(n: int) -> list[SquarefreeIdeal]:
+    """Every nonzero squarefree ideal on n variables: one per antichain of nonempty supports."""
+    found: list[SquarefreeIdeal] = []
+
+    def extend(start: int, chosen: list[int]) -> None:
+        if chosen:
+            found.append(SquarefreeIdeal(n, chosen))
+        for m in range(start, 1 << n):
+            if all(m & c not in (c, m) for c in chosen):
+                extend(m + 1, chosen + [m])
+    extend(1, [])
+    return found
+
+
+def stanley_reisner_faces(ideal: SquarefreeIdeal) -> list[int]:
+    """The faces by brute force: every mask containing no generator."""
+    return [s for s in range(1 << ideal.n) if not any(g & s == g for g in ideal.masks)]
+
+
+def restriction(faces: list[int], sigma: int) -> list[int]:
+    return [f for f in faces if f & ~sigma == 0]
+
+
+def brute_force_betti(ideal: SquarefreeIdeal, field: Field) -> BettiTable:
+    """Hochster's sum over all 2^n restrictions, as raw masks, with no lattice and no relabeling."""
+    n = ideal.n
+    faces = stanley_reisner_faces(ideal)
+    expected: dict[tuple[int, int], int] = {}
+    for sigma in range(1 << n):
+        size = sigma.bit_count()
+        dims = reduced_homology_dims(SimplicialComplex(n, frozenset(restriction(faces, sigma))),
+                                     field)
+        for k, h in enumerate(dims):
+            expected[(size - k, size)] = expected.get((size - k, size), 0) + h
+    return BettiTable.from_dict(n, field, expected)
+
+
+def dual_engine(ideal: SquarefreeIdeal, field: Field) -> BettiTable:
+    full = (1 << ideal.n) - 1
+    faces = sorted(_closure([full & ~g for g in ideal.masks], 1 << ideal.n))
+    return _dual_betti(ideal.n, faces, field)
+
+
 class TestFieldParsing:
     def test_round_trip(self):
         assert parse_field("gf2") is Field.GF2
@@ -293,42 +343,83 @@ class TestBettiTables:
         assert again == first and again is not first
 
     @settings(max_examples=40)
-    @given(st.integers(1, 6).flatmap(lambda n: st.lists(
-        st.sets(st.integers(1, n), min_size=1), min_size=1, max_size=6).map(
-            lambda supports: minimalize(n, supports))))
+    @given(ideals(6))
     def test_matches_hochster_sum_over_unrelabeled_restrictions(self, ideal: SquarefreeIdeal):
-        # reference: the Stanley-Reisner faces by brute force, restricted to
-        # each sigma as raw masks, with no relabeling and no cache in between
-        n = ideal.n
-        faces = [s for s in range(1 << n) if not any(g & s == g for g in ideal.masks)]
         for field in Field:
-            expected: dict[tuple[int, int], int] = {}
-            for sigma in range(1 << n):
-                restricted = frozenset(f for f in faces if f & ~sigma == 0)
-                size = sigma.bit_count()
-                dims = reduced_homology_dims(SimplicialComplex(n, restricted), field)
-                for k, h in enumerate(dims):
-                    expected[(size - k, size)] = expected.get((size - k, size), 0) + h
+            expected = brute_force_betti(ideal, field)
             clear_homology_cache()
-            assert hochster_betti(ideal, field) == BettiTable.from_dict(n, field, expected)
+            assert hochster_betti(ideal, field) == expected
+
+    @pytest.mark.parametrize("n, count", [(1, 1), (2, 4), (3, 18), (4, 166)])
+    def test_every_ideal_on_at_most_four_variables(self, n, count):
+        # count: the Dedekind number M(n) less the empty antichain and {emptyset}
+        every = antichain_ideals(n)
+        assert len(every) == len(set(every)) == count
+        for ideal in every:
+            for field in Field:
+                expected = brute_force_betti(ideal, field)
+                clear_homology_cache()
+                assert _primal_betti(ideal, field) == expected
+                assert hochster_betti(ideal, field) == expected
+
+    @settings(max_examples=60)
+    @given(ideals(7))
+    def test_restrictions_off_the_lcm_lattice_are_acyclic(self, ideal: SquarefreeIdeal):
+        # the lcm lattice by its definition: the unions of sets of generators
+        lattice = {0}
+        for g in ideal.masks:
+            lattice |= {s | g for s in lattice}
+        faces = stanley_reisner_faces(ideal)
+        for sigma in set(range(1 << ideal.n)) - lattice:
+            complex_ = SimplicialComplex(ideal.n, frozenset(restriction(faces, sigma)))
+            for field in Field:
+                assert not any(reduced_homology_dims(complex_, field))
+
+    @settings(max_examples=60, deadline=None)
+    @given(ideals(8))
+    def test_k_polynomial_from_faces_equals_alternating_betti_sum(self, ideal: SquarefreeIdeal):
+        # Hilbert series of S/I twice: sum over faces F of t^|F| / (1-t)^|F|,
+        # and K(t) / (1-t)^n with K(t) = sum of (-1)^i beta_(i,j) t^j
+        n = ideal.n
+        from_faces = [0] * (n + 1)
+        for f in stanley_reisner_faces(ideal):
+            d = f.bit_count()
+            for e in range(n - d + 1):
+                from_faces[d + e] += (-1) ** e * comb(n - d, e)
+        for field in Field:
+            for engine in (_primal_betti, dual_engine):
+                from_table = [0] * (n + 1)
+                for (i, j), v in engine(ideal, field).entries:
+                    from_table[j] += (-1) ** i * v
+                assert from_table == from_faces
+
+    @settings(max_examples=60, deadline=None)
+    @given(ideals(8), st.randoms(use_true_random=False))
+    def test_relabeling_the_variables_keeps_the_table(self, ideal: SquarefreeIdeal, rng):
+        # the homology memo is keyed by raw masks, so a relabeled ideal meets
+        # other keys than the original, or the same keys for other complexes
+        n = ideal.n
+        image = list(range(n))
+        rng.shuffle(image)
+        relabeled = SquarefreeIdeal(n, [sum(1 << image[v] for v in range(n) if g >> v & 1)
+                                        for g in ideal.masks])
+        for field in Field:
+            for engine in (_primal_betti, dual_engine, hochster_betti):
+                assert engine(relabeled, field) == engine(ideal, field)
 
     @settings(max_examples=100)
-    @given(st.integers(1, 8).flatmap(lambda n: st.lists(
-        st.sets(st.integers(1, n), min_size=1), min_size=1, max_size=6).map(
-            lambda supports: minimalize(n, supports))))
+    @given(ideals(8))
     def test_primal_and_dual_engines_agree(self, ideal: SquarefreeIdeal):
-        full = (1 << ideal.n) - 1
-        faces = sorted(_closure([full & ~g for g in ideal.masks], 1 << ideal.n))
         for field in Field:
             clear_homology_cache()
             primal = _primal_betti(ideal, field)
             clear_homology_cache()
-            assert _dual_betti(ideal.n, faces, field) == primal
+            assert dual_engine(ideal, field) == primal
 
     def test_complementary_edge_ideals_skip_the_subset_walk(self, monkeypatch):
-        def walk(ideal):
-            raise AssertionError("built the 2^n nonface table")
-        monkeypatch.setattr(homology, "_nonface_table", walk)
+        def table(ideal):
+            raise AssertionError("built the 2^n union table")
+        monkeypatch.setattr(homology, "_union_table", table)
         for graph in (cycle_graph(14), complete_graph(14), SimpleGraph(14, ((1, 2),))):
             for field in Field:
                 table = hochster_betti(complementary_edge_ideal(graph), field)
@@ -429,9 +520,7 @@ class TestRingPredicates:
             assert is_componentwise_linear(dual, field) == self.every_component_linear(dual, field)
 
     @settings(max_examples=100)
-    @given(st.integers(1, 8).flatmap(lambda n: st.lists(
-        st.sets(st.integers(1, n), min_size=1), min_size=1, max_size=6).map(
-            lambda gens: minimalize(n, gens))), st.sampled_from(list(Field)))
+    @given(ideals(8), st.sampled_from(list(Field)))
     def test_veronese_exit_agrees_with_every_degree(self, ideal: SquarefreeIdeal, field: Field):
         assert is_componentwise_linear(ideal, field) == self.every_component_linear(ideal, field)
 
