@@ -18,16 +18,23 @@ makes the links of the dual facets count the generators.
 
 Two memos keep repeated work away. Reduced homology is memoised per complex
 with functools.cache, keyed by the field and the sorted face masks. The masks
-alone fix the complex, so primal restrictions and dual links share one memo;
-it is unbounded. Whole Betti tables are memoised per (ideal, field)
+alone fix the complex, so primal restrictions and dual links share one memo.
+It keeps only complexes on the vertices 1.._MEMO_WIDTH: the exhaustive sweeps
+repeat those, while larger raw-mask keys rarely repeat and would grow it
+without limit. Whole Betti tables are memoised per (ideal, field)
 in a functools.lru_cache of _TABLE_MEMO_SIZE entries: a verify sweep asks for
 the same small tables again and again, and an unbounded table memo costs more
 memory than the extra hits repay. clear_homology_cache() empties both.
 
-All ranks are computed exactly by one elimination scheme, pivots keyed by
-lowest column: over GF(2) on bit-packed rows with XOR, over the rationals on
-sparse integer rows, fraction-free with gcd reduction. No floating point
-anywhere.
+All ranks are exact. The two lowest boundary maps need no elimination: the
+augmentation map from vertices onto K has rank 1 once a vertex exists, and
+the map from edges to vertices is the incidence matrix of the 1-skeleton,
+whose rank over every field is the number of vertices less the number of
+components, counted by union-find. Every link of a complementary edge
+ideal's dual complex, a graph, is done there. Higher maps are eliminated with
+pivots keyed by lowest column: over GF(2) on bit-packed rows with XOR, over
+the rationals on sparse integer rows, fraction-free with gcd reduction; torsion
+first shows there, as in the projective plane. No floating point anywhere.
 """
 from __future__ import annotations
 
@@ -46,6 +53,13 @@ ORACLE_LIMIT = 14
 # pairs; 32 recent tables serve 15,489 of them, an unbounded memo 18,428 for
 # about 7 MB more peak memory.
 _TABLE_MEMO_SIZE = 32
+# Reduced homology is memoised only for complexes on the vertices
+# 1.._MEMO_WIDTH, at most 2^_MEMO_WIDTH faces a key. The exhaustive sweeps
+# (verify to the enumeration limit n = 7) repeat complexes and stay inside;
+# past it raw-mask keys rarely repeat: one primal table of
+# alexander_dual(I_c(P_14)) asks for 16,345 restrictions of at most 28 faces,
+# none twice, and the memo keeps 110 of them (4.7 MB -> about 0.1 MB).
+_MEMO_WIDTH = 7
 
 
 class Field(enum.Enum):
@@ -180,24 +194,60 @@ def _rational_rank(rows: list[dict[int, int]]) -> int:
     return len(pivots)
 
 
-@cache
+def _edge_rank(vertices: list[int], edges: list[int]) -> int:
+    """Rank of the boundary map from edges to vertices, over every field.
+
+    The incidence matrix of a graph has rank |V| minus its number of
+    components over any field, so the rank is the number of edges that join
+    two components: a union-find over the vertex labels (mask bit lengths, so
+    no lookup hashes a long mask) with path halving.
+    """
+    parent = {v.bit_length(): v.bit_length() for v in vertices}
+    rank = 0
+    for e in edges:
+        low = e & -e
+        u, v = low.bit_length(), (e ^ low).bit_length()
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        if u != v:
+            parent[u] = v
+            rank += 1
+    return rank
+
+
 def _homology_from_faces(faces: tuple[int, ...], field: Field) -> tuple[int, ...]:
     """Reduced homology dims of a nonvoid downward-closed family of face masks.
 
     Index 0 of the result is dimension -1 of the reduced chain complex.
-    Callers pass both arguments positionally, so one complex has one memo key.
+    Callers pass the masks sorted, so the last one holds the highest vertex,
+    and both arguments positionally, so one complex has one memo key.
     """
-    top = max(f.bit_count() for f in faces)
-    faces_by_size: list[list[int]] = [[] for _ in range(top + 1)]
+    if faces[-1] >> _MEMO_WIDTH == 0:
+        return _memoised_homology(faces, field)
+    return _homology(faces, field)
+
+
+def _homology(faces: tuple[int, ...], field: Field) -> tuple[int, ...]:
+    """The reduced homology dims of _homology_from_faces, computed without the memo."""
+    faces_by_size: list[list[int]] = [[]]
     for f in faces:
-        faces_by_size[f.bit_count()].append(f)
+        k = f.bit_count()
+        while len(faces_by_size) <= k:
+            faces_by_size.append([])
+        faces_by_size[k].append(f)
+    top = len(faces_by_size) - 1
     sizes = [len(fs) for fs in faces_by_size]
     ranks = [0] * (top + 2)
-    for s in range(1, top + 1):
+    # the augmentation map sends every vertex to 1, so it is onto once one exists
+    if top >= 1:
+        ranks[1] = 1
+    if top >= 2:
+        ranks[2] = _edge_rank(faces_by_size[1], faces_by_size[2])
+    for s in range(3, top + 1):
         cols = faces_by_size[s]
         below = faces_by_size[s - 1]
-        if not cols or not below:
-            continue
         row_index = {f: i for i, f in enumerate(below)}
         if field is Field.GF2:
             rows = [0] * len(below)
@@ -220,6 +270,9 @@ def _homology_from_faces(faces: tuple[int, ...], field: Field) -> tuple[int, ...
                     sign = -sign
             ranks[s] = _rational_rank(sparse)
     return tuple(sizes[s] - ranks[s] - ranks[s + 1] for s in range(top + 1))
+
+
+_memoised_homology = cache(_homology)
 
 
 def reduced_homology_dims(complex_: SimplicialComplex, field: Field = Field.GF2) -> list[int]:
@@ -279,7 +332,7 @@ def reg_pd(table: BettiTable) -> Homological:
 def clear_homology_cache() -> None:
     """Empty both memos: Betti tables and reduced homology."""
     _betti_table.cache_clear()
-    _homology_from_faces.cache_clear()
+    _memoised_homology.cache_clear()
 
 
 def hochster_betti(ideal: SquarefreeIdeal, field: Field = Field.GF2) -> BettiTable:

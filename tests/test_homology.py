@@ -1,9 +1,11 @@
 """Simplicial homology, Betti tables, and the resolution-shape predicates."""
 from __future__ import annotations
 
+import random
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, log
 
 import networkx as nx
 import pytest
@@ -15,8 +17,9 @@ from compedge import (Field, SimpleGraph, SquarefreeIdeal, alexander_dual,
                       minimalize, reg_pd, simplicial_complex, squarefree_component,
                       stanley_reisner)
 from compedge.graphs import complete_graph, connected_components, cycle_graph, path_graph
-from compedge.homology import (_TABLE_MEMO_SIZE, BettiTable, SimplicialComplex, _betti_table,
-                               _closure, _dual_betti, _homology_from_faces, _primal_betti,
+from compedge.homology import (_TABLE_MEMO_SIZE, BettiTable, SimplicialComplex,
+                               _betti_table, _closure, _dual_betti, _edge_rank, _gf2_rank,
+                               _homology_from_faces, _memoised_homology, _primal_betti,
                                _rational_rank, clear_homology_cache, parse_field,
                                reduced_homology_dims)
 
@@ -25,12 +28,14 @@ def fs(*vertices: int) -> frozenset[int]:
     return frozenset(vertices)
 
 
+def gnp_graph(n: int, p: float, rng) -> SimpleGraph:
+    """One G(n, p) draw with at least one edge; isolated vertices are allowed."""
+    edges = tuple(e for e in combinations(range(1, n + 1), 2) if rng.random() < p)
+    return SimpleGraph(n, edges or ((1, 2),))
+
+
 def gnp_graphs(min_n: int, max_n: int) -> st.SearchStrategy[SimpleGraph]:
-    """G(n, p) draws with at least one edge; isolated vertices are allowed."""
-    def draw(n: int, p: float, rng) -> SimpleGraph:
-        edges = tuple(e for e in combinations(range(1, n + 1), 2) if rng.random() < p)
-        return SimpleGraph(n, edges or ((1, 2),))
-    return st.builds(draw, st.integers(min_n, max_n), st.floats(0.05, 0.95),
+    return st.builds(gnp_graph, st.integers(min_n, max_n), st.floats(0.05, 0.95),
                      st.randoms(use_true_random=False))
 
 
@@ -44,9 +49,9 @@ def closed_form_betti(graph: SimpleGraph, field: Field) -> BettiTable:
         (2, n): c_prime - 1, (3, n): m - n_prime + c_prime})
 
 
-def complexes(max_n: int = 5) -> st.SearchStrategy[SimplicialComplex]:
+def complexes(max_n: int = 5, max_facet: int = 5) -> st.SearchStrategy[SimplicialComplex]:
     def build(n: int) -> st.SearchStrategy[SimplicialComplex]:
-        facet = st.sets(st.integers(1, n), min_size=0, max_size=n)
+        facet = st.sets(st.integers(1, n), min_size=0, max_size=min(n, max_facet))
         return st.lists(facet, min_size=0, max_size=6).map(
             lambda facets: simplicial_complex(n, facets))
     return st.integers(1, max_n).flatmap(build)
@@ -71,6 +76,30 @@ def antichain_ideals(n: int) -> list[SquarefreeIdeal]:
                 extend(m + 1, chosen + [m])
     extend(1, [])
     return found
+
+
+def atlas_graphs(min_n: int, max_n: int) -> list[SimpleGraph]:
+    """One graph with an edge per isomorphism class on min_n..max_n vertices (networkx atlas)."""
+    return [SimpleGraph(g.number_of_nodes(), tuple((u + 1, v + 1) for u, v in g.edges))
+            for g in nx.graph_atlas_g()
+            if min_n <= g.number_of_nodes() <= max_n and g.number_of_edges()]
+
+
+def eliminated_homology(faces: tuple[int, ...], field: Field) -> tuple[int, ...]:
+    """Reduced homology with every boundary map ranked by elimination, the edge layer too."""
+    top = max(f.bit_count() for f in faces)
+    by_size = [[f for f in faces if f.bit_count() == s] for s in range(top + 1)]
+    ranks = [0] * (top + 2)
+    for s in range(1, top + 1):
+        row = {f: i for i, f in enumerate(by_size[s - 1])}
+        bits, signed = [0] * len(row), [{} for _ in row]
+        for j, f in enumerate(by_size[s]):
+            vertices = [1 << v for v in range(f.bit_length()) if f >> v & 1]
+            for k, v in enumerate(vertices):
+                bits[row[f ^ v]] |= 1 << j
+                signed[row[f ^ v]][j] = (-1) ** k
+        ranks[s] = _gf2_rank(bits) if field is Field.GF2 else _rational_rank(signed)
+    return tuple(len(by_size[s]) - ranks[s] - ranks[s + 1] for s in range(top + 1))
 
 
 def stanley_reisner_faces(ideal: SquarefreeIdeal) -> list[int]:
@@ -207,6 +236,15 @@ class TestReducedHomology:
         reduced_homology_dims(square)[2] = 5
         assert reduced_homology_dims(square) == [0, 0, 1]
 
+    @settings(max_examples=150)
+    @given(complexes(max_n=7, max_facet=4))
+    def test_union_find_edge_layer_matches_all_elimination(self, c: SimplicialComplex):
+        # dimensions 0-3: the edge layer takes union-find, higher layers elimination
+        faces = tuple(sorted(c.faces))
+        clear_homology_cache()
+        for field in Field:
+            assert _homology_from_faces(faces, field) == eliminated_homology(faces, field)
+
     @settings(max_examples=80)
     @given(complexes())
     def test_gf2_dimensions_dominate_rational_ones(self, c: SimplicialComplex):
@@ -241,6 +279,39 @@ class TestRationalRank:
     def test_matches_dense_fraction_elimination(self, matrix: list[list[int]]):
         sparse = [{c: v for c, v in enumerate(row) if v} for row in matrix]
         assert _rational_rank(sparse) == dense_rational_rank(matrix)
+
+
+class TestEdgeRank:
+    @staticmethod
+    def check(vertices: list[int], edges: list[tuple[int, int]]) -> None:
+        # the incidence matrix, rows by vertex: bit-packed, and signed sparse
+        row = {v: i for i, v in enumerate(vertices)}
+        bits, signed = [0] * len(vertices), [{} for _ in vertices]
+        for j, (u, v) in enumerate(edges):
+            bits[row[u]] |= 1 << j
+            bits[row[v]] |= 1 << j
+            signed[row[u]][j], signed[row[v]][j] = -1, 1
+        graph = nx.Graph(edges)
+        graph.add_nodes_from(vertices)
+        expected = len(vertices) - nx.number_connected_components(graph)
+        rank = _edge_rank([1 << v - 1 for v in vertices],
+                          [(1 << u - 1) | (1 << v - 1) for u, v in edges])
+        assert rank == _gf2_rank(bits) == _rational_rank(signed) == expected
+
+    @settings(max_examples=150)
+    @given(st.lists(st.integers(1, 3000), min_size=1, max_size=30, unique=True), st.data())
+    def test_union_find_rank_matches_elimination(self, labels: list[int], data):
+        # random labels up to 3000 leave isolated vertices and several components
+        pairs = list(combinations(labels, 2))
+        edges = data.draw(st.lists(st.sampled_from(pairs), unique=True, max_size=40)) if pairs else []
+        self.check(labels, edges)
+
+    @pytest.mark.parametrize("c", [0.5, 1.5, 4.0])
+    def test_union_find_rank_on_three_thousand_vertices(self, c):
+        rng = random.Random(3000)
+        n = 3000
+        edges = list({tuple(sorted(rng.sample(range(1, n + 1), 2))) for _ in range(int(c * n / 2))})
+        self.check(list(range(1, n + 1)), edges)
 
 
 class TestBettiTables:
@@ -307,12 +378,12 @@ class TestBettiTables:
         # the second call computes nothing: no homology lookup at all, one table hit
         ideal = complementary_edge_ideal(cycle_graph(6))
         clear_homology_cache()
-        assert _homology_from_faces.cache_info().currsize == 0
+        assert _memoised_homology.cache_info().currsize == 0
         first = hochster_betti(ideal)
-        homology_before = _homology_from_faces.cache_info()
+        homology_before = _memoised_homology.cache_info()
         tables_before = _betti_table.cache_info()
         assert hochster_betti(ideal) == first
-        homology_after = _homology_from_faces.cache_info()
+        homology_after = _memoised_homology.cache_info()
         tables_after = _betti_table.cache_info()
         assert homology_after.misses == homology_before.misses
         assert homology_after.currsize == homology_before.currsize
@@ -322,10 +393,10 @@ class TestBettiTables:
     def test_clearing_empties_both_memos(self):
         hochster_betti(complementary_edge_ideal(cycle_graph(5)), Field.RATIONALS)
         assert _betti_table.cache_info().currsize > 0
-        assert _homology_from_faces.cache_info().currsize > 0
+        assert _memoised_homology.cache_info().currsize > 0
         clear_homology_cache()
         assert _betti_table.cache_info().currsize == 0
-        assert _homology_from_faces.cache_info().currsize == 0
+        assert _memoised_homology.cache_info().currsize == 0
 
     def test_an_evicted_table_is_recomputed_equal(self):
         ideal = complementary_edge_ideal(cycle_graph(6))
@@ -425,6 +496,71 @@ class TestBettiTables:
                 table = hochster_betti(complementary_edge_ideal(graph), field)
                 assert table == closed_form_betti(graph, field)
 
+    def test_complementary_edge_ideals_run_no_elimination(self, monkeypatch):
+        # every link of the dual complex, a graph, has dimension at most 1
+        def refuse(rows):
+            raise AssertionError("ranked a layer by elimination")
+        monkeypatch.setattr(homology, "_gf2_rank", refuse)
+        monkeypatch.setattr(homology, "_rational_rank", refuse)
+        clear_homology_cache()
+        rng = random.Random(13)
+        graphs = [complete_graph(13), cycle_graph(13), SimpleGraph(13, ((1, 2),))]
+        graphs += [gnp_graph(n, p, rng) for n in range(3, 14) for p in (0.2, 0.5, 0.8)]
+        for graph in graphs:
+            for field in Field:
+                table = hochster_betti(complementary_edge_ideal(graph), field)
+                assert table == closed_form_betti(graph, field)
+
+    @pytest.mark.parametrize("n", [200, 1000])
+    @pytest.mark.parametrize("regime", ["c/n, c = 0.5", "2 log n / n"])
+    def test_dual_engine_matches_the_closed_form_at_monte_carlo_sizes(self, n, regime):
+        import numpy as np
+        from compedge.experiments import sample_gnp
+        p = 0.5 / n if regime == "c/n, c = 0.5" else 2 * log(n) / n
+        graph = sample_gnp(n, p, np.random.default_rng(n))
+        # the dual complex of I_c(G) is G: the empty face, the vertices on an edge, the edges
+        faces = sorted(_closure([(1 << u - 1) | (1 << v - 1) for u, v in graph.edges],
+                                1 + n + graph.m))
+        for field in Field:
+            clear_homology_cache()
+            assert _dual_betti(n, faces, field) == closed_form_betti(graph, field)
+
+    @settings(max_examples=40, deadline=None)
+    @given(gnp_graphs(3, 13))
+    def test_an_isolated_vertex_shifts_every_degree_by_one(self, graph: SimpleGraph):
+        # the new variable divides every generator of I_c(G + v)
+        bigger = SimpleGraph(graph.n + 1, graph.edges)
+        for field in Field:
+            table = hochster_betti(complementary_edge_ideal(graph), field)
+            shifted = {(i, j + (i > 0)): v for (i, j), v in table.entries}
+            assert hochster_betti(complementary_edge_ideal(bigger), field).as_dict() == shifted
+
+    def test_both_fields_agree_on_every_complementary_edge_ideal_up_to_six(self):
+        # a graph has no torsion; one graph per isomorphism class (the
+        # networkx atlas) covers every labeled graph, as relabeling keeps tables
+        for graph in atlas_graphs(3, 6):
+            ideal = complementary_edge_ideal(graph)
+            over_2 = hochster_betti(ideal, Field.GF2).entries
+            assert hochster_betti(ideal, Field.RATIONALS).entries == over_2
+
+    def test_a_primal_table_past_the_memo_width_leaves_the_memo_small(self):
+        # 16,345 restrictions of at most 28 faces, none asked for twice; an
+        # unbounded memo kept 4.6 MB of them
+        ideal = alexander_dual(complementary_edge_ideal(path_graph(14)))
+        clear_homology_cache()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            table = _primal_betti(ideal, Field.GF2)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held < 1_000_000
+        assert _memoised_homology.cache_info().currsize < 1_000
+        # I_c(P_14) is Cohen-Macaulay, so its dual has a linear resolution
+        assert table.as_dict() == {(0, 0): 1} | {(i, i + 1): i * comb(13, i + 1)
+                                                 for i in range(1, 13)}
+
     def test_irrelevant_ideal_is_koszul(self):
         for n in range(1, 11):
             table = hochster_betti(minimalize(n, [[v] for v in range(1, n + 1)]))
@@ -511,9 +647,7 @@ class TestRingPredicates:
         isomorphism class (the networkx atlas) covers every labeled graph; the
         labeled sweep would walk 32,768 graphs on n = 6 alone.
         """
-        graphs = [SimpleGraph(g.number_of_nodes(), tuple((u + 1, v + 1) for u, v in g.edges))
-                  for g in nx.graph_atlas_g()
-                  if 3 <= g.number_of_nodes() <= 6 and g.number_of_edges()]
+        graphs = atlas_graphs(3, 6)
         assert len(graphs) == 3 + 10 + 33 + 155
         for graph in graphs:
             dual = alexander_dual(complementary_edge_ideal(graph))
