@@ -44,22 +44,22 @@ from functools import cache, lru_cache
 from math import comb, gcd, isqrt
 from typing import Iterable, NamedTuple
 
-from .graphs import _clip
+from .graphs import DEFAULT_ENUMERATION_LIMIT, _clip
 from .ideals import (SquarefreeIdeal, _closure, alexander_dual, height, squarefree_component,
                      support_of)
 
 ORACLE_LIMIT = 14
-# One verify round asks for 26,872 tables of 8,444 distinct (ideal, field)
-# pairs; 32 recent tables serve 15,489 of them, an unbounded memo 18,428 for
-# about 7 MB more peak memory.
+# One verify round asks for 14,198 tables of 8,435 distinct (ideal, field)
+# pairs; 32 recent tables serve 2,848 of them (one table 1,825), an unbounded
+# memo 5,763 for about 8 MB more peak memory.
 _TABLE_MEMO_SIZE = 32
 # Reduced homology is memoised only for complexes on the vertices
 # 1.._MEMO_WIDTH, at most 2^_MEMO_WIDTH faces a key. The exhaustive sweeps
-# (verify to the enumeration limit n = 7) repeat complexes and stay inside;
-# past it raw-mask keys rarely repeat: one primal table of
-# alexander_dual(I_c(P_14)) asks for 16,345 restrictions of at most 28 faces,
-# none twice, and the memo keeps 110 of them (4.7 MB -> about 0.1 MB).
-_MEMO_WIDTH = 7
+# stop at the enumeration limit, repeat complexes and stay inside; past it
+# raw-mask keys rarely repeat: one primal table of alexander_dual(I_c(P_14))
+# asks for 16,345 restrictions of at most 28 faces, none twice, and the memo
+# keeps 110 of them (4.7 MB -> about 0.1 MB).
+_MEMO_WIDTH = DEFAULT_ENUMERATION_LIMIT
 
 
 class Field(enum.Enum):

@@ -2,10 +2,11 @@
 
 A squarefree monomial in K[x_1..x_n] is identified with its support, a subset
 of {1..n}, and a support with its bit mask (vertex i <-> bit i-1). An ideal is
-a minimal antichain of masks in a fixed canonical order (lexicographic on the
-sorted index tuples). SquarefreeIdeal's constructor is the one place that
-checks, minimalizes and orders generators; every producer below hands it raw
-masks, and the frozenset supports (`gens`) are derived on demand.
+a minimal antichain of masks stored in increasing mask order, so equal ideals
+compare equal. SquarefreeIdeal's constructor is the one place that checks,
+minimalizes and orders generators; every producer below hands it raw masks.
+The frozenset supports (`gens`) are derived on demand in the canonical order
+users see, lexicographic on the sorted index tuples.
 """
 from __future__ import annotations
 
@@ -40,16 +41,6 @@ def support_of(mask: int) -> frozenset[int]:
     return frozenset(i + 1 for i in range(mask.bit_length()) if (mask >> i) & 1)
 
 
-# Read LSB first with in/out swapped, a mask's binary string has '0' at its
-# elements and '1' at the gaps up to its largest one; strings compare like the
-# sorted index tuples (a proper prefix first).
-_LEX = str.maketrans("01", "10")
-
-
-def _lex_key(mask: int) -> str:
-    return bin(mask)[:1:-1].translate(_LEX)
-
-
 @dataclass(frozen=True)
 class SquarefreeIdeal:
     """A squarefree monomial ideal in K[x_1..x_n], stored by generator bit masks.
@@ -57,7 +48,7 @@ class SquarefreeIdeal:
     The constructor takes any iterable of masks and is the one generator check:
     it refuses n outside 0..AMBIENT_LIMIT before reading a mask, refuses a zero
     mask (the unit ideal) and a mask outside 1..n, drops duplicate and
-    redundant masks, and stores the minimal ones in the canonical order.
+    redundant masks, and stores the minimal ones in increasing mask order.
     """
 
     n: int
@@ -75,12 +66,12 @@ class SquarefreeIdeal:
         # masks of one degree form an antichain: nothing to filter
         if len({m.bit_count() for m in masks}) > 1:
             masks = _minimal_masks(masks)
-        object.__setattr__(self, "masks", tuple(sorted(masks, key=_lex_key)))
+        object.__setattr__(self, "masks", tuple(sorted(masks)))
 
     @property
     def gens(self) -> tuple[frozenset[int], ...]:
-        """The generator supports, in the canonical order of masks."""
-        return tuple(map(support_of, self.masks))
+        """The generator supports, lexicographic on the sorted index tuples."""
+        return tuple(sorted(map(support_of, self.masks), key=sorted))
 
     @property
     def is_zero(self) -> bool:
@@ -221,27 +212,17 @@ def has_linear_quotients(ideal: SquarefreeIdeal) -> QuotientSearchResult:
     Only degree-nondecreasing orderings are tried (a necessary shape for such
     an ordering), i.e. permutations within each degree class. The search is
     backtracking with a budget of LINEAR_QUOTIENTS_BUDGET nodes; exceeding it
-    yields "inconclusive".
+    yields "inconclusive". Each degree class is walked in stored mask order,
+    so the witness is the first admissible ordering in that order.
     """
     if ideal.is_zero:
         raise ValueError("linear quotients undefined for the zero ideal")
-    masks = ideal.masks
-    order_all = sorted(range(len(masks)), key=lambda i: (masks[i].bit_count(), masks[i]))
-    by_degree: list[list[int]] = []
-    for idx in order_all:
-        d = masks[idx].bit_count()
-        if by_degree and masks[by_degree[-1][0]].bit_count() == d:
-            by_degree[-1].append(idx)
-        else:
-            by_degree.append([idx])
-
     chosen: list[int] = []
     nodes = 0
 
-    def admissible(j: int) -> bool:
+    def admissible(g: int) -> bool:
         # every earlier generator's difference must contain a singleton difference
-        gj = masks[j]
-        diffs = [masks[i] & ~gj for i in chosen]
+        diffs = [c & ~g for c in chosen]
         singles = [d for d in diffs if d.bit_count() == 1]
         for d in diffs:
             if d.bit_count() == 1:
@@ -250,31 +231,33 @@ def has_linear_quotients(ideal: SquarefreeIdeal) -> QuotientSearchResult:
                 return False
         return True
 
-    def search(group: int, remaining: frozenset[int]) -> tuple[frozenset[int], ...] | None:
+    def search(remaining: list[int]) -> bool:
         nonlocal nodes
         if not remaining:
-            if group + 1 == len(by_degree):
-                return tuple(support_of(masks[i]) for i in chosen)
-            return search(group + 1, frozenset(by_degree[group + 1]))
-        for j in sorted(remaining):
+            return True
+        # the candidates are the prefix of least degree
+        degree = remaining[0].bit_count()
+        for k, g in enumerate(remaining):
+            if g.bit_count() != degree:
+                break
             nodes += 1
             if nodes > LINEAR_QUOTIENTS_BUDGET:
                 raise _BudgetExceeded
-            if not admissible(j):
+            if not admissible(g):
                 continue
-            chosen.append(j)
-            result = search(group, remaining - {j})
-            if result is not None:
-                return result
+            chosen.append(g)
+            if search(remaining[:k] + remaining[k + 1:]):
+                return True
             chosen.pop()
-        return None
+        return False
 
     try:
-        witness = search(0, frozenset(by_degree[0]))
+        # a stable sort: within a degree the stored mask order stays
+        found = search(sorted(ideal.masks, key=int.bit_count))
     except _BudgetExceeded:
         return QuotientSearchResult("inconclusive", None, nodes)
-    if witness is not None:
-        return QuotientSearchResult("yes", witness, nodes)
+    if found:
+        return QuotientSearchResult("yes", tuple(map(support_of, chosen)), nodes)
     return QuotientSearchResult("no", None, nodes)
 
 

@@ -64,6 +64,9 @@ class TestConstructor:
             expected = tuple(sorted((s for s in sets if not any(t < s for t in sets)), key=sorted))
         assert outcome(lambda: SquarefreeIdeal(n, masks)) == expected
         assert outcome(lambda: minimalize(n, supports)) == expected
+        if isinstance(expected, tuple):
+            stored = SquarefreeIdeal(n, masks).masks
+            assert all(a < b for a, b in zip(stored, stored[1:]))
 
     def test_generator_outside_the_ambient_is_refused(self):
         with pytest.raises(ValueError, match="out of ambient range"):
@@ -293,16 +296,17 @@ class TestLinearQuotientColons:
     @settings(max_examples=60)
     @given(ideals(max_n=5))
     def test_verdict_agrees_with_colons_by_definition(self, ideal: SquarefreeIdeal):
-        gens = sorted(ideal.gens, key=len)
-        groups = [[g for g in gens if len(g) == d] for d in sorted({len(g) for g in gens})]
-        # every degree-nondecreasing ordering, the shape the search tries
-        orderings = [sum(map(list, choice), [])
-                     for choice in product(*(permutations(group) for group in groups))]
-        exists = any(has_variable_colons(o, ideal.n) for o in orderings)
+        degrees = sorted({m.bit_count() for m in ideal.masks})
+        groups = [[support_of(m) for m in ideal.masks if m.bit_count() == d] for d in degrees]
+        # every degree-nondecreasing ordering, the shape the search tries, in
+        # the order it walks them: each degree class in stored mask order
+        orderings = (tuple(sum(map(list, choice), []))
+                     for choice in product(*(permutations(group) for group in groups)))
+        first = next((o for o in orderings if has_variable_colons(o, ideal.n)), None)
         result = has_linear_quotients(ideal)
-        assert result.status == ("yes" if exists else "no")
-        if exists:
-            assert has_variable_colons(result.ordering, ideal.n)
+        assert result.status == ("no" if first is None else "yes")
+        # the witness is the first ordering with variable colons
+        assert result.ordering == first
 
 
 def linear_quotients_ordering_is_valid(ordering) -> bool:
