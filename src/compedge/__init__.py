@@ -12,9 +12,9 @@ resolved on first use, so only code that samples graphs imports numpy.
 from .graphs import (SimpleGraph, GraphFormatError, parse_graph, is_forest, is_complete,
                      is_tree, connected_components, max_subgraph_density, enumerate_graphs,
                      complete_graph, path_graph, cycle_graph)
-from .ideals import (SquarefreeIdeal, complementary_edge_ideal, minimalize, minimal_vertex_covers,
-                     height, alexander_dual, has_linear_quotients, squarefree_component,
-                     QuotientSearchResult)
+from .ideals import (SquarefreeIdeal, complementary_edge_ideal, complementary_edge_dual,
+                     minimalize, minimal_vertex_covers, height, alexander_dual,
+                     has_linear_quotients, squarefree_component, QuotientSearchResult)
 from .homology import (Field, SimplicialComplex, simplicial_complex, stanley_reisner,
                        reduced_homology_dims, hochster_betti, BettiTable, reg_pd,
                        is_cohen_macaulay, has_linear_resolution, is_componentwise_linear,

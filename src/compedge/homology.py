@@ -35,6 +35,11 @@ ideal's dual complex, a graph, is done there. Higher maps are eliminated with
 pivots keyed by lowest column: over GF(2) on bit-packed rows with XOR, over
 the rationals on sparse integer rows, fraction-free with gcd reduction; torsion
 first shows there, as in the projective plane. No floating point anywhere.
+
+The resolution-shape predicates read these tables. is_componentwise_linear
+asks for the linear resolution of each squarefree component in turn, and
+builds the components as one chain: the degree-(d+1) component is the
+degree-d one times every variable, plus the generators of degree d + 1.
 """
 from __future__ import annotations
 
@@ -45,7 +50,7 @@ from math import comb, gcd, isqrt
 from typing import Iterable, NamedTuple
 
 from .graphs import DEFAULT_ENUMERATION_LIMIT, _clip
-from .ideals import (SquarefreeIdeal, _closure, alexander_dual, height, squarefree_component,
+from .ideals import (SquarefreeIdeal, _closure, _squarefree_components, alexander_dual, height,
                      support_of)
 
 ORACLE_LIMIT = 14
@@ -469,18 +474,23 @@ def has_linear_resolution(ideal: SquarefreeIdeal, field: Field = Field.GF2) -> b
 def is_componentwise_linear(ideal: SquarefreeIdeal, field: Field = Field.GF2) -> bool:
     """Every nonzero squarefree component has a linear resolution.
 
-    The walk stops at the first degree d whose component holds all C(n, d)
-    squarefree monomials: that component and every higher one is a squarefree
-    Veronese ideal, which has linear quotients and so a linear resolution over
-    every field (Herzog-Hibi, Monomial Ideals, 2011).
+    The components come from one chain, each grown from the one below it by
+    one variable (ideals._squarefree_components, the chain squarefree_component
+    also reads). The walk stops at the first degree d whose
+    component holds all C(n, d) squarefree monomials: that component and
+    every higher one is a squarefree Veronese ideal, which has linear
+    quotients and so a linear resolution over every field (Herzog-Hibi,
+    Monomial Ideals, 2011).
     """
     if ideal.is_zero:
         raise ValueError("componentwise linearity undefined for the zero ideal")
-    for d in range(ideal.indeg, ideal.n + 1):
-        component = squarefree_component(ideal, d)
-        if len(component.masks) == comb(ideal.n, d):
+    n = ideal.n
+    for d, masks in enumerate(_squarefree_components(ideal)):
+        if not masks:
+            continue
+        if len(masks) == comb(n, d):
             return True
-        if not has_linear_resolution(component, field):
+        if not has_linear_resolution(SquarefreeIdeal(n, masks), field):
             return False
     return True
 

@@ -6,14 +6,16 @@ a minimal antichain of masks stored in increasing mask order, so equal ideals
 compare equal. SquarefreeIdeal's constructor is the one place that checks,
 minimalizes and orders generators; every producer below hands it raw masks.
 The frozenset supports (`gens`) are derived on demand in the canonical order
-users see, lexicographic on the sorted index tuples.
+users see, lexicographic on the sorted index tuples. alexander_dual is the
+general cover search; complementary_edge_dual reads the dual of I_c(G) off
+the graph.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import islice
 from math import comb
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .graphs import SimpleGraph, _clip
 
@@ -57,7 +59,7 @@ class SquarefreeIdeal:
     def __post_init__(self):
         n = self.n
         if not 0 <= n <= AMBIENT_LIMIT:
-            raise ValueError(f"ambient size {_clip(n)} outside supported range 0..{AMBIENT_LIMIT}")
+            raise _outside_ambient(n)
         masks = set(self.masks)
         if 0 in masks:
             raise ValueError("unit ideal: a generator has empty support")
@@ -92,6 +94,10 @@ class SquarefreeIdeal:
         return {"n": self.n, "generators": [sorted(g) for g in self.gens]}
 
 
+def _outside_ambient(n: int) -> ValueError:
+    return ValueError(f"ambient size {_clip(n)} outside supported range 0..{AMBIENT_LIMIT}")
+
+
 def _minimal_masks(masks: set[int]) -> list[int]:
     """Inclusion-minimal masks: by size, each kept unless it contains a kept one."""
     kept: list[int] = []
@@ -117,6 +123,48 @@ def complementary_edge_ideal(graph: SimpleGraph) -> SquarefreeIdeal:
         raise ValueError(f"degenerate ambient: need at least 3 vertices, got {n}")
     return SquarefreeIdeal(n, (((1 << n) - 1) ^ (1 << (u - 1)) ^ (1 << (v - 1))
                                for u, v in graph.edges))
+
+
+def complementary_edge_dual(graph: SimpleGraph) -> SquarefreeIdeal:
+    """The Alexander dual of complementary_edge_ideal(graph), read from the graph.
+
+    A set meets every generator support V - {u, v} exactly when it lies inside
+    no edge, so the minimal covers are {v} for each isolated vertex, {u, v}
+    for each non-edge whose ends both carry an edge, and {u, v, w} for each
+    triangle. alexander_dual finds the same covers by search. An n outside
+    3..AMBIENT_LIMIT is refused with complementary_edge_ideal's messages,
+    before any per-vertex list is built, and an edgeless graph as
+    alexander_dual refuses the zero ideal.
+    """
+    n = graph.n
+    if n < 3:
+        raise ValueError(f"degenerate ambient: need at least 3 vertices, got {n}")
+    if n > AMBIENT_LIMIT:
+        raise _outside_ambient(n)
+    if not graph.edges:
+        raise ValueError("no associated primes computed for zero ideal")
+    # neighbours[v] is the mask of v's neighbours (vertex i <-> bit i-1)
+    neighbours = [0] * (n + 1)
+    for u, v in graph.edges:
+        neighbours[u] |= 1 << (v - 1)
+        neighbours[v] |= 1 << (u - 1)
+    covers = [1 << (v - 1) for v in range(1, n + 1) if not neighbours[v]]
+    touched = ((1 << n) - 1) ^ sum(covers)
+    # -1 << u holds the vertices above u: each pair and triangle is met once
+    for u in range(1, n + 1):
+        if neighbours[u]:
+            apart = touched & ~neighbours[u] & (-1 << u)
+            while apart:
+                low = apart & -apart
+                apart ^= low
+                covers.append(1 << (u - 1) | low)
+    for u, v in graph.edges:
+        common = neighbours[u] & neighbours[v] & (-1 << v)
+        while common:
+            low = common & -common
+            common ^= low
+            covers.append(1 << (u - 1) | 1 << (v - 1) | low)
+    return SquarefreeIdeal(n, covers)
 
 
 def alexander_dual(ideal: SquarefreeIdeal) -> SquarefreeIdeal:
@@ -221,13 +269,16 @@ def has_linear_quotients(ideal: SquarefreeIdeal) -> QuotientSearchResult:
     nodes = 0
 
     def admissible(g: int) -> bool:
-        # every earlier generator's difference must contain a singleton difference
-        diffs = [c & ~g for c in chosen]
-        singles = [d for d in diffs if d.bit_count() == 1]
-        for d in diffs:
-            if d.bit_count() == 1:
-                continue
-            if not any(s & d for s in singles):
+        # every earlier generator's difference must contain a singleton
+        # difference, i.e. meet the union of the singleton differences
+        outside = ~g
+        singles = 0
+        for c in chosen:
+            d = c & outside
+            if not d & (d - 1):
+                singles |= d
+        for c in chosen:
+            if not c & outside & singles:
                 return False
         return True
 
@@ -269,15 +320,27 @@ def squarefree_component(ideal: SquarefreeIdeal, d: int) -> SquarefreeIdeal:
     """The ideal generated by the squarefree degree-d monomials inside the ideal.
 
     These are the degree-d supersets of generators of degree <= d; the result
-    may be the zero ideal.
+    may be the zero ideal. It is read off the chain of _squarefree_components.
     """
     if d < 0 or d > ideal.n:
         raise ValueError(f"degree {d} outside 0..{ideal.n}")
-    out: set[int] = set()
+    return SquarefreeIdeal(ideal.n, next(islice(_squarefree_components(ideal), d, None)))
+
+
+def _squarefree_components(ideal: SquarefreeIdeal) -> Iterator[set[int]]:
+    """The masks of the degree-d squarefree component for d = 0, 1, ..., n, as one chain.
+
+    The degree-(d+1) component is {c + v : c in the degree-d one, v not in c}
+    together with the generators of degree d + 1, so each component grows from
+    the one below it; a component below the initial degree is empty.
+    """
+    n = ideal.n
+    by_degree: list[list[int]] = [[] for _ in range(n + 1)]
     for g in ideal.masks:
-        if g.bit_count() > d:
-            continue
-        free = [1 << i for i in range(ideal.n) if not (g >> i) & 1]
-        for extra in combinations(free, d - g.bit_count()):
-            out.add(g | sum(extra))
-    return SquarefreeIdeal(ideal.n, out)
+        by_degree[g.bit_count()].append(g)
+    variables = [1 << i for i in range(n)]
+    component: set[int] = set()
+    for d in range(n + 1):
+        component = {c | x for x in variables for c in component if not c & x}
+        component.update(by_degree[d])
+        yield component

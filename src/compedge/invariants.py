@@ -20,8 +20,7 @@ from dataclasses import dataclass
 
 from .graphs import SimpleGraph, is_complete, is_forest
 from .homology import Field, hochster_betti, reg_pd
-from .ideals import (SquarefreeIdeal, alexander_dual, complementary_edge_ideal, height,
-                     has_linear_quotients)
+from .ideals import complementary_edge_dual, complementary_edge_ideal, has_linear_quotients, height
 from . import homology
 
 NOTE_COMPLETE_PD = "complete_pd_adjusted"
@@ -263,11 +262,18 @@ class ImplicationSuite:
 
 
 def implication_suite(graph: SimpleGraph, field: Field = Field.GF2) -> ImplicationSuite:
-    """Evaluate the five claims; failed_claims lists false ones on licci inputs."""
+    """Evaluate the five claims; failed_claims lists false ones on licci inputs.
+
+    The Alexander dual is read from the graph (complementary_edge_dual: its
+    generators are the isolated vertices, the non-edges between vertices that
+    carry an edge, and the triangles), not found by the cover search of
+    alexander_dual. sequentially_cm is the dual's componentwise linearity,
+    which is equivalent (Herzog-Hibi, Nagoya Math. J. 153, 1999).
+    """
     _require_admissible(graph)
     verdict = is_licci(graph)
     ideal = complementary_edge_ideal(graph)
-    dual = alexander_dual(ideal)
+    dual = complementary_edge_dual(graph)
     dual_cl = homology.is_componentwise_linear(dual, field)
     seq_cm = dual_cl
     lq = has_linear_quotients(dual)

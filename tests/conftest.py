@@ -2,7 +2,8 @@
 
 Each sweep enumerates tens of thousands of graphs and runs the homology
 oracle on every one, so it is computed once per pytest session and every
-consumer reads the same records.
+consumer reads the same records. The slow paths that several test modules
+compare the library's fast paths against live here too.
 """
 from __future__ import annotations
 
@@ -12,9 +13,12 @@ from itertools import combinations
 
 import pytest
 
-from compedge import (Field, SimpleGraph, complementary_edge_ideal, enumerate_graphs, height,
-                      hochster_betti, implication_suite, reg_pd)
+from compedge import (Field, QuotientSearchResult, SimpleGraph, SquarefreeIdeal,
+                      complementary_edge_ideal, enumerate_graphs, height, hochster_betti,
+                      implication_suite, reg_pd)
+from compedge import ideals as ideals_module
 from compedge.graphs import complete_graph, connected_components
+from compedge.ideals import support_of
 
 
 @dataclass(frozen=True)
@@ -68,6 +72,65 @@ def labeled_forests(n: int) -> list[SimpleGraph]:
 
     rec(0, [], {v: v for v in range(1, n + 1)})
     return out
+
+
+def brute_force_component(ideal: SquarefreeIdeal, d: int) -> SquarefreeIdeal:
+    """The degree-d squarefree component: every degree-d superset of every generator."""
+    out: set[int] = set()
+    for g in ideal.masks:
+        if g.bit_count() > d:
+            continue
+        free = [1 << i for i in range(ideal.n) if not (g >> i) & 1]
+        for extra in combinations(free, d - g.bit_count()):
+            out.add(g | sum(extra))
+    return SquarefreeIdeal(ideal.n, out)
+
+
+def reference_linear_quotients(ideal: SquarefreeIdeal) -> QuotientSearchResult:
+    """The linear-quotient search with its admissibility check written out per difference.
+
+    Same walk, budget and node count as has_linear_quotients; a candidate is
+    admissible when every earlier difference is a singleton or meets one.
+    """
+    chosen: list[int] = []
+    nodes = 0
+
+    class Exhausted(Exception):
+        pass
+
+    def admissible(g: int) -> bool:
+        diffs = [c & ~g for c in chosen]
+        singles = [d for d in diffs if d.bit_count() == 1]
+        for d in diffs:
+            if d.bit_count() != 1 and not any(s & d for s in singles):
+                return False
+        return True
+
+    def search(remaining: list[int]) -> bool:
+        nonlocal nodes
+        if not remaining:
+            return True
+        degree = remaining[0].bit_count()
+        for k, g in enumerate(remaining):
+            if g.bit_count() != degree:
+                break
+            nodes += 1
+            if nodes > ideals_module.LINEAR_QUOTIENTS_BUDGET:
+                raise Exhausted
+            if admissible(g):
+                chosen.append(g)
+                if search(remaining[:k] + remaining[k + 1:]):
+                    return True
+                chosen.pop()
+        return False
+
+    try:
+        found = search(sorted(ideal.masks, key=int.bit_count))
+    except Exhausted:
+        return QuotientSearchResult("inconclusive", None, nodes)
+    if found:
+        return QuotientSearchResult("yes", tuple(map(support_of, chosen)), nodes)
+    return QuotientSearchResult("no", None, nodes)
 
 
 @pytest.fixture(scope="session")

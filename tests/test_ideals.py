@@ -1,17 +1,20 @@
 """Squarefree ideals: construction, covers, height, duality, linear quotients."""
 from __future__ import annotations
 
+import tracemalloc
 from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from compedge import (SimpleGraph, SquarefreeIdeal, alexander_dual,
-                      complementary_edge_ideal, has_linear_quotients, has_linear_resolution,
-                      height, minimal_vertex_covers, minimalize, squarefree_component)
+from compedge import (SimpleGraph, SquarefreeIdeal, alexander_dual, complementary_edge_dual,
+                      complementary_edge_ideal, enumerate_graphs, has_linear_quotients,
+                      has_linear_resolution, height, minimal_vertex_covers, minimalize,
+                      squarefree_component)
 from compedge.graphs import complete_graph, is_complete, path_graph
 from compedge import ideals as ideals_module
 from compedge.ideals import mask_of, support_of
+from conftest import brute_force_component, labeled_forests, reference_linear_quotients
 
 
 def fs(*vertices: int) -> frozenset[int]:
@@ -25,6 +28,19 @@ def ideals(max_n: int = 6) -> st.SearchStrategy[SquarefreeIdeal]:
         return st.lists(supports, min_size=1, max_size=5).map(
             lambda gens: minimalize(n, gens))
     return st.integers(2, max_n).flatmap(build)
+
+
+@st.composite
+def graphs_with_isolated_vertices_and_triangles(draw, max_n: int = 9) -> SimpleGraph:
+    """Graphs on 3..max_n vertices whose edges lie on 1..k, so k+1..n are isolated,
+    with the triangle 1-2-3 added half the time."""
+    n = draw(st.integers(3, max_n))
+    k = draw(st.integers(2, n))
+    edges = set(draw(st.lists(st.sampled_from(list(combinations(range(1, k + 1), 2))),
+                              unique=True, min_size=1)))
+    if k >= 3 and draw(st.booleans()):
+        edges |= {(1, 2), (1, 3), (2, 3)}
+    return SimpleGraph(n, tuple(edges))
 
 
 def contains(ideal: SquarefreeIdeal, monomial: frozenset[int]) -> bool:
@@ -174,6 +190,46 @@ class TestComplementaryEdgeIdeal:
             fs(1, 2), fs(1, 3), fs(1, 4), fs(2, 3), fs(2, 4))
         with pytest.raises(AssertionError, match="minimality filter"):
             minimalize(3, [[1], [1, 2]])
+
+
+def cover_search_dual(graph: SimpleGraph) -> SquarefreeIdeal:
+    return alexander_dual(complementary_edge_ideal(graph))
+
+
+class TestComplementaryEdgeDual:
+    def test_reads_each_kind_of_cover(self):
+        # a triangle 1-2-3, a pendant edge 3-4 and the isolated vertex 5
+        graph = SimpleGraph(5, ((1, 2), (1, 3), (2, 3), (3, 4)))
+        assert complementary_edge_dual(graph).gens == (fs(1, 2, 3), fs(1, 4), fs(2, 4), fs(5))
+
+    def test_equals_the_cover_search_on_every_small_graph_and_forest(self):
+        graphs = [g for n in range(3, 6) for g in enumerate_graphs(n) if g.m]
+        graphs += labeled_forests(6)
+        assert len(graphs) == 7 + 63 + 1023 + 2931
+        for graph in graphs:
+            assert complementary_edge_dual(graph) == cover_search_dual(graph), graph
+
+    @settings(max_examples=100)
+    @given(graphs_with_isolated_vertices_and_triangles())
+    def test_equals_the_cover_search(self, graph: SimpleGraph):
+        assert complementary_edge_dual(graph) == cover_search_dual(graph)
+
+    def test_refuses_what_the_ideal_refuses_with_the_same_messages(self):
+        for graph in (SimpleGraph(2, ((1, 2),)), SimpleGraph(25, ((1, 2),))):
+            assert outcome(lambda: complementary_edge_dual(graph)) == outcome(
+                lambda: complementary_edge_ideal(graph))
+        with pytest.raises(ValueError, match="zero ideal"):
+            complementary_edge_dual(SimpleGraph(3, ()))
+
+    def test_huge_ambient_refused_before_any_per_vertex_list(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="ambient size 1000000000 outside"):
+                complementary_edge_dual(SimpleGraph(10 ** 9, ((1, 2),)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
 
 
 def brute_minimal_covers(ideal: SquarefreeIdeal) -> set[frozenset[int]]:
@@ -352,6 +408,17 @@ class TestLinearQuotients:
         with pytest.raises(ValueError, match="zero ideal"):
             has_linear_quotients(SquarefreeIdeal(3, ()))
 
+    def test_one_mask_check_matches_the_per_difference_check_on_forest_duals(self):
+        duals = [complementary_edge_dual(g) for n in range(3, 7) for g in labeled_forests(n)]
+        results = [has_linear_quotients(dual) for dual in duals]
+        assert results == [reference_linear_quotients(dual) for dual in duals]
+        assert sum(r.nodes for r in results) == 30111
+
+    @settings(max_examples=60)
+    @given(ideals(max_n=8))
+    def test_one_mask_check_matches_the_per_difference_check(self, ideal: SquarefreeIdeal):
+        assert has_linear_quotients(ideal) == reference_linear_quotients(ideal)
+
     @settings(max_examples=60)
     @given(ideals(max_n=5))
     def test_yes_witness_is_a_valid_ordering(self, ideal: SquarefreeIdeal):
@@ -390,3 +457,9 @@ class TestSquarefreeComponent:
         for sub in combinations(range(1, ideal.n + 1), d):
             u = fs(*sub)
             assert (u in component.gens) == contains(ideal, u)
+
+    @settings(max_examples=60)
+    @given(ideals(max_n=8))
+    def test_chain_equals_every_superset_of_every_generator(self, ideal: SquarefreeIdeal):
+        for d in range(ideal.n + 1):
+            assert squarefree_component(ideal, d) == brute_force_component(ideal, d)

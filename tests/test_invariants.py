@@ -3,13 +3,18 @@ from __future__ import annotations
 
 from itertools import combinations
 
+import networkx as nx
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from compedge import (SimpleGraph, cross_validate, huneke_ulrich_check, implication_suite,
-                      is_licci, oracle_invariants, predict_invariants)
+from compedge import (Field, SimpleGraph, alexander_dual, complementary_edge_dual,
+                      complementary_edge_ideal, cross_validate, enumerate_graphs,
+                      has_linear_resolution, huneke_ulrich_check, implication_suite,
+                      is_cohen_macaulay, is_forest, is_licci, oracle_invariants,
+                      predict_invariants)
 from compedge.graphs import complete_graph, cycle_graph, path_graph
 from compedge.invariants import NOTE_COMPLETE_PD, NOTE_ISOLATED
+from conftest import brute_force_component, reference_linear_quotients
 
 
 def graphs_with_edges(min_n: int = 3, max_n: int = 6) -> st.SearchStrategy[SimpleGraph]:
@@ -191,3 +196,66 @@ class TestImplicationSuite:
         assert payload["licci"] == {"licci": True, "reason": "forest"}
         assert payload["dual_linear_quotients"] == "yes"
         assert payload["failed_claims"] == []
+
+    @pytest.mark.parametrize("field", list(Field))
+    def test_payload_equals_the_slow_route_on_every_graph_up_to_five(self, field):
+        graphs = [g for n in range(3, 6) for g in enumerate_graphs(n) if g.m]
+        assert len(graphs) == 7 + 63 + 1023
+        for graph in graphs:
+            assert implication_suite(graph, field).to_json_dict() == slow_suite_payload(
+                graph, field), graph
+
+
+def slow_suite_payload(graph: SimpleGraph, field: Field) -> dict:
+    """implication_suite's payload by the slow route: the dual by cover search, its
+    components by brute force at every degree, the per-difference quotient check."""
+    ideal = complementary_edge_ideal(graph)
+    dual = alexander_dual(ideal)
+    dual_cl = all(has_linear_resolution(brute_force_component(dual, d), field)
+                  for d in range(dual.indeg, dual.n + 1))
+    claims = {
+        "sequentially_cm": dual_cl,
+        "dual_componentwise_linear": dual_cl,
+        "dual_linear_quotients": reference_linear_quotients(dual).status,
+        "dual_linear_resolution": has_linear_resolution(dual, field),
+        "primal_linear_resolution": has_linear_resolution(ideal, field),
+    }
+    verdict = is_licci(graph)
+    failed = [name for name, value in claims.items()
+              if verdict.licci and value in (False, "no")]
+    return {"graph": graph.to_json_dict(), "field": field.value,
+            "licci": verdict.to_json_dict(), **claims, "failed_claims": failed}
+
+
+class TestDualityTheorems:
+    """Theorems that tie the suite's dual claims to properties computed without the dual."""
+
+    def test_eagon_reiner_dual_linear_iff_primal_cohen_macaulay(self, forest_suites):
+        # Eagon-Reiner, J. Pure Appl. Algebra 130 (1998): I^v has a linear
+        # resolution iff S/I is Cohen-Macaulay, i.e. pd(S/I) = height
+        forests = [s for s in forest_suites if is_forest(s.graph)]
+        assert len(forests) == 3264
+        for suite in forests:
+            assert suite.dual_linear_resolution == is_cohen_macaulay(
+                complementary_edge_ideal(suite.graph)), suite.graph
+
+    def test_froberg_dual_linear_iff_graph_chordal(self, oracle_sweep):
+        # without isolated vertices and triangles the dual of I_c(G) is the edge
+        # ideal of the complement of G, which has a linear resolution iff G is
+        # chordal (Froberg, Banach Center Publ. 26, 1990)
+        records, _ = oracle_sweep
+        graphs = [r.graph for r in records
+                  if not has_triangle(r.graph) and not r.graph.isolated_vertices()]
+        assert len(graphs) == 4223
+        for graph in graphs:
+            chordal = nx.is_chordal(nx.Graph(graph.edges))
+            assert has_linear_resolution(complementary_edge_dual(graph)) == chordal, graph
+
+
+def has_triangle(graph: SimpleGraph) -> bool:
+    """Some edge has a common neighbour of its two ends."""
+    neighbours = [0] * (graph.n + 1)
+    for u, v in graph.edges:
+        neighbours[u] |= 1 << v
+        neighbours[v] |= 1 << u
+    return any(neighbours[u] & neighbours[v] for u, v in graph.edges)
