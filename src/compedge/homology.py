@@ -1,20 +1,26 @@
 """Exact reduced simplicial homology and graded Betti numbers of squarefree ideals.
 
-The Betti oracle has two engines with one result. The primal engine is
-Hochster's formula: the multidegree-sigma Betti number of S/I in homological
-position i is dim of reduced H_(|sigma|-i-1) of the Stanley-Reisner complex
-restricted to sigma. One table of 2^n entries holds, for every subset, the
-union of the generators inside it; only the sigma equal to their entry, the
-lcm lattice, are restricted to, since any other restriction is a cone. The
-dual engine reads the same numbers from the Alexander dual complex, whose
-faces are the complements of the nonfaces: position i of multidegree sigma is
-dim of reduced H_(i-2) of the link of sigma's complement. It visits one link
-per dual face. For a complementary edge ideal the dual complex is the graph
-itself, with 1 + n' + m faces. hochster_betti runs the engine with less work
-to do, comparing the squared dual face count with a bound on the primal
-restrictions (see its docstring); the table aggregates multidegrees by
-cardinality either way. The complex {emptyset} has reduced H_(-1) = K, which
-makes the links of the dual facets count the generators.
+The Betti oracle has two engines and a one-dimensional case, with one
+result. The primal engine is Hochster's formula: the multidegree-sigma Betti
+number of S/I in homological position i is dim of reduced H_(|sigma|-i-1) of
+the Stanley-Reisner complex restricted to sigma. One table of 2^n entries
+holds, for every subset, the union of the generators inside it; only the
+sigma equal to their entry, the lcm lattice, are restricted to, since any
+other restriction is a cone. The dual engine reads the same numbers from the
+Alexander dual complex, whose faces are the complements of the nonfaces:
+position i of multidegree sigma is dim of reduced H_(i-2) of the link of
+sigma's complement. It visits one link per dual face. hochster_betti runs
+the engine with less work to do, comparing the squared dual face count with a
+bound on the primal restrictions (see its docstring); the table aggregates
+multidegrees by cardinality either way. The complex {emptyset} has reduced
+H_(-1) = K, which makes the links of the dual facets count the generators.
+
+One case takes neither engine: generators all of degree at least n - 2,
+whose dual complex has dimension at most 1. For a complementary edge ideal
+it is the graph itself (the empty face, the n' vertices on an edge, the m
+edges), and every link is {emptyset}, a set of points or that graph, so the
+dual formula is read off vertex degrees, edge counts and the components
+(_graph_betti), with no face list, no link and no memo.
 
 Two memos keep repeated work away. Reduced homology is memoised per complex
 with functools.cache, keyed by the field and the sorted face masks. The masks
@@ -30,11 +36,11 @@ All ranks are exact. The two lowest boundary maps need no elimination: the
 augmentation map from vertices onto K has rank 1 once a vertex exists, and
 the map from edges to vertices is the incidence matrix of the 1-skeleton,
 whose rank over every field is the number of vertices less the number of
-components, counted by union-find. Every link of a complementary edge
-ideal's dual complex, a graph, is done there. Higher maps are eliminated with
-pivots keyed by lowest column: over GF(2) on bit-packed rows with XOR, over
-the rationals on sparse integer rows, fraction-free with gcd reduction; torsion
-first shows there, as in the projective plane. No floating point anywhere.
+components, counted by union-find; _graph_betti counts its components the
+same way. Higher maps are eliminated with pivots keyed by lowest column: over
+GF(2) on bit-packed rows with XOR, over the rationals on sparse integer rows,
+fraction-free with gcd reduction; torsion first shows there, as in the
+projective plane. No floating point anywhere.
 
 The resolution-shape predicates read these tables. is_componentwise_linear
 asks for the linear resolution of each squarefree component in turn, and
@@ -90,14 +96,16 @@ class SimplicialComplex:
     """A simplicial complex on ground set {1..n}, faces stored as bit masks.
 
     The void complex (no faces at all) is distinct from the complex whose only
-    face is the empty set (mask 0). The constructor refuses a face outside
-    1..n and a family that is not downward closed.
+    face is the empty set (mask 0). The constructor refuses a negative n, a
+    face outside 1..n and a family that is not downward closed.
     """
 
     n: int
     faces: frozenset[int]
 
     def __post_init__(self):
+        if self.n < 0:
+            raise ValueError(f"ground size must be nonnegative, got {_clip(self.n)}")
         for f in self.faces:
             if f < 0 or f >> self.n:
                 raise ValueError(f"face mask {f} out of ground range 1..{self.n}")
@@ -132,7 +140,8 @@ def simplicial_complex(n: int, facets: Iterable[Iterable[int]]) -> SimplicialCom
         if not all(0 < v <= n for v in facet):
             raise ValueError(f"facet {sorted(facet)} out of ground range 1..{n}")
         tops.append(sum(1 << (v - 1) for v in facet))
-    return SimplicialComplex(n, frozenset(_closure(tops, 1 << n)))
+    # a cap the closure cannot pass, sized by the facets and not by n
+    return SimplicialComplex(n, frozenset(_closure(tops, sum(1 << t.bit_count() for t in tops))))
 
 
 def stanley_reisner(ideal: SquarefreeIdeal) -> SimplicialComplex:
@@ -199,7 +208,7 @@ def _rational_rank(rows: list[dict[int, int]]) -> int:
     return len(pivots)
 
 
-def _edge_rank(vertices: list[int], edges: list[int]) -> int:
+def _edge_rank(vertices: Iterable[int], edges: list[int]) -> int:
     """Rank of the boundary map from edges to vertices, over every field.
 
     The incidence matrix of a graph has rank |V| minus its number of
@@ -343,10 +352,13 @@ def clear_homology_cache() -> None:
 def hochster_betti(ideal: SquarefreeIdeal, field: Field = Field.GF2) -> BettiTable:
     """Graded Betti numbers of S/I over the chosen field, degree by multidegree.
 
-    Two engines compute the same table. The primal one sums the homology of
-    the Stanley-Reisner complex restricted to each sigma of the lcm lattice
-    (the unions of generators; every other restriction is a cone), collected
-    by superset inversion after one table of 2^n entries. The dual one reads
+    Generators all of degree at least n - 2, every complementary edge ideal
+    among them, have a dual complex of dimension at most 1: a graph, whose
+    links are read off counts (_graph_betti). Otherwise two engines compute
+    the same table. The primal one sums the homology of the Stanley-Reisner
+    complex restricted to each sigma of the lcm lattice (the unions of
+    generators; every other restriction is a cone), collected by superset
+    inversion after one table of 2^n entries. The dual one reads
     the table from the links of the faces of the Alexander dual complex; it
     collects them by subset inversion, which costs sum over dual faces f of
     2^|f| (at most 4F for the F faces of a graph). Its faces tau are the
@@ -358,10 +370,9 @@ def hochster_betti(ideal: SquarefreeIdeal, field: Field = Field.GF2) -> BettiTab
     dual engine scanned all F faces per face, and is kept because a rule on
     the new cost (sum of 2^|f| <= c * P for c = 0.5, 1 or 2) did not move the
     verify benchmark. The dual face enumeration gives up past isqrt(3^(n+1))
-    faces, where the rule must fail since P <= 3^n. Every complementary edge
-    ideal takes the dual engine (its dual complex is the graph: 1 + n' + m
-    faces), the ideal of all n >= 5 variables the primal one. Ambient sizes
-    above ORACLE_LIMIT (14) are refused.
+    faces, where the rule must fail since P <= 3^n. The ideal of all n >= 5
+    variables takes the primal engine. Ambient sizes above ORACLE_LIMIT (14)
+    are refused.
 
     The last _TABLE_MEMO_SIZE tables are memoised by (ideal, field), so a
     repeated table costs one lookup; clear_homology_cache() empties the memo.
@@ -377,6 +388,8 @@ def hochster_betti(ideal: SquarefreeIdeal, field: Field = Field.GF2) -> BettiTab
 @lru_cache(maxsize=_TABLE_MEMO_SIZE)
 def _betti_table(ideal: SquarefreeIdeal, field: Field) -> BettiTable:
     n = ideal.n
+    if ideal.indeg >= n - 2:
+        return _graph_betti(n, ideal.masks, field)
     full = (1 << n) - 1
     faces = _closure([full & ~g for g in ideal.masks], isqrt(3 ** (n + 1)))
     if faces is None or len(faces) ** 2 > 3 * sum(1 << (n - tau.bit_count()) for tau in faces):
@@ -451,6 +464,41 @@ def _dual_betti(n: int, faces: list[int], field: Field) -> BettiTable:
             if h:
                 entries[(k + 1, j)] = entries.get((k + 1, j), 0) + h
     return BettiTable.from_dict(n, field, entries)
+
+
+def _graph_betti(n: int, masks: Iterable[int], field: Field) -> BettiTable:
+    """The dual Hochster formula of _dual_betti on a dual complex of dimension at most 1.
+
+    The generators (an antichain) all have degree at least n - 2, so their
+    complements, the facets of the dual complex, have at most two vertices:
+    the complex is a graph plus isolated facet vertices, or {emptyset} for
+    the lone generator of degree n. Every link is read off counts. A facet's
+    link is {emptyset}, 1 to beta_(1, n - |facet|). A vertex v on an edge has
+    its neighbours as link, deg(v) - 1 to beta_(2, n-1). The empty face, when
+    no facet, has the whole complex as link: with V its vertices, E its
+    edges and c = |V| - _edge_rank(V, E) components, c - 1 to beta_(2, n)
+    and |E| - |V| + c to beta_(3, n). A graph has no torsion, so the table
+    is the same over every field.
+    """
+    full = (1 << n) - 1
+    edges: list[int] = []
+    points = 0
+    for g in masks:
+        tau = full ^ g
+        if tau.bit_count() == 2:
+            edges.append(tau)
+        elif tau:
+            points += 1
+        else:
+            return BettiTable(n, field, (((0, 0), 1), ((1, n), 1)))
+    m = len(edges)
+    # the low and the high end of every edge
+    ends = {tau & -tau for tau in edges} | {tau & (tau - 1) for tau in edges}
+    vertices = len(ends) + points
+    c = vertices - _edge_rank(ends, edges)
+    return BettiTable.from_dict(n, field, {
+        (0, 0): 1, (1, n - 2): m, (1, n - 1): points, (2, n - 1): 2 * m - len(ends),
+        (2, n): c - 1, (3, n): m - vertices + c})
 
 
 def is_cohen_macaulay(ideal: SquarefreeIdeal, field: Field = Field.GF2) -> bool:

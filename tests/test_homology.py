@@ -18,9 +18,9 @@ from compedge import (Field, SimpleGraph, SquarefreeIdeal, alexander_dual,
 from compedge.graphs import complete_graph, connected_components, cycle_graph, path_graph
 from compedge.homology import (_TABLE_MEMO_SIZE, BettiTable, SimplicialComplex,
                                _betti_table, _closure, _dual_betti, _edge_rank, _gf2_rank,
-                               _homology_from_faces, _memoised_homology, _primal_betti,
-                               _rational_rank, clear_homology_cache, parse_field,
-                               reduced_homology_dims)
+                               _graph_betti, _homology_from_faces, _memoised_homology,
+                               _primal_betti, _rational_rank, clear_homology_cache,
+                               parse_field, reduced_homology_dims)
 from conftest import brute_force_component
 
 
@@ -76,6 +76,49 @@ def antichain_ideals(n: int) -> list[SquarefreeIdeal]:
                 extend(m + 1, chosen + [m])
     extend(1, [])
     return found
+
+
+def monte_carlo_graph(n: int, regime: str) -> SimpleGraph:
+    import numpy as np
+    from compedge.experiments import sample_gnp
+    p = 0.5 / n if regime == "c/n, c = 0.5" else 2 * log(n) / n
+    return sample_gnp(n, p, np.random.default_rng(n))
+
+
+def one_dimensional_ideals(n: int) -> list[SquarefreeIdeal]:
+    """Every nonzero ideal on n >= 3 variables with generators all of degree >= n - 2.
+
+    By their complements, the dual facets: the edges of a graph plus any set
+    of its isolated vertices, or the empty face alone (the degree-n generator).
+    """
+    full = (1 << n) - 1
+    pairs = [(1 << u) | (1 << v) for u, v in combinations(range(n), 2)]
+    found = [SquarefreeIdeal(n, [full])]
+    for chosen in range(1 << len(pairs)):
+        edges = [e for k, e in enumerate(pairs) if chosen >> k & 1]
+        covered = 0
+        for e in edges:
+            covered |= e
+        isolated = [1 << v for v in range(n) if not covered >> v & 1]
+        for points in range(1 << len(isolated)):
+            tops = edges + [p for k, p in enumerate(isolated) if points >> k & 1]
+            if tops:
+                found.append(SquarefreeIdeal(n, [full ^ t for t in tops]))
+    return found
+
+
+@st.composite
+def one_dimensional_duals(draw, max_n: int) -> SquarefreeIdeal:
+    """An ideal with generators of degree >= n - 2: a random graph's edges and facet vertices."""
+    n = draw(st.integers(3, max_n))
+    pairs = list(combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=40))
+    covered = {v for e in edges for v in e}
+    isolated = [v for v in range(n) if v not in covered]
+    points = draw(st.lists(st.sampled_from(isolated), unique=True)) if isolated else []
+    full = (1 << n) - 1
+    tops = [(1 << u) | (1 << v) for u, v in edges] + [1 << v for v in points]
+    return SquarefreeIdeal(n, [full ^ t for t in tops] or [full])
 
 
 def atlas_graphs(min_n: int, max_n: int) -> list[SimpleGraph]:
@@ -160,6 +203,24 @@ class TestSimplicialComplexes:
         for facet in ((1, 3), (0, 1), (1, 10 ** 12)):
             with pytest.raises(ValueError, match="out of ground range"):
                 simplicial_complex(2, [facet])
+
+    def test_a_huge_ground_set_costs_only_the_faces(self):
+        # the closure cap follows the facets, so no n-bit integer is built
+        tracemalloc.start()
+        try:
+            c = simplicial_complex(10 ** 9, [[1, 2]])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
+        assert c.face_sets() == [(), (1,), (1, 2), (2,)]
+
+    @pytest.mark.parametrize("build", [lambda: SimplicialComplex(-1, frozenset()),
+                                       lambda: SimplicialComplex(-1, frozenset({0})),
+                                       lambda: simplicial_complex(-1, [])])
+    def test_a_negative_ground_size_is_refused(self, build):
+        with pytest.raises(ValueError, match="ground size must be nonnegative, got -1"):
+            build()
 
     @pytest.mark.parametrize("faces, message", [
         ({0, 1, 2, 3, 7}, "not downward closed"), ({7}, "not downward closed"),
@@ -375,13 +436,16 @@ class TestBettiTables:
         assert hochster_betti(ideal) == before
 
     def test_a_repeated_table_only_hits_the_memo(self):
-        # the second call computes nothing: no homology lookup at all, one table hit
-        ideal = complementary_edge_ideal(cycle_graph(6))
+        # the second call computes nothing: no homology lookup at all, one table
+        # hit; the dual of I_c(C_6) is generated in degree 2 < n - 2, so an
+        # engine serves it and the first call fills the homology memo
+        ideal = alexander_dual(complementary_edge_ideal(cycle_graph(6)))
         clear_homology_cache()
         assert _memoised_homology.cache_info().currsize == 0
         first = hochster_betti(ideal)
         homology_before = _memoised_homology.cache_info()
         tables_before = _betti_table.cache_info()
+        assert homology_before.currsize > 0
         assert hochster_betti(ideal) == first
         homology_after = _memoised_homology.cache_info()
         tables_after = _betti_table.cache_info()
@@ -391,7 +455,8 @@ class TestBettiTables:
         assert tables_after.misses == tables_before.misses
 
     def test_clearing_empties_both_memos(self):
-        hochster_betti(complementary_edge_ideal(cycle_graph(5)), Field.RATIONALS)
+        # I_c(C_5) itself takes no memoised homology; its dual, of degree 2 < 3, does
+        hochster_betti(alexander_dual(complementary_edge_ideal(cycle_graph(5))), Field.RATIONALS)
         assert _betti_table.cache_info().currsize > 0
         assert _memoised_homology.cache_info().currsize > 0
         clear_homology_cache()
@@ -487,10 +552,29 @@ class TestBettiTables:
             clear_homology_cache()
             assert dual_engine(ideal, field) == primal
 
+    @pytest.mark.parametrize("n, count", [(3, 18), (4, 113), (5, 1450)])
+    def test_graph_kernel_on_every_one_dimensional_dual(self, n, count):
+        every = one_dimensional_ideals(n)
+        assert len(every) == len(set(every)) == count
+        for ideal in every:
+            assert ideal.indeg >= n - 2
+            for field in Field:
+                table = _graph_betti(n, ideal.masks, field)
+                assert table == _primal_betti(ideal, field) == dual_engine(ideal, field)
+
+    @settings(max_examples=150, deadline=None)
+    @given(one_dimensional_duals(14))
+    def test_graph_kernel_matches_the_dual_engine(self, ideal: SquarefreeIdeal):
+        for field in Field:
+            assert _graph_betti(ideal.n, ideal.masks, field) == dual_engine(ideal, field)
+
     def test_complementary_edge_ideals_skip_the_subset_walk(self, monkeypatch):
-        def table(ideal):
-            raise AssertionError("built the 2^n union table")
-        monkeypatch.setattr(homology, "_union_table", table)
+        # no 2^n union table, no dual-complex closure, and neither engine
+        def refuse(*args):
+            raise AssertionError("walked subsets or ran an engine")
+        for name in ("_union_table", "_closure", "_dual_betti", "_primal_betti"):
+            monkeypatch.setattr(homology, name, refuse)
+        clear_homology_cache()
         for graph in (cycle_graph(14), complete_graph(14), SimpleGraph(14, ((1, 2),))):
             for field in Field:
                 table = hochster_betti(complementary_edge_ideal(graph), field)
@@ -514,16 +598,23 @@ class TestBettiTables:
     @pytest.mark.parametrize("n", [200, 1000])
     @pytest.mark.parametrize("regime", ["c/n, c = 0.5", "2 log n / n"])
     def test_dual_engine_matches_the_closed_form_at_monte_carlo_sizes(self, n, regime):
-        import numpy as np
-        from compedge.experiments import sample_gnp
-        p = 0.5 / n if regime == "c/n, c = 0.5" else 2 * log(n) / n
-        graph = sample_gnp(n, p, np.random.default_rng(n))
+        graph = monte_carlo_graph(n, regime)
         # the dual complex of I_c(G) is G: the empty face, the vertices on an edge, the edges
         faces = sorted(_closure([(1 << u - 1) | (1 << v - 1) for u, v in graph.edges],
                                 1 + n + graph.m))
         for field in Field:
             clear_homology_cache()
             assert _dual_betti(n, faces, field) == closed_form_betti(graph, field)
+
+    @pytest.mark.parametrize("n", [200, 1000])
+    @pytest.mark.parametrize("regime", ["c/n, c = 0.5", "2 log n / n"])
+    def test_graph_kernel_matches_the_closed_form_at_monte_carlo_sizes(self, n, regime):
+        # the generators of I_c(G), past the ambient limit of SquarefreeIdeal
+        graph = monte_carlo_graph(n, regime)
+        full = (1 << n) - 1
+        masks = [full ^ (1 << u - 1) ^ (1 << v - 1) for u, v in graph.edges]
+        for field in Field:
+            assert _graph_betti(n, masks, field) == closed_form_betti(graph, field)
 
     @settings(max_examples=40, deadline=None)
     @given(gnp_graphs(3, 13))
