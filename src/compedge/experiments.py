@@ -173,6 +173,9 @@ def _run_trials(configs: Sequence[ExperimentConfig]) -> tuple[ExperimentSummary,
         below, bdraws = _smallest(offsets, kept, n)
         us, vs = _pairs(n, below)
         order = np.argsort(bdraws)
+        # not graphs._join_count: tau needs the first pair that closes a cycle,
+        # which a count cannot give, and the spot check below would compare
+        # _join_count (under is_licci -> is_forest) with itself
         parent = list(range(n))
         tau = math.inf
         for u, v, d in zip(us[order].tolist(), vs[order].tolist(), bdraws[order].tolist()):

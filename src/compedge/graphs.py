@@ -9,7 +9,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterator
+from typing import Iterable, Iterator
 
 DEFAULT_ENUMERATION_LIMIT = 7
 MDENSITY_LIMIT = 18
@@ -205,30 +205,39 @@ def connected_components(graph: SimpleGraph) -> list[tuple[int, ...]]:
     return blocks
 
 
-def is_forest(graph: SimpleGraph) -> bool:
-    """True iff the graph is acyclic: m = n' - c' over the n' vertices that carry an edge.
+def _join_count(pairs: Iterable[tuple[int, int]]) -> tuple[int, int]:
+    """(n' labels met, r pairs that joined two components): union-find, path halving.
 
-    Isolated vertices are their own components and add nothing to either
-    side, so this is O(m) however large n is. A forest has at most n - 1
-    edges, so a denser graph is refused before any walk.
+    With c' components on the labels met, r = n' - c' is the rank of the
+    incidence matrix over every field, and r = m exactly when m pairs form a forest.
     """
-    if graph.m >= max(graph.n, 1):
-        return False
-    adj: dict[int, list[int]] = {}
-    for u, v in graph.edges:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    unseen = set(adj)
-    components = 0
-    while unseen:
-        components += 1
-        stack = [unseen.pop()]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w in unseen:
-                    unseen.remove(w)
-                    stack.append(w)
-    return graph.m == len(adj) - components
+    parent: dict[int, int] = {}
+    joins = 0
+    for u, v in pairs:
+        if u in parent:
+            while parent[u] != u:
+                parent[u] = u = parent[parent[u]]
+        else:
+            parent[u] = u
+        if v in parent:
+            while parent[v] != v:
+                parent[v] = v = parent[parent[v]]
+        else:
+            parent[v] = v
+        if u != v:
+            parent[u] = v
+            joins += 1
+    return len(parent), joins
+
+
+def is_forest(graph: SimpleGraph) -> bool:
+    """True iff the graph is acyclic: every edge joins two components of the edges before it.
+
+    Isolated vertices are their own components and join nothing, so this is
+    O(m) however large n is. A forest has at most n - 1 edges, so a denser
+    graph is refused before any union.
+    """
+    return graph.m < max(graph.n, 1) and _join_count(graph.edges)[1] == graph.m
 
 
 def is_complete(graph: SimpleGraph) -> bool:

@@ -36,11 +36,11 @@ All ranks are exact. The two lowest boundary maps need no elimination: the
 augmentation map from vertices onto K has rank 1 once a vertex exists, and
 the map from edges to vertices is the incidence matrix of the 1-skeleton,
 whose rank over every field is the number of vertices less the number of
-components, counted by union-find; _graph_betti counts its components the
-same way. Higher maps are eliminated with pivots keyed by lowest column: over
-GF(2) on bit-packed rows with XOR, over the rationals on sparse integer rows,
-fraction-free with gcd reduction; torsion first shows there, as in the
-projective plane. No floating point anywhere.
+components: the edges joining two components, counted by graphs._join_count
+as in _graph_betti. Higher maps are eliminated with pivots keyed by lowest
+column: over GF(2) on bit-packed rows with XOR, over the rationals on sparse
+integer rows, fraction-free with gcd reduction; torsion first shows there, as
+in the projective plane. No floating point anywhere.
 
 The resolution-shape predicates read these tables. is_componentwise_linear
 asks for the linear resolution of each squarefree component in turn, and
@@ -55,14 +55,14 @@ from functools import cache, lru_cache
 from math import comb, gcd, isqrt
 from typing import Iterable, NamedTuple
 
-from .graphs import DEFAULT_ENUMERATION_LIMIT, _clip
+from .graphs import DEFAULT_ENUMERATION_LIMIT, _clip, _join_count
 from .ideals import (SquarefreeIdeal, _closure, _squarefree_components, alexander_dual, height,
                      support_of)
 
 ORACLE_LIMIT = 14
 # One verify round asks for 14,198 tables of 8,435 distinct (ideal, field)
-# pairs; 32 recent tables serve 2,848 of them (one table 1,825), an unbounded
-# memo 5,763 for about 8 MB more peak memory.
+# pairs; 32 recent tables serve 2,848 of them (round 0.87 s -> 0.72 s on one
+# x86-64 CPU), an unbounded memo 5,763 in the same time for 7.5 MB more peak.
 _TABLE_MEMO_SIZE = 32
 # Reduced homology is memoised only for complexes on the vertices
 # 1.._MEMO_WIDTH, at most 2^_MEMO_WIDTH faces a key. The exhaustive sweeps
@@ -208,29 +208,6 @@ def _rational_rank(rows: list[dict[int, int]]) -> int:
     return len(pivots)
 
 
-def _edge_rank(vertices: Iterable[int], edges: list[int]) -> int:
-    """Rank of the boundary map from edges to vertices, over every field.
-
-    The incidence matrix of a graph has rank |V| minus its number of
-    components over any field, so the rank is the number of edges that join
-    two components: a union-find over the vertex labels (mask bit lengths, so
-    no lookup hashes a long mask) with path halving.
-    """
-    parent = {v.bit_length(): v.bit_length() for v in vertices}
-    rank = 0
-    for e in edges:
-        low = e & -e
-        u, v = low.bit_length(), (e ^ low).bit_length()
-        while parent[u] != u:
-            parent[u] = u = parent[parent[u]]
-        while parent[v] != v:
-            parent[v] = v = parent[parent[v]]
-        if u != v:
-            parent[u] = v
-            rank += 1
-    return rank
-
-
 def _homology_from_faces(faces: tuple[int, ...], field: Field) -> tuple[int, ...]:
     """Reduced homology dims of a nonvoid downward-closed family of face masks.
 
@@ -258,7 +235,9 @@ def _homology(faces: tuple[int, ...], field: Field) -> tuple[int, ...]:
     if top >= 1:
         ranks[1] = 1
     if top >= 2:
-        ranks[2] = _edge_rank(faces_by_size[1], faces_by_size[2])
+        # the vertex labels of each edge, so no lookup hashes a long mask
+        ranks[2] = _join_count([((e & -e).bit_length(), e.bit_length())
+                                for e in faces_by_size[2]])[1]
     for s in range(3, top + 1):
         cols = faces_by_size[s]
         below = faces_by_size[s - 1]
@@ -475,30 +454,28 @@ def _graph_betti(n: int, masks: Iterable[int], field: Field) -> BettiTable:
     the lone generator of degree n. Every link is read off counts. A facet's
     link is {emptyset}, 1 to beta_(1, n - |facet|). A vertex v on an edge has
     its neighbours as link, deg(v) - 1 to beta_(2, n-1). The empty face, when
-    no facet, has the whole complex as link: with V its vertices, E its
-    edges and c = |V| - _edge_rank(V, E) components, c - 1 to beta_(2, n)
-    and |E| - |V| + c to beta_(3, n). A graph has no torsion, so the table
-    is the same over every field.
+    no facet, has the whole complex as link: with n' vertices on m edges, p
+    isolated facet vertices and r edges joining two components
+    (graphs._join_count), c = n' + p - r components give c - 1 to
+    beta_(2, n) and m - r to beta_(3, n). A graph has no torsion, so the
+    table is the same over every field.
     """
     full = (1 << n) - 1
-    edges: list[int] = []
+    edges: list[tuple[int, int]] = []
     points = 0
     for g in masks:
         tau = full ^ g
         if tau.bit_count() == 2:
-            edges.append(tau)
+            edges.append(((tau & -tau).bit_length(), tau.bit_length()))
         elif tau:
             points += 1
         else:
             return BettiTable(n, field, (((0, 0), 1), ((1, n), 1)))
     m = len(edges)
-    # the low and the high end of every edge
-    ends = {tau & -tau for tau in edges} | {tau & (tau - 1) for tau in edges}
-    vertices = len(ends) + points
-    c = vertices - _edge_rank(ends, edges)
+    met, joins = _join_count(edges)
     return BettiTable.from_dict(n, field, {
-        (0, 0): 1, (1, n - 2): m, (1, n - 1): points, (2, n - 1): 2 * m - len(ends),
-        (2, n): c - 1, (3, n): m - vertices + c})
+        (0, 0): 1, (1, n - 2): m, (1, n - 1): points, (2, n - 1): 2 * m - met,
+        (2, n): met + points - joins - 1, (3, n): m - joins})
 
 
 def is_cohen_macaulay(ideal: SquarefreeIdeal, field: Field = Field.GF2) -> bool:

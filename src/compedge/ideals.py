@@ -98,6 +98,12 @@ def _outside_ambient(n: int) -> ValueError:
     return ValueError(f"ambient size {_clip(n)} outside supported range 0..{AMBIENT_LIMIT}")
 
 
+def _require_edge_ambient(n: int) -> None:
+    """Refuse n < 3, where an edge's complement support is empty: the unit ideal."""
+    if n < 3:
+        raise ValueError(f"degenerate ambient: need at least 3 vertices, got {n}")
+
+
 def _minimal_masks(masks: set[int]) -> list[int]:
     """Inclusion-minimal masks: by size, each kept unless it contains a kept one."""
     kept: list[int] = []
@@ -119,8 +125,7 @@ def complementary_edge_ideal(graph: SimpleGraph) -> SquarefreeIdeal:
     The masks are lazy, so an n past AMBIENT_LIMIT is refused before 2^n is built.
     """
     n = graph.n
-    if n < 3:
-        raise ValueError(f"degenerate ambient: need at least 3 vertices, got {n}")
+    _require_edge_ambient(n)
     return SquarefreeIdeal(n, (((1 << n) - 1) ^ (1 << (u - 1)) ^ (1 << (v - 1))
                                for u, v in graph.edges))
 
@@ -137,8 +142,7 @@ def complementary_edge_dual(graph: SimpleGraph) -> SquarefreeIdeal:
     alexander_dual refuses the zero ideal.
     """
     n = graph.n
-    if n < 3:
-        raise ValueError(f"degenerate ambient: need at least 3 vertices, got {n}")
+    _require_edge_ambient(n)
     if n > AMBIENT_LIMIT:
         raise _outside_ambient(n)
     if not graph.edges:

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 from .graphs import SimpleGraph, is_complete, is_forest
 from .homology import Field, hochster_betti, reg_pd
-from .ideals import complementary_edge_dual, complementary_edge_ideal, has_linear_quotients, height
+from .ideals import (_require_edge_ambient, complementary_edge_dual, complementary_edge_ideal,
+                     has_linear_quotients, height)
 from . import homology
 
 NOTE_COMPLETE_PD = "complete_pd_adjusted"
@@ -131,8 +132,7 @@ def _plain(value):
 
 
 def _require_admissible(graph: SimpleGraph) -> None:
-    if graph.n < 3:
-        raise ValueError(f"degenerate ambient: need at least 3 vertices, got {graph.n}")
+    _require_edge_ambient(graph.n)
     if graph.m == 0:
         raise ValueError("edgeless graph: the complementary edge ideal is zero")
 

@@ -5,6 +5,7 @@ import json
 from fractions import Fraction
 from itertools import combinations
 
+import networkx as nx
 import pytest
 from hypothesis import given, strategies as st
 
@@ -230,6 +231,21 @@ class TestPredicates:
     @given(graphs(min_n=0, max_n=9))
     def test_tree_iff_one_component_and_n_minus_1_edges(self, g: SimpleGraph):
         assert is_tree(g) == (len(connected_components(g)) == 1 and g.m == g.n - 1)
+
+    @pytest.mark.parametrize("n", [1000, 5000])
+    @pytest.mark.parametrize("c", [0.5, 1.0, 2.0])
+    def test_forest_matches_networkx_on_sparse_random_graphs(self, n, c):
+        # G(n, c/n) near the giant-component threshold, and its spanning
+        # forest, grow union-find trees far deeper than the small-n tests do
+        nxg = nx.fast_gnp_random_graph(n, c / n, seed=n + int(10 * c))
+        span = nx.minimum_spanning_tree(nxg)
+        for h in (nxg, span):
+            g = SimpleGraph(n, tuple((u + 1, v + 1) for u, v in h.edges))
+            assert is_forest(g) == nx.is_forest(h)
+            touched = h.subgraph(v for v in h if h.degree(v))
+            met = touched.number_of_nodes()
+            assert graphs_module._join_count(g.edges) == (
+                met, met - nx.number_connected_components(touched))
 
 
 class TestMaxSubgraphDensity:

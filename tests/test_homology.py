@@ -15,9 +15,10 @@ from compedge import (Field, SimpleGraph, SquarefreeIdeal, alexander_dual,
                       complementary_edge_ideal, has_linear_resolution, hochster_betti, homology,
                       is_cohen_macaulay, is_componentwise_linear, is_sequentially_cm,
                       minimalize, reg_pd, simplicial_complex, stanley_reisner)
-from compedge.graphs import complete_graph, connected_components, cycle_graph, path_graph
+from compedge.graphs import (_join_count, complete_graph, connected_components, cycle_graph,
+                             path_graph)
 from compedge.homology import (_TABLE_MEMO_SIZE, BettiTable, SimplicialComplex,
-                               _betti_table, _closure, _dual_betti, _edge_rank, _gf2_rank,
+                               _betti_table, _closure, _dual_betti, _gf2_rank,
                                _graph_betti, _homology_from_faces, _memoised_homology,
                                _primal_betti, _rational_rank, clear_homology_cache,
                                parse_field, reduced_homology_dims)
@@ -343,6 +344,8 @@ class TestRationalRank:
 
 
 class TestEdgeRank:
+    """graphs._join_count, the kernel's edge layer, against elimination and networkx."""
+
     @staticmethod
     def check(vertices: list[int], edges: list[tuple[int, int]]) -> None:
         # the incidence matrix, rows by vertex: bit-packed, and signed sparse
@@ -355,9 +358,9 @@ class TestEdgeRank:
         graph = nx.Graph(edges)
         graph.add_nodes_from(vertices)
         expected = len(vertices) - nx.number_connected_components(graph)
-        rank = _edge_rank([1 << v - 1 for v in vertices],
-                          [(1 << u - 1) | (1 << v - 1) for u, v in edges])
+        met, rank = _join_count(edges)
         assert rank == _gf2_rank(bits) == _rational_rank(signed) == expected
+        assert met == len({v for edge in edges for v in edge})
 
     @settings(max_examples=150)
     @given(st.lists(st.integers(1, 3000), min_size=1, max_size=30, unique=True), st.data())
@@ -651,6 +654,27 @@ class TestBettiTables:
         # I_c(P_14) is Cohen-Macaulay, so its dual has a linear resolution
         assert table.as_dict() == {(0, 0): 1} | {(i, i + 1): i * comb(13, i + 1)
                                                  for i in range(1, 13)}
+
+    @pytest.mark.parametrize("witness", ["dual", "primal"])
+    def test_the_engine_rule_picks_the_engine_each_witness_needs(self, monkeypatch, witness):
+        # each engine is about 1000x slower than the other on one witness (one
+        # x86-64 CPU): 60 generators of degree n - 3 at n = 14 take 1 ms dual
+        # and 2.2 s primal; alexander_dual(I_c(P_14)) takes 0.11 s primal and
+        # 10.8 s dual, so the F^2 <= 3P rule must send each to the cheap one
+        n = 14
+        if witness == "dual":
+            triples = random.Random(14).sample(list(combinations(range(1, n + 1), 3)), 60)
+            ideal = minimalize(n, [set(range(1, n + 1)) - set(t) for t in triples])
+        else:
+            ideal = alexander_dual(complementary_edge_ideal(path_graph(n)))
+        slow = {"dual": "_primal_betti", "primal": "_dual_betti"}[witness]
+
+        def refuse(*args):
+            raise AssertionError(f"ran {slow} on the {witness} witness")
+        monkeypatch.setattr(homology, slow, refuse)
+        clear_homology_cache()
+        table = hochster_betti(ideal)
+        assert sum(v for (i, _), v in table.entries if i == 1) == len(ideal.masks)
 
     def test_irrelevant_ideal_is_koszul(self):
         for n in range(1, 11):
