@@ -1,6 +1,6 @@
 """Exact reduced simplicial homology and graded Betti numbers of squarefree ideals.
 
-The Betti oracle has two engines and a one-dimensional case, with one
+The Betti oracle has two engines and two one-dimensional cases, with one
 result. The primal engine is Hochster's formula: the multidegree-sigma Betti
 number of S/I in homological position i is dim of reduced H_(|sigma|-i-1) of
 the Stanley-Reisner complex restricted to sigma. One table of 2^n entries
@@ -15,12 +15,16 @@ bound on the primal restrictions (see its docstring); the table aggregates
 multidegrees by cardinality either way. The complex {emptyset} has reduced
 H_(-1) = K, which makes the links of the dual facets count the generators.
 
-One case takes neither engine: generators all of degree at least n - 2,
-whose dual complex has dimension at most 1. For a complementary edge ideal
-it is the graph itself (the empty face, the n' vertices on an edge, the m
-edges), and every link is {emptyset}, a set of points or that graph, so the
-dual formula is read off vertex degrees, edge counts and the components
-(_graph_betti), with no face list, no link and no memo.
+Two one-dimensional cases take neither engine, and read the table off counts
+with no face list, no link and no memo. Generators all of degree at least
+n - 2 have a dual complex of dimension at most 1. For a complementary edge
+ideal it is the graph itself (the empty face, the n' vertices on an edge,
+the m edges), and every link is {emptyset}, a set of points or that graph,
+so the dual formula is read off vertex degrees, edge counts and the
+components (_graph_betti). Generators all of degree at most 2 whose
+Stanley-Reisner complex is a forest, the dual of I_c(F) for a forest F
+among them, have forests as every restriction, so the primal formula is
+read off vertex and edge counts (_forest_betti).
 
 Two memos keep repeated work away. Reduced homology is memoised per complex
 with functools.cache, keyed by the field and the sorted face masks. The masks
@@ -61,8 +65,9 @@ from .ideals import (SquarefreeIdeal, _closure, _squarefree_components, alexande
 
 ORACLE_LIMIT = 14
 # One verify round asks for 14,198 tables of 8,435 distinct (ideal, field)
-# pairs; 32 recent tables serve 2,848 of them (round 0.87 s -> 0.72 s on one
-# x86-64 CPU), an unbounded memo 5,763 in the same time for 7.5 MB more peak.
+# pairs; 32 recent tables serve 2,848 of them (round 0.82-0.93 s -> 0.80-0.88 s
+# on one x86-64 CPU), an unbounded memo 5,763 in about the same time for
+# 6.7 MB more traced peak.
 _TABLE_MEMO_SIZE = 32
 # Reduced homology is memoised only for complexes on the vertices
 # 1.._MEMO_WIDTH, at most 2^_MEMO_WIDTH faces a key. The exhaustive sweeps
@@ -333,25 +338,27 @@ def hochster_betti(ideal: SquarefreeIdeal, field: Field = Field.GF2) -> BettiTab
 
     Generators all of degree at least n - 2, every complementary edge ideal
     among them, have a dual complex of dimension at most 1: a graph, whose
-    links are read off counts (_graph_betti). Otherwise two engines compute
-    the same table. The primal one sums the homology of the Stanley-Reisner
-    complex restricted to each sigma of the lcm lattice (the unions of
-    generators; every other restriction is a cone), collected by superset
-    inversion after one table of 2^n entries. The dual one reads
-    the table from the links of the faces of the Alexander dual complex; it
-    collects them by subset inversion, which costs sum over dual faces f of
-    2^|f| (at most 4F for the F faces of a graph). Its faces tau are the
-    complements of the nonfaces sigma, so P = sum over tau of 2^(n - |tau|)
-    is the sum over nonfaces of 2^|sigma|: an upper bound on the faces the
+    links are read off counts (_graph_betti). Generators all of degree at
+    most 2 whose Stanley-Reisner complex is a forest, the ideal of all
+    variables among them, have restrictions read off counts too
+    (_forest_betti). Otherwise two engines compute the same table. The
+    primal one sums the homology of the Stanley-Reisner complex restricted
+    to each sigma of the lcm lattice (the unions of generators; every other
+    restriction is a cone), collected by superset inversion after one table
+    of 2^n entries. The dual one reads the table from the links of the faces
+    of the Alexander dual complex; it collects them by subset inversion,
+    which costs sum over dual faces f of 2^|f| (at most 4F for the F faces
+    of a graph). Its faces tau are the complements of the nonfaces sigma, so
+    P = sum over tau of 2^(n - |tau|) is the sum over nonfaces of
+    2^|sigma|: an upper bound on the faces the
     primal restrictions hold, since every lattice sigma but the empty one is a
     nonface with at most 2^|sigma| faces inside it. The rule: the dual engine
     runs when F^2 <= 3 * P, the primal one otherwise. It was fitted when the
     dual engine scanned all F faces per face, and is kept because a rule on
     the new cost (sum of 2^|f| <= c * P for c = 0.5, 1 or 2) did not move the
     verify benchmark. The dual face enumeration gives up past isqrt(3^(n+1))
-    faces, where the rule must fail since P <= 3^n. The ideal of all n >= 5
-    variables takes the primal engine. Ambient sizes above ORACLE_LIMIT (14)
-    are refused.
+    faces, where the rule must fail since P <= 3^n. Ambient sizes above
+    ORACLE_LIMIT (14) are refused.
 
     The last _TABLE_MEMO_SIZE tables are memoised by (ideal, field), so a
     repeated table costs one lookup; clear_homology_cache() empties the memo.
@@ -369,6 +376,9 @@ def _betti_table(ideal: SquarefreeIdeal, field: Field) -> BettiTable:
     n = ideal.n
     if ideal.indeg >= n - 2:
         return _graph_betti(n, ideal.masks, field)
+    table = _forest_betti(n, ideal.masks, field)
+    if table is not None:
+        return table
     full = (1 << n) - 1
     faces = _closure([full & ~g for g in ideal.masks], isqrt(3 ** (n + 1)))
     if faces is None or len(faces) ** 2 > 3 * sum(1 << (n - tau.bit_count()) for tau in faces):
@@ -476,6 +486,49 @@ def _graph_betti(n: int, masks: Iterable[int], field: Field) -> BettiTable:
     return BettiTable.from_dict(n, field, {
         (0, 0): 1, (1, n - 2): m, (1, n - 1): points, (2, n - 1): 2 * m - met,
         (2, n): met + points - joins - 1, (3, n): m - joins})
+
+
+def _forest_betti(n: int, masks: Iterable[int], field: Field) -> BettiTable | None:
+    """Hochster's formula of _primal_betti on a Stanley-Reisner complex that is a forest.
+
+    With generators all of degree at most 2, D of them variables, the
+    complex has the V = n - D other variables as vertices and as edges the M
+    pairs among them that are not generators: the graph Gamma, with a
+    triangle of Gamma as its only possible 2-face. If a generator has degree
+    3 or more, or Gamma has a cycle (graphs._join_count), this returns None.
+    Otherwise every restriction to sigma is a forest, whose homology is
+    a count: H~_(-1) = 1 when sigma holds no vertex, else H~_0 = v' - m' - 1
+    for its v' vertices and m' edges. Summed over the C(n, j) sets sigma of
+    size j, v' adds up to V * C(n-1, j-1) and m' to M * C(n-2, j-2); the D-sets
+    give beta_(j,j) = C(D, j), the rest beta_(j-1,j). A forest has no torsion,
+    so the table is the same over every field.
+    """
+    points = 0
+    pairs = set()
+    for g in masks:
+        size = g.bit_count()
+        if size == 1:
+            points |= g
+        elif size == 2:
+            pairs.add(g)
+        else:
+            return None
+    labels = [v for v in range(n) if not points >> v & 1]
+    vertices = len(labels)
+    m = vertices * (vertices - 1) // 2 - len(pairs)
+    # a forest has fewer edges than vertices, or none on no vertex
+    if m >= max(vertices, 1):
+        return None
+    edges = [(u, v) for k, u in enumerate(labels) for v in labels[k + 1:]
+             if (1 << u) | (1 << v) not in pairs]
+    if _join_count(edges)[1] < m:
+        return None
+    d = n - vertices
+    entries = {(j, j): comb(d, j) for j in range(d + 1)}
+    for j in range(2, n + 1):
+        entries[(j - 1, j)] = (vertices * comb(n - 1, j - 1) - m * comb(n - 2, j - 2)
+                               - comb(n, j) + comb(d, j))
+    return BettiTable.from_dict(n, field, entries)
 
 
 def is_cohen_macaulay(ideal: SquarefreeIdeal, field: Field = Field.GF2) -> bool:

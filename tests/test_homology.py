@@ -12,13 +12,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from compedge import (Field, SimpleGraph, SquarefreeIdeal, alexander_dual,
-                      complementary_edge_ideal, has_linear_resolution, hochster_betti, homology,
-                      is_cohen_macaulay, is_componentwise_linear, is_sequentially_cm,
-                      minimalize, reg_pd, simplicial_complex, stanley_reisner)
+                      complementary_edge_dual, complementary_edge_ideal, has_linear_resolution,
+                      hochster_betti, homology, is_cohen_macaulay, is_componentwise_linear,
+                      is_sequentially_cm, minimalize, reg_pd, simplicial_complex,
+                      stanley_reisner)
 from compedge.graphs import (_join_count, complete_graph, connected_components, cycle_graph,
                              path_graph)
 from compedge.homology import (_TABLE_MEMO_SIZE, BettiTable, SimplicialComplex,
-                               _betti_table, _closure, _dual_betti, _gf2_rank,
+                               _betti_table, _closure, _dual_betti, _forest_betti, _gf2_rank,
                                _graph_betti, _homology_from_faces, _memoised_homology,
                                _primal_betti, _rational_rank, clear_homology_cache,
                                parse_field, reduced_homology_dims)
@@ -120,6 +121,43 @@ def one_dimensional_duals(draw, max_n: int) -> SquarefreeIdeal:
     full = (1 << n) - 1
     tops = [(1 << u) | (1 << v) for u, v in edges] + [1 << v for v in points]
     return SquarefreeIdeal(n, [full ^ t for t in tops] or [full])
+
+
+def low_degree_ideals(n: int) -> list[SquarefreeIdeal]:
+    """Every nonzero ideal on n variables generated in degrees <= 2.
+
+    One per set of variables among the generators and set of pairs of the others.
+    """
+    found = []
+    for points in range(1 << n):
+        rest = [v for v in range(n) if not points >> v & 1]
+        pairs = [(1 << u) | (1 << v) for u, v in combinations(rest, 2)]
+        for chosen in range(1 << len(pairs)):
+            masks = [1 << v for v in range(n) if points >> v & 1]
+            masks += [p for k, p in enumerate(pairs) if chosen >> k & 1]
+            if masks:
+                found.append(SquarefreeIdeal(n, masks))
+    return found
+
+
+@st.composite
+def forest_complexes(draw, max_n: int) -> SquarefreeIdeal:
+    """An ideal whose Stanley-Reisner complex is a random forest on a random vertex subset.
+
+    The other variables are generators, and so is every pair of forest vertices
+    that is not a forest edge.
+    """
+    n = draw(st.integers(3, max_n))
+    labels = draw(st.permutations(range(n)))[:draw(st.integers(0, n))]
+    rng = draw(st.randoms(use_true_random=False))
+    join = draw(st.floats(0, 1))
+    # each vertex after the first hangs from an earlier one, or starts a tree
+    edges = {(1 << v) | (1 << rng.choice(labels[:k]))
+             for k, v in enumerate(labels) if k and rng.random() < join}
+    masks = [1 << v for v in range(n) if v not in labels]
+    masks += [(1 << u) | (1 << v) for u, v in combinations(labels, 2)
+              if (1 << u) | (1 << v) not in edges]
+    return SquarefreeIdeal(n, masks)
 
 
 def atlas_graphs(min_n: int, max_n: int) -> list[SimpleGraph]:
@@ -657,16 +695,17 @@ class TestBettiTables:
 
     @pytest.mark.parametrize("witness", ["dual", "primal"])
     def test_the_engine_rule_picks_the_engine_each_witness_needs(self, monkeypatch, witness):
-        # each engine is about 1000x slower than the other on one witness (one
+        # each engine is 90x to 2000x slower than the other on one witness (one
         # x86-64 CPU): 60 generators of degree n - 3 at n = 14 take 1 ms dual
-        # and 2.2 s primal; alexander_dual(I_c(P_14)) takes 0.11 s primal and
-        # 10.8 s dual, so the F^2 <= 3P rule must send each to the cheap one
+        # and 2.2 s primal; alexander_dual(I_c(C_14)), whose complex is the
+        # 14-cycle and so no forest, takes 0.22 s primal and 19.7 s dual, so the
+        # F^2 <= 3P rule must send each to the cheap one
         n = 14
         if witness == "dual":
             triples = random.Random(14).sample(list(combinations(range(1, n + 1), 3)), 60)
             ideal = minimalize(n, [set(range(1, n + 1)) - set(t) for t in triples])
         else:
-            ideal = alexander_dual(complementary_edge_ideal(path_graph(n)))
+            ideal = alexander_dual(complementary_edge_ideal(cycle_graph(n)))
         slow = {"dual": "_primal_betti", "primal": "_dual_betti"}[witness]
 
         def refuse(*args):
@@ -675,6 +714,61 @@ class TestBettiTables:
         clear_homology_cache()
         table = hochster_betti(ideal)
         assert sum(v for (i, _), v in table.entries if i == 1) == len(ideal.masks)
+
+    def test_forest_complexes_skip_the_subset_walk(self, monkeypatch):
+        # the complex of complementary_edge_dual(P_14) is the path itself, and
+        # that of the ideal of all variables is {emptyset}
+        def refuse(*args):
+            raise AssertionError("walked subsets or ran an engine")
+        for name in ("_union_table", "_closure", "_dual_betti", "_primal_betti"):
+            monkeypatch.setattr(homology, name, refuse)
+        clear_homology_cache()
+        linear = {(0, 0): 1} | {(i, i + 1): i * comb(13, i + 1) for i in range(1, 13)}
+        koszul = {(i, i): comb(14, i) for i in range(15)}
+        path = complementary_edge_dual(path_graph(14))
+        variables = minimalize(14, [[v] for v in range(1, 15)])
+        for field in Field:
+            assert hochster_betti(path, field).as_dict() == linear
+            assert hochster_betti(variables, field).as_dict() == koszul
+
+    @pytest.mark.parametrize("n, count, taken", [(1, 1, 1), (2, 4, 4), (3, 17, 17),
+                                                 (4, 112, 83), (5, 1449, 577)])
+    def test_forest_kernel_on_every_ideal_of_degree_at_most_two(self, n, count, taken):
+        every = low_degree_ideals(n)
+        assert len(every) == len(set(every)) == count
+        forests = 0
+        for ideal in every:
+            for field in Field:
+                table = _forest_betti(n, ideal.masks, field)
+                if table is None:
+                    continue
+                forests += field is Field.GF2
+                assert table == _primal_betti(ideal, field) == brute_force_betti(ideal, field)
+        assert forests == taken
+
+    @settings(max_examples=60, deadline=None)
+    @given(forest_complexes(14), st.sampled_from(Field))
+    def test_forest_kernel_matches_the_primal_engine(self, ideal: SquarefreeIdeal, field: Field):
+        table = _forest_betti(ideal.n, ideal.masks, field)
+        assert table is not None
+        assert table == _primal_betti(ideal, field)
+
+    def test_forest_kernel_declines_a_cubic_generator_and_a_cycle(self):
+        def non_edge_ideal(graph: SimpleGraph) -> SquarefreeIdeal:
+            # its complex is the clique complex of the graph, so Gamma is the graph
+            return SquarefreeIdeal(graph.n, [(1 << u - 1) | (1 << v - 1)
+                                             for u, v in combinations(range(1, graph.n + 1), 2)
+                                             if (u, v) not in graph.edges])
+        cubic = minimalize(6, [[1, 2], [3, 4, 5]])
+        # the complement of C_5 is C_5: 5 edges on 5 vertices, refused by the count
+        pentagon = non_edge_ideal(cycle_graph(5))
+        # 4 edges on 5 vertices, refused by the union-find
+        square = non_edge_ideal(SimpleGraph(5, ((1, 2), (2, 3), (3, 4), (1, 4))))
+        for ideal in (cubic, pentagon, square):
+            for field in Field:
+                assert _forest_betti(ideal.n, ideal.masks, field) is None
+                clear_homology_cache()
+                assert hochster_betti(ideal, field) == brute_force_betti(ideal, field)
 
     def test_irrelevant_ideal_is_koszul(self):
         for n in range(1, 11):
