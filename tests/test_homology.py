@@ -9,7 +9,7 @@ from math import comb, log
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from compedge import (Field, SimpleGraph, SquarefreeIdeal, alexander_dual,
                       complementary_edge_dual, complementary_edge_ideal, has_linear_resolution,
@@ -158,6 +158,19 @@ def forest_complexes(draw, max_n: int) -> SquarefreeIdeal:
     masks += [(1 << u) | (1 << v) for u, v in combinations(labels, 2)
               if (1 << u) | (1 << v) not in edges]
     return SquarefreeIdeal(n, masks)
+
+
+def engine_rule_witness(engine: str) -> SquarefreeIdeal:
+    """An ideal on n = 14 that only the named engine serves fast.
+
+    For the dual engine, 60 generators of degree n - 3; for the primal one,
+    alexander_dual(I_c(C_14)), whose complex is the 14-cycle and so no forest.
+    """
+    n = 14
+    if engine == "dual":
+        triples = random.Random(14).sample(list(combinations(range(1, n + 1), 3)), 60)
+        return minimalize(n, [set(range(1, n + 1)) - set(t) for t in triples])
+    return alexander_dual(complementary_edge_ideal(cycle_graph(n)))
 
 
 def atlas_graphs(min_n: int, max_n: int) -> list[SimpleGraph]:
@@ -676,18 +689,22 @@ class TestBettiTables:
             assert hochster_betti(ideal, Field.RATIONALS).entries == over_2
 
     def test_a_primal_table_past_the_memo_width_leaves_the_memo_small(self):
+        # called directly, as hochster_betti sends this ideal to _forest_betti:
         # 16,345 restrictions of at most 28 faces, none asked for twice; an
-        # unbounded memo kept 4.6 MB of them
+        # unbounded memo kept 4.6 MB of them, and holding every restriction
+        # at once peaked at 4.8 MB (one at a time: 0.9 MB)
         ideal = alexander_dual(complementary_edge_ideal(path_graph(14)))
         clear_homology_cache()
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
             table = _primal_betti(ideal, Field.GF2)
-            held = tracemalloc.get_traced_memory()[0] - before
+            now, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert held < 1_000_000
+        assert now - before < 1_000_000
+        assert peak - before < 2_000_000
         assert _memoised_homology.cache_info().currsize < 1_000
         # I_c(P_14) is Cohen-Macaulay, so its dual has a linear resolution
         assert table.as_dict() == {(0, 0): 1} | {(i, i + 1): i * comb(13, i + 1)
@@ -696,16 +713,10 @@ class TestBettiTables:
     @pytest.mark.parametrize("witness", ["dual", "primal"])
     def test_the_engine_rule_picks_the_engine_each_witness_needs(self, monkeypatch, witness):
         # each engine is 90x to 2000x slower than the other on one witness (one
-        # x86-64 CPU): 60 generators of degree n - 3 at n = 14 take 1 ms dual
-        # and 2.2 s primal; alexander_dual(I_c(C_14)), whose complex is the
-        # 14-cycle and so no forest, takes 0.22 s primal and 19.7 s dual, so the
-        # F^2 <= 3P rule must send each to the cheap one
-        n = 14
-        if witness == "dual":
-            triples = random.Random(14).sample(list(combinations(range(1, n + 1), 3)), 60)
-            ideal = minimalize(n, [set(range(1, n + 1)) - set(t) for t in triples])
-        else:
-            ideal = alexander_dual(complementary_edge_ideal(cycle_graph(n)))
+        # x86-64 CPU): the dual witness takes 1 ms dual and 2.2 s primal, the
+        # primal one 0.22 s primal and 19.7 s dual, so the F^2 <= 3P rule must
+        # send each to the cheap one
+        ideal = engine_rule_witness(witness)
         slow = {"dual": "_primal_betti", "primal": "_dual_betti"}[witness]
 
         def refuse(*args):
@@ -714,6 +725,27 @@ class TestBettiTables:
         clear_homology_cache()
         table = hochster_betti(ideal)
         assert sum(v for (i, _), v in table.entries if i == 1) == len(ideal.masks)
+
+    @settings(max_examples=150, deadline=None)
+    @given(ideals(9))
+    @example(engine_rule_witness("dual"))
+    @example(engine_rule_witness("primal"))
+    def test_the_face_cap_never_moves_the_engine_choice(self, ideal: SquarefreeIdeal):
+        # the rule on the whole dual complex, with no cap: P <= 3^n, so every
+        # closure past the cap fails it anyway
+        n = ideal.n
+        assume(ideal.indeg < n - 2 and _forest_betti(n, ideal.masks, Field.GF2) is None)
+        faces = _closure([((1 << n) - 1) & ~g for g in ideal.masks], 1 << n)
+        dual = len(faces) ** 2 <= 3 * sum(1 << (n - tau.bit_count()) for tau in faces)
+        slow = "_primal_betti" if dual else "_dual_betti"
+
+        def refuse(*args):
+            raise AssertionError(f"ran {slow} with {len(faces)} dual faces")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(homology, slow, refuse)
+            for field in Field:
+                clear_homology_cache()
+                hochster_betti(ideal, field)
 
     def test_forest_complexes_skip_the_subset_walk(self, monkeypatch):
         # the complex of complementary_edge_dual(P_14) is the path itself, and

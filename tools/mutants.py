@@ -1,0 +1,169 @@
+"""Mutation checks: each named mutant of src/compedge must fail its pytest selection.
+
+    python3 tools/mutants.py             # every mutant
+    python3 tools/mutants.py NAME ...    # the named ones
+
+A mutant is one exact-string replacement in one module. For each, the script
+copies src/, tests/ and pyproject.toml to a fresh temporary directory, applies
+the replacement there and runs the mutant's pytest selection on the copy with
+a fixed hypothesis seed, so the tree it is run from is never written. A
+failing selection prints "caught", a passing one "survived". Equivalent
+mutants, which cannot change any result, are listed with the reason and not
+run. The exit status is 0 when every mutant is caught, 1 when one survives,
+and 2 when a mutant's text is no longer found exactly once in its module or
+its selection does not run. Standard library only; not part of tier-1, as it
+runs pytest once per mutant.
+"""
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    module: str
+    old: str
+    new: str
+    selection: tuple[str, ...]
+
+
+class Equivalent(NamedTuple):
+    name: str
+    module: str
+    old: str
+    new: str
+    reason: str
+
+
+HOMOLOGY = "tests/test_homology.py::TestBettiTables::"
+
+MUTANTS = [
+    # the primal engine's filter and the one face cap on the dual complex
+    Mutant("primal-filter-inside-the-complement", "homology.py",
+           "f & ~sigma == 0", "f & sigma == 0",
+           (HOMOLOGY + "test_every_ideal_on_at_most_four_variables",)),
+    Mutant("face-cap-64", "ideals.py",
+           "_DUAL_FACE_CAP = 4096", "_DUAL_FACE_CAP = 64",
+           (HOMOLOGY + "test_the_face_cap_never_moves_the_engine_choice",)),
+    # the graph kernel: the dual formula on a dual complex of dimension <= 1
+    Mutant("graph-drop-facet-vertex-term", "homology.py",
+           "(1, n - 1): points, ", "",
+           (HOMOLOGY + "test_graph_kernel_on_every_one_dimensional_dual",)),
+    Mutant("graph-components-without-facet-vertices", "homology.py",
+           "met + points - joins - 1", "met - joins - 1",
+           (HOMOLOGY + "test_graph_kernel_on_every_one_dimensional_dual",)),
+    Mutant("graph-route-on-indeg-n-3", "homology.py",
+           "if ideal.indeg >= n - 2:", "if ideal.indeg >= n - 3:",
+           (HOMOLOGY + "test_every_ideal_on_at_most_four_variables",)),
+    Mutant("graph-never-route", "homology.py",
+           "if ideal.indeg >= n - 2:", "if False:",
+           (HOMOLOGY + "test_complementary_edge_ideals_skip_the_subset_walk",)),
+    # the forest kernel: the primal formula on a Stanley-Reisner forest
+    Mutant("forest-drop-cdj-from-the-linear-strand", "homology.py",
+           "- comb(n, j) + comb(d, j))", "- comb(n, j))",
+           (HOMOLOGY + "test_forest_kernel_on_every_ideal_of_degree_at_most_two",)),
+    Mutant("forest-drop-cdj-from-the-diagonal", "homology.py",
+           "entries = {(j, j): comb(d, j) for j in range(d + 1)}", "entries = {(0, 0): 1}",
+           (HOMOLOGY + "test_forest_kernel_on_every_ideal_of_degree_at_most_two",)),
+    Mutant("forest-n-prime-for-v", "homology.py",
+           "(vertices * comb(n - 1, j - 1)",
+           "(len({x for e in edges for x in e}) * comb(n - 1, j - 1)",
+           (HOMOLOGY + "test_forest_kernel_on_every_ideal_of_degree_at_most_two",)),
+    Mutant("forest-drop-the-union-find", "homology.py",
+           "    if _join_count(edges)[1] < m:\n        return None\n", "",
+           (HOMOLOGY + "test_forest_kernel_on_every_ideal_of_degree_at_most_two",)),
+    # the graph dual, the component chain and the quotient check
+    Mutant("dual-drop-the-triangle-covers", "ideals.py",
+           "covers.append(1 << (u - 1) | 1 << (v - 1) | low)", "pass",
+           ("tests/test_ideals.py",)),
+    Mutant("chain-skip-generators-of-degree-3-up", "ideals.py",
+           "component.update(by_degree[d])", "component.update(by_degree[d] if d < 3 else [])",
+           ("tests/test_ideals.py",)),
+    Mutant("quotients-pairs-as-singletons", "ideals.py",
+           "if not d & (d - 1):", "if d.bit_count() <= 2:",
+           ("tests/test_ideals.py",)),
+]
+
+EQUIVALENT = [
+    Equivalent("primal-every-sigma", "homology.py",
+               "        if u != sigma:\n            continue\n", "",
+               "a sigma off the lcm lattice has a vertex in no generator inside it, so its "
+               "restriction is a cone on that vertex, with no reduced homology"),
+    Equivalent("forest-accept-v-edges", "homology.py",
+               "if m >= max(vertices, 1):", "if m > max(vertices, 1):",
+               "a graph with V edges on V vertices has a cycle, so the union-find declines "
+               "every Gamma the count lets through"),
+]
+
+
+def source(module: str) -> str:
+    return (ROOT / "src" / "compedge" / module).read_text()
+
+
+def located(module: str, old: str) -> bool:
+    return source(module).count(old) == 1
+
+
+def run(selection: tuple[str, ...], mutant: Mutant | None = None) -> int:
+    """The pytest exit status of the selection on a copy, mutated when a mutant is given."""
+    with tempfile.TemporaryDirectory(prefix="compedge-mutant-") as tmp:
+        copy = Path(tmp)
+        skip = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+        shutil.copytree(ROOT / "src", copy / "src", ignore=skip)
+        shutil.copytree(ROOT / "tests", copy / "tests", ignore=skip)
+        shutil.copy(ROOT / "pyproject.toml", copy)
+        if mutant:
+            target = copy / "src" / "compedge" / mutant.module
+            target.write_text(source(mutant.module).replace(mutant.old, mutant.new))
+        env = os.environ | {"PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+        return subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+             "--hypothesis-seed=0", *selection],
+            cwd=copy, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
+
+
+def main(names: list[str]) -> int:
+    known = {m.name for m in MUTANTS} | {e.name for e in EQUIVALENT}
+    unknown = sorted(set(names) - known)
+    if unknown:
+        print(f"unknown mutant: {', '.join(unknown)}", file=sys.stderr)
+        return 2
+    chosen = [m for m in MUTANTS if not names or m.name in names]
+    # a selection that fails unmutated would call every mutant caught
+    selections = tuple(dict.fromkeys(t for m in chosen for t in m.selection))
+    if selections and run(selections):
+        print("the unmutated tree fails the selections", file=sys.stderr)
+        return 2
+    status = 0
+    for e in EQUIVALENT:
+        if names and e.name not in names:
+            continue
+        if not located(e.module, e.old):
+            print(f"{e.name}: text not found once in {e.module}", file=sys.stderr)
+            return 2
+        print(f"equivalent {e.name}: {e.reason}")
+    for m in chosen:
+        if not located(m.module, m.old):
+            print(f"{m.name}: text not found once in {m.module}", file=sys.stderr)
+            return 2
+        code = run(m.selection, m)
+        if code not in (0, 1):
+            print(f"{m.name}: pytest exited {code} on {' '.join(m.selection)}",
+                  file=sys.stderr)
+            return 2
+        print(f"{'caught' if code else 'survived'} {m.name}", flush=True)
+        if not code:
+            status = 1
+    return status
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
