@@ -1,6 +1,6 @@
 """Exact reduced simplicial homology and graded Betti numbers of squarefree ideals.
 
-The Betti oracle has two engines and two one-dimensional cases, with one
+The Betti oracle has two engines and two cases read off counts, with one
 result. The primal engine is Hochster's formula: the multidegree-sigma Betti
 number of S/I in homological position i is dim of reduced H_(|sigma|-i-1) of
 the Stanley-Reisner complex restricted to sigma. One table of 2^n entries
@@ -18,26 +18,24 @@ aggregates multidegrees by cardinality either way. The complex {emptyset}
 has reduced H_(-1) = K, which makes the links of the dual facets count the
 generators.
 
-Two one-dimensional cases take neither engine, and read the table off counts
-with no face list, no link and no memo. Generators all of degree at least
-n - 2 have a dual complex of dimension at most 1. For a complementary edge
-ideal it is the graph itself (the empty face, the n' vertices on an edge,
+Two cases take neither engine, and read the table off counts with no face
+list and no link. Generators all of degree at least n - 2 have a dual
+complex of dimension at most 1. For a complementary edge ideal it is the
+graph itself (the empty face, the n' vertices on an edge,
 the m edges), and every link is {emptyset}, a set of points or that graph,
 so the dual formula is read off vertex degrees, edge counts and the
 components (_graph_betti). Generators all of degree at most 2 whose
 Stanley-Reisner complex is a forest, the dual of I_c(F) for a forest F
 among them, have forests as every restriction, so the primal formula is
-read off vertex and edge counts (_forest_betti).
+read off vertex and edge counts (_forest_betti). So do ideals generated by
+variables alone: their complex is a full simplex, every nonempty restriction
+is a cone, and the table is the Koszul diagonal.
 
-Two memos keep repeated work away. Reduced homology is memoised per complex
-with functools.cache, keyed by the field and the sorted face masks. The masks
-alone fix the complex, so primal restrictions and dual links share one memo.
-It keeps only complexes on the vertices 1.._MEMO_WIDTH: the exhaustive sweeps
-repeat those, while larger raw-mask keys rarely repeat and would grow it
-without limit. Whole Betti tables are memoised per (ideal, field)
-in a functools.lru_cache of _TABLE_MEMO_SIZE entries: a verify sweep asks for
-the same small tables again and again, and an unbounded table memo costs more
-memory than the extra hits repay. clear_homology_cache() empties both.
+Nothing is memoised. The exhaustive sweeps repeat small tables, but with
+every complementary edge ideal, every forest dual and every ideal of
+variables read off counts, a verify round sends no table to an engine.
+clear_homology_cache() is kept as a no-op for callers that clear before
+timing.
 
 All ranks are exact. The two lowest boundary maps need no elimination: the
 augmentation map from vertices onto K has rank 1 once a vertex exists, and
@@ -58,28 +56,14 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import cache, lru_cache
 from math import comb, gcd
 from typing import Iterable, NamedTuple
 
-from .graphs import DEFAULT_ENUMERATION_LIMIT, _clip, _join_count
+from .graphs import _clip, _join_count
 from .ideals import (_DUAL_FACE_CAP, SquarefreeIdeal, _closure, _squarefree_components,
                      alexander_dual, height, support_of)
 
 ORACLE_LIMIT = 14
-# One verify round asks for 14,198 tables of 8,435 distinct (ideal, field)
-# pairs; 32 recent tables serve 2,848 of them (round 0.82-0.93 s -> 0.80-0.88 s
-# on one x86-64 CPU), an unbounded memo 5,763 in about the same time for
-# 6.7 MB more traced peak.
-_TABLE_MEMO_SIZE = 32
-# Reduced homology is memoised only for complexes on the vertices
-# 1.._MEMO_WIDTH, at most 2^_MEMO_WIDTH faces a key. The exhaustive sweeps
-# stop at the enumeration limit, repeat complexes and stay inside; past it
-# raw-mask keys rarely repeat: the primal table of alexander_dual(I_c(C_14)),
-# which hochster_betti sends to the primal engine, asks for 16,342
-# restrictions of at most 29 faces, none twice, and the memo keeps 110 of them
-# (3.3 MB -> about 0.06 MB).
-_MEMO_WIDTH = DEFAULT_ENUMERATION_LIMIT
 
 
 class Field(enum.Enum):
@@ -87,10 +71,6 @@ class Field(enum.Enum):
 
     GF2 = "gf2"
     RATIONALS = "q"
-
-    # members are singletons compared by identity, so the C-level identity
-    # hash is valid and spares every memo lookup Enum's Python-level __hash__
-    __hash__ = object.__hash__
 
 
 def parse_field(name: str) -> Field:
@@ -217,20 +197,11 @@ def _rational_rank(rows: list[dict[int, int]]) -> int:
     return len(pivots)
 
 
-def _homology_from_faces(faces: tuple[int, ...], field: Field) -> tuple[int, ...]:
+def _homology(faces: Iterable[int], field: Field) -> tuple[int, ...]:
     """Reduced homology dims of a nonvoid downward-closed family of face masks.
 
     Index 0 of the result is dimension -1 of the reduced chain complex.
-    Callers pass the masks sorted, so the last one holds the highest vertex,
-    and both arguments positionally, so one complex has one memo key.
     """
-    if faces[-1] >> _MEMO_WIDTH == 0:
-        return _memoised_homology(faces, field)
-    return _homology(faces, field)
-
-
-def _homology(faces: tuple[int, ...], field: Field) -> tuple[int, ...]:
-    """The reduced homology dims of _homology_from_faces, computed without the memo."""
     faces_by_size: list[list[int]] = [[]]
     for f in faces:
         k = f.bit_count()
@@ -274,9 +245,6 @@ def _homology(faces: tuple[int, ...], field: Field) -> tuple[int, ...]:
     return tuple(sizes[s] - ranks[s] - ranks[s + 1] for s in range(top + 1))
 
 
-_memoised_homology = cache(_homology)
-
-
 def reduced_homology_dims(complex_: SimplicialComplex, field: Field = Field.GF2) -> list[int]:
     """Dims of reduced homology, listed from dimension -1 upward.
 
@@ -285,7 +253,7 @@ def reduced_homology_dims(complex_: SimplicialComplex, field: Field = Field.GF2)
     """
     if complex_.is_void:
         return []
-    return list(_homology_from_faces(tuple(sorted(complex_.faces)), field))
+    return list(_homology(complex_.faces, field))
 
 
 @dataclass(frozen=True, eq=True)
@@ -332,9 +300,7 @@ def reg_pd(table: BettiTable) -> Homological:
 
 
 def clear_homology_cache() -> None:
-    """Empty both memos: Betti tables and reduced homology."""
-    _betti_table.cache_clear()
-    _memoised_homology.cache_clear()
+    """Does nothing: the oracle keeps no memo. Kept for callers that clear before timing."""
 
 
 def hochster_betti(ideal: SquarefreeIdeal, field: Field = Field.GF2) -> BettiTable:
@@ -343,12 +309,13 @@ def hochster_betti(ideal: SquarefreeIdeal, field: Field = Field.GF2) -> BettiTab
     Generators all of degree at least n - 2, every complementary edge ideal
     among them, have a dual complex of dimension at most 1: a graph, whose
     links are read off counts (_graph_betti). Generators all of degree at
-    most 2 whose Stanley-Reisner complex is a forest, the ideal of all
-    variables among them, have restrictions read off counts too
-    (_forest_betti). Otherwise two engines compute the same table. The
-    primal one sums the homology of the Stanley-Reisner complex restricted
-    to each sigma of the lcm lattice (the unions of generators; every other
-    restriction is a cone), found in one table of 2^n entries. The dual one
+    most 2 whose Stanley-Reisner complex is a forest, and ideals generated by
+    variables alone, whose table is the Koszul diagonal, have restrictions
+    read off counts too (_forest_betti). Otherwise two engines compute the
+    same table. The primal one sums the homology of the Stanley-Reisner
+    complex restricted to each sigma of the lcm lattice (the unions of
+    generators; every other restriction is a cone), found in one table of
+    2^n entries. The dual one
     reads the table from the links of the faces of the Alexander dual
     complex; it collects them by subset inversion, which costs sum over dual
     faces f of 2^|f| (at most 4F for the F faces of a graph). Its faces tau
@@ -361,22 +328,15 @@ def hochster_betti(ideal: SquarefreeIdeal, field: Field = Field.GF2) -> BettiTab
     cap height uses; past it the primal engine runs. The cap never moves the
     choice: P <= 3^n, so the rule already refuses every F above
     isqrt(3^(n+1)), which is at most 3,787 for n <= 14. Ambient sizes above
-    ORACLE_LIMIT (14) are refused.
-
-    The last _TABLE_MEMO_SIZE tables are memoised by (ideal, field), so a
-    repeated table costs one lookup; clear_homology_cache() empties the memo.
+    ORACLE_LIMIT (14) are refused. Nothing is memoised: a repeated table is
+    computed again.
     """
     if ideal.is_zero:
         raise ValueError("Betti table undefined for the zero ideal")
-    if ideal.n > ORACLE_LIMIT:
-        raise ValueError(f"ambient size {_clip(ideal.n)} exceeds the oracle limit of "
-                         f"{ORACLE_LIMIT}")
-    return _betti_table(ideal, field)
-
-
-@lru_cache(maxsize=_TABLE_MEMO_SIZE)
-def _betti_table(ideal: SquarefreeIdeal, field: Field) -> BettiTable:
     n = ideal.n
+    if n > ORACLE_LIMIT:
+        raise ValueError(f"ambient size {_clip(n)} exceeds the oracle limit of "
+                         f"{ORACLE_LIMIT}")
     if ideal.indeg >= n - 2:
         return _graph_betti(n, ideal.masks, field)
     table = _forest_betti(n, ideal.masks, field)
@@ -386,7 +346,7 @@ def _betti_table(ideal: SquarefreeIdeal, field: Field) -> BettiTable:
     faces = _closure([full & ~g for g in ideal.masks], _DUAL_FACE_CAP)
     if faces is None or len(faces) ** 2 > 3 * sum(1 << (n - tau.bit_count()) for tau in faces):
         return _primal_betti(ideal, field)
-    return _dual_betti(n, sorted(faces), field)
+    return _dual_betti(n, faces, field)
 
 
 def _primal_betti(ideal: SquarefreeIdeal, field: Field) -> BettiTable:
@@ -406,10 +366,7 @@ def _primal_betti(ideal: SquarefreeIdeal, field: Field) -> BettiTable:
     for sigma, u in enumerate(union):
         if u != sigma:
             continue
-        # filtered in increasing order, so one complex has one memo key; a
-        # list before tuple(), as tuple() of a generator leaves its growing
-        # buffers behind on CPython's free lists
-        dims = _homology_from_faces(tuple([f for f in faces if f & ~sigma == 0]), field)
+        dims = _homology([f for f in faces if f & ~sigma == 0], field)
         ssize = sigma.bit_count()
         for k, h in enumerate(dims):
             if h:
@@ -418,7 +375,7 @@ def _primal_betti(ideal: SquarefreeIdeal, field: Field) -> BettiTable:
     return BettiTable.from_dict(n, field, entries)
 
 
-def _dual_betti(n: int, faces: list[int], field: Field) -> BettiTable:
+def _dual_betti(n: int, faces: Iterable[int], field: Field) -> BettiTable:
     """Dual Hochster formula: beta_(i,sigma) = dim H~_(i-2) of the link of sigma's complement.
 
     The link of tau in the dual complex is {f - tau : f a face containing
@@ -428,9 +385,7 @@ def _dual_betti(n: int, faces: list[int], field: Field) -> BettiTable:
     in place of a scan of all faces per face.
     """
     links: dict[int, list[int]] = {tau: [] for tau in faces}
-    # faces is sorted, so every link lists f - tau in the order of f, and
-    # equal links give equal memo keys
-    for f in faces:
+    for f in links:
         tau = f
         while True:
             links[tau].append(f ^ tau)
@@ -439,7 +394,7 @@ def _dual_betti(n: int, faces: list[int], field: Field) -> BettiTable:
             tau = (tau - 1) & f
     entries: dict[tuple[int, int], int] = {(0, 0): 1}
     for tau, link in links.items():
-        dims = _homology_from_faces(tuple(link), field)
+        dims = _homology(link, field)
         j = n - tau.bit_count()
         for k, h in enumerate(dims):
             if h:
@@ -484,16 +439,20 @@ def _forest_betti(n: int, masks: Iterable[int], field: Field) -> BettiTable | No
     """Hochster's formula of _primal_betti on a Stanley-Reisner complex that is a forest.
 
     With generators all of degree at most 2, D of them variables, the
-    complex has the V = n - D other variables as vertices and as edges the M
-    pairs among them that are not generators: the graph Gamma, with a
-    triangle of Gamma as its only possible 2-face. If a generator has degree
-    3 or more, or Gamma has a cycle (graphs._join_count), this returns None.
-    Otherwise every restriction to sigma is a forest, whose homology is
-    a count: H~_(-1) = 1 when sigma holds no vertex, else H~_0 = v' - m' - 1
-    for its v' vertices and m' edges. Summed over the C(n, j) sets sigma of
-    size j, v' adds up to V * C(n-1, j-1) and m' to M * C(n-2, j-2); the D-sets
-    give beta_(j,j) = C(D, j), the rest beta_(j-1,j). A forest has no torsion,
-    so the table is the same over every field.
+    complex is the clique complex of the graph Gamma whose vertices are the
+    V = n - D other variables and whose edges are the M pairs among them that
+    are not generators. If a generator has degree 3 or more this returns
+    None. Every restriction to a sigma holding no vertex is {emptyset}, with
+    H~_(-1) = 1: the D-sets give beta_(j,j) = C(D, j). With no degree-2
+    generator the complex is the full simplex on the V vertices and every
+    other restriction is a cone, so that Koszul diagonal is the table. Else,
+    if Gamma has a cycle (graphs._join_count), this returns None. Otherwise
+    Gamma is a forest, its own clique complex, and so is every restriction,
+    whose homology is a count: H~_0 = v' - m' - 1 for its v' vertices and m'
+    edges. Summed over the C(n, j) - C(D, j) sets sigma of size j that hold a
+    vertex, v' adds up to V * C(n-1, j-1) and m' to M * C(n-2, j-2), which
+    gives beta_(j-1,j). Neither a simplex nor a forest has torsion, so the
+    table is the same over every field.
     """
     points = 0
     pairs = set()
@@ -505,6 +464,10 @@ def _forest_betti(n: int, masks: Iterable[int], field: Field) -> BettiTable | No
             pairs.add(g)
         else:
             return None
+    d = points.bit_count()
+    entries = {(j, j): comb(d, j) for j in range(d + 1)}
+    if not pairs:
+        return BettiTable.from_dict(n, field, entries)
     labels = [v for v in range(n) if not points >> v & 1]
     vertices = len(labels)
     m = vertices * (vertices - 1) // 2 - len(pairs)
@@ -515,8 +478,6 @@ def _forest_betti(n: int, masks: Iterable[int], field: Field) -> BettiTable | No
              if (1 << u) | (1 << v) not in pairs]
     if _join_count(edges)[1] < m:
         return None
-    d = n - vertices
-    entries = {(j, j): comb(d, j) for j in range(d + 1)}
     for j in range(2, n + 1):
         entries[(j - 1, j)] = (vertices * comb(n - 1, j - 1) - m * comb(n - 2, j - 2)
                                - comb(n, j) + comb(d, j))

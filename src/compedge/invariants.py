@@ -270,7 +270,10 @@ def implication_suite(graph: SimpleGraph, field: Field = Field.GF2) -> Implicati
     generators are the isolated vertices, the non-edges between vertices that
     carry an edge, and the triangles), not found by the cover search of
     alexander_dual. sequentially_cm is the dual's componentwise linearity,
-    which is equivalent (Herzog-Hibi, Nagoya Math. J. 153, 1999).
+    which is equivalent (Herzog-Hibi, Nagoya Math. J. 153, 1999). The same
+    paper gives dual_linear_resolution with no second table: the dual has a
+    linear resolution exactly when it is generated in one degree and is
+    componentwise linear.
     """
     _require_admissible(graph)
     verdict = is_licci(graph)
@@ -279,7 +282,7 @@ def implication_suite(graph: SimpleGraph, field: Field = Field.GF2) -> Implicati
     dual_cl = homology.is_componentwise_linear(dual, field)
     seq_cm = dual_cl
     lq = has_linear_quotients(dual)
-    dual_lin = homology.has_linear_resolution(dual, field)
+    dual_lin = dual_cl and len(set(dual.degrees)) == 1
     primal_lin = homology.has_linear_resolution(ideal, field)
     failed = []
     if verdict.licci:

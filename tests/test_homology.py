@@ -18,9 +18,8 @@ from compedge import (Field, SimpleGraph, SquarefreeIdeal, alexander_dual,
                       stanley_reisner)
 from compedge.graphs import (_join_count, complete_graph, connected_components, cycle_graph,
                              path_graph)
-from compedge.homology import (_TABLE_MEMO_SIZE, BettiTable, SimplicialComplex,
-                               _betti_table, _closure, _dual_betti, _forest_betti, _gf2_rank,
-                               _graph_betti, _homology_from_faces, _memoised_homology,
+from compedge.homology import (BettiTable, SimplicialComplex, _closure, _dual_betti,
+                               _forest_betti, _gf2_rank, _graph_betti, _homology,
                                _primal_betti, _rational_rank, clear_homology_cache,
                                parse_field, reduced_homology_dims)
 from conftest import brute_force_component
@@ -343,7 +342,7 @@ class TestReducedHomology:
             dims = reduced_homology_dims(c, field)
             assert sum((-1) ** k * h for k, h in enumerate(dims)) == chi_faces
 
-    def test_returned_dims_are_a_copy_of_the_memo(self):
+    def test_returned_dims_are_a_fresh_list(self):
         square = simplicial_complex(4, [(1, 2), (2, 3), (3, 4), (1, 4)])
         reduced_homology_dims(square).append(7)
         reduced_homology_dims(square)[2] = 5
@@ -354,9 +353,8 @@ class TestReducedHomology:
     def test_union_find_edge_layer_matches_all_elimination(self, c: SimplicialComplex):
         # dimensions 0-3: the edge layer takes union-find, higher layers elimination
         faces = tuple(sorted(c.faces))
-        clear_homology_cache()
         for field in Field:
-            assert _homology_from_faces(faces, field) == eliminated_homology(faces, field)
+            assert _homology(faces, field) == eliminated_homology(faces, field)
 
     @settings(max_examples=80)
     @given(complexes())
@@ -489,55 +487,11 @@ class TestBettiTables:
         clear_homology_cache()
         assert hochster_betti(ideal) == before
 
-    def test_a_repeated_table_only_hits_the_memo(self):
-        # the second call computes nothing: no homology lookup at all, one table
-        # hit; the dual of I_c(C_6) is generated in degree 2 < n - 2, so an
-        # engine serves it and the first call fills the homology memo
-        ideal = alexander_dual(complementary_edge_ideal(cycle_graph(6)))
-        clear_homology_cache()
-        assert _memoised_homology.cache_info().currsize == 0
-        first = hochster_betti(ideal)
-        homology_before = _memoised_homology.cache_info()
-        tables_before = _betti_table.cache_info()
-        assert homology_before.currsize > 0
-        assert hochster_betti(ideal) == first
-        homology_after = _memoised_homology.cache_info()
-        tables_after = _betti_table.cache_info()
-        assert homology_after.misses == homology_before.misses
-        assert homology_after.currsize == homology_before.currsize
-        assert tables_after.hits == tables_before.hits + 1
-        assert tables_after.misses == tables_before.misses
-
-    def test_clearing_empties_both_memos(self):
-        # I_c(C_5) itself takes no memoised homology; its dual, of degree 2 < 3, does
-        hochster_betti(alexander_dual(complementary_edge_ideal(cycle_graph(5))), Field.RATIONALS)
-        assert _betti_table.cache_info().currsize > 0
-        assert _memoised_homology.cache_info().currsize > 0
-        clear_homology_cache()
-        assert _betti_table.cache_info().currsize == 0
-        assert _memoised_homology.cache_info().currsize == 0
-
-    def test_an_evicted_table_is_recomputed_equal(self):
-        ideal = complementary_edge_ideal(cycle_graph(6))
-        clear_homology_cache()
-        first = hochster_betti(ideal)
-        # more distinct principal ideals than the memo holds push the cycle out
-        others = [minimalize(10, [pair]) for pair in combinations(range(1, 11), 2)]
-        assert len(others) > _TABLE_MEMO_SIZE
-        for other in others:
-            hochster_betti(other)
-        info = _betti_table.cache_info()
-        assert info.currsize == info.maxsize == _TABLE_MEMO_SIZE
-        again = hochster_betti(ideal)
-        assert _betti_table.cache_info().misses == info.misses + 1
-        assert again == first and again is not first
-
     @settings(max_examples=40)
     @given(ideals(6))
     def test_matches_hochster_sum_over_unrelabeled_restrictions(self, ideal: SquarefreeIdeal):
         for field in Field:
             expected = brute_force_betti(ideal, field)
-            clear_homology_cache()
             assert hochster_betti(ideal, field) == expected
 
     @pytest.mark.parametrize("n, count", [(1, 1), (2, 4), (3, 18), (4, 166)])
@@ -548,7 +502,6 @@ class TestBettiTables:
         for ideal in every:
             for field in Field:
                 expected = brute_force_betti(ideal, field)
-                clear_homology_cache()
                 assert _primal_betti(ideal, field) == expected
                 assert hochster_betti(ideal, field) == expected
 
@@ -586,8 +539,8 @@ class TestBettiTables:
     @settings(max_examples=60, deadline=None)
     @given(ideals(8), st.randoms(use_true_random=False))
     def test_relabeling_the_variables_keeps_the_table(self, ideal: SquarefreeIdeal, rng):
-        # the homology memo is keyed by raw masks, so a relabeled ideal meets
-        # other keys than the original, or the same keys for other complexes
+        # the engines and kernels work on raw masks, so a relabeled ideal
+        # meets other masks than the original
         n = ideal.n
         image = list(range(n))
         rng.shuffle(image)
@@ -601,9 +554,7 @@ class TestBettiTables:
     @given(ideals(8))
     def test_primal_and_dual_engines_agree(self, ideal: SquarefreeIdeal):
         for field in Field:
-            clear_homology_cache()
             primal = _primal_betti(ideal, field)
-            clear_homology_cache()
             assert dual_engine(ideal, field) == primal
 
     @pytest.mark.parametrize("n, count", [(3, 18), (4, 113), (5, 1450)])
@@ -628,7 +579,6 @@ class TestBettiTables:
             raise AssertionError("walked subsets or ran an engine")
         for name in ("_union_table", "_closure", "_dual_betti", "_primal_betti"):
             monkeypatch.setattr(homology, name, refuse)
-        clear_homology_cache()
         for graph in (cycle_graph(14), complete_graph(14), SimpleGraph(14, ((1, 2),))):
             for field in Field:
                 table = hochster_betti(complementary_edge_ideal(graph), field)
@@ -640,7 +590,6 @@ class TestBettiTables:
             raise AssertionError("ranked a layer by elimination")
         monkeypatch.setattr(homology, "_gf2_rank", refuse)
         monkeypatch.setattr(homology, "_rational_rank", refuse)
-        clear_homology_cache()
         rng = random.Random(13)
         graphs = [complete_graph(13), cycle_graph(13), SimpleGraph(13, ((1, 2),))]
         graphs += [gnp_graph(n, p, rng) for n in range(3, 14) for p in (0.2, 0.5, 0.8)]
@@ -657,7 +606,6 @@ class TestBettiTables:
         faces = sorted(_closure([(1 << u - 1) | (1 << v - 1) for u, v in graph.edges],
                                 1 + n + graph.m))
         for field in Field:
-            clear_homology_cache()
             assert _dual_betti(n, faces, field) == closed_form_betti(graph, field)
 
     @pytest.mark.parametrize("n", [200, 1000])
@@ -688,13 +636,11 @@ class TestBettiTables:
             over_2 = hochster_betti(ideal, Field.GF2).entries
             assert hochster_betti(ideal, Field.RATIONALS).entries == over_2
 
-    def test_a_primal_table_past_the_memo_width_leaves_the_memo_small(self):
+    def test_a_primal_table_holds_one_restriction_at_a_time(self):
         # called directly, as hochster_betti sends this ideal to _forest_betti:
-        # 16,345 restrictions of at most 28 faces, none asked for twice; an
-        # unbounded memo kept 4.6 MB of them, and holding every restriction
+        # 16,345 restrictions of at most 28 faces; holding every restriction
         # at once peaked at 4.8 MB (one at a time: 0.9 MB)
         ideal = alexander_dual(complementary_edge_ideal(path_graph(14)))
-        clear_homology_cache()
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -705,7 +651,6 @@ class TestBettiTables:
             tracemalloc.stop()
         assert now - before < 1_000_000
         assert peak - before < 2_000_000
-        assert _memoised_homology.cache_info().currsize < 1_000
         # I_c(P_14) is Cohen-Macaulay, so its dual has a linear resolution
         assert table.as_dict() == {(0, 0): 1} | {(i, i + 1): i * comb(13, i + 1)
                                                  for i in range(1, 13)}
@@ -722,7 +667,6 @@ class TestBettiTables:
         def refuse(*args):
             raise AssertionError(f"ran {slow} on the {witness} witness")
         monkeypatch.setattr(homology, slow, refuse)
-        clear_homology_cache()
         table = hochster_betti(ideal)
         assert sum(v for (i, _), v in table.entries if i == 1) == len(ideal.masks)
 
@@ -744,7 +688,6 @@ class TestBettiTables:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(homology, slow, refuse)
             for field in Field:
-                clear_homology_cache()
                 hochster_betti(ideal, field)
 
     def test_forest_complexes_skip_the_subset_walk(self, monkeypatch):
@@ -754,7 +697,6 @@ class TestBettiTables:
             raise AssertionError("walked subsets or ran an engine")
         for name in ("_union_table", "_closure", "_dual_betti", "_primal_betti"):
             monkeypatch.setattr(homology, name, refuse)
-        clear_homology_cache()
         linear = {(0, 0): 1} | {(i, i + 1): i * comb(13, i + 1) for i in range(1, 13)}
         koszul = {(i, i): comb(14, i) for i in range(15)}
         path = complementary_edge_dual(path_graph(14))
@@ -763,8 +705,20 @@ class TestBettiTables:
             assert hochster_betti(path, field).as_dict() == linear
             assert hochster_betti(variables, field).as_dict() == koszul
 
+    def test_variable_ideals_skip_the_subset_walk(self, monkeypatch):
+        # (x_1..x_7) on n = 14: the complex is the full simplex on the other
+        # seven variables, no forest, yet its table is the Koszul diagonal
+        def refuse(*args):
+            raise AssertionError("walked subsets or ran an engine")
+        for name in ("_union_table", "_closure", "_dual_betti", "_primal_betti"):
+            monkeypatch.setattr(homology, name, refuse)
+        ideal = minimalize(14, [[v] for v in range(1, 8)])
+        for field in Field:
+            assert hochster_betti(ideal, field).as_dict() == {(i, i): comb(7, i)
+                                                              for i in range(8)}
+
     @pytest.mark.parametrize("n, count, taken", [(1, 1, 1), (2, 4, 4), (3, 17, 17),
-                                                 (4, 112, 83), (5, 1449, 577)])
+                                                 (4, 112, 87), (5, 1449, 592)])
     def test_forest_kernel_on_every_ideal_of_degree_at_most_two(self, n, count, taken):
         every = low_degree_ideals(n)
         assert len(every) == len(set(every)) == count
@@ -799,7 +753,6 @@ class TestBettiTables:
         for ideal in (cubic, pentagon, square):
             for field in Field:
                 assert _forest_betti(ideal.n, ideal.masks, field) is None
-                clear_homology_cache()
                 assert hochster_betti(ideal, field) == brute_force_betti(ideal, field)
 
     def test_irrelevant_ideal_is_koszul(self):
@@ -897,6 +850,23 @@ class TestRingPredicates:
     @given(ideals(8), st.sampled_from(list(Field)))
     def test_veronese_exit_agrees_with_every_degree(self, ideal: SquarefreeIdeal, field: Field):
         assert is_componentwise_linear(ideal, field) == self.every_component_linear(ideal, field)
+
+    @pytest.mark.parametrize("n, count", [(1, 1), (2, 4), (3, 15), (4, 94), (5, 2109)])
+    def test_one_degree_ideals_are_componentwise_linear_iff_linear(self, n, count):
+        # Herzog-Hibi, Nagoya Math. J. 153 (1999): an ideal generated in one
+        # degree is componentwise linear iff its resolution is linear, which
+        # lets implication_suite read the dual's linear resolution off its
+        # componentwise linearity; every nonempty set of d-subsets, every d
+        every = []
+        for d in range(1, n + 1):
+            supports = [sum(1 << v for v in c) for c in combinations(range(n), d)]
+            every += [SquarefreeIdeal(n, [g for k, g in enumerate(supports) if chosen >> k & 1])
+                      for chosen in range(1, 1 << len(supports))]
+        assert len(every) == count
+        for ideal in every:
+            for field in Field:
+                assert is_componentwise_linear(ideal, field) == has_linear_resolution(
+                    ideal, field), ideal
 
     def test_sequentially_cm_examples(self):
         two_edges = complementary_edge_ideal(SimpleGraph(4, ((1, 2), (3, 4))))

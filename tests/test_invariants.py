@@ -1,6 +1,8 @@
 """Classification layer: predictions, licci verdicts, oracle cross-validation."""
 from __future__ import annotations
 
+import hashlib
+import json
 from itertools import combinations
 
 import networkx as nx
@@ -205,6 +207,21 @@ class TestImplicationSuite:
         for graph in graphs:
             assert implication_suite(graph, field).to_json_dict() == slow_suite_payload(
                 graph, field), graph
+
+    def test_payload_digest_over_every_graph_to_five_and_forest_on_six(self):
+        # the behaviour gate: one SHA-256 over the sorted-key JSON of every
+        # payload, GF(2) first, in enumeration order; any change to a claim,
+        # a verdict or a failed_claims list moves it
+        graphs = [g for n in range(3, 6) for g in enumerate_graphs(n) if g.m]
+        graphs += [g for g in enumerate_graphs(6) if g.m and is_forest(g)]
+        assert len(graphs) == 1093 + 2931
+        digest = hashlib.sha256()
+        for field in (Field.GF2, Field.RATIONALS):
+            for graph in graphs:
+                payload = implication_suite(graph, field).to_json_dict()
+                digest.update(json.dumps(payload, sort_keys=True).encode())
+        assert digest.hexdigest() == (
+            "eaea92c8481bbd6ae74ff65b7466729b8426bd7690094db2730bb6e5f7723652")
 
 
 def slow_suite_payload(graph: SimpleGraph, field: Field) -> dict:

@@ -80,6 +80,15 @@ MUTANTS = [
     Mutant("forest-drop-the-union-find", "homology.py",
            "    if _join_count(edges)[1] < m:\n        return None\n", "",
            (HOMOLOGY + "test_forest_kernel_on_every_ideal_of_degree_at_most_two",)),
+    Mutant("koszul-never-return", "homology.py",
+           "if not pairs:", "if False:",
+           (HOMOLOGY + "test_variable_ideals_skip_the_subset_walk",)),
+    # the implication suite reads the dual's linear resolution off its
+    # componentwise linearity, for one generator degree only
+    Mutant("suite-linear-without-one-degree", "invariants.py",
+           "dual_lin = dual_cl and len(set(dual.degrees)) == 1", "dual_lin = dual_cl",
+           ("tests/test_invariants.py::TestImplicationSuite::"
+            "test_payload_digest_over_every_graph_to_five_and_forest_on_six",)),
     # the graph dual, the component chain and the quotient check
     Mutant("dual-drop-the-triangle-covers", "ideals.py",
            "covers.append(1 << (u - 1) | 1 << (v - 1) | low)", "pass",
