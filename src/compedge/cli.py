@@ -17,8 +17,7 @@ from dataclasses import dataclass
 
 from .graphs import (DEFAULT_ENUMERATION_LIMIT, SimpleGraph, enumerate_graphs,
                      max_subgraph_density, parse_graph)
-from .homology import hochster_betti, parse_field
-from .ideals import complementary_edge_ideal
+from .homology import _graph_oracle, parse_field
 from .invariants import NOTE_COMPLETE_PD, NOTE_ISOLATED, cross_validate, predict_invariants
 
 
@@ -73,7 +72,7 @@ def _cmd_analyze(args: argparse.Namespace, graph: SimpleGraph) -> CommandOutcome
 
 def _cmd_betti(args: argparse.Namespace, graph: SimpleGraph) -> CommandOutcome:
     field = parse_field(args.field)
-    table = hochster_betti(complementary_edge_ideal(graph), field)
+    table, _ = _graph_oracle(graph, field)
     return CommandOutcome(0, _dump(table.to_json_dict(), False))
 
 

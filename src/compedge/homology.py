@@ -31,6 +31,11 @@ read off vertex and edge counts (_forest_betti). So do ideals generated by
 variables alone: their complex is a full simplex, every nonempty restriction
 is a cone, and the table is the Koszul diagonal.
 
+A complementary edge ideal I_c(G) needs no ideal at all. _graph_oracle reads
+its table and its height off the graph's counts (_edge_oracle): the edges,
+the vertices on an edge and the components holding one. The invariants
+layer and the betti command ask it, and never build I_c(G).
+
 Nothing is memoised. The exhaustive sweeps repeat small tables, but with
 every complementary edge ideal, every forest dual and every ideal of
 variables read off counts, a verify round sends no table to an engine.
@@ -48,20 +53,23 @@ integer rows, fraction-free with gcd reduction; torsion first shows there, as
 in the projective plane. No floating point anywhere.
 
 The resolution-shape predicates read these tables. is_componentwise_linear
-asks for the linear resolution of each squarefree component in turn, and
-builds the components as one chain: the degree-(d+1) component is the
-degree-d one times every variable, plus the generators of degree d + 1.
+reads the regularity of each squarefree component in turn off its table,
+routed from the component's masks (_mask_betti, the routing hochster_betti
+uses) with no ideal built, and builds the components as one chain: the
+degree-(d+1) component is the degree-d one times every variable, plus the
+generators of degree d + 1.
 """
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
 from math import comb, gcd
-from typing import Iterable, NamedTuple
+from typing import Collection, Iterable, NamedTuple, Sequence
 
-from .graphs import _clip, _join_count
-from .ideals import (_DUAL_FACE_CAP, SquarefreeIdeal, _closure, _squarefree_components,
-                     alexander_dual, height, support_of)
+from .graphs import SimpleGraph, _clip, _join_count
+from .ideals import (_DUAL_FACE_CAP, AMBIENT_LIMIT, SquarefreeIdeal, _closure, _outside_ambient,
+                     _require_edge_ambient, _squarefree_components, alexander_dual, height,
+                     support_of)
 
 ORACLE_LIMIT = 14
 
@@ -137,11 +145,15 @@ def stanley_reisner(ideal: SquarefreeIdeal) -> SimplicialComplex:
     """Faces are the subsets of {1..n} containing no generator support."""
     if ideal.is_zero:
         raise ValueError("Stanley-Reisner complex undefined for the zero ideal")
-    if ideal.n > ORACLE_LIMIT:
-        raise ValueError(f"ambient size {_clip(ideal.n)} exceeds the oracle limit of "
-                         f"{ORACLE_LIMIT}")
+    _require_oracle(ideal.n)
     union = _union_table(ideal)
     return SimplicialComplex(ideal.n, frozenset(s for s, u in enumerate(union) if not u))
+
+
+def _require_oracle(n: int) -> None:
+    """Refuse an ambient size past ORACLE_LIMIT, the one limit of every Betti table."""
+    if n > ORACLE_LIMIT:
+        raise ValueError(f"ambient size {_clip(n)} exceeds the oracle limit of {ORACLE_LIMIT}")
 
 
 def _union_table(ideal: SquarefreeIdeal) -> list[int]:
@@ -306,6 +318,8 @@ def clear_homology_cache() -> None:
 def hochster_betti(ideal: SquarefreeIdeal, field: Field = Field.GF2) -> BettiTable:
     """Graded Betti numbers of S/I over the chosen field, degree by multidegree.
 
+    After the checks below, the table is routed from the generator masks
+    (_mask_betti), the one routing is_componentwise_linear also takes.
     Generators all of degree at least n - 2, every complementary edge ideal
     among them, have a dual complex of dimension at most 1: a graph, whose
     links are read off counts (_graph_betti). Generators all of degree at
@@ -333,20 +347,66 @@ def hochster_betti(ideal: SquarefreeIdeal, field: Field = Field.GF2) -> BettiTab
     """
     if ideal.is_zero:
         raise ValueError("Betti table undefined for the zero ideal")
-    n = ideal.n
-    if n > ORACLE_LIMIT:
-        raise ValueError(f"ambient size {_clip(n)} exceeds the oracle limit of "
-                         f"{ORACLE_LIMIT}")
-    if ideal.indeg >= n - 2:
-        return _graph_betti(n, ideal.masks, field)
-    table = _forest_betti(n, ideal.masks, field)
+    _require_oracle(ideal.n)
+    return _mask_betti(ideal.n, ideal.masks, ideal.indeg, field)
+
+
+def _mask_betti(n: int, masks: Collection[int], indeg: int, field: Field) -> BettiTable:
+    """The table of the ideal with these minimal generators, of least degree indeg.
+
+    The one routing of hochster_betti, with no ideal to build: _graph_betti,
+    then _forest_betti, then the engine rule. Only the primal engine needs a
+    SquarefreeIdeal, and only it gets one.
+    """
+    if indeg >= n - 2:
+        return _graph_betti(n, masks, field)
+    table = _forest_betti(n, masks, field)
     if table is not None:
         return table
     full = (1 << n) - 1
-    faces = _closure([full & ~g for g in ideal.masks], _DUAL_FACE_CAP)
+    faces = _closure([full & ~g for g in masks], _DUAL_FACE_CAP)
     if faces is None or len(faces) ** 2 > 3 * sum(1 << (n - tau.bit_count()) for tau in faces):
-        return _primal_betti(ideal, field)
+        return _primal_betti(SquarefreeIdeal(n, masks), field)
     return _dual_betti(n, faces, field)
+
+
+def _graph_oracle(graph: SimpleGraph, field: Field) -> tuple[BettiTable, int]:
+    """The Betti table and the height of I_c(G), read off the graph's counts (_edge_oracle).
+
+    No ideal, mask or face is built. The refusals are those of
+    hochster_betti(complementary_edge_ideal(graph)), in the same order: fewer
+    than 3 vertices, more than AMBIENT_LIMIT, no edge (the zero ideal), more
+    than ORACLE_LIMIT.
+    """
+    n = graph.n
+    _require_edge_ambient(n)
+    if n > AMBIENT_LIMIT:
+        raise _outside_ambient(n)
+    if not graph.edges:
+        raise ValueError("Betti table undefined for the zero ideal")
+    _require_oracle(n)
+    return _edge_oracle(n, graph.edges, field)
+
+
+def _edge_oracle(n: int, edges: Sequence[tuple[int, int]],
+                 field: Field) -> tuple[BettiTable, int]:
+    """Table and height of I_c(G) for the graph with these m edges on n >= 3 vertices.
+
+    The dual complex of I_c(G) is G itself: the empty face, the n' vertices on
+    an edge and the m edges, with c' components holding an edge
+    (graphs._join_count joins n' - c' times). The dual Hochster formula
+    (Miller-Sturmfels, Combinatorial Commutative Algebra, Cor. 5.12) then gives
+    beta_(1, n-2) = m, beta_(2, n-1) = 2m - n', beta_(2, n) = c' - 1 and
+    beta_(3, n) = m - n' + c', over every field. The height is the least k
+    with f_(k-1) < C(n, k) in the f-vector (1, n', m), the rule of
+    ideals.height: 1 with an isolated vertex, else 2 unless G is complete.
+    """
+    m = len(edges)
+    met, joins = _join_count(edges)
+    table = BettiTable.from_dict(n, field, {
+        (0, 0): 1, (1, n - 2): m, (2, n - 1): 2 * m - met,
+        (2, n): met - joins - 1, (3, n): m - joins})
+    return table, 1 if met < n else 2 if m < comb(n, 2) else 3
 
 
 def _primal_betti(ideal: SquarefreeIdeal, field: Field) -> BettiTable:
@@ -507,11 +567,14 @@ def is_componentwise_linear(ideal: SquarefreeIdeal, field: Field = Field.GF2) ->
 
     The components come from one chain, each grown from the one below it by
     one variable (ideals._squarefree_components, the chain squarefree_component
-    also reads). The walk stops at the first degree d whose
+    also reads). Each is an antichain of degree-d masks, so its table is
+    routed straight from them (_mask_betti) and it is linear when reg(I) = d;
+    no ideal is built. The walk stops at the first degree d whose
     component holds all C(n, d) squarefree monomials: that component and
     every higher one is a squarefree Veronese ideal, which has linear
     quotients and so a linear resolution over every field (Herzog-Hibi,
-    Monomial Ideals, 2011).
+    Monomial Ideals, 2011). The first component below that reached on more
+    than ORACLE_LIMIT variables is refused.
     """
     if ideal.is_zero:
         raise ValueError("componentwise linearity undefined for the zero ideal")
@@ -521,7 +584,8 @@ def is_componentwise_linear(ideal: SquarefreeIdeal, field: Field = Field.GF2) ->
             continue
         if len(masks) == comb(n, d):
             return True
-        if not has_linear_resolution(SquarefreeIdeal(n, masks), field):
+        _require_oracle(n)
+        if reg_pd(_mask_betti(n, masks, d, field)).reg_ideal != d:
             return False
     return True
 

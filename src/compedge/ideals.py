@@ -271,6 +271,17 @@ def has_linear_quotients(ideal: SquarefreeIdeal) -> QuotientSearchResult:
     """
     if ideal.is_zero:
         raise ValueError("linear quotients undefined for the zero ideal")
+    status, chosen, nodes = _linear_quotients(ideal.masks)
+    ordering = tuple(map(support_of, chosen)) if status == "yes" else None
+    return QuotientSearchResult(status, ordering, nodes)
+
+
+def _linear_quotients(masks: Sequence[int]) -> tuple[str, list[int], int]:
+    """has_linear_quotients on the stored masks: (status, the witness masks, nodes).
+
+    The witness stays as masks, so a caller that reads the status alone
+    builds no support.
+    """
     chosen: list[int] = []
     nodes = 0
 
@@ -310,12 +321,10 @@ def has_linear_quotients(ideal: SquarefreeIdeal) -> QuotientSearchResult:
 
     try:
         # a stable sort: within a degree the stored mask order stays
-        found = search(sorted(ideal.masks, key=int.bit_count))
+        found = search(sorted(masks, key=int.bit_count))
     except _BudgetExceeded:
-        return QuotientSearchResult("inconclusive", None, nodes)
-    if found:
-        return QuotientSearchResult("yes", tuple(map(support_of, chosen)), nodes)
-    return QuotientSearchResult("no", None, nodes)
+        return "inconclusive", chosen, nodes
+    return ("yes" if found else "no"), chosen, nodes
 
 
 class _BudgetExceeded(Exception):

@@ -19,9 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graphs import SimpleGraph, is_complete, is_forest
-from .homology import Field, hochster_betti, reg_pd
-from .ideals import (_require_edge_ambient, complementary_edge_dual, complementary_edge_ideal,
-                     has_linear_quotients, height)
+from .homology import Field, _graph_oracle, reg_pd
+from .ideals import _linear_quotients, _require_edge_ambient, complementary_edge_dual
 from . import homology
 
 NOTE_COMPLETE_PD = "complete_pd_adjusted"
@@ -75,7 +74,7 @@ class InvariantReport:
 
 @dataclass(frozen=True)
 class OracleInvariants:
-    """Measured values from the homology oracle and the cover enumeration."""
+    """Measured values of I_c(G) from the oracle, read off the graph's counts."""
 
     field: Field
     height: int
@@ -201,12 +200,15 @@ def predict_invariants(graph: SimpleGraph) -> InvariantReport:
 
 
 def oracle_invariants(graph: SimpleGraph, field: Field = Field.GF2) -> OracleInvariants:
-    """Measure height, reg, pd and Cohen-Macaulayness with the exact oracle."""
+    """Measure height, reg, pd and Cohen-Macaulayness with the exact oracle.
+
+    The table and the height are read off the graph's counts (the edges, the
+    vertices on an edge and the components holding one) by
+    homology._graph_oracle, which builds no ideal.
+    """
     _require_admissible(graph)
-    ideal = complementary_edge_ideal(graph)
-    table = hochster_betti(ideal, field)
+    table, ht = _graph_oracle(graph, field)
     hom = reg_pd(table)
-    ht = height(ideal)
     return OracleInvariants(field, ht, hom.reg_s_mod_i, hom.pd_s_mod_i,
                             hom.reg_ideal, hom.pd_ideal, hom.pd_s_mod_i == ht)
 
@@ -273,28 +275,31 @@ def implication_suite(graph: SimpleGraph, field: Field = Field.GF2) -> Implicati
     which is equivalent (Herzog-Hibi, Nagoya Math. J. 153, 1999). The same
     paper gives dual_linear_resolution with no second table: the dual has a
     linear resolution exactly when it is generated in one degree and is
-    componentwise linear.
+    componentwise linear. primal_linear_resolution is read off the table of
+    homology._graph_oracle, and dual_linear_quotients is the status of the
+    quotient search alone, with no witness ordering built.
     """
     _require_admissible(graph)
     verdict = is_licci(graph)
-    ideal = complementary_edge_ideal(graph)
+    table, _ = _graph_oracle(graph, field)
     dual = complementary_edge_dual(graph)
     dual_cl = homology.is_componentwise_linear(dual, field)
     seq_cm = dual_cl
-    lq = has_linear_quotients(dual)
+    lq_status = _linear_quotients(dual.masks)[0]
     dual_lin = dual_cl and len(set(dual.degrees)) == 1
-    primal_lin = homology.has_linear_resolution(ideal, field)
+    # every generator has degree n - 2, so the resolution is linear iff reg(I) = n - 2
+    primal_lin = reg_pd(table).reg_ideal == graph.n - 2
     failed = []
     if verdict.licci:
         if not seq_cm:
             failed.append("sequentially_cm")
         if not dual_cl:
             failed.append("dual_componentwise_linear")
-        if lq.status == "no":
+        if lq_status == "no":
             failed.append("dual_linear_quotients")
         if not dual_lin:
             failed.append("dual_linear_resolution")
         if not primal_lin:
             failed.append("primal_linear_resolution")
-    return ImplicationSuite(graph, field, verdict, seq_cm, dual_cl, lq.status,
+    return ImplicationSuite(graph, field, verdict, seq_cm, dual_cl, lq_status,
                             dual_lin, primal_lin, tuple(failed))

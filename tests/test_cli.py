@@ -181,6 +181,24 @@ class TestBetti:
         assert "ambient size" in outcome.diagnostics
 
 
+class TestOracleRefusals:
+    @pytest.mark.parametrize("text, betti, analyze", [
+        ('{"n": 4, "edges": []}', "Betti table undefined for the zero ideal",
+         "edgeless graph: the complementary edge ideal is zero"),
+        ("2 1\n1 2\n", *["degenerate ambient: need at least 3 vertices, got 2"] * 2),
+        ("15 1\n1 2\n", *["ambient size 15 exceeds the oracle limit of 14"] * 2),
+        ("25 1\n1 2\n", *["ambient size 25 outside supported range 0..24"] * 2),
+    ])
+    def test_betti_and_analyze_oracle_keep_their_messages(self, tmp_path, text, betti, analyze):
+        path = tmp_path / "graph.txt"
+        path.write_text(text)
+        for argv, message in ((["betti", str(path)], betti),
+                              (["analyze", "--oracle", str(path)], analyze)):
+            outcome = run(argv)
+            assert (outcome.exit_code, outcome.payload) == (2, "")
+            assert outcome.diagnostics == f"error: {path}: {message}"
+
+
 class TestVerify:
     def test_small_sweep_payload(self):
         outcome = run(["verify", "--max-n", "3"])
@@ -228,7 +246,8 @@ def count_calls(monkeypatch, name: str, *modules) -> list:
 
 class TestOnePassPerGraph:
     def test_analyze_oracle_computes_one_betti_table(self, monkeypatch):
-        calls = count_calls(monkeypatch, "hochster_betti", invariants)
+        # every table of I_c(G) comes from the one graph-level entry
+        calls = count_calls(monkeypatch, "_graph_oracle", invariants)
         outcome = run(["analyze", str(FIXTURES / "k4.json"), "--oracle"])
         assert outcome.exit_code == 0
         assert len(calls) == 1

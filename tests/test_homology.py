@@ -19,9 +19,9 @@ from compedge import (Field, SimpleGraph, SquarefreeIdeal, alexander_dual,
 from compedge.graphs import (_join_count, complete_graph, connected_components, cycle_graph,
                              path_graph)
 from compedge.homology import (BettiTable, SimplicialComplex, _closure, _dual_betti,
-                               _forest_betti, _gf2_rank, _graph_betti, _homology,
-                               _primal_betti, _rational_rank, clear_homology_cache,
-                               parse_field, reduced_homology_dims)
+                               _edge_oracle, _forest_betti, _gf2_rank, _graph_betti,
+                               _graph_oracle, _homology, _primal_betti, _rational_rank,
+                               clear_homology_cache, parse_field, reduced_homology_dims)
 from conftest import brute_force_component
 
 
@@ -784,6 +784,81 @@ class TestBettiTables:
         assert totals.get(1, 0) == m
 
 
+def sparse_gnp(n: int, p: float, seed: int) -> tuple[tuple[int, int], ...]:
+    """The edges of one G(n, p) draw, by geometric skips over the pairs: O(n + m), not O(n^2).
+
+    Batagelj-Brandes, Efficient generation of large random networks (Phys.
+    Rev. E 71, 2005): the gap to the next kept pair is geometric.
+    """
+    rng = random.Random(seed)
+    edges = []
+    v, w = 1, -1
+    while v < n:
+        w += 1 + int(log(1 - rng.random()) / log(1 - p))
+        while w >= v and v < n:
+            w -= v
+            v += 1
+        if v < n:
+            edges.append((w + 1, v + 1))
+    return tuple(sorted(edges))
+
+
+class TestGraphOracle:
+    """The graph-level entry: the table and height of I_c(G) off m, n' and c'."""
+
+    def test_every_labeled_graph_to_six_against_the_graph_kernel_and_height(self, oracle_sweep):
+        # oracle_sweep holds height(complementary_edge_ideal(graph)) per labeled graph
+        records, _ = oracle_sweep
+        assert len(records) == 7 + 63 + 1023 + 32767
+        for record in records:
+            graph = record.graph
+            masks = complementary_edge_ideal(graph).masks
+            for field in Field:
+                table, ht = _graph_oracle(graph, field)
+                assert table == _graph_betti(graph.n, masks, field), graph
+                assert ht == record.height, graph
+
+    def test_atlas_classes_to_seven_against_both_engines_and_the_cover_search(self):
+        # tables and heights are invariant under relabeling, so one graph per
+        # isomorphism class (the networkx atlas) stands for every labeled one;
+        # the primal engine, at 1-5 ms a table on n = 7, reads every class
+        # below 7 and every eighth class of n = 7 over GF(2)
+        graphs = atlas_graphs(3, 7)
+        assert len(graphs) == 201 + 1043
+        for k, graph in enumerate(graphs):
+            ideal = complementary_edge_ideal(graph)
+            for field in Field:
+                table, ht = _graph_oracle(graph, field)
+                assert table == dual_engine(ideal, field), graph
+                if graph.n < 7 or (k % 8 == 0 and field is Field.GF2):
+                    assert table == _primal_betti(ideal, field), graph
+            assert ht == alexander_dual(ideal).indeg, graph
+
+    @pytest.mark.parametrize("n", [200, 1000, 10000])
+    def test_count_step_matches_the_graph_kernel_on_raw_masks(self, n):
+        # seeded G(n, 3/n), past both limits: the kernel reads the n-bit
+        # generators of I_c(G), the count step the edges
+        edges = sparse_gnp(n, 3 / n, n)
+        assert len(edges) > n
+        full = (1 << n) - 1
+        masks = [full ^ (1 << u - 1) ^ (1 << v - 1) for u, v in edges]
+        graph = SimpleGraph(n, edges)
+        for field in Field:
+            table, ht = _edge_oracle(n, edges, field)
+            assert table == _graph_betti(n, masks, field) == closed_form_betti(graph, field)
+            assert ht == (1 if graph.isolated_vertices() else 2)
+
+    def test_complementary_edge_ideals_are_never_built(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("built an ideal, a closure or a mask table")
+        monkeypatch.setattr(SquarefreeIdeal, "__post_init__", refuse)
+        for name in ("_closure", "_graph_betti", "_union_table"):
+            monkeypatch.setattr(homology, name, refuse)
+        for graph in (cycle_graph(14), complete_graph(14), SimpleGraph(14, ((1, 2),))):
+            for field in Field:
+                assert _graph_oracle(graph, field)[0] == closed_form_betti(graph, field)
+
+
 class TestRegPd:
     def test_conversions(self):
         table = hochster_betti(complementary_edge_ideal(complete_graph(4)))
@@ -850,6 +925,24 @@ class TestRingPredicates:
     @given(ideals(8), st.sampled_from(list(Field)))
     def test_veronese_exit_agrees_with_every_degree(self, ideal: SquarefreeIdeal, field: Field):
         assert is_componentwise_linear(ideal, field) == self.every_component_linear(ideal, field)
+
+    @pytest.mark.parametrize("n, count", [(1, 1), (2, 4), (3, 18), (4, 166)])
+    def test_veronese_exit_agrees_with_every_degree_on_every_ideal_to_four(self, n, count):
+        # the chain's components are read as masks, every_component_linear's
+        # as ideals through has_linear_resolution
+        every = antichain_ideals(n)
+        assert len(every) == count
+        for ideal in every:
+            for field in Field:
+                assert is_componentwise_linear(ideal, field) == (
+                    self.every_component_linear(ideal, field)), ideal
+
+    def test_the_oracle_limit_is_kept_below_the_veronese_exit(self):
+        # 13 variables on 15: a component that is not all of its degree
+        with pytest.raises(ValueError, match="^ambient size 15 exceeds the oracle limit of 14$"):
+            is_componentwise_linear(minimalize(15, [[v] for v in range(1, 14)]))
+        # every variable: the Veronese exit answers before any table
+        assert is_componentwise_linear(minimalize(15, [[v] for v in range(1, 16)]))
 
     @pytest.mark.parametrize("n, count", [(1, 1), (2, 4), (3, 15), (4, 94), (5, 2109)])
     def test_one_degree_ideals_are_componentwise_linear_iff_linear(self, n, count):

@@ -14,6 +14,7 @@ from compedge import (Field, SimpleGraph, SquarefreeIdeal, alexander_dual,
                       enumerate_graphs, has_linear_resolution, huneke_ulrich_check,
                       implication_suite, is_cohen_macaulay, is_forest, is_licci,
                       oracle_invariants, predict_invariants, reg_pd)
+from compedge import cli, homology, ideals, invariants
 from compedge.graphs import complete_graph, cycle_graph, path_graph
 from compedge.homology import _primal_betti
 from compedge.invariants import NOTE_COMPLETE_PD, NOTE_ISOLATED
@@ -222,6 +223,36 @@ class TestImplicationSuite:
                 digest.update(json.dumps(payload, sort_keys=True).encode())
         assert digest.hexdigest() == (
             "eaea92c8481bbd6ae74ff65b7466729b8426bd7690094db2730bb6e5f7723652")
+
+
+class TestOneGraphLevelPath:
+    """Every oracle question on I_c(G) is answered off the graph's counts."""
+
+    def test_no_ideal_route_is_taken_on_a_forest(self, monkeypatch):
+        forests = [SimpleGraph(7, ((1, 2), (2, 3), (2, 4), (5, 6))), path_graph(7)]
+        questions = (oracle_invariants, cross_validate, implication_suite)
+        expected = [q(g, f) for g in forests for f in Field for q in questions]
+
+        def refuse(*args):
+            raise AssertionError("took the ideal route")
+        names = ("complementary_edge_ideal", "hochster_betti", "height", "_closure")
+        for module in (ideals, homology, invariants, cli):
+            for name in names:
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refuse)
+        assert [q(g, f) for g in forests for f in Field for q in questions] == expected
+
+    @pytest.mark.parametrize("graph, message", [
+        (SimpleGraph(4, ()), "edgeless graph: the complementary edge ideal is zero"),
+        (SimpleGraph(2, ((1, 2),)), "degenerate ambient: need at least 3 vertices, got 2"),
+        (SimpleGraph(15, ((1, 2),)), "ambient size 15 exceeds the oracle limit of 14"),
+        (SimpleGraph(25, ((1, 2),)), "ambient size 25 outside supported range 0..24"),
+    ])
+    @pytest.mark.parametrize("question", [oracle_invariants, cross_validate, implication_suite])
+    def test_refusals_keep_their_messages(self, graph, message, question):
+        with pytest.raises(ValueError) as caught:
+            question(graph)
+        assert str(caught.value) == message
 
 
 def slow_suite_payload(graph: SimpleGraph, field: Field) -> dict:

@@ -61,11 +61,25 @@ MUTANTS = [
            "met + points - joins - 1", "met - joins - 1",
            (HOMOLOGY + "test_graph_kernel_on_every_one_dimensional_dual",)),
     Mutant("graph-route-on-indeg-n-3", "homology.py",
-           "if ideal.indeg >= n - 2:", "if ideal.indeg >= n - 3:",
+           "if indeg >= n - 2:", "if indeg >= n - 3:",
            (HOMOLOGY + "test_every_ideal_on_at_most_four_variables",)),
     Mutant("graph-never-route", "homology.py",
-           "if ideal.indeg >= n - 2:", "if False:",
+           "if indeg >= n - 2:", "if False:",
            (HOMOLOGY + "test_complementary_edge_ideals_skip_the_subset_walk",)),
+    # the graph-level entry: the table and height of I_c(G) off m, n' and c'
+    Mutant("entry-components-without-the-minus-one", "homology.py",
+           "(2, n): met - joins - 1", "(2, n): met - joins",
+           ("tests/test_homology.py::TestGraphOracle::"
+            "test_count_step_matches_the_graph_kernel_on_raw_masks",)),
+    Mutant("entry-height-one-without-an-isolated-vertex", "homology.py",
+           "1 if met < n", "1 if met <= n",
+           ("tests/test_homology.py::TestGraphOracle::"
+            "test_atlas_classes_to_seven_against_both_engines_and_the_cover_search",)),
+    # the component chain's tables, read without building an ideal
+    Mutant("chain-regularity-off-by-one", "homology.py",
+           ".reg_ideal != d:", ".reg_s_mod_i != d:",
+           ("tests/test_homology.py::TestRingPredicates::"
+            "test_veronese_exit_agrees_with_every_degree_on_every_ideal_to_four",)),
     # the forest kernel: the primal formula on a Stanley-Reisner forest
     Mutant("forest-drop-cdj-from-the-linear-strand", "homology.py",
            "- comb(n, j) + comb(d, j))", "- comb(n, j))",
