@@ -57,11 +57,16 @@ reads the regularity of each squarefree component in turn off its table,
 routed from the component's masks (_mask_betti, the routing hochster_betti
 uses) with no ideal built, and builds the components as one chain: the
 degree-(d+1) component is the degree-d one times every variable, plus the
-generators of degree d + 1.
+generators of degree d + 1. The implication suite builds no chain for the
+dual of I_c(G): the graph names its components (ideals._graph_dual), the
+isolated vertices in degree 1, the non-adjacent pairs in degree 2 and every
+triple in degree 3, and the suite routes the first two through _mask_betti
+the same way.
 """
 from __future__ import annotations
 
 import enum
+from bisect import bisect_right
 from dataclasses import dataclass
 from math import comb, gcd
 from typing import Collection, Iterable, NamedTuple, Sequence
@@ -415,9 +420,11 @@ def _primal_betti(ideal: SquarefreeIdeal, field: Field) -> BettiTable:
     Only sigma in the lcm lattice, the unions of generators, can carry
     homology: any other sigma has a vertex in no generator inside sigma, and
     the restriction is a cone on that vertex (Gasharov-Peeva-Welker, The
-    lcm-lattice in monomial resolutions, 1999). The faces are listed once,
-    and each lattice sigma filters them to its restriction, summed and
-    dropped before the next, so one restriction is held at a time.
+    lcm-lattice in monomial resolutions, 1999). The faces are listed once, in
+    increasing mask order, and each lattice sigma filters them to its
+    restriction, summed and dropped before the next, so one restriction is
+    held at a time. A face inside sigma is no greater than sigma as a mask,
+    so only the prefix up to sigma is filtered.
     """
     n = ideal.n
     union = _union_table(ideal)
@@ -426,7 +433,8 @@ def _primal_betti(ideal: SquarefreeIdeal, field: Field) -> BettiTable:
     for sigma, u in enumerate(union):
         if u != sigma:
             continue
-        dims = _homology([f for f in faces if f & ~sigma == 0], field)
+        inside = faces[:bisect_right(faces, sigma)]
+        dims = _homology([f for f in inside if f & ~sigma == 0], field)
         ssize = sigma.bit_count()
         for k, h in enumerate(dims):
             if h:

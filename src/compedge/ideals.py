@@ -8,7 +8,7 @@ minimalizes and orders generators; every producer below hands it raw masks.
 The frozenset supports (`gens`) are derived on demand in the canonical order
 users see, lexicographic on the sorted index tuples. alexander_dual is the
 general cover search; complementary_edge_dual reads the dual of I_c(G) off
-the graph.
+the graph, with its degree-2 component (_graph_dual).
 """
 from __future__ import annotations
 
@@ -138,10 +138,10 @@ def complementary_edge_dual(graph: SimpleGraph) -> SquarefreeIdeal:
     A set meets every generator support V - {u, v} exactly when it lies inside
     no edge, so the minimal covers are {v} for each isolated vertex, {u, v}
     for each non-edge whose ends both carry an edge, and {u, v, w} for each
-    triangle. alexander_dual finds the same covers by search. An n outside
-    3..AMBIENT_LIMIT is refused with complementary_edge_ideal's messages,
-    before any per-vertex list is built, and an edgeless graph as
-    alexander_dual refuses the zero ideal.
+    triangle (_graph_dual, the one place they are read). alexander_dual finds
+    the same covers by search. An n outside 3..AMBIENT_LIMIT is refused with
+    complementary_edge_ideal's messages, before any per-vertex list is built,
+    and an edgeless graph as alexander_dual refuses the zero ideal.
     """
     n = graph.n
     _require_edge_ambient(n)
@@ -149,28 +149,46 @@ def complementary_edge_dual(graph: SimpleGraph) -> SquarefreeIdeal:
         raise _outside_ambient(n)
     if not graph.edges:
         raise ValueError("no associated primes computed for zero ideal")
+    return SquarefreeIdeal(n, _graph_dual(graph)[0])
+
+
+def _graph_dual(graph: SimpleGraph) -> tuple[list[int], list[int]]:
+    """The dual J of I_c(G) off the neighbour masks: (its covers, its degree-2 component).
+
+    The covers are J's minimal generators in the order SquarefreeIdeal stores
+    them: the isolated vertices, the non-edges between vertices that carry an
+    edge, and the triangles. J_[2] is every non-adjacent pair on all n
+    vertices, the pairs that touch an isolated vertex included. J_[1] is the
+    isolated vertices, and J_[3] holds every triple, since a triple with no
+    non-edge and no isolated vertex is a triangle. The caller refuses what
+    complementary_edge_dual refuses.
+    """
+    n = graph.n
     # neighbours[v] is the mask of v's neighbours (vertex i <-> bit i-1)
     neighbours = [0] * (n + 1)
     for u, v in graph.edges:
         neighbours[u] |= 1 << (v - 1)
         neighbours[v] |= 1 << (u - 1)
     covers = [1 << (v - 1) for v in range(1, n + 1) if not neighbours[v]]
-    touched = ((1 << n) - 1) ^ sum(covers)
+    isolated = sum(covers)
+    full = (1 << n) - 1
+    pairs = []
     # -1 << u holds the vertices above u: each pair and triangle is met once
     for u in range(1, n + 1):
-        if neighbours[u]:
-            apart = touched & ~neighbours[u] & (-1 << u)
-            while apart:
-                low = apart & -apart
-                apart ^= low
-                covers.append(1 << (u - 1) | low)
+        apart = full & ~neighbours[u] & (-1 << u)
+        while apart:
+            low = apart & -apart
+            apart ^= low
+            pairs.append(1 << (u - 1) | low)
+    covers += [p for p in pairs if not p & isolated]
     for u, v in graph.edges:
         common = neighbours[u] & neighbours[v] & (-1 << v)
         while common:
             low = common & -common
             common ^= low
             covers.append(1 << (u - 1) | 1 << (v - 1) | low)
-    return SquarefreeIdeal(n, covers)
+    covers.sort()
+    return covers, pairs
 
 
 def alexander_dual(ideal: SquarefreeIdeal) -> SquarefreeIdeal:

@@ -19,9 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graphs import SimpleGraph, is_complete, is_forest
-from .homology import Field, _graph_oracle, reg_pd
-from .ideals import _linear_quotients, _require_edge_ambient, complementary_edge_dual
-from . import homology
+from .homology import Field, _graph_oracle, _mask_betti, reg_pd
+from .ideals import _graph_dual, _linear_quotients, _require_edge_ambient
 
 NOTE_COMPLETE_PD = "complete_pd_adjusted"
 NOTE_ISOLATED = "isolated_vertices_outside_hypotheses"
@@ -268,27 +267,40 @@ class ImplicationSuite:
 def implication_suite(graph: SimpleGraph, field: Field = Field.GF2) -> ImplicationSuite:
     """Evaluate the five claims; failed_claims lists false ones on licci inputs.
 
-    The Alexander dual is read from the graph (complementary_edge_dual: its
-    generators are the isolated vertices, the non-edges between vertices that
-    carry an edge, and the triangles), not found by the cover search of
-    alexander_dual. sequentially_cm is the dual's componentwise linearity,
-    which is equivalent (Herzog-Hibi, Nagoya Math. J. 153, 1999). The same
-    paper gives dual_linear_resolution with no second table: the dual has a
-    linear resolution exactly when it is generated in one degree and is
-    componentwise linear. primal_linear_resolution is read off the table of
-    homology._graph_oracle, and dual_linear_quotients is the status of the
-    quotient search alone, with no witness ordering built.
+    The Alexander dual J is read from the graph (ideals._graph_dual), with no
+    ideal built: its generators are the isolated vertices, the non-edges
+    between vertices that carry an edge, and the triangles. sequentially_cm
+    is J's componentwise linearity, which is equivalent (Herzog-Hibi, Nagoya
+    Math. J. 153, 1999). The graph names J's squarefree components: J_[1]
+    holds the isolated vertices, J_[2] every non-adjacent pair on all n
+    vertices, and J_[3] every triple, so from degree 3 on each component is
+    a squarefree Veronese ideal, linear over every field. J is therefore
+    componentwise linear exactly when reg = d holds for each nonzero J_[d]
+    with d = 1, 2, read off the table homology._mask_betti routes from its
+    masks (J_[2] is linear exactly when G is chordal, by Froberg, Banach
+    Center Publ. 26, 1990). The same Herzog-Hibi paper gives
+    dual_linear_resolution with no second table: J has a linear resolution
+    exactly when it is generated in one degree and is componentwise linear.
+    Linear quotients in a degree-increasing order imply componentwise
+    linearity (Jahan-Zheng, J. Combin. Theory Ser. A 117, 2010), and the
+    quotient search tries only such orders, so dual_linear_quotients is "no"
+    for a dual that is not componentwise linear and otherwise the status of
+    the search alone, with no witness ordering built. primal_linear_resolution
+    is read off the table of homology._graph_oracle.
     """
     _require_admissible(graph)
     verdict = is_licci(graph)
     table, _ = _graph_oracle(graph, field)
-    dual = complementary_edge_dual(graph)
-    dual_cl = homology.is_componentwise_linear(dual, field)
+    n = graph.n
+    covers, pairs = _graph_dual(graph)
+    points = [c for c in covers if not c & (c - 1)]
+    dual_cl = all(reg_pd(_mask_betti(n, masks, d, field)).reg_ideal == d
+                  for d, masks in ((1, points), (2, pairs)) if masks)
     seq_cm = dual_cl
-    lq_status = _linear_quotients(dual.masks)[0]
-    dual_lin = dual_cl and len(set(dual.degrees)) == 1
+    lq_status = _linear_quotients(covers)[0] if dual_cl else "no"
+    dual_lin = dual_cl and len({c.bit_count() for c in covers}) == 1
     # every generator has degree n - 2, so the resolution is linear iff reg(I) = n - 2
-    primal_lin = reg_pd(table).reg_ideal == graph.n - 2
+    primal_lin = reg_pd(table).reg_ideal == n - 2
     failed = []
     if verdict.licci:
         if not seq_cm:

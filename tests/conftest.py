@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 
+import networkx as nx
 import pytest
 
 from compedge import (Field, QuotientSearchResult, SimpleGraph, SquarefreeIdeal,
@@ -72,6 +74,18 @@ def labeled_forests(n: int) -> list[SimpleGraph]:
 
     rec(0, [], {v: v for v in range(1, n + 1)})
     return out
+
+
+def atlas_graphs(min_n: int, max_n: int) -> list[SimpleGraph]:
+    """One graph with an edge per isomorphism class on min_n..max_n vertices (networkx atlas)."""
+    return [g for g in _atlas() if min_n <= g.n <= max_n]
+
+
+@cache
+def _atlas() -> tuple[SimpleGraph, ...]:
+    """Every networkx atlas graph with an edge (n <= 7), read once per test run."""
+    return tuple(SimpleGraph(g.number_of_nodes(), tuple((u + 1, v + 1) for u, v in g.edges))
+                 for g in nx.graph_atlas_g() if g.number_of_edges())
 
 
 def brute_force_component(ideal: SquarefreeIdeal, d: int) -> SquarefreeIdeal:

@@ -22,7 +22,7 @@ from compedge.homology import (BettiTable, SimplicialComplex, _closure, _dual_be
                                _edge_oracle, _forest_betti, _gf2_rank, _graph_betti,
                                _graph_oracle, _homology, _primal_betti, _rational_rank,
                                clear_homology_cache, parse_field, reduced_homology_dims)
-from conftest import brute_force_component
+from conftest import atlas_graphs, brute_force_component
 
 
 def fs(*vertices: int) -> frozenset[int]:
@@ -170,13 +170,6 @@ def engine_rule_witness(engine: str) -> SquarefreeIdeal:
         triples = random.Random(14).sample(list(combinations(range(1, n + 1), 3)), 60)
         return minimalize(n, [set(range(1, n + 1)) - set(t) for t in triples])
     return alexander_dual(complementary_edge_ideal(cycle_graph(n)))
-
-
-def atlas_graphs(min_n: int, max_n: int) -> list[SimpleGraph]:
-    """One graph with an edge per isomorphism class on min_n..max_n vertices (networkx atlas)."""
-    return [SimpleGraph(g.number_of_nodes(), tuple((u + 1, v + 1) for u, v in g.edges))
-            for g in nx.graph_atlas_g()
-            if min_n <= g.number_of_nodes() <= max_n and g.number_of_edges()]
 
 
 def eliminated_homology(faces: tuple[int, ...], field: Field) -> tuple[int, ...]:

@@ -2,7 +2,8 @@
 from __future__ import annotations
 
 import tracemalloc
-from itertools import combinations, permutations, product
+from itertools import combinations, islice, permutations, product
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,8 +14,9 @@ from compedge import (SimpleGraph, SquarefreeIdeal, alexander_dual, complementar
                       squarefree_component)
 from compedge.graphs import complete_graph, is_complete, path_graph
 from compedge import ideals as ideals_module
-from compedge.ideals import mask_of, support_of
-from conftest import brute_force_component, labeled_forests, reference_linear_quotients
+from compedge.ideals import _graph_dual, _squarefree_components, mask_of, support_of
+from conftest import (atlas_graphs, brute_force_component, labeled_forests,
+                      reference_linear_quotients)
 
 
 def fs(*vertices: int) -> frozenset[int]:
@@ -213,6 +215,23 @@ class TestComplementaryEdgeDual:
     @given(graphs_with_isolated_vertices_and_triangles())
     def test_equals_the_cover_search(self, graph: SimpleGraph):
         assert complementary_edge_dual(graph) == cover_search_dual(graph)
+
+    def test_graph_dual_names_the_components_of_degree_one_to_three(self, oracle_sweep):
+        # the chain of the dual's squarefree components against the graph
+        # helper, on every labeled graph to n = 6 and every class on n = 7:
+        # J_[1] is its covers of degree 1, J_[2] its pairs, each listed once,
+        # and J_[3] holds every triple
+        records, _ = oracle_sweep
+        graphs = [r.graph for r in records] + atlas_graphs(7, 7)
+        assert len(graphs) == 7 + 63 + 1023 + 32767 + 1043
+        for graph in graphs:
+            covers, pairs = _graph_dual(graph)
+            dual = complementary_edge_dual(graph)
+            assert covers == list(dual.masks), graph
+            _, one, two, three = islice(_squarefree_components(dual), 4)
+            assert {c for c in covers if c.bit_count() == 1} == one, graph
+            assert len(pairs) == len(two) and set(pairs) == two, graph
+            assert len(three) == comb(graph.n, 3), graph
 
     def test_refuses_what_the_ideal_refuses_with_the_same_messages(self):
         for graph in (SimpleGraph(2, ((1, 2),)), SimpleGraph(25, ((1, 2),))):

@@ -18,7 +18,7 @@ from compedge import cli, homology, ideals, invariants
 from compedge.graphs import complete_graph, cycle_graph, path_graph
 from compedge.homology import _primal_betti
 from compedge.invariants import NOTE_COMPLETE_PD, NOTE_ISOLATED
-from conftest import brute_force_component, reference_linear_quotients
+from conftest import atlas_graphs, brute_force_component, reference_linear_quotients
 
 
 def graphs_with_edges(min_n: int = 3, max_n: int = 6) -> st.SearchStrategy[SimpleGraph]:
@@ -223,6 +223,42 @@ class TestImplicationSuite:
                 digest.update(json.dumps(payload, sort_keys=True).encode())
         assert digest.hexdigest() == (
             "eaea92c8481bbd6ae74ff65b7466729b8426bd7690094db2730bb6e5f7723652")
+
+
+class TestDualComponentsOffTheGraph:
+    """The suite reads the dual's squarefree components off the graph, with no chain."""
+
+    def test_componentwise_linearity_is_chordality_on_every_class_to_seven(self):
+        # Froberg and Herzog-Hibi make the answer chordality of G; Jahan-Zheng
+        # makes a dual that is not componentwise linear "no" for the quotient
+        # search, and on n <= 7 the search finds an order for every other one
+        graphs = atlas_graphs(3, 7)
+        assert len(graphs) == 201 + 1043
+        for graph in graphs:
+            suite = implication_suite(graph)
+            linear = suite.dual_componentwise_linear
+            assert linear == nx.is_chordal(nx.Graph(graph.edges)), graph
+            assert suite.dual_linear_quotients == ("yes" if linear else "no"), graph
+
+    @pytest.mark.parametrize("field", list(Field))
+    def test_componentwise_linearity_is_the_chain_of_the_dual_ideal(self, field):
+        # the slow leg grows every component of the dual ideal, degree by degree
+        for graph in atlas_graphs(3, 6):
+            assert implication_suite(graph, field).dual_componentwise_linear == (
+                homology.is_componentwise_linear(complementary_edge_dual(graph), field)), graph
+
+    def test_no_dual_ideal_and_no_chain_is_built(self, monkeypatch):
+        # two forests, a chordal graph with a triangle and the 5-cycle
+        graphs = [SimpleGraph(7, ((1, 2), (2, 3), (2, 4), (5, 6))), path_graph(7),
+                  SimpleGraph(5, ((1, 2), (1, 3), (2, 3), (3, 4), (4, 5))), cycle_graph(5)]
+        expected = [implication_suite(g, f) for g in graphs for f in Field]
+
+        def refuse(*args):
+            raise AssertionError("built the dual ideal or its chain")
+        monkeypatch.setattr(SquarefreeIdeal, "__post_init__", refuse)
+        for module in (ideals, homology):
+            monkeypatch.setattr(module, "_squarefree_components", refuse)
+        assert [implication_suite(g, f) for g in graphs for f in Field] == expected
 
 
 class TestOneGraphLevelPath:

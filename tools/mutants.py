@@ -100,7 +100,24 @@ MUTANTS = [
     # the implication suite reads the dual's linear resolution off its
     # componentwise linearity, for one generator degree only
     Mutant("suite-linear-without-one-degree", "invariants.py",
-           "dual_lin = dual_cl and len(set(dual.degrees)) == 1", "dual_lin = dual_cl",
+           "dual_lin = dual_cl and len({c.bit_count() for c in covers}) == 1",
+           "dual_lin = dual_cl",
+           ("tests/test_invariants.py::TestImplicationSuite::"
+            "test_payload_digest_over_every_graph_to_five_and_forest_on_six",)),
+    # the suite's dual components, read off the graph: J_[2] on all n
+    # vertices, its regularity check, and the quotient short-circuit
+    Mutant("graph-dual-drop-pairs-onto-isolated-vertices", "ideals.py",
+           "apart = full & ~neighbours[u] & (-1 << u)",
+           "apart = full & ~isolated & ~neighbours[u] & (-1 << u)",
+           ("tests/test_ideals.py::TestComplementaryEdgeDual::"
+            "test_graph_dual_names_the_components_of_degree_one_to_three",)),
+    Mutant("suite-skip-the-degree-2-check", "invariants.py",
+           "for d, masks in ((1, points), (2, pairs)) if masks)",
+           "for d, masks in ((1, points),) if masks)",
+           ("tests/test_invariants.py::TestDualComponentsOffTheGraph::"
+            "test_componentwise_linearity_is_chordality_on_every_class_to_seven",)),
+    Mutant("suite-quotients-yes-past-a-non-linear-dual", "invariants.py",
+           'if dual_cl else "no"', 'if dual_cl else "yes"',
            ("tests/test_invariants.py::TestImplicationSuite::"
             "test_payload_digest_over_every_graph_to_five_and_forest_on_six",)),
     # the graph dual, the component chain and the quotient check
@@ -120,6 +137,10 @@ EQUIVALENT = [
                "        if u != sigma:\n            continue\n", "",
                "a sigma off the lcm lattice has a vertex in no generator inside it, so its "
                "restriction is a cone on that vertex, with no reduced homology"),
+    Equivalent("suite-skip-the-degree-1-check", "invariants.py",
+               "((1, points), (2, pairs))", "((2, pairs),)",
+               "J_[1] is generated by variables, whose table is the Koszul diagonal, linear "
+               "over every field"),
     Equivalent("forest-accept-v-edges", "homology.py",
                "if m >= max(vertices, 1):", "if m > max(vertices, 1):",
                "a graph with V edges on V vertices has a cycle, so the union-find declines "
