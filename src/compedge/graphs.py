@@ -9,7 +9,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 DEFAULT_ENUMERATION_LIMIT = 7
 MDENSITY_LIMIT = 18
@@ -238,6 +238,47 @@ def is_forest(graph: SimpleGraph) -> bool:
     graph is refused before any union.
     """
     return graph.m < max(graph.n, 1) and _join_count(graph.edges)[1] == graph.m
+
+
+def _neighbour_masks(graph: SimpleGraph) -> list[int]:
+    """neighbours[v] is the mask of v's neighbours (vertex i <-> bit i-1); index 0 is unused."""
+    neighbours = [0] * (graph.n + 1)
+    for u, v in graph.edges:
+        neighbours[u] |= 1 << (v - 1)
+        neighbours[v] |= 1 << (u - 1)
+    return neighbours
+
+
+def _is_chordal(neighbours: Sequence[int]) -> bool:
+    """True iff the graph with these neighbour masks (_neighbour_masks) has no chordless cycle.
+
+    Simplicial-vertex elimination: a vertex is simplicial when its neighbours
+    still present form a clique, that is when each of them is adjacent to all
+    the others, one mask test per neighbour. Every chordal graph has a
+    simplicial vertex, and removing a simplicial vertex neither makes nor
+    breaks a chordless cycle (Dirac, Abh. Math. Sem. Univ. Hamburg 25, 1961),
+    so the graph is chordal exactly when every vertex goes. A vertex stays
+    simplicial when others go, so each pass removes all it finds.
+    """
+    left = (1 << (len(neighbours) - 1)) - 1
+    while left:
+        before = left
+        bits = left
+        while bits:
+            low = bits & -bits
+            bits ^= low
+            near = neighbours[low.bit_length()] & left
+            rest = near
+            while rest:
+                w = rest & -rest
+                rest ^= w
+                if near & ~neighbours[w.bit_length()] != w:
+                    break
+            else:
+                left ^= low
+        if left == before:
+            return False
+    return True
 
 
 def is_complete(graph: SimpleGraph) -> bool:

@@ -57,11 +57,11 @@ reads the regularity of each squarefree component in turn off its table,
 routed from the component's masks (_mask_betti, the routing hochster_betti
 uses) with no ideal built, and builds the components as one chain: the
 degree-(d+1) component is the degree-d one times every variable, plus the
-generators of degree d + 1. The implication suite builds no chain for the
-dual of I_c(G): the graph names its components (ideals._graph_dual), the
-isolated vertices in degree 1, the non-adjacent pairs in degree 2 and every
-triple in degree 3, and the suite routes the first two through _mask_betti
-the same way.
+generators of degree d + 1. The implication suite asks for no table of
+the dual of I_c(G): the graph names its components, and only the one in
+degree 2 can fail to be linear, exactly when G is not chordal, which the
+suite reads off the graph (graphs._is_chordal). On that dual,
+is_componentwise_linear is the suite's slow leg in the tests.
 """
 from __future__ import annotations
 

@@ -8,7 +8,8 @@ minimalizes and orders generators; every producer below hands it raw masks.
 The frozenset supports (`gens`) are derived on demand in the canonical order
 users see, lexicographic on the sorted index tuples. alexander_dual is the
 general cover search; complementary_edge_dual reads the dual of I_c(G) off
-the graph, with its degree-2 component (_graph_dual).
+the graph's neighbour masks (_graph_dual), which hands the masks back for
+the implication suite's chordality test (graphs._is_chordal).
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from itertools import islice
 from math import comb
 from typing import Iterable, Iterator, Sequence
 
-from .graphs import SimpleGraph, _clip
+from .graphs import SimpleGraph, _clip, _neighbour_masks
 
 AMBIENT_LIMIT = 24
 LINEAR_QUOTIENTS_BUDGET = 10 ** 6
@@ -153,34 +154,25 @@ def complementary_edge_dual(graph: SimpleGraph) -> SquarefreeIdeal:
 
 
 def _graph_dual(graph: SimpleGraph) -> tuple[list[int], list[int]]:
-    """The dual J of I_c(G) off the neighbour masks: (its covers, its degree-2 component).
+    """The dual J of I_c(G) off the neighbour masks: (its covers, those masks).
 
     The covers are J's minimal generators in the order SquarefreeIdeal stores
     them: the isolated vertices, the non-edges between vertices that carry an
-    edge, and the triangles. J_[2] is every non-adjacent pair on all n
-    vertices, the pairs that touch an isolated vertex included. J_[1] is the
-    isolated vertices, and J_[3] holds every triple, since a triple with no
-    non-edge and no isolated vertex is a triangle. The caller refuses what
-    complementary_edge_dual refuses.
+    edge, and the triangles. The masks are graphs._neighbour_masks(graph),
+    handed back so that a caller reads the graph once. The caller refuses
+    what complementary_edge_dual refuses.
     """
     n = graph.n
-    # neighbours[v] is the mask of v's neighbours (vertex i <-> bit i-1)
-    neighbours = [0] * (n + 1)
-    for u, v in graph.edges:
-        neighbours[u] |= 1 << (v - 1)
-        neighbours[v] |= 1 << (u - 1)
+    neighbours = _neighbour_masks(graph)
     covers = [1 << (v - 1) for v in range(1, n + 1) if not neighbours[v]]
-    isolated = sum(covers)
-    full = (1 << n) - 1
-    pairs = []
+    carried = ((1 << n) - 1) ^ sum(covers)
     # -1 << u holds the vertices above u: each pair and triangle is met once
     for u in range(1, n + 1):
-        apart = full & ~neighbours[u] & (-1 << u)
+        apart = carried & ~neighbours[u] & (-1 << u) if neighbours[u] else 0
         while apart:
             low = apart & -apart
             apart ^= low
-            pairs.append(1 << (u - 1) | low)
-    covers += [p for p in pairs if not p & isolated]
+            covers.append(1 << (u - 1) | low)
     for u, v in graph.edges:
         common = neighbours[u] & neighbours[v] & (-1 << v)
         while common:
@@ -188,7 +180,7 @@ def _graph_dual(graph: SimpleGraph) -> tuple[list[int], list[int]]:
             common ^= low
             covers.append(1 << (u - 1) | 1 << (v - 1) | low)
     covers.sort()
-    return covers, pairs
+    return covers, neighbours
 
 
 def alexander_dual(ideal: SquarefreeIdeal) -> SquarefreeIdeal:

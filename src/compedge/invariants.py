@@ -18,8 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import SimpleGraph, is_complete, is_forest
-from .homology import Field, _graph_oracle, _mask_betti, reg_pd
+from .graphs import SimpleGraph, _is_chordal, is_complete, is_forest
+from .homology import Field, _graph_oracle, reg_pd
 from .ideals import _graph_dual, _linear_quotients, _require_edge_ambient
 
 NOTE_COMPLETE_PD = "complete_pd_adjusted"
@@ -272,30 +272,31 @@ def implication_suite(graph: SimpleGraph, field: Field = Field.GF2) -> Implicati
     between vertices that carry an edge, and the triangles. sequentially_cm
     is J's componentwise linearity, which is equivalent (Herzog-Hibi, Nagoya
     Math. J. 153, 1999). The graph names J's squarefree components: J_[1]
-    holds the isolated vertices, J_[2] every non-adjacent pair on all n
-    vertices, and J_[3] every triple, so from degree 3 on each component is
-    a squarefree Veronese ideal, linear over every field. J is therefore
-    componentwise linear exactly when reg = d holds for each nonzero J_[d]
-    with d = 1, 2, read off the table homology._mask_betti routes from its
-    masks (J_[2] is linear exactly when G is chordal, by Froberg, Banach
-    Center Publ. 26, 1990). The same Herzog-Hibi paper gives
-    dual_linear_resolution with no second table: J has a linear resolution
-    exactly when it is generated in one degree and is componentwise linear.
-    Linear quotients in a degree-increasing order imply componentwise
-    linearity (Jahan-Zheng, J. Combin. Theory Ser. A 117, 2010), and the
-    quotient search tries only such orders, so dual_linear_quotients is "no"
-    for a dual that is not componentwise linear and otherwise the status of
-    the search alone, with no witness ordering built. primal_linear_resolution
-    is read off the table of homology._graph_oracle.
+    holds the isolated vertices, a variable ideal; J_[2] every non-adjacent
+    pair on all n vertices, the edge ideal of the complement of G; and J_[3]
+    every triple, so from degree 3 on each component is a squarefree
+    Veronese ideal. Variable and Veronese ideals are linear over every
+    field, so J is componentwise linear exactly when J_[2] is, and J_[2] is
+    linear exactly when G is chordal (Froberg, Banach Center Publ. 26,
+    1990). Chordality is read off the neighbour masks _graph_dual hands back
+    (graphs._is_chordal), with no Betti table; is_componentwise_linear and
+    is_sequentially_cm on the dual ideal are the slow leg in the tests. The
+    same Herzog-Hibi paper gives dual_linear_resolution: J has a linear
+    resolution exactly when it is generated in one degree and is
+    componentwise linear. Linear quotients in a degree-increasing order
+    imply componentwise linearity (Jahan-Zheng, J. Combin. Theory Ser. A
+    117, 2010), and the quotient search tries only such orders, so
+    dual_linear_quotients is "no" for a dual that is not componentwise
+    linear and otherwise the status of the search alone, with no witness
+    ordering built. primal_linear_resolution is read off the table of
+    homology._graph_oracle, asked first so that its refusals come first.
     """
     _require_admissible(graph)
     verdict = is_licci(graph)
     table, _ = _graph_oracle(graph, field)
     n = graph.n
-    covers, pairs = _graph_dual(graph)
-    points = [c for c in covers if not c & (c - 1)]
-    dual_cl = all(reg_pd(_mask_betti(n, masks, d, field)).reg_ideal == d
-                  for d, masks in ((1, points), (2, pairs)) if masks)
+    covers, neighbours = _graph_dual(graph)
+    dual_cl = _is_chordal(neighbours)
     seq_cm = dual_cl
     lq_status = _linear_quotients(covers)[0] if dual_cl else "no"
     dual_lin = dual_cl and len({c.bit_count() for c in covers}) == 1

@@ -11,6 +11,7 @@ import time
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
+from typing import Sequence
 
 import networkx as nx
 import pytest
@@ -100,6 +101,20 @@ def brute_force_component(ideal: SquarefreeIdeal, d: int) -> SquarefreeIdeal:
     return SquarefreeIdeal(ideal.n, out)
 
 
+def admissible_by_difference(chosen: Sequence[int], g: int) -> bool:
+    """Whether (chosen) : g is generated by variables, written out per difference.
+
+    The colon ideal is generated by the differences c - g of the earlier
+    generators, so it is when each difference is a singleton or contains one.
+    """
+    diffs = [c & ~g for c in chosen]
+    singles = [d for d in diffs if d.bit_count() == 1]
+    for d in diffs:
+        if d.bit_count() != 1 and not any(s & d for s in singles):
+            return False
+    return True
+
+
 def reference_linear_quotients(ideal: SquarefreeIdeal) -> QuotientSearchResult:
     """The linear-quotient search with its admissibility check written out per difference.
 
@@ -112,14 +127,6 @@ def reference_linear_quotients(ideal: SquarefreeIdeal) -> QuotientSearchResult:
     class Exhausted(Exception):
         pass
 
-    def admissible(g: int) -> bool:
-        diffs = [c & ~g for c in chosen]
-        singles = [d for d in diffs if d.bit_count() == 1]
-        for d in diffs:
-            if d.bit_count() != 1 and not any(s & d for s in singles):
-                return False
-        return True
-
     def search(remaining: list[int]) -> bool:
         nonlocal nodes
         if not remaining:
@@ -131,7 +138,7 @@ def reference_linear_quotients(ideal: SquarefreeIdeal) -> QuotientSearchResult:
             nodes += 1
             if nodes > ideals_module.LINEAR_QUOTIENTS_BUDGET:
                 raise Exhausted
-            if admissible(g):
+            if admissible_by_difference(chosen, g):
                 chosen.append(g)
                 if search(remaining[:k] + remaining[k + 1:]):
                     return True

@@ -7,12 +7,13 @@ from itertools import combinations
 
 import networkx as nx
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from compedge import (GraphFormatError, SimpleGraph, connected_components, enumerate_graphs,
                       is_complete, is_forest, is_tree, max_subgraph_density, parse_graph,
                       complete_graph, cycle_graph, path_graph)
 from compedge import graphs as graphs_module
+from conftest import atlas_graphs
 
 
 def graphs(min_n: int = 3, max_n: int = 6, min_edges: int = 0) -> st.SearchStrategy[SimpleGraph]:
@@ -246,6 +247,62 @@ class TestPredicates:
             met = touched.number_of_nodes()
             assert graphs_module._join_count(g.edges) == (
                 met, met - nx.number_connected_components(touched))
+
+
+def chordal(graph: SimpleGraph) -> bool:
+    """The kernel on the graph's neighbour masks."""
+    return graphs_module._is_chordal(graphs_module._neighbour_masks(graph))
+
+
+def networkx_chordal(graph: SimpleGraph) -> bool:
+    h = nx.Graph()
+    h.add_nodes_from(graph.vertices())
+    h.add_edges_from(graph.edges)
+    return nx.is_chordal(h)
+
+
+@st.composite
+def labeled_interval_graphs(draw, max_n: int = 14) -> SimpleGraph:
+    """Interval graphs, which are chordal, under a random labeling of 1..n, with one
+    more random edge half the time, which may close a chordless cycle."""
+    n = draw(st.integers(1, max_n))
+    spans = [sorted(draw(st.tuples(st.integers(0, 30), st.integers(0, 30)))) for _ in range(n)]
+    label = draw(st.permutations(range(1, n + 1)))
+    edges = {tuple(sorted((label[i], label[j]))) for i, j in combinations(range(n), 2)
+             if spans[i][0] <= spans[j][1] and spans[j][0] <= spans[i][1]}
+    if n >= 2 and draw(st.booleans()):
+        edges.add(tuple(sorted(draw(st.permutations(range(1, n + 1)))[:2])))
+    return SimpleGraph(n, tuple(edges))
+
+
+class TestChordalityKernel:
+    """graphs._is_chordal, simplicial-vertex elimination on neighbour masks, against networkx."""
+
+    def test_every_atlas_class_to_seven(self):
+        graphs = atlas_graphs(3, 7)
+        assert len(graphs) == 201 + 1043
+        for g in graphs:
+            assert chordal(g) == networkx_chordal(g), g
+
+    @settings(max_examples=300)
+    @given(st.one_of(labeled_interval_graphs(), graphs(min_n=0, max_n=14)))
+    def test_randomly_labeled_graphs_to_fourteen(self, g: SimpleGraph):
+        # the bit a vertex gets is its label, so labels move every mask test
+        assert chordal(g) == networkx_chordal(g)
+
+    @pytest.mark.parametrize("n", range(4, 9))
+    def test_long_cycles_are_not_chordal(self, n):
+        assert not chordal(cycle_graph(n))
+
+    @pytest.mark.parametrize("g", [
+        SimpleGraph(4, ((1, 2), (1, 3), (1, 4), (2, 3), (3, 4))),  # K_4 minus an edge
+        SimpleGraph(6, ((1, 2), (1, 3), (1, 4), (1, 5), (1, 6),
+                        (2, 3), (3, 4), (4, 5), (5, 6))),          # a fan
+        SimpleGraph(6, ((3, 1), (3, 2), (3, 4), (3, 5), (3, 6))),  # a star
+        complete_graph(6), SimpleGraph(0, ()), SimpleGraph(5, ()),
+    ])
+    def test_chordal_graphs(self, g):
+        assert chordal(g)
 
 
 class TestMaxSubgraphDensity:

@@ -219,18 +219,20 @@ class TestComplementaryEdgeDual:
     def test_graph_dual_names_the_components_of_degree_one_to_three(self, oracle_sweep):
         # the chain of the dual's squarefree components against the graph
         # helper, on every labeled graph to n = 6 and every class on n = 7:
-        # J_[1] is its covers of degree 1, J_[2] its pairs, each listed once,
-        # and J_[3] holds every triple
+        # J_[1] is its covers of degree 1, J_[2] the non-adjacent pairs of the
+        # neighbour masks it hands back, on all n vertices, and J_[3] holds
+        # every triple
         records, _ = oracle_sweep
         graphs = [r.graph for r in records] + atlas_graphs(7, 7)
         assert len(graphs) == 7 + 63 + 1023 + 32767 + 1043
         for graph in graphs:
-            covers, pairs = _graph_dual(graph)
+            covers, neighbours = _graph_dual(graph)
             dual = complementary_edge_dual(graph)
             assert covers == list(dual.masks), graph
             _, one, two, three = islice(_squarefree_components(dual), 4)
             assert {c for c in covers if c.bit_count() == 1} == one, graph
-            assert len(pairs) == len(two) and set(pairs) == two, graph
+            assert {mask_of((u, w)) for u, w in combinations(graph.vertices(), 2)
+                    if not neighbours[u] >> (w - 1) & 1} == two, graph
             assert len(three) == comb(graph.n, 3), graph
 
     def test_refuses_what_the_ideal_refuses_with_the_same_messages(self):

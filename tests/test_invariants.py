@@ -11,14 +11,16 @@ from hypothesis import assume, given, settings, strategies as st
 
 from compedge import (Field, SimpleGraph, SquarefreeIdeal, alexander_dual,
                       complementary_edge_dual, complementary_edge_ideal, cross_validate,
-                      enumerate_graphs, has_linear_resolution, huneke_ulrich_check,
-                      implication_suite, is_cohen_macaulay, is_forest, is_licci,
-                      oracle_invariants, predict_invariants, reg_pd)
+                      enumerate_graphs, has_linear_quotients, has_linear_resolution,
+                      huneke_ulrich_check, implication_suite, is_cohen_macaulay, is_forest,
+                      is_licci, oracle_invariants, predict_invariants, reg_pd)
 from compedge import cli, homology, ideals, invariants
 from compedge.graphs import complete_graph, cycle_graph, path_graph
 from compedge.homology import _primal_betti
+from compedge.ideals import mask_of
 from compedge.invariants import NOTE_COMPLETE_PD, NOTE_ISOLATED
-from conftest import atlas_graphs, brute_force_component, reference_linear_quotients
+from conftest import (admissible_by_difference, atlas_graphs, brute_force_component,
+                      reference_linear_quotients)
 
 
 def graphs_with_edges(min_n: int = 3, max_n: int = 6) -> st.SearchStrategy[SimpleGraph]:
@@ -247,10 +249,12 @@ class TestDualComponentsOffTheGraph:
             assert implication_suite(graph, field).dual_componentwise_linear == (
                 homology.is_componentwise_linear(complementary_edge_dual(graph), field)), graph
 
+    # two forests, a chordal graph with a triangle and the 5-cycle
+    ROUTE_GRAPHS = (SimpleGraph(7, ((1, 2), (2, 3), (2, 4), (5, 6))), path_graph(7),
+                    SimpleGraph(5, ((1, 2), (1, 3), (2, 3), (3, 4), (4, 5))), cycle_graph(5))
+
     def test_no_dual_ideal_and_no_chain_is_built(self, monkeypatch):
-        # two forests, a chordal graph with a triangle and the 5-cycle
-        graphs = [SimpleGraph(7, ((1, 2), (2, 3), (2, 4), (5, 6))), path_graph(7),
-                  SimpleGraph(5, ((1, 2), (1, 3), (2, 3), (3, 4), (4, 5))), cycle_graph(5)]
+        graphs = self.ROUTE_GRAPHS
         expected = [implication_suite(g, f) for g in graphs for f in Field]
 
         def refuse(*args):
@@ -259,6 +263,34 @@ class TestDualComponentsOffTheGraph:
         for module in (ideals, homology):
             monkeypatch.setattr(module, "_squarefree_components", refuse)
         assert [implication_suite(g, f) for g in graphs for f in Field] == expected
+
+    def test_no_betti_table_of_the_dual_is_routed(self, monkeypatch):
+        # componentwise linearity is chordality, read off the neighbour masks
+        graphs = self.ROUTE_GRAPHS
+        expected = [implication_suite(g, f).to_json_dict() for g in graphs for f in Field]
+
+        def refuse(*args):
+            raise AssertionError("routed a Betti table of the dual")
+        for module in (homology, invariants):
+            if hasattr(module, "_mask_betti"):
+                monkeypatch.setattr(module, "_mask_betti", refuse)
+        assert [implication_suite(g, f).to_json_dict()
+                for g in graphs for f in Field] == expected
+
+    def test_every_yes_witness_passes_the_per_difference_rule(self):
+        # the search's one-mask admissibility test against the colon ideals
+        # written out per difference, on the witness of every chordal class
+        chordal = [g for g in atlas_graphs(3, 7) if nx.is_chordal(nx.Graph(g.edges))]
+        assert len(chordal) == 3 + 9 + 26 + 93 + 392
+        for graph in chordal:
+            dual = complementary_edge_dual(graph)
+            result = has_linear_quotients(dual)
+            assert result.status == "yes", graph
+            order = [mask_of(s) for s in result.ordering]
+            assert sorted(order) == list(dual.masks), graph
+            assert [g.bit_count() for g in order] == list(dual.degrees), graph
+            assert all(admissible_by_difference(order[:k], g)
+                       for k, g in enumerate(order)), graph
 
 
 class TestOneGraphLevelPath:

@@ -14,8 +14,12 @@ from __future__ import annotations
 
 from collections import Counter
 
-from compedge import SimpleGraph, complementary_edge_ideal, is_forest, is_complete, is_licci
+import pytest
+
+from compedge import (Field, SimpleGraph, complementary_edge_ideal, implication_suite, is_forest,
+                      is_complete, is_licci)
 from compedge.graphs import connected_components
+from conftest import atlas_graphs
 
 
 def has_isolated(graph: SimpleGraph) -> bool:
@@ -160,5 +164,27 @@ class TestImplicationClaimsOffHypothesis:
         split = Counter(s.primal_linear_resolution for s in disconnected)
         assert split == {True: 1206, False: 618}
         # without isolated vertices the claim fails outright, as recorded
+        clean = [s for s in disconnected if not has_isolated(s.graph)]
+        assert clean and all(not s.primal_linear_resolution for s in clean)
+
+    @pytest.mark.parametrize("field", list(Field))
+    def test_forest_statements_on_every_forest_class_on_seven(self, field):
+        # the three statements above on one forest per isomorphism class on
+        # n = 7 (networkx atlas); every claim is invariant under relabeling
+        forests = [g for g in atlas_graphs(7, 7) if is_forest(g)]
+        assert len(forests) == 36
+        suites = [implication_suite(g, field) for g in forests]
+        for suite in suites:
+            assert suite.sequentially_cm
+            assert suite.dual_componentwise_linear
+            assert suite.dual_linear_quotients == "yes"
+        bad = [s for s in suites if not s.dual_linear_resolution]
+        assert len(bad) == 18
+        assert all(has_isolated(s.graph) and s.graph.m > 1 for s in bad)
+        assert all(s.graph.m == 1 for s in suites
+                   if has_isolated(s.graph) and s.dual_linear_resolution)
+        disconnected = [s for s in suites if len(connected_components(s.graph)) > 1]
+        split = Counter(s.primal_linear_resolution for s in disconnected)
+        assert split == {True: 13, False: 12}
         clean = [s for s in disconnected if not has_isolated(s.graph)]
         assert clean and all(not s.primal_linear_resolution for s in clean)

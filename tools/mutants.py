@@ -104,18 +104,19 @@ MUTANTS = [
            "dual_lin = dual_cl",
            ("tests/test_invariants.py::TestImplicationSuite::"
             "test_payload_digest_over_every_graph_to_five_and_forest_on_six",)),
-    # the suite's dual components, read off the graph: J_[2] on all n
-    # vertices, its regularity check, and the quotient short-circuit
-    Mutant("graph-dual-drop-pairs-onto-isolated-vertices", "ideals.py",
-           "apart = full & ~neighbours[u] & (-1 << u)",
-           "apart = full & ~isolated & ~neighbours[u] & (-1 << u)",
+    # the suite's dual read off the graph: its covers, the chordality kernel
+    # that decides its componentwise linearity, and the quotient short-circuit
+    Mutant("graph-dual-pairs-onto-isolated-vertices", "ideals.py",
+           " if neighbours[u] else 0", "",
            ("tests/test_ideals.py::TestComplementaryEdgeDual::"
             "test_graph_dual_names_the_components_of_degree_one_to_three",)),
-    Mutant("suite-skip-the-degree-2-check", "invariants.py",
-           "for d, masks in ((1, points), (2, pairs)) if masks)",
-           "for d, masks in ((1, points),) if masks)",
-           ("tests/test_invariants.py::TestDualComponentsOffTheGraph::"
-            "test_componentwise_linearity_is_chordality_on_every_class_to_seven",)),
+    Mutant("chordal-skip-the-clique-test", "graphs.py",
+           "if near & ~neighbours[w.bit_length()] != w:", "if False:",
+           ("tests/test_graphs.py::TestChordalityKernel",)),
+    Mutant("chordal-true-with-no-simplicial-vertex-left", "graphs.py",
+           "if left == before:\n            return False",
+           "if left == before:\n            return True",
+           ("tests/test_graphs.py::TestChordalityKernel",)),
     Mutant("suite-quotients-yes-past-a-non-linear-dual", "invariants.py",
            'if dual_cl else "no"', 'if dual_cl else "yes"',
            ("tests/test_invariants.py::TestImplicationSuite::"
@@ -137,10 +138,6 @@ EQUIVALENT = [
                "        if u != sigma:\n            continue\n", "",
                "a sigma off the lcm lattice has a vertex in no generator inside it, so its "
                "restriction is a cone on that vertex, with no reduced homology"),
-    Equivalent("suite-skip-the-degree-1-check", "invariants.py",
-               "((1, points), (2, pairs))", "((2, pairs),)",
-               "J_[1] is generated by variables, whose table is the Koszul diagonal, linear "
-               "over every field"),
     Equivalent("forest-accept-v-edges", "homology.py",
                "if m >= max(vertices, 1):", "if m > max(vertices, 1):",
                "a graph with V edges on V vertices has a cycle, so the union-find declines "
