@@ -3,13 +3,15 @@
 Exit codes: 0 success, 1 a verification found discrepancies, 2 usage or input
 errors. Whenever the exit code is not 2, the payload on stdout is valid JSON,
 except for the montecarlo and sweep subcommands, which emit CSV. Those two are
-the only commands that import `experiments`, and with it numpy.
+the only commands that import `experiments`, and with it numpy. A reader that
+closes stdout early changes no exit code: the rest of the payload is dropped.
 """
 from __future__ import annotations
 
 import argparse
 import io
 import json
+import os
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
@@ -225,7 +227,13 @@ def run(argv: list[str]) -> CommandOutcome:
 def main() -> None:
     outcome = run(sys.argv[1:])
     if outcome.payload:
-        print(outcome.payload, end="" if outcome.payload.endswith("\n") else "\n")
+        try:
+            print(outcome.payload, end="" if outcome.payload.endswith("\n") else "\n",
+                  flush=True)
+        except BrokenPipeError:
+            # the reader left early: the rest of the payload goes to devnull,
+            # and the exit code stays the command's own
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     if outcome.diagnostics:
         print(outcome.diagnostics, file=sys.stderr)
     sys.exit(outcome.exit_code)

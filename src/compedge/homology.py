@@ -58,10 +58,12 @@ routed from the component's masks (_mask_betti, the routing hochster_betti
 uses) with no ideal built, and builds the components as one chain: the
 degree-(d+1) component is the degree-d one times every variable, plus the
 generators of degree d + 1. The implication suite asks for no table of
-the dual of I_c(G): the graph names its components, and only the one in
-degree 2 can fail to be linear, exactly when G is not chordal, which the
-suite reads off the graph (graphs._is_chordal). On that dual,
-is_componentwise_linear is the suite's slow leg in the tests.
+the dual of I_c(G), builds no dual and runs no quotient search: the graph
+names the dual's components, and only the one in degree 2 can fail to be
+linear, exactly when G is not chordal, which the suite reads off the graph
+(graphs._is_chordal); chordality settles the dual's linear quotients too.
+On that dual, is_componentwise_linear is the suite's slow leg in the tests;
+it and ideals.has_linear_quotients serve general ideals.
 """
 from __future__ import annotations
 
@@ -402,16 +404,14 @@ def _edge_oracle(n: int, edges: Sequence[tuple[int, int]],
     (graphs._join_count joins n' - c' times). The dual Hochster formula
     (Miller-Sturmfels, Combinatorial Commutative Algebra, Cor. 5.12) then gives
     beta_(1, n-2) = m, beta_(2, n-1) = 2m - n', beta_(2, n) = c' - 1 and
-    beta_(3, n) = m - n' + c', over every field. The height is the least k
+    beta_(3, n) = m - n' + c', over every field: the table of _count_betti
+    with no isolated facet vertex. The height is the least k
     with f_(k-1) < C(n, k) in the f-vector (1, n', m), the rule of
     ideals.height: 1 with an isolated vertex, else 2 unless G is complete.
     """
     m = len(edges)
     met, joins = _join_count(edges)
-    table = BettiTable.from_dict(n, field, {
-        (0, 0): 1, (1, n - 2): m, (2, n - 1): 2 * m - met,
-        (2, n): met - joins - 1, (3, n): m - joins})
-    return table, 1 if met < n else 2 if m < comb(n, 2) else 3
+    return _count_betti(n, m, met, joins, 0, field), 1 if met < n else 2 if m < comb(n, 2) else 3
 
 
 def _primal_betti(ideal: SquarefreeIdeal, field: Field) -> BettiTable:
@@ -496,8 +496,18 @@ def _graph_betti(n: int, masks: Iterable[int], field: Field) -> BettiTable:
             points += 1
         else:
             return BettiTable(n, field, (((0, 0), 1), ((1, n), 1)))
-    m = len(edges)
     met, joins = _join_count(edges)
+    return _count_betti(n, len(edges), met, joins, points, field)
+
+
+def _count_betti(n: int, m: int, met: int, joins: int, points: int,
+                 field: Field) -> BettiTable:
+    """The dual Hochster table of a dual complex that is a graph plus isolated points.
+
+    The graph has m edges on met vertices, of which joins join two
+    components (graphs._join_count), beside points isolated facet vertices:
+    the counts of _graph_betti, and of _edge_oracle with points = 0.
+    """
     return BettiTable.from_dict(n, field, {
         (0, 0): 1, (1, n - 2): m, (1, n - 1): points, (2, n - 1): 2 * m - met,
         (2, n): met + points - joins - 1, (3, n): m - joins})
@@ -539,8 +549,9 @@ def _forest_betti(n: int, masks: Iterable[int], field: Field) -> BettiTable | No
     labels = [v for v in range(n) if not points >> v & 1]
     vertices = len(labels)
     m = vertices * (vertices - 1) // 2 - len(pairs)
-    # a forest has fewer edges than vertices, or none on no vertex
-    if m >= max(vertices, 1):
+    # a forest has fewer edges than vertices; a degree-2 generator, minimal,
+    # has two of the vertices
+    if m >= vertices:
         return None
     edges = [(u, v) for k, u in enumerate(labels) for v in labels[k + 1:]
              if (1 << u) | (1 << v) not in pairs]

@@ -8,8 +8,9 @@ minimalizes and orders generators; every producer below hands it raw masks.
 The frozenset supports (`gens`) are derived on demand in the canonical order
 users see, lexicographic on the sorted index tuples. alexander_dual is the
 general cover search; complementary_edge_dual reads the dual of I_c(G) off
-the graph's neighbour masks (_graph_dual), which hands the masks back for
-the implication suite's chordality test (graphs._is_chordal).
+the graph's neighbour masks. has_linear_quotients is a backtracking search
+for general ideals; the implication suite builds no dual and runs no search,
+as chordality of G settles the dual's linear quotients.
 """
 from __future__ import annotations
 
@@ -139,10 +140,11 @@ def complementary_edge_dual(graph: SimpleGraph) -> SquarefreeIdeal:
     A set meets every generator support V - {u, v} exactly when it lies inside
     no edge, so the minimal covers are {v} for each isolated vertex, {u, v}
     for each non-edge whose ends both carry an edge, and {u, v, w} for each
-    triangle (_graph_dual, the one place they are read). alexander_dual finds
-    the same covers by search. An n outside 3..AMBIENT_LIMIT is refused with
-    complementary_edge_ideal's messages, before any per-vertex list is built,
-    and an edgeless graph as alexander_dual refuses the zero ideal.
+    triangle, read off the neighbour masks (graphs._neighbour_masks).
+    alexander_dual finds the same covers by search. An n outside
+    3..AMBIENT_LIMIT is refused with complementary_edge_ideal's messages,
+    before any per-vertex list is built, and an edgeless graph as
+    alexander_dual refuses the zero ideal.
     """
     n = graph.n
     _require_edge_ambient(n)
@@ -150,19 +152,6 @@ def complementary_edge_dual(graph: SimpleGraph) -> SquarefreeIdeal:
         raise _outside_ambient(n)
     if not graph.edges:
         raise ValueError("no associated primes computed for zero ideal")
-    return SquarefreeIdeal(n, _graph_dual(graph)[0])
-
-
-def _graph_dual(graph: SimpleGraph) -> tuple[list[int], list[int]]:
-    """The dual J of I_c(G) off the neighbour masks: (its covers, those masks).
-
-    The covers are J's minimal generators in the order SquarefreeIdeal stores
-    them: the isolated vertices, the non-edges between vertices that carry an
-    edge, and the triangles. The masks are graphs._neighbour_masks(graph),
-    handed back so that a caller reads the graph once. The caller refuses
-    what complementary_edge_dual refuses.
-    """
-    n = graph.n
     neighbours = _neighbour_masks(graph)
     covers = [1 << (v - 1) for v in range(1, n + 1) if not neighbours[v]]
     carried = ((1 << n) - 1) ^ sum(covers)
@@ -179,8 +168,7 @@ def _graph_dual(graph: SimpleGraph) -> tuple[list[int], list[int]]:
             low = common & -common
             common ^= low
             covers.append(1 << (u - 1) | 1 << (v - 1) | low)
-    covers.sort()
-    return covers, neighbours
+    return SquarefreeIdeal(n, covers)
 
 
 def alexander_dual(ideal: SquarefreeIdeal) -> SquarefreeIdeal:
@@ -277,68 +265,43 @@ def has_linear_quotients(ideal: SquarefreeIdeal) -> QuotientSearchResult:
     an ordering), i.e. permutations within each degree class. The search is
     backtracking with a budget of LINEAR_QUOTIENTS_BUDGET nodes; exceeding it
     yields "inconclusive". Each degree class is walked in stored mask order,
-    so the witness is the first admissible ordering in that order.
+    so the witness is the first admissible ordering in that order. The walk
+    keeps its own stack, one frame per generator chosen, so an ideal with
+    thousands of generators needs no deeper Python recursion.
     """
     if ideal.is_zero:
         raise ValueError("linear quotients undefined for the zero ideal")
-    status, chosen, nodes = _linear_quotients(ideal.masks)
-    ordering = tuple(map(support_of, chosen)) if status == "yes" else None
-    return QuotientSearchResult(status, ordering, nodes)
-
-
-def _linear_quotients(masks: Sequence[int]) -> tuple[str, list[int], int]:
-    """has_linear_quotients on the stored masks: (status, the witness masks, nodes).
-
-    The witness stays as masks, so a caller that reads the status alone
-    builds no support.
-    """
     chosen: list[int] = []
     nodes = 0
-
-    def admissible(g: int) -> bool:
+    # a frame holds the generators left after its choices and the index of its
+    # next candidate; a stable sort keeps the stored mask order in a degree
+    stack = [[sorted(ideal.masks, key=int.bit_count), 0]]
+    while stack[-1][0]:
+        frame = stack[-1]
+        remaining, k = frame
+        # the candidates are the prefix of least degree
+        if k == len(remaining) or remaining[k].bit_count() != remaining[0].bit_count():
+            stack.pop()
+            if not stack:
+                return QuotientSearchResult("no", None, nodes)
+            chosen.pop()
+            continue
+        frame[1] = k + 1
+        nodes += 1
+        if nodes > LINEAR_QUOTIENTS_BUDGET:
+            return QuotientSearchResult("inconclusive", None, nodes)
         # every earlier generator's difference must contain a singleton
         # difference, i.e. meet the union of the singleton differences
-        outside = ~g
+        outside = ~remaining[k]
         singles = 0
         for c in chosen:
             d = c & outside
             if not d & (d - 1):
                 singles |= d
-        for c in chosen:
-            if not c & outside & singles:
-                return False
-        return True
-
-    def search(remaining: list[int]) -> bool:
-        nonlocal nodes
-        if not remaining:
-            return True
-        # the candidates are the prefix of least degree
-        degree = remaining[0].bit_count()
-        for k, g in enumerate(remaining):
-            if g.bit_count() != degree:
-                break
-            nodes += 1
-            if nodes > LINEAR_QUOTIENTS_BUDGET:
-                raise _BudgetExceeded
-            if not admissible(g):
-                continue
-            chosen.append(g)
-            if search(remaining[:k] + remaining[k + 1:]):
-                return True
-            chosen.pop()
-        return False
-
-    try:
-        # a stable sort: within a degree the stored mask order stays
-        found = search(sorted(masks, key=int.bit_count))
-    except _BudgetExceeded:
-        return "inconclusive", chosen, nodes
-    return ("yes" if found else "no"), chosen, nodes
-
-
-class _BudgetExceeded(Exception):
-    pass
+        if all(c & outside & singles for c in chosen):
+            chosen.append(remaining[k])
+            stack.append([remaining[:k] + remaining[k + 1:], 0])
+    return QuotientSearchResult("yes", tuple(map(support_of, chosen)), nodes)
 
 
 def squarefree_component(ideal: SquarefreeIdeal, d: int) -> SquarefreeIdeal:

@@ -17,10 +17,11 @@ Two known tensions are flagged rather than silently resolved:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
-from .graphs import SimpleGraph, _is_chordal, is_complete, is_forest
+from .graphs import SimpleGraph, _is_chordal, _neighbour_masks, is_complete, is_forest
 from .homology import Field, _graph_oracle, reg_pd
-from .ideals import _graph_dual, _linear_quotients, _require_edge_ambient
+from .ideals import _require_edge_ambient
 
 NOTE_COMPLETE_PD = "complete_pd_adjusted"
 NOTE_ISOLATED = "isolated_vertices_outside_hypotheses"
@@ -267,39 +268,71 @@ class ImplicationSuite:
 def implication_suite(graph: SimpleGraph, field: Field = Field.GF2) -> ImplicationSuite:
     """Evaluate the five claims; failed_claims lists false ones on licci inputs.
 
-    The Alexander dual J is read from the graph (ideals._graph_dual), with no
-    ideal built: its generators are the isolated vertices, the non-edges
-    between vertices that carry an edge, and the triangles. sequentially_cm
-    is J's componentwise linearity, which is equivalent (Herzog-Hibi, Nagoya
-    Math. J. 153, 1999). The graph names J's squarefree components: J_[1]
-    holds the isolated vertices, a variable ideal; J_[2] every non-adjacent
-    pair on all n vertices, the edge ideal of the complement of G; and J_[3]
-    every triple, so from degree 3 on each component is a squarefree
-    Veronese ideal. Variable and Veronese ideals are linear over every
-    field, so J is componentwise linear exactly when J_[2] is, and J_[2] is
-    linear exactly when G is chordal (Froberg, Banach Center Publ. 26,
-    1990). Chordality is read off the neighbour masks _graph_dual hands back
-    (graphs._is_chordal), with no Betti table; is_componentwise_linear and
-    is_sequentially_cm on the dual ideal are the slow leg in the tests. The
-    same Herzog-Hibi paper gives dual_linear_resolution: J has a linear
-    resolution exactly when it is generated in one degree and is
-    componentwise linear. Linear quotients in a degree-increasing order
-    imply componentwise linearity (Jahan-Zheng, J. Combin. Theory Ser. A
-    117, 2010), and the quotient search tries only such orders, so
-    dual_linear_quotients is "no" for a dual that is not componentwise
-    linear and otherwise the status of the search alone, with no witness
-    ordering built. primal_linear_resolution is read off the table of
+    The four dual claims are read off the graph's neighbour masks
+    (graphs._neighbour_masks), with neither the Alexander dual J of I_c(G)
+    nor a search built. J's generators are the isolated vertices, the
+    non-edges between vertices that carry an edge, and the triangles.
+    sequentially_cm is J's componentwise linearity, which is equivalent
+    (Herzog-Hibi, Nagoya Math. J. 153, 1999). The graph names J's squarefree
+    components: J_[1] holds the isolated vertices, a variable ideal; J_[2]
+    every non-adjacent pair on all n vertices, the edge ideal of the
+    complement of G; and J_[3] every triple, so from degree 3 on each
+    component is a squarefree Veronese ideal. Variable and Veronese ideals
+    are linear over every field, so J is componentwise linear exactly when
+    J_[2] is, and J_[2] is linear exactly when G is chordal (Froberg, Banach
+    Center Publ. 26, 1990), read by simplicial-vertex elimination
+    (graphs._is_chordal). The same Herzog-Hibi paper gives
+    dual_linear_resolution: J has a linear resolution exactly when it is
+    componentwise linear and generated in one degree. Its degrees are
+    counts: 1 when an isolated vertex exists (n' < n for the n' vertices on
+    an edge), 2 when a pair of those is no edge (m < C(n', 2)), 3 when a
+    triangle exists (the two ends of an edge share a neighbour).
+
+    dual_linear_quotients is "yes" exactly when G is chordal, with no
+    ordering built. "No" holds past chordality: linear quotients in a
+    degree-increasing order imply componentwise linearity (Jahan-Zheng, J.
+    Combin. Theory Ser. A 117, 2010). "Yes" holds for a chordal G by a
+    perfect elimination ordering (PEO): an order of the vertices in which
+    the later neighbours of each vertex form a clique (Dirac 1961;
+    Rose-Tarjan-Lueker, SIAM J. Comput. 5, 1976). Write u < v when u comes
+    first. Order J's generators by degree, and within a degree
+    lexicographically by their vertices sorted in the PEO. The colon of the
+    earlier generators by the next one, g, is generated by variables when
+    every earlier h has some earlier h' with h' - g = {x} inside h - g. An h
+    with one vertex outside g is its own h', and so is every variable, as
+    no later generator holds an isolated vertex. The other cases:
+    - a non-edge {a < b} after a disjoint non-edge {c < d}: then c < a.
+      Were c adjacent to both a and b, these later neighbours of c would be
+      adjacent. So {c, a} or {c, b} is a non-edge; it comes earlier and has
+      the difference x_c;
+    - a triangle T = {a < b < c} after a non-edge {i, j} outside T: x_i is
+      in the colon when i misses a vertex of T (that non-edge comes
+      earlier), or when i is adjacent to all of T and i < c (then {i, a, b},
+      {a, i, b} or {a, b, i} is a triangle that comes earlier). If neither
+      holds for i nor for j, both are later neighbours of a, so adjacent;
+    - a triangle T after a triangle T' with |T' - T| >= 2: were every l in
+      T' - T adjacent to all of T and after c, T' would come after T. So
+      some l misses a vertex of T or comes before c, and x_l is in the
+      colon as above.
+    The tests check this order against the colon ideals written out per
+    difference, and has_linear_quotients on the dual against the suite.
+    primal_linear_resolution is read off the table of
     homology._graph_oracle, asked first so that its refusals come first.
     """
     _require_admissible(graph)
     verdict = is_licci(graph)
     table, _ = _graph_oracle(graph, field)
     n = graph.n
-    covers, neighbours = _graph_dual(graph)
+    neighbours = _neighbour_masks(graph)
     dual_cl = _is_chordal(neighbours)
     seq_cm = dual_cl
-    lq_status = _linear_quotients(covers)[0] if dual_cl else "no"
-    dual_lin = dual_cl and len({c.bit_count() for c in covers}) == 1
+    lq_status = "yes" if dual_cl else "no"
+    # J's generator degrees: 1 past the met vertices on an edge, 2 below
+    # C(met, 2) edges, 3 with a triangle
+    met = sum(map(bool, neighbours))
+    degrees = (met < n) + (graph.m < comb(met, 2)) + any(
+        neighbours[u] & neighbours[v] for u, v in graph.edges)
+    dual_lin = dual_cl and degrees == 1
     # every generator has degree n - 2, so the resolution is linear iff reg(I) = n - 2
     primal_lin = reg_pd(table).reg_ideal == n - 2
     failed = []

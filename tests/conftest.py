@@ -17,8 +17,8 @@ import networkx as nx
 import pytest
 
 from compedge import (Field, QuotientSearchResult, SimpleGraph, SquarefreeIdeal,
-                      complementary_edge_ideal, enumerate_graphs, height, hochster_betti,
-                      implication_suite, reg_pd)
+                      complementary_edge_dual, complementary_edge_ideal, enumerate_graphs,
+                      height, hochster_betti, implication_suite, reg_pd)
 from compedge import ideals as ideals_module
 from compedge.graphs import complete_graph, connected_components
 from compedge.ideals import support_of
@@ -113,6 +113,47 @@ def admissible_by_difference(chosen: Sequence[int], g: int) -> bool:
         if d.bit_count() != 1 and not any(s & d for s in singles):
             return False
     return True
+
+
+def maximum_cardinality_search(graph: SimpleGraph) -> list[int] | None:
+    """A perfect elimination ordering (PEO) of a chordal graph, None for any other graph.
+
+    Maximum cardinality search visits next a vertex with the most visited
+    neighbours; the reverse of its visit order is a PEO exactly when the
+    graph is chordal (Tarjan-Yannakakis, SIAM J. Comput. 13, 1984). That is
+    checked here: the later neighbours of each vertex must form a clique.
+    """
+    adjacent = {v: set() for v in graph.vertices()}
+    for u, v in graph.edges:
+        adjacent[u].add(v)
+        adjacent[v].add(u)
+    weight = dict.fromkeys(adjacent, 0)
+    visits = []
+    while weight:
+        v = max(weight, key=weight.__getitem__)
+        visits.append(v)
+        del weight[v]
+        for w in adjacent[v] & weight.keys():
+            weight[w] += 1
+    order = visits[::-1]
+    position = {v: k for k, v in enumerate(order)}
+    for v in order:
+        later = [w for w in adjacent[v] if position[w] > position[v]]
+        if any(b not in adjacent[a] for a, b in combinations(later, 2)):
+            return None
+    return order
+
+
+def peo_lex_dual_order(graph: SimpleGraph, peo: Sequence[int]) -> list[int]:
+    """The dual's generators by degree, then lexicographically by their vertices in the PEO."""
+    position = {v: k for k, v in enumerate(peo)}
+    return sorted(complementary_edge_dual(graph).masks, key=lambda g: (
+        g.bit_count(), sorted(position[v] for v in support_of(g))))
+
+
+def has_linear_quotients_in_order(order: Sequence[int]) -> bool:
+    """Every colon of the earlier generators by the next one is generated by variables."""
+    return all(admissible_by_difference(order[:k], g) for k, g in enumerate(order))
 
 
 def reference_linear_quotients(ideal: SquarefreeIdeal) -> QuotientSearchResult:

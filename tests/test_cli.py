@@ -494,6 +494,29 @@ class TestProcessEntryPoint:
         assert proc.stdout == ""
         assert "error:" in proc.stderr
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--max-n", "4"],
+        ["analyze", "{isolated}", "--oracle"],
+        ["analyze", "missing.json"],
+    ])
+    def test_a_closed_reader_keeps_the_commands_exit_code(self, argv, tmp_path):
+        # like `compedge verify | head -c 10`, with the read end closed before
+        # the child writes: no traceback, and exit 0, 1 or 2 as run() decides
+        isolated = tmp_path / "isolated.json"
+        isolated.write_text('{"n": 4, "edges": [[1, 2], [2, 3]]}')
+        argv = [arg.format(isolated=isolated) for arg in argv]
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "compedge.cli", *argv],
+                                  stdout=write, stderr=subprocess.PIPE, text=True,
+                                  env={**os.environ, "PYTHONPATH": path})
+        finally:
+            os.close(write)
+        assert "Traceback" not in proc.stderr
+        assert proc.returncode == run(argv).exit_code
+
 
 class TestNumpyLoadsLazily:
     """Only the Monte Carlo commands and the `experiments` names import numpy."""

@@ -12,11 +12,11 @@ from compedge import (SimpleGraph, SquarefreeIdeal, alexander_dual, complementar
                       complementary_edge_ideal, enumerate_graphs, has_linear_quotients,
                       has_linear_resolution, height, minimal_vertex_covers, minimalize,
                       squarefree_component)
-from compedge.graphs import complete_graph, is_complete, path_graph
+from compedge.graphs import _neighbour_masks, complete_graph, is_complete, path_graph
 from compedge import ideals as ideals_module
-from compedge.ideals import _graph_dual, _squarefree_components, mask_of, support_of
-from conftest import (atlas_graphs, brute_force_component, labeled_forests,
-                      reference_linear_quotients)
+from compedge.ideals import _squarefree_components, mask_of, support_of
+from conftest import (atlas_graphs, brute_force_component, has_linear_quotients_in_order,
+                      labeled_forests, reference_linear_quotients)
 
 
 def fs(*vertices: int) -> frozenset[int]:
@@ -217,18 +217,18 @@ class TestComplementaryEdgeDual:
         assert complementary_edge_dual(graph) == cover_search_dual(graph)
 
     def test_graph_dual_names_the_components_of_degree_one_to_three(self, oracle_sweep):
-        # the chain of the dual's squarefree components against the graph
-        # helper, on every labeled graph to n = 6 and every class on n = 7:
-        # J_[1] is its covers of degree 1, J_[2] the non-adjacent pairs of the
-        # neighbour masks it hands back, on all n vertices, and J_[3] holds
+        # the chain of the dual's squarefree components against the dual
+        # read off the graph, on every labeled graph to n = 6 and every class
+        # on n = 7: J_[1] is its covers of degree 1, J_[2] the non-adjacent
+        # pairs of the neighbour masks, on all n vertices, and J_[3] holds
         # every triple
         records, _ = oracle_sweep
         graphs = [r.graph for r in records] + atlas_graphs(7, 7)
         assert len(graphs) == 7 + 63 + 1023 + 32767 + 1043
         for graph in graphs:
-            covers, neighbours = _graph_dual(graph)
+            neighbours = _neighbour_masks(graph)
             dual = complementary_edge_dual(graph)
-            assert covers == list(dual.masks), graph
+            covers = list(dual.masks)
             _, one, two, three = islice(_squarefree_components(dual), 4)
             assert {c for c in covers if c.bit_count() == 1} == one, graph
             assert {mask_of((u, w)) for u, w in combinations(graph.vertices(), 2)
@@ -419,6 +419,19 @@ class TestLinearQuotients:
         assert result.ordering is None
         assert result.nodes >= 2
 
+    @pytest.mark.parametrize("supports", [
+        [[1, 2], [3, 4]],
+        [[1, 2], [2, 3], [3, 4], [4, 5], [1, 5]],
+    ])
+    def test_every_dead_end_is_undone_before_the_next_candidate(self, supports):
+        # two disjoint supports, and the edge ideal of the 5-cycle, whose
+        # complement is not chordal: each walk backtracks to its root and
+        # answers "no", with the node count of the recursive walk
+        ideal = minimalize(5, supports)
+        result = has_linear_quotients(ideal)
+        assert result.status == "no"
+        assert result == reference_linear_quotients(ideal)
+
     def test_budget_exhaustion_is_inconclusive(self, monkeypatch):
         monkeypatch.setattr("compedge.ideals.LINEAR_QUOTIENTS_BUDGET", 1)
         ideal = minimalize(4, [[1, 2], [3, 4]])
@@ -434,6 +447,16 @@ class TestLinearQuotients:
         results = [has_linear_quotients(dual) for dual in duals]
         assert results == [reference_linear_quotients(dual) for dual in duals]
         assert sum(r.nodes for r in results) == 30111
+
+    def test_a_thousand_generators_need_no_deep_recursion(self):
+        # the degree-3 squarefree Veronese ideal on 20 variables: 1,140
+        # generators, each choice one frame of the walk's own stack
+        ideal = SquarefreeIdeal(20, [mask_of(c) for c in combinations(range(1, 21), 3)])
+        result = has_linear_quotients(ideal)
+        assert (result.status, result.nodes) == ("yes", 1140)
+        order = [mask_of(s) for s in result.ordering]
+        assert sorted(order) == list(ideal.masks)
+        assert has_linear_quotients_in_order(order)
 
     @settings(max_examples=60)
     @given(ideals(max_n=8))

@@ -14,13 +14,14 @@ from compedge import (Field, SimpleGraph, SquarefreeIdeal, alexander_dual,
                       enumerate_graphs, has_linear_quotients, has_linear_resolution,
                       huneke_ulrich_check, implication_suite, is_cohen_macaulay, is_forest,
                       is_licci, oracle_invariants, predict_invariants, reg_pd)
+import compedge
 from compedge import cli, homology, ideals, invariants
 from compedge.graphs import complete_graph, cycle_graph, path_graph
 from compedge.homology import _primal_betti
 from compedge.ideals import mask_of
 from compedge.invariants import NOTE_COMPLETE_PD, NOTE_ISOLATED
-from conftest import (admissible_by_difference, atlas_graphs, brute_force_component,
-                      reference_linear_quotients)
+from conftest import (atlas_graphs, brute_force_component, has_linear_quotients_in_order,
+                      maximum_cardinality_search, peo_lex_dual_order, reference_linear_quotients)
 
 
 def graphs_with_edges(min_n: int = 3, max_n: int = 6) -> st.SearchStrategy[SimpleGraph]:
@@ -232,8 +233,8 @@ class TestDualComponentsOffTheGraph:
 
     def test_componentwise_linearity_is_chordality_on_every_class_to_seven(self):
         # Froberg and Herzog-Hibi make the answer chordality of G; Jahan-Zheng
-        # makes a dual that is not componentwise linear "no" for the quotient
-        # search, and on n <= 7 the search finds an order for every other one
+        # makes a dual that is not componentwise linear "no", and a perfect
+        # elimination ordering gives every other one linear quotients
         graphs = atlas_graphs(3, 7)
         assert len(graphs) == 201 + 1043
         for graph in graphs:
@@ -264,6 +265,22 @@ class TestDualComponentsOffTheGraph:
             monkeypatch.setattr(module, "_squarefree_components", refuse)
         assert [implication_suite(g, f) for g in graphs for f in Field] == expected
 
+    def test_no_quotient_search_and_no_dual_is_run(self, monkeypatch):
+        # linear quotients are chordality, read off the neighbour masks
+        graphs = self.ROUTE_GRAPHS
+        expected = [implication_suite(g, f).to_json_dict() for g in graphs for f in Field]
+
+        def refuse(*args):
+            raise AssertionError("ran the quotient search or built the dual")
+        names = ("has_linear_quotients", "_linear_quotients", "complementary_edge_dual",
+                 "_graph_dual", "alexander_dual")
+        for module in (compedge, ideals, invariants):
+            for name in names:
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refuse)
+        assert [implication_suite(g, f).to_json_dict()
+                for g in graphs for f in Field] == expected
+
     def test_no_betti_table_of_the_dual_is_routed(self, monkeypatch):
         # componentwise linearity is chordality, read off the neighbour masks
         graphs = self.ROUTE_GRAPHS
@@ -278,8 +295,9 @@ class TestDualComponentsOffTheGraph:
                 for g in graphs for f in Field] == expected
 
     def test_every_yes_witness_passes_the_per_difference_rule(self):
-        # the search's one-mask admissibility test against the colon ideals
-        # written out per difference, on the witness of every chordal class
+        # the search agrees with the suite's "yes" on every chordal class, and
+        # its one-mask admissibility test passes the colon ideals written out
+        # per difference on each witness
         chordal = [g for g in atlas_graphs(3, 7) if nx.is_chordal(nx.Graph(g.edges))]
         assert len(chordal) == 3 + 9 + 26 + 93 + 392
         for graph in chordal:
@@ -289,8 +307,81 @@ class TestDualComponentsOffTheGraph:
             order = [mask_of(s) for s in result.ordering]
             assert sorted(order) == list(dual.masks), graph
             assert [g.bit_count() for g in order] == list(dual.degrees), graph
-            assert all(admissible_by_difference(order[:k], g)
-                       for k, g in enumerate(order)), graph
+            assert has_linear_quotients_in_order(order), graph
+
+
+@st.composite
+def chordal_graphs(draw, max_n: int = 16) -> SimpleGraph:
+    """A random chordal graph: each vertex in turn joins a clique of the ones before it.
+
+    The new vertex is simplicial, so the graph stays chordal; the labels are
+    shuffled so that the insertion order is no PEO of the labels.
+    """
+    n = draw(st.integers(3, max_n))
+    rng = draw(st.randoms(use_true_random=False))
+    adjacent: list[set[int]] = []
+    for v in range(n):
+        clique: list[int] = []
+        if v and rng.random() < 0.9:
+            u = rng.randrange(v)
+            near = sorted(adjacent[u] | {u})
+            rng.shuffle(near)
+            clique = [w for w in near if rng.random() < 0.7]
+            clique = [w for k, w in enumerate(clique)
+                      if all(x in adjacent[w] for x in clique[:k])]
+        adjacent.append(set(clique))
+        for w in clique:
+            adjacent[w].add(v)
+    labels = rng.sample(range(1, n + 1), n)
+    edges = tuple((labels[u], labels[v]) for v in range(n) for u in adjacent[v] if u < v)
+    assume(edges)
+    return SimpleGraph(n, edges)
+
+
+class TestPerfectEliminationOrder:
+    """The theorem behind dual_linear_quotients: for a chordal G, the dual's
+    generators by degree and then lexicographically in a PEO have linear
+    quotients, checked per difference against the colon ideals."""
+
+    def test_every_labeled_graph_to_six(self, oracle_sweep):
+        # the suite's "yes" is chordality; maximum cardinality search finds a
+        # PEO on exactly the chordal graphs, and its order passes on each
+        records, _ = oracle_sweep
+        chordal = 0
+        for record in records:
+            graph = record.graph
+            peo = maximum_cardinality_search(graph)
+            assert implication_suite(graph).dual_linear_quotients == (
+                "no" if peo is None else "yes"), graph
+            if peo is not None:
+                chordal += 1
+                assert has_linear_quotients_in_order(peo_lex_dual_order(graph, peo)), graph
+        assert chordal == 19041
+
+    def test_every_chordal_class_to_seven(self):
+        graphs = atlas_graphs(3, 7)
+        peos = [maximum_cardinality_search(g) for g in graphs]
+        assert [p is not None for p in peos] == [nx.is_chordal(nx.Graph(g.edges))
+                                                 for g in graphs]
+        chordal = [(g, p) for g, p in zip(graphs, peos) if p is not None]
+        assert len(chordal) == 523
+        for graph, peo in chordal:
+            assert has_linear_quotients_in_order(peo_lex_dual_order(graph, peo)), graph
+        # the check has teeth: the reversed PEO fails on 294 of the classes
+        assert sum(not has_linear_quotients_in_order(peo_lex_dual_order(g, p[::-1]))
+                   for g, p in chordal) == 294
+
+    @settings(max_examples=100, deadline=None)
+    @given(chordal_graphs())
+    def test_random_chordal_graphs_to_sixteen(self, graph: SimpleGraph):
+        peo = maximum_cardinality_search(graph)
+        assert peo is not None
+        assert has_linear_quotients_in_order(peo_lex_dual_order(graph, peo))
+        # the suite answers up to the oracle limit
+        if graph.n <= homology.ORACLE_LIMIT:
+            suite = implication_suite(graph)
+            assert (suite.dual_componentwise_linear, suite.dual_linear_quotients) == (
+                True, "yes")
 
 
 class TestOneGraphLevelPath:

@@ -53,7 +53,8 @@ MUTANTS = [
     Mutant("face-cap-64", "ideals.py",
            "_DUAL_FACE_CAP = 4096", "_DUAL_FACE_CAP = 64",
            (HOMOLOGY + "test_the_face_cap_never_moves_the_engine_choice",)),
-    # the graph kernel: the dual formula on a dual complex of dimension <= 1
+    # the graph kernel: the dual formula on a dual complex of dimension <= 1,
+    # its table built from counts by the helper the graph-level entry shares
     Mutant("graph-drop-facet-vertex-term", "homology.py",
            "(1, n - 1): points, ", "",
            (HOMOLOGY + "test_graph_kernel_on_every_one_dimensional_dual",)),
@@ -66,9 +67,10 @@ MUTANTS = [
     Mutant("graph-never-route", "homology.py",
            "if indeg >= n - 2:", "if False:",
            (HOMOLOGY + "test_complementary_edge_ideals_skip_the_subset_walk",)),
-    # the graph-level entry: the table and height of I_c(G) off m, n' and c'
+    # the graph-level entry: the table and height of I_c(G) off m, n' and c',
+    # through the shared count helper with no isolated facet vertex
     Mutant("entry-components-without-the-minus-one", "homology.py",
-           "(2, n): met - joins - 1", "(2, n): met - joins",
+           "(2, n): met + points - joins - 1", "(2, n): met + points - joins",
            ("tests/test_homology.py::TestGraphOracle::"
             "test_count_step_matches_the_graph_kernel_on_raw_masks",)),
     Mutant("entry-height-one-without-an-isolated-vertex", "homology.py",
@@ -98,18 +100,22 @@ MUTANTS = [
            "if not pairs:", "if False:",
            (HOMOLOGY + "test_variable_ideals_skip_the_subset_walk",)),
     # the implication suite reads the dual's linear resolution off its
-    # componentwise linearity, for one generator degree only
+    # componentwise linearity, for one generator degree only, and counts the
+    # degrees off the graph: isolated vertices, non-edges, triangles
     Mutant("suite-linear-without-one-degree", "invariants.py",
-           "dual_lin = dual_cl and len({c.bit_count() for c in covers}) == 1",
-           "dual_lin = dual_cl",
+           "dual_lin = dual_cl and degrees == 1", "dual_lin = dual_cl",
            ("tests/test_invariants.py::TestImplicationSuite::"
             "test_payload_digest_over_every_graph_to_five_and_forest_on_six",)),
-    # the suite's dual read off the graph: its covers, the chordality kernel
-    # that decides its componentwise linearity, and the quotient short-circuit
-    Mutant("graph-dual-pairs-onto-isolated-vertices", "ideals.py",
-           " if neighbours[u] else 0", "",
-           ("tests/test_ideals.py::TestComplementaryEdgeDual::"
-            "test_graph_dual_names_the_components_of_degree_one_to_three",)),
+    Mutant("suite-degrees-without-isolated-vertices", "invariants.py",
+           "degrees = (met < n) + ", "degrees = ",
+           ("tests/test_invariants.py::TestImplicationSuite::"
+            "test_payload_digest_over_every_graph_to_five_and_forest_on_six",)),
+    Mutant("suite-degrees-without-triangles", "invariants.py",
+           " + any(\n        neighbours[u] & neighbours[v] for u, v in graph.edges)", "",
+           ("tests/test_invariants.py::TestImplicationSuite::"
+            "test_payload_digest_over_every_graph_to_five_and_forest_on_six",)),
+    # the chordality kernel that decides the dual's componentwise linearity
+    # and its linear quotients
     Mutant("chordal-skip-the-clique-test", "graphs.py",
            "if near & ~neighbours[w.bit_length()] != w:", "if False:",
            ("tests/test_graphs.py::TestChordalityKernel",)),
@@ -118,10 +124,10 @@ MUTANTS = [
            "if left == before:\n            return True",
            ("tests/test_graphs.py::TestChordalityKernel",)),
     Mutant("suite-quotients-yes-past-a-non-linear-dual", "invariants.py",
-           'if dual_cl else "no"', 'if dual_cl else "yes"',
+           'lq_status = "yes" if dual_cl else "no"', 'lq_status = "yes"',
            ("tests/test_invariants.py::TestImplicationSuite::"
             "test_payload_digest_over_every_graph_to_five_and_forest_on_six",)),
-    # the graph dual, the component chain and the quotient check
+    # the graph dual, the component chain and the quotient search
     Mutant("dual-drop-the-triangle-covers", "ideals.py",
            "covers.append(1 << (u - 1) | 1 << (v - 1) | low)", "pass",
            ("tests/test_ideals.py",)),
@@ -131,6 +137,9 @@ MUTANTS = [
     Mutant("quotients-pairs-as-singletons", "ideals.py",
            "if not d & (d - 1):", "if d.bit_count() <= 2:",
            ("tests/test_ideals.py",)),
+    Mutant("quotients-keep-a-choice-on-backtrack", "ideals.py",
+           "            chosen.pop()\n            continue\n", "            continue\n",
+           ("tests/test_ideals.py",)),
 ]
 
 EQUIVALENT = [
@@ -139,9 +148,13 @@ EQUIVALENT = [
                "a sigma off the lcm lattice has a vertex in no generator inside it, so its "
                "restriction is a cone on that vertex, with no reduced homology"),
     Equivalent("forest-accept-v-edges", "homology.py",
-               "if m >= max(vertices, 1):", "if m > max(vertices, 1):",
+               "if m >= vertices:", "if m > vertices:",
                "a graph with V edges on V vertices has a cycle, so the union-find declines "
                "every Gamma the count lets through"),
+    Equivalent("graph-dual-pairs-onto-isolated-vertices", "ideals.py",
+               " if neighbours[u] else 0", "",
+               "a pair holding an isolated vertex contains that vertex's cover of degree 1, "
+               "so the SquarefreeIdeal constructor drops it as redundant"),
 ]
 
 
