@@ -5,6 +5,8 @@ errors. Whenever the exit code is not 2, the payload on stdout is valid JSON,
 except for the montecarlo and sweep subcommands, which emit CSV. Those two are
 the only commands that import `experiments`, and with it numpy. A reader that
 closes stdout early changes no exit code: the rest of the payload is dropped.
+`verify` cross-validates one graph per isomorphism class and weights it by its
+orbit size, which gives the totals of the sweep over every labeled graph.
 """
 from __future__ import annotations
 
@@ -16,8 +18,9 @@ import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass
+from math import comb
 
-from .graphs import (DEFAULT_ENUMERATION_LIMIT, SimpleGraph, enumerate_graphs,
+from .graphs import (DEFAULT_ENUMERATION_LIMIT, SimpleGraph, _graph_classes, _labeled_orbit,
                      max_subgraph_density, parse_graph)
 from .homology import _graph_oracle, parse_field
 from .invariants import NOTE_COMPLETE_PD, NOTE_ISOLATED, cross_validate, predict_invariants
@@ -79,6 +82,15 @@ def _cmd_betti(args: argparse.Namespace, graph: SimpleGraph) -> CommandOutcome:
 
 
 def _cmd_verify(args: argparse.Namespace) -> CommandOutcome:
+    """Cross-validate one graph per isomorphism class on 3..max_n vertices, weighted by its orbit.
+
+    Every count is invariant under relabeling, so a class representative
+    (graphs._graph_classes) adds its orbit size n!/|Aut| to each total and the
+    payload is that of the sweep over every labeled graph. A class that
+    mismatches outside the known tensions is expanded to its labeled orbit
+    (graphs._labeled_orbit), and each member is listed in enumerate_graphs
+    order, as the labeled sweep lists it.
+    """
     if not 3 <= args.max_n <= DEFAULT_ENUMERATION_LIMIT:
         raise ValueError(f"--max-n must be between 3 and {DEFAULT_ENUMERATION_LIMIT}")
     field = parse_field(args.field)
@@ -88,27 +100,30 @@ def _cmd_verify(args: argparse.Namespace) -> CommandOutcome:
     disc_forest_linear = {"true": 0, "false": 0}
     unflagged = []
     for n in range(3, args.max_n + 1):
-        for graph in enumerate_graphs(n):
-            enumerated += 1
+        enumerated += 1 << comb(n, 2)
+        members = []
+        for graph, orbit in _graph_classes(n):
             if graph.m == 0:
                 continue
-            analyzed += 1
+            analyzed += orbit
             report = cross_validate(graph, field)
             if NOTE_COMPLETE_PD in report.predicted.notes:
-                complete_pd_count += 1
+                complete_pd_count += orbit
             isolated = NOTE_ISOLATED in report.predicted.notes
             if isolated:
-                isolated_total += 1
+                isolated_total += orbit
             if report.predicted.graph_class == "disconnected_forest":
                 # every generator has degree n - 2, so the resolution is linear iff reg = n - 2
                 key = "true" if report.oracle.reg_ideal == graph.n - 2 else "false"
-                disc_forest_linear[key] += 1
+                disc_forest_linear[key] += orbit
             if report.clean:
-                clean += 1
+                clean += orbit
             elif isolated:
-                isolated_mismatched += 1
+                isolated_mismatched += orbit
             else:
-                unflagged.append(report.to_json_dict())
+                members += _labeled_orbit(graph)
+        unflagged += [cross_validate(member, field).to_json_dict()
+                      for _, member in sorted(members)]
     payload = {
         "max_n": args.max_n,
         "field": field.value,

@@ -1,4 +1,4 @@
-"""Simple graphs on vertex set {1, ..., n}: parsing, predicates, enumeration.
+"""Simple graphs on vertex set {1, ..., n}: parsing, predicates, enumeration, classes.
 
 Edges are stored canonically as a sorted tuple of pairs (u, v) with u < v, so
 two graphs are equal exactly when they have the same vertex count and edge set.
@@ -8,7 +8,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
+from math import factorial
 from typing import Iterable, Iterator, Sequence
 
 DEFAULT_ENUMERATION_LIMIT = 7
@@ -328,6 +329,121 @@ def enumerate_graphs(n: int) -> Iterator[SimpleGraph]:
     for mask in range(1 << len(slots)):
         edges = tuple(slots[i] for i in range(len(slots)) if (mask >> i) & 1)
         yield SimpleGraph(n, edges)
+
+
+def _graph_classes(n: int) -> list[tuple[SimpleGraph, int]]:
+    """One graph per isomorphism class on {1..n}, with its orbit size n!/|Aut|, in a fixed order.
+
+    The classes on k + 1 vertices come from those on k by vertex
+    augmentation: a new vertex joined to a subset of the old ones. Deleting a
+    vertex of largest degree from any graph leaves a class on k, so only the
+    subsets that give the new vertex the largest degree are tried. Each class
+    is kept once, at the first augmentation that reaches its canonical code
+    (_canonical_order), labeled in that code's order; so the order is by
+    parent, then by the new vertex's neighbourhood mask. This is isomorph-free
+    exhaustive generation (McKay, J. Algorithms 26, 1998) with a canonical
+    form in place of canonical augmentation. The orbit sizes sum to
+    2^C(n,2), the labeled graphs of enumerate_graphs(n).
+    """
+    if n > DEFAULT_ENUMERATION_LIMIT:
+        raise ValueError(f"graph classes on {n} vertices exceed the limit of "
+                         f"{DEFAULT_ENUMERATION_LIMIT}")
+    # a class is its neighbour masks (vertex i <-> bit i, 0-based) and |Aut|
+    level: dict[int, tuple[list[int], int]] = {0: ([], 1)}
+    for k in range(n):
+        grown: dict[int, tuple[list[int], int]] = {}
+        for neighbours, _ in level.values():
+            degrees = [a.bit_count() for a in neighbours]
+            for s in range(1 << k):
+                if any(d + (s >> u & 1) > s.bit_count() for u, d in enumerate(degrees)):
+                    continue
+                graph = [a | (s >> v & 1) << k for v, a in enumerate(neighbours)] + [s]
+                code, automorphisms, order = _canonical_order(graph)
+                if code not in grown:
+                    grown[code] = ([sum(1 << p for p, w in enumerate(order) if graph[v] >> w & 1)
+                                    for v in order], automorphisms)
+        level = grown
+    return [(SimpleGraph(n, tuple((u + 1, v + 1) for v in range(n) for u in range(v)
+                                  if neighbours[v] >> u & 1)), factorial(n) // automorphisms)
+            for neighbours, automorphisms in level.values()]
+
+
+def _canonical_order(neighbours: Sequence[int]) -> tuple[int, int, list[int]]:
+    """(least code, |Aut|, an order reaching it) for the graph with these neighbour masks.
+
+    The code of a vertex order v_0, ..., v_(n-1) is its adjacency bits, most
+    significant first, for j = 1..n-1 and then i = 0..j-1: [v_i ~ v_j]. Only
+    orders that respect the colour refinement are tried: vertices start
+    coloured by degree, each round recolours them by their colour and the
+    multiset of their neighbours' colours, until no class splits (1-WL), and
+    the orders list the colours in increasing rank. An automorphism maps
+    such an order to another with the same code, and two orders with the same
+    code differ by an automorphism, so |Aut| is the number of orders that
+    reach the least code. The search places one vertex per position and follows only the
+    candidates whose bits so far are least, the others can reach no least code.
+    """
+    n = len(neighbours)
+    colour = [a.bit_count() for a in neighbours]
+    count = len(set(colour))
+    while True:
+        signature = [(colour[v], tuple(sorted(colour[w] for w in range(n) if a >> w & 1)))
+                     for v, a in enumerate(neighbours)]
+        rank = {s: r for r, s in enumerate(sorted(set(signature)))}
+        colour = [rank[s] for s in signature]
+        if len(rank) == count:
+            break
+        count = len(rank)
+    cells = [0] * count
+    for v, c in enumerate(colour):
+        cells[c] |= 1 << v
+    allowed = [cell for cell in cells for _ in range(cell.bit_count())]
+    best = [-1, 0, []]
+    order: list[int] = []
+    bits = n * (n - 1) // 2
+
+    def place(k: int, used: int, code: int) -> None:
+        if k == n:
+            if best[0] < 0 or code < best[0]:
+                best[:] = [code, 1, order[:]]
+            elif code == best[0]:
+                best[1] += 1
+            return
+        least = -1
+        candidates: list[int] = []
+        free = allowed[k] & ~used
+        while free:
+            low = free & -free
+            free ^= low
+            v = low.bit_length() - 1
+            c = code
+            for u in order:
+                c = c << 1 | (neighbours[v] >> u & 1)
+            if least < 0 or c < least:
+                least, candidates = c, [v]
+            elif c == least:
+                candidates.append(v)
+        if best[0] >= 0 and least > best[0] >> (bits - k * (k + 1) // 2):
+            return
+        for v in candidates:
+            order.append(v)
+            place(k + 1, used | 1 << v, least)
+            order.pop()
+
+    place(0, 0, 0)
+    return best[0], best[1], best[2]
+
+
+def _labeled_orbit(graph: SimpleGraph) -> list[tuple[int, SimpleGraph]]:
+    """(k, G) for every labeled graph G isomorphic to graph, G being graph k of enumerate_graphs."""
+    n = graph.n
+    slots = list(combinations(range(1, n + 1), 2))
+    bit = [[0] * (n + 1) for _ in range(n + 1)]
+    for i, (u, v) in enumerate(slots):
+        bit[u][v] = bit[v][u] = 1 << i
+    members = {sum(bit[p[u - 1]][p[v - 1]] for u, v in graph.edges)
+               for p in permutations(range(1, n + 1))}
+    return [(k, SimpleGraph(n, tuple(slots[i] for i in range(len(slots)) if k >> i & 1)))
+            for k in sorted(members)]
 
 
 def complete_graph(n: int) -> SimpleGraph:

@@ -377,13 +377,15 @@ def _mask_betti(n: int, masks: Collection[int], indeg: int, field: Field) -> Bet
     return _dual_betti(n, faces, field)
 
 
-def _graph_oracle(graph: SimpleGraph, field: Field) -> tuple[BettiTable, int]:
+def _graph_oracle(graph: SimpleGraph, field: Field,
+                  counts: tuple[int, int] | None = None) -> tuple[BettiTable, int]:
     """The Betti table and the height of I_c(G), read off the graph's counts (_edge_oracle).
 
     No ideal, mask or face is built. The refusals are those of
     hochster_betti(complementary_edge_ideal(graph)), in the same order: fewer
     than 3 vertices, more than AMBIENT_LIMIT, no edge (the zero ideal), more
-    than ORACLE_LIMIT.
+    than ORACLE_LIMIT. A caller that needs graphs._join_count(graph.edges)
+    too passes it as counts, so the union-find runs once per question.
     """
     n = graph.n
     _require_edge_ambient(n)
@@ -392,17 +394,18 @@ def _graph_oracle(graph: SimpleGraph, field: Field) -> tuple[BettiTable, int]:
     if not graph.edges:
         raise ValueError("Betti table undefined for the zero ideal")
     _require_oracle(n)
-    return _edge_oracle(n, graph.edges, field)
+    return _edge_oracle(n, graph.edges, field, counts)
 
 
-def _edge_oracle(n: int, edges: Sequence[tuple[int, int]],
-                 field: Field) -> tuple[BettiTable, int]:
+def _edge_oracle(n: int, edges: Sequence[tuple[int, int]], field: Field,
+                 counts: tuple[int, int] | None = None) -> tuple[BettiTable, int]:
     """Table and height of I_c(G) for the graph with these m edges on n >= 3 vertices.
 
     The dual complex of I_c(G) is G itself: the empty face, the n' vertices on
     an edge and the m edges, with c' components holding an edge
-    (graphs._join_count joins n' - c' times). The dual Hochster formula
-    (Miller-Sturmfels, Combinatorial Commutative Algebra, Cor. 5.12) then gives
+    (graphs._join_count joins n' - c' times; counts, when given, is its
+    result). The dual Hochster formula (Miller-Sturmfels, Combinatorial
+    Commutative Algebra, Cor. 5.12) then gives
     beta_(1, n-2) = m, beta_(2, n-1) = 2m - n', beta_(2, n) = c' - 1 and
     beta_(3, n) = m - n' + c', over every field: the table of _count_betti
     with no isolated facet vertex. The height is the least k
@@ -410,7 +413,7 @@ def _edge_oracle(n: int, edges: Sequence[tuple[int, int]],
     ideals.height: 1 with an isolated vertex, else 2 unless G is complete.
     """
     m = len(edges)
-    met, joins = _join_count(edges)
+    met, joins = counts or _join_count(edges)
     return _count_betti(n, m, met, joins, 0, field), 1 if met < n else 2 if m < comb(n, 2) else 3
 
 

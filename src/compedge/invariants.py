@@ -19,8 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .graphs import SimpleGraph, _is_chordal, _neighbour_masks, is_complete, is_forest
-from .homology import Field, _graph_oracle, reg_pd
+from .graphs import (SimpleGraph, _is_chordal, _join_count, _neighbour_masks, is_complete,
+                     is_forest)
+from .homology import BettiTable, Field, _graph_oracle, reg_pd
 from .ideals import _require_edge_ambient
 
 NOTE_COMPLETE_PD = "complete_pd_adjusted"
@@ -143,11 +144,16 @@ def is_licci(graph: SimpleGraph) -> LicciVerdict:
     reason; beyond K_3, completeness rules licci out, as does any cycle.
     """
     _require_admissible(graph)
+    return _licci(graph, is_forest(graph))
+
+
+def _licci(graph: SimpleGraph, forest: bool) -> LicciVerdict:
+    """is_licci for a graph already known to be a forest or not."""
     if is_complete(graph):
         if graph.n == 3:
             return LicciVerdict(True, REASON_K3)
         return LicciVerdict(False, REASON_COMPLETE)
-    if is_forest(graph):
+    if forest:
         return LicciVerdict(True, REASON_FOREST)
     return LicciVerdict(False, REASON_CYCLE)
 
@@ -160,12 +166,21 @@ def huneke_ulrich_check(reg_s_mod_i: int, height_: int, indeg: int) -> bool:
 def predict_invariants(graph: SimpleGraph) -> InvariantReport:
     """Classification-driven predictions for height, CM, pd and reg of I_c(G)."""
     _require_admissible(graph)
+    return _predict(graph, *_join_count(graph.edges))
+
+
+def _predict(graph: SimpleGraph, met: int, joins: int) -> InvariantReport:
+    """predict_invariants off graphs._join_count(graph.edges), which gives (met, joins).
+
+    met vertices lie on an edge, and joins of the edges join two components:
+    the edges form a forest exactly when every one of them does.
+    """
     n = graph.n
     indeg = n - 2
     notes: list[str] = []
     prov: list[tuple[str, str]] = []
-    verdict = is_licci(graph)
-    if len({v for e in graph.edges for v in e}) < n:
+    verdict = _licci(graph, joins == graph.m)
+    if met < n:
         notes.append(NOTE_ISOLATED)
     if verdict.reason in (REASON_K3, REASON_COMPLETE):
         graph_class = "complete"
@@ -207,16 +222,25 @@ def oracle_invariants(graph: SimpleGraph, field: Field = Field.GF2) -> OracleInv
     homology._graph_oracle, which builds no ideal.
     """
     _require_admissible(graph)
-    table, ht = _graph_oracle(graph, field)
+    return _measured(field, *_graph_oracle(graph, field))
+
+
+def _measured(field: Field, table: BettiTable, ht: int) -> OracleInvariants:
     hom = reg_pd(table)
     return OracleInvariants(field, ht, hom.reg_s_mod_i, hom.pd_s_mod_i,
                             hom.reg_ideal, hom.pd_ideal, hom.pd_s_mod_i == ht)
 
 
 def cross_validate(graph: SimpleGraph, field: Field = Field.GF2) -> DiscrepancyReport:
-    """Compare the formula layer against the oracle; reg uses interval containment."""
-    predicted = predict_invariants(graph)
-    oracle = oracle_invariants(graph, field)
+    """Compare the formula layer against the oracle; reg uses interval containment.
+
+    The prediction and the oracle share one graphs._join_count; the refusals
+    are those of predict_invariants, then those of oracle_invariants.
+    """
+    _require_admissible(graph)
+    counts = _join_count(graph.edges)
+    predicted = _predict(graph, *counts)
+    oracle = _measured(field, *_graph_oracle(graph, field, counts))
     mismatches: list[tuple[str, object, object]] = []
     if predicted.height != oracle.height:
         mismatches.append(("height", predicted.height, oracle.height))
@@ -318,10 +342,13 @@ def implication_suite(graph: SimpleGraph, field: Field = Field.GF2) -> Implicati
     difference, and has_linear_quotients on the dual against the suite.
     primal_linear_resolution is read off the table of
     homology._graph_oracle, asked first so that its refusals come first.
+    One graphs._join_count serves the licci verdict, that table and the
+    degree count (met, the vertices on an edge).
     """
     _require_admissible(graph)
-    verdict = is_licci(graph)
-    table, _ = _graph_oracle(graph, field)
+    met, joins = counts = _join_count(graph.edges)
+    verdict = _licci(graph, joins == graph.m)
+    table, _ = _graph_oracle(graph, field, counts)
     n = graph.n
     neighbours = _neighbour_masks(graph)
     dual_cl = _is_chordal(neighbours)
@@ -329,7 +356,6 @@ def implication_suite(graph: SimpleGraph, field: Field = Field.GF2) -> Implicati
     lq_status = "yes" if dual_cl else "no"
     # J's generator degrees: 1 past the met vertices on an edge, 2 below
     # C(met, 2) edges, 3 with a triangle
-    met = sum(map(bool, neighbours))
     degrees = (met < n) + (graph.m < comb(met, 2)) + any(
         neighbours[u] & neighbours[v] for u, v in graph.edges)
     dual_lin = dual_cl and degrees == 1

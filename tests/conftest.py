@@ -7,10 +7,11 @@ compare the library's fast paths against live here too.
 """
 from __future__ import annotations
 
+import json
 import time
 from dataclasses import dataclass
 from functools import cache
-from itertools import combinations
+from itertools import combinations, takewhile
 from typing import Sequence
 
 import networkx as nx
@@ -20,8 +21,11 @@ from compedge import (Field, QuotientSearchResult, SimpleGraph, SquarefreeIdeal,
                       complementary_edge_dual, complementary_edge_ideal, enumerate_graphs,
                       height, hochster_betti, implication_suite, reg_pd)
 from compedge import ideals as ideals_module
+from compedge import invariants as invariants_module
+from compedge.cli import CommandOutcome
 from compedge.graphs import complete_graph, connected_components
 from compedge.ideals import support_of
+from compedge.invariants import NOTE_COMPLETE_PD, NOTE_ISOLATED
 
 
 @dataclass(frozen=True)
@@ -160,39 +164,89 @@ def reference_linear_quotients(ideal: SquarefreeIdeal) -> QuotientSearchResult:
     """The linear-quotient search with its admissibility check written out per difference.
 
     Same walk, budget and node count as has_linear_quotients; a candidate is
-    admissible when every earlier difference is a singleton or meets one.
+    admissible when every earlier difference is a singleton or meets one. A
+    frame holds the generators left and the iterator over the candidates of
+    least degree still to try, so the depth is one frame per chosen generator.
     """
+    def candidates(remaining: list[int]):
+        degree = remaining[0].bit_count() if remaining else 0
+        return enumerate(takewhile(lambda g: g.bit_count() == degree, remaining))
+
     chosen: list[int] = []
     nodes = 0
-
-    class Exhausted(Exception):
-        pass
-
-    def search(remaining: list[int]) -> bool:
-        nonlocal nodes
-        if not remaining:
-            return True
-        degree = remaining[0].bit_count()
-        for k, g in enumerate(remaining):
-            if g.bit_count() != degree:
-                break
+    start = sorted(ideal.masks, key=int.bit_count)
+    frames = [(start, candidates(start))]
+    while frames[-1][0]:
+        remaining, tries = frames[-1]
+        for k, g in tries:
             nodes += 1
             if nodes > ideals_module.LINEAR_QUOTIENTS_BUDGET:
-                raise Exhausted
+                return QuotientSearchResult("inconclusive", None, nodes)
             if admissible_by_difference(chosen, g):
                 chosen.append(g)
-                if search(remaining[:k] + remaining[k + 1:]):
-                    return True
-                chosen.pop()
-        return False
+                rest = remaining[:k] + remaining[k + 1:]
+                frames.append((rest, candidates(rest)))
+                break
+        else:
+            frames.pop()
+            if not frames:
+                return QuotientSearchResult("no", None, nodes)
+            chosen.pop()
+    return QuotientSearchResult("yes", tuple(map(support_of, chosen)), nodes)
 
-    try:
-        found = search(sorted(ideal.masks, key=int.bit_count))
-    except Exhausted:
-        return QuotientSearchResult("inconclusive", None, nodes)
-    if found:
-        return QuotientSearchResult("yes", tuple(map(support_of, chosen)), nodes)
-    return QuotientSearchResult("no", None, nodes)
+
+def labeled_verify(max_n: int, field: Field) -> CommandOutcome:
+    """`compedge verify` over every labeled graph on 3..max_n vertices, one cross_validate each.
+
+    The sweep the command ran before it took one graph per isomorphism
+    class: the slow leg its payload, diagnostic and exit code are held to.
+    """
+    enumerated = analyzed = clean = 0
+    complete_pd_count = 0
+    isolated_total = isolated_mismatched = 0
+    disc_forest_linear = {"true": 0, "false": 0}
+    unflagged = []
+    for n in range(3, max_n + 1):
+        for graph in enumerate_graphs(n):
+            enumerated += 1
+            if graph.m == 0:
+                continue
+            analyzed += 1
+            report = invariants_module.cross_validate(graph, field)
+            if NOTE_COMPLETE_PD in report.predicted.notes:
+                complete_pd_count += 1
+            isolated = NOTE_ISOLATED in report.predicted.notes
+            if isolated:
+                isolated_total += 1
+            if report.predicted.graph_class == "disconnected_forest":
+                key = "true" if report.oracle.reg_ideal == graph.n - 2 else "false"
+                disc_forest_linear[key] += 1
+            if report.clean:
+                clean += 1
+            elif isolated:
+                isolated_mismatched += 1
+            else:
+                unflagged.append(report.to_json_dict())
+    payload = {
+        "max_n": max_n,
+        "field": field.value,
+        "graphs_enumerated": enumerated,
+        "graphs_analyzed": analyzed,
+        "clean": clean,
+        "known_tensions": {
+            "complete_pd_adjusted": {"count": complete_pd_count},
+            "isolated_vertices_outside_hypotheses": {
+                "count": isolated_total,
+                "mismatched": isolated_mismatched,
+            },
+            "disconnected_forest_primal_linear_resolution": disc_forest_linear,
+        },
+        "unflagged_mismatches": unflagged,
+    }
+    diag = (f"checked {analyzed} graphs up to n={max_n}: "
+            f"{len(unflagged)} unflagged mismatches, "
+            f"{isolated_mismatched} flagged (isolated vertices)")
+    return CommandOutcome(1 if unflagged else 0, json.dumps(payload, indent=2), diag)
 
 
 @pytest.fixture(scope="session")

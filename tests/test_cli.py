@@ -1,12 +1,14 @@
 """Command line behavior: exit codes, payload schemas, pinned outputs."""
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import subprocess
 import sys
 import textwrap
 from importlib import resources
+from math import comb
 from pathlib import Path
 
 import jsonschema
@@ -14,8 +16,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import compedge
-from compedge import cli, graphs, invariants
+from compedge import Field, cli, graphs, invariants
 from compedge.cli import run
+from conftest import labeled_verify
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SRC = Path(__file__).parents[1] / "src"
@@ -230,6 +233,52 @@ class TestVerify:
         assert run(["verify", "--max-n", "8"]).exit_code == 2
         assert run(["verify", "--max-n", "2"]).exit_code == 2
 
+    @pytest.mark.parametrize("field", ["gf2", "q"])
+    @pytest.mark.parametrize("max_n", [3, 4, 5, 6])
+    def test_classes_give_the_labeled_sweep_byte_for_byte(self, max_n, field):
+        outcome = run(["verify", "--max-n", str(max_n), "--field", field])
+        assert outcome == labeled_verify(max_n, Field(field))
+
+    def test_a_class_mismatch_lists_its_labeled_orbit_in_enumeration_order(self, monkeypatch):
+        # a wrong height on every graph with as many edges as vertices and no
+        # isolated vertex: K_3, C_4 (3 labeled copies) and the paw (12) on
+        # n = 4, and 5 classes (222 labeled graphs) on n = 5, each listed as
+        # every member it stands for
+        real = invariants._predict
+
+        def wrong(graph, met, joins):
+            report = real(graph, met, joins)
+            if graph.m == graph.n == met:
+                return dataclasses.replace(report, height=report.height + 1)
+            return report
+        monkeypatch.setattr(invariants, "_predict", wrong)
+        outcome = run(["verify", "--max-n", "5"])
+        assert outcome.exit_code == 1
+        unflagged = json.loads(outcome.payload)["unflagged_mismatches"]
+        assert [g["graph"]["n"] for g in unflagged].count(4) == 15
+        assert len(unflagged) == 1 + 15 + 222
+        slow = labeled_verify(5, Field.GF2)
+        # the graphs in order first: a failing comparison of the whole
+        # payloads would make pytest diff two 120 kB strings
+        assert [u["graph"] for u in unflagged] == [
+            u["graph"] for u in json.loads(slow.payload)["unflagged_mismatches"]]
+        assert outcome == slow
+
+    def test_seven_vertices_reproduce_the_labeled_totals(self):
+        # the labeled sweep over the 2,131,016 graphs on n = 3..7 took about a minute
+        outcome = run(["verify", "--max-n", "7"])
+        assert outcome.exit_code == 0
+        payload = check(outcome.payload, "verify")
+        assert payload["graphs_enumerated"] == sum(2 ** comb(n, 2) for n in range(3, 8))
+        assert payload["graphs_analyzed"] == 2_131_011
+        assert payload["clean"] == 1_915_546
+        assert payload["known_tensions"] == {
+            "complete_pd_adjusted": {"count": 5},
+            "isolated_vertices_outside_hypotheses": {"count": 215_465, "mismatched": 215_465},
+            "disconnected_forest_primal_linear_resolution": {"true": 13_589, "false": 8_388},
+        }
+        assert payload["unflagged_mismatches"] == []
+
 
 def count_calls(monkeypatch, name: str, *modules) -> list:
     """Replace `name` in each module by one counting wrapper; returns the call log."""
@@ -253,12 +302,13 @@ class TestOnePassPerGraph:
         assert len(calls) == 1
 
     def test_verify_predicts_each_graph_once(self, monkeypatch):
-        calls = count_calls(monkeypatch, "predict_invariants", invariants, cli)
+        # once per isomorphism class: one representative per class with an
+        # edge, 3 on n = 3 and 10 on n = 4, stands for the 70 labeled graphs
+        calls = count_calls(monkeypatch, "_predict", invariants)
         outcome = run(["verify", "--max-n", "4"])
-        analyzed = json.loads(outcome.payload)["graphs_analyzed"]
-        assert analyzed == 70
-        assert len(calls) == analyzed
-        assert len(set(calls)) == analyzed
+        assert json.loads(outcome.payload)["graphs_analyzed"] == 70
+        assert len(calls) == 13
+        assert len({graph for graph, *_ in calls}) == 13
 
 
 class TestMonteCarloCommands:

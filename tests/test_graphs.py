@@ -4,6 +4,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import networkx as nx
 import pytest
@@ -354,3 +355,66 @@ class TestEnumeration:
     def test_builders(self):
         assert complete_graph(3).edges == ((1, 2), (1, 3), (2, 3))
         assert SimpleGraph(4, ((4, 3),)) == SimpleGraph(4, ((3, 4),))
+
+
+@pytest.fixture(scope="module")
+def graph_classes() -> dict[int, list[tuple[SimpleGraph, int]]]:
+    """graphs._graph_classes(n) for n = 0..7, built once for the tests below."""
+    return {n: graphs_module._graph_classes(n) for n in range(8)}
+
+
+class TestGraphClasses:
+    def test_class_counts_are_oeis_a000088(self, graph_classes):
+        assert [len(graph_classes[n]) for n in range(8)] == [1, 1, 2, 4, 11, 34, 156, 1044]
+
+    def test_orbit_sizes_sum_to_the_labeled_graphs(self, graph_classes):
+        for n in range(8):
+            assert sum(orbit for _, orbit in graph_classes[n]) == 2 ** comb(n, 2)
+
+    def test_one_representative_per_atlas_class_to_seven(self, graph_classes):
+        # networkx's atlas lists one graph per isomorphism class on n <= 7;
+        # each representative with an edge is isomorphic to exactly one
+        atlas: dict[tuple, list[nx.Graph]] = {}
+        for g in atlas_graphs(3, 7):
+            atlas.setdefault(invariant(g), []).append(nx_graph(g))
+        matched = 0
+        for n in range(3, 8):
+            for g, _ in graph_classes[n]:
+                if g.m:
+                    same = [h for h in atlas[invariant(g)] if nx.is_isomorphic(nx_graph(g), h)]
+                    assert len(same) == 1, g
+                    matched += 1
+        assert matched == sum(map(len, atlas.values())) == 4 + 11 + 34 + 156 + 1044 - 5
+
+    def test_orbits_partition_the_labeled_graphs_to_six(self, graph_classes):
+        # every permutation of each representative, against enumerate_graphs
+        for n in range(3, 7):
+            labeled = list(enumerate_graphs(n))
+            seen = []
+            for g, orbit in graph_classes[n]:
+                members = graphs_module._labeled_orbit(g)
+                assert len(members) == orbit, g
+                assert all(labeled[k] == member for k, member in members)
+                seen += [k for k, _ in members]
+            assert sorted(seen) == list(range(len(labeled)))
+
+    def test_limit_guard(self):
+        with pytest.raises(ValueError, match="limit"):
+            graphs_module._graph_classes(8)
+
+
+def invariant(g: SimpleGraph) -> tuple:
+    """Degree and sorted neighbour degrees of every vertex, sorted: equal on isomorphic graphs."""
+    neighbours = {v: [] for v in g.vertices()}
+    for u, v in g.edges:
+        neighbours[u].append(v)
+        neighbours[v].append(u)
+    return g.n, tuple(sorted((len(near), tuple(sorted(len(neighbours[w]) for w in near)))
+                             for near in neighbours.values()))
+
+
+def nx_graph(g: SimpleGraph) -> nx.Graph:
+    h = nx.Graph()
+    h.add_nodes_from(g.vertices())
+    h.add_edges_from(g.edges)
+    return h

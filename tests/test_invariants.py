@@ -15,7 +15,7 @@ from compedge import (Field, SimpleGraph, SquarefreeIdeal, alexander_dual,
                       huneke_ulrich_check, implication_suite, is_cohen_macaulay, is_forest,
                       is_licci, oracle_invariants, predict_invariants, reg_pd)
 import compedge
-from compedge import cli, homology, ideals, invariants
+from compedge import cli, graphs, homology, ideals, invariants
 from compedge.graphs import complete_graph, cycle_graph, path_graph
 from compedge.homology import _primal_betti
 from compedge.ideals import mask_of
@@ -400,6 +400,24 @@ class TestOneGraphLevelPath:
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, refuse)
         assert [q(g, f) for g in forests for f in Field for q in questions] == expected
+
+    @pytest.mark.parametrize("question", [cross_validate, implication_suite])
+    def test_one_union_find_per_question(self, monkeypatch, question):
+        # the licci verdict and the oracle table share one graphs._join_count
+        real = graphs._join_count
+        calls = []
+
+        def counted(pairs):
+            calls.append(pairs)
+            return real(pairs)
+        for module in (graphs, homology, invariants):
+            monkeypatch.setattr(module, "_join_count", counted)
+        for graph in (path_graph(5), cycle_graph(5), complete_graph(3), complete_graph(4),
+                      SimpleGraph(6, ((1, 2), (3, 4), (4, 5), (3, 5)))):
+            for field in Field:
+                calls.clear()
+                question(graph, field)
+                assert len(calls) == 1, graph
 
     @pytest.mark.parametrize("graph, message", [
         (SimpleGraph(4, ()), "edgeless graph: the complementary edge ideal is zero"),

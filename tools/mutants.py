@@ -127,6 +127,25 @@ MUTANTS = [
            'lq_status = "yes" if dual_cl else "no"', 'lq_status = "yes"',
            ("tests/test_invariants.py::TestImplicationSuite::"
             "test_payload_digest_over_every_graph_to_five_and_forest_on_six",)),
+    # verify over isomorphism classes: the class generator's canonical code
+    # and orbit sizes, and the labeled orbit listed on a mismatch
+    Mutant("class-orbit-weight-one", "graphs.py",
+           "factorial(n) // automorphisms)", "1)",
+           ("tests/test_cli.py::TestVerify::test_classes_give_the_labeled_sweep_byte_for_byte",)),
+    Mutant("class-automorphisms-fixed-at-one", "graphs.py",
+           "return best[0], best[1], best[2]", "return best[0], 1, best[2]",
+           ("tests/test_graphs.py::TestGraphClasses::"
+            "test_orbit_sizes_sum_to_the_labeled_graphs",)),
+    Mutant("class-code-of-the-first-order", "graphs.py",
+           "if best[0] < 0 or code < best[0]:", "if best[0] < 0:",
+           ("tests/test_graphs.py::TestGraphClasses::test_class_counts_are_oeis_a000088",)),
+    Mutant("class-augment-below-the-largest-degree", "graphs.py",
+           "> s.bit_count() for u, d", ">= s.bit_count() for u, d",
+           ("tests/test_graphs.py::TestGraphClasses::test_class_counts_are_oeis_a000088",)),
+    Mutant("verify-orbit-members-unsorted", "cli.py",
+           "for _, member in sorted(members)]", "for _, member in members]",
+           ("tests/test_cli.py::TestVerify::"
+            "test_a_class_mismatch_lists_its_labeled_orbit_in_enumeration_order",)),
     # the graph dual, the component chain and the quotient search
     Mutant("dual-drop-the-triangle-covers", "ideals.py",
            "covers.append(1 << (u - 1) | 1 << (v - 1) | low)", "pass",
