@@ -20,8 +20,8 @@ from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass
 from math import comb
 
-from .graphs import (DEFAULT_ENUMERATION_LIMIT, SimpleGraph, _graph_classes, _labeled_orbit,
-                     max_subgraph_density, parse_graph)
+from .graphs import (DEFAULT_ENUMERATION_LIMIT, SimpleGraph, _graph_classes, _join_count,
+                     _labeled_orbit, max_subgraph_density, parse_graph)
 from .homology import _graph_oracle, parse_field
 from .invariants import NOTE_COMPLETE_PD, NOTE_ISOLATED, cross_validate, predict_invariants
 
@@ -77,7 +77,7 @@ def _cmd_analyze(args: argparse.Namespace, graph: SimpleGraph) -> CommandOutcome
 
 def _cmd_betti(args: argparse.Namespace, graph: SimpleGraph) -> CommandOutcome:
     field = parse_field(args.field)
-    table, _ = _graph_oracle(graph, field)
+    table, _ = _graph_oracle(graph, field, _join_count(graph.edges))
     return CommandOutcome(0, _dump(table.to_json_dict(), False))
 
 

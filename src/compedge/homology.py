@@ -32,9 +32,10 @@ variables alone: their complex is a full simplex, every nonempty restriction
 is a cone, and the table is the Koszul diagonal.
 
 A complementary edge ideal I_c(G) needs no ideal at all. _graph_oracle reads
-its table and its height off the graph's counts (_edge_oracle): the edges,
-the vertices on an edge and the components holding one. The invariants
-layer and the betti command ask it, and never build I_c(G).
+its table and its height off the graph's counts: the edges, and the vertices
+on an edge and the components holding one, which its caller counts once
+(graphs._join_count). The invariants layer and the betti command ask it,
+and never build I_c(G).
 
 Nothing is memoised. The exhaustive sweeps repeat small tables, but with
 every complementary edge ideal, every forest dual and every ideal of
@@ -71,7 +72,7 @@ import enum
 from bisect import bisect_right
 from dataclasses import dataclass
 from math import comb, gcd
-from typing import Collection, Iterable, NamedTuple, Sequence
+from typing import Collection, Iterable, NamedTuple
 
 from .graphs import SimpleGraph, _clip, _join_count
 from .ideals import (_DUAL_FACE_CAP, AMBIENT_LIMIT, SquarefreeIdeal, _closure, _outside_ambient,
@@ -378,42 +379,32 @@ def _mask_betti(n: int, masks: Collection[int], indeg: int, field: Field) -> Bet
 
 
 def _graph_oracle(graph: SimpleGraph, field: Field,
-                  counts: tuple[int, int] | None = None) -> tuple[BettiTable, int]:
-    """The Betti table and the height of I_c(G), read off the graph's counts (_edge_oracle).
+                  counts: tuple[int, int]) -> tuple[BettiTable, int]:
+    """The Betti table and the height of I_c(G), read off the graph's counts.
 
-    No ideal, mask or face is built. The refusals are those of
-    hochster_betti(complementary_edge_ideal(graph)), in the same order: fewer
-    than 3 vertices, more than AMBIENT_LIMIT, no edge (the zero ideal), more
-    than ORACLE_LIMIT. A caller that needs graphs._join_count(graph.edges)
-    too passes it as counts, so the union-find runs once per question.
+    counts is graphs._join_count(graph.edges), which the caller runs once per
+    question: the n' vertices on an edge and the n' - c' joins, for the c'
+    components holding an edge. No ideal, mask or face is built. The
+    refusals are those of hochster_betti(complementary_edge_ideal(graph)), in
+    the same order: fewer than 3 vertices, more than AMBIENT_LIMIT, no edge
+    (the zero ideal), more than ORACLE_LIMIT. The dual complex of I_c(G) is G
+    itself: the empty face, the n' vertices and the m edges. The dual Hochster
+    formula (Miller-Sturmfels, Combinatorial Commutative Algebra, Cor. 5.12)
+    then gives beta_(1, n-2) = m, beta_(2, n-1) = 2m - n', beta_(2, n) =
+    c' - 1 and beta_(3, n) = m - n' + c', over every field: the table of
+    _count_betti with no isolated facet vertex. The height is the least k
+    with f_(k-1) < C(n, k) in the f-vector (1, n', m), the rule of
+    ideals.height: 1 with an isolated vertex, else 2 unless G is complete.
     """
     n = graph.n
     _require_edge_ambient(n)
     if n > AMBIENT_LIMIT:
         raise _outside_ambient(n)
-    if not graph.edges:
+    m = graph.m
+    if not m:
         raise ValueError("Betti table undefined for the zero ideal")
     _require_oracle(n)
-    return _edge_oracle(n, graph.edges, field, counts)
-
-
-def _edge_oracle(n: int, edges: Sequence[tuple[int, int]], field: Field,
-                 counts: tuple[int, int] | None = None) -> tuple[BettiTable, int]:
-    """Table and height of I_c(G) for the graph with these m edges on n >= 3 vertices.
-
-    The dual complex of I_c(G) is G itself: the empty face, the n' vertices on
-    an edge and the m edges, with c' components holding an edge
-    (graphs._join_count joins n' - c' times; counts, when given, is its
-    result). The dual Hochster formula (Miller-Sturmfels, Combinatorial
-    Commutative Algebra, Cor. 5.12) then gives
-    beta_(1, n-2) = m, beta_(2, n-1) = 2m - n', beta_(2, n) = c' - 1 and
-    beta_(3, n) = m - n' + c', over every field: the table of _count_betti
-    with no isolated facet vertex. The height is the least k
-    with f_(k-1) < C(n, k) in the f-vector (1, n', m), the rule of
-    ideals.height: 1 with an isolated vertex, else 2 unless G is complete.
-    """
-    m = len(edges)
-    met, joins = counts or _join_count(edges)
+    met, joins = counts
     return _count_betti(n, m, met, joins, 0, field), 1 if met < n else 2 if m < comb(n, 2) else 3
 
 
@@ -509,7 +500,7 @@ def _count_betti(n: int, m: int, met: int, joins: int, points: int,
 
     The graph has m edges on met vertices, of which joins join two
     components (graphs._join_count), beside points isolated facet vertices:
-    the counts of _graph_betti, and of _edge_oracle with points = 0.
+    the counts of _graph_betti, and of _graph_oracle with points = 0.
     """
     return BettiTable.from_dict(n, field, {
         (0, 0): 1, (1, n - 2): m, (1, n - 1): points, (2, n - 1): 2 * m - met,

@@ -6,11 +6,12 @@ a minimal antichain of masks stored in increasing mask order, so equal ideals
 compare equal. SquarefreeIdeal's constructor is the one place that checks,
 minimalizes and orders generators; every producer below hands it raw masks.
 The frozenset supports (`gens`) are derived on demand in the canonical order
-users see, lexicographic on the sorted index tuples. alexander_dual is the
-general cover search; complementary_edge_dual reads the dual of I_c(G) off
-the graph's neighbour masks. has_linear_quotients is a backtracking search
-for general ideals; the implication suite builds no dual and runs no search,
-as chordality of G settles the dual's linear quotients.
+users see, lexicographic on the sorted index tuples. alexander_dual, the
+cover search, is the one Alexander dual; complementary_edge_dual runs it on
+I_c(G), whose covers the graph names by a rule that the tests check against
+it. has_linear_quotients is a backtracking search for general ideals; the
+implication suite builds no dual and runs no search, as chordality of G
+settles the dual's linear quotients.
 """
 from __future__ import annotations
 
@@ -19,7 +20,7 @@ from itertools import islice
 from math import comb
 from typing import Iterable, Iterator, Sequence
 
-from .graphs import SimpleGraph, _clip, _neighbour_masks
+from .graphs import SimpleGraph, _clip
 
 AMBIENT_LIMIT = 24
 LINEAR_QUOTIENTS_BUDGET = 10 ** 6
@@ -135,40 +136,16 @@ def complementary_edge_ideal(graph: SimpleGraph) -> SquarefreeIdeal:
 
 
 def complementary_edge_dual(graph: SimpleGraph) -> SquarefreeIdeal:
-    """The Alexander dual of complementary_edge_ideal(graph), read from the graph.
+    """The Alexander dual of complementary_edge_ideal(graph), by the cover search.
 
     A set meets every generator support V - {u, v} exactly when it lies inside
     no edge, so the minimal covers are {v} for each isolated vertex, {u, v}
     for each non-edge whose ends both carry an edge, and {u, v, w} for each
-    triangle, read off the neighbour masks (graphs._neighbour_masks).
-    alexander_dual finds the same covers by search. An n outside
-    3..AMBIENT_LIMIT is refused with complementary_edge_ideal's messages,
-    before any per-vertex list is built, and an edgeless graph as
-    alexander_dual refuses the zero ideal.
+    triangle; the tests check this cover rule against the search. The
+    refusals are those of complementary_edge_ideal, then alexander_dual's
+    for the zero ideal of an edgeless graph.
     """
-    n = graph.n
-    _require_edge_ambient(n)
-    if n > AMBIENT_LIMIT:
-        raise _outside_ambient(n)
-    if not graph.edges:
-        raise ValueError("no associated primes computed for zero ideal")
-    neighbours = _neighbour_masks(graph)
-    covers = [1 << (v - 1) for v in range(1, n + 1) if not neighbours[v]]
-    carried = ((1 << n) - 1) ^ sum(covers)
-    # -1 << u holds the vertices above u: each pair and triangle is met once
-    for u in range(1, n + 1):
-        apart = carried & ~neighbours[u] & (-1 << u) if neighbours[u] else 0
-        while apart:
-            low = apart & -apart
-            apart ^= low
-            covers.append(1 << (u - 1) | low)
-    for u, v in graph.edges:
-        common = neighbours[u] & neighbours[v] & (-1 << v)
-        while common:
-            low = common & -common
-            common ^= low
-            covers.append(1 << (u - 1) | 1 << (v - 1) | low)
-    return SquarefreeIdeal(n, covers)
+    return alexander_dual(complementary_edge_ideal(graph))
 
 
 def alexander_dual(ideal: SquarefreeIdeal) -> SquarefreeIdeal:

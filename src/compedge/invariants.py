@@ -222,7 +222,7 @@ def oracle_invariants(graph: SimpleGraph, field: Field = Field.GF2) -> OracleInv
     homology._graph_oracle, which builds no ideal.
     """
     _require_admissible(graph)
-    return _measured(field, *_graph_oracle(graph, field))
+    return _measured(field, *_graph_oracle(graph, field, _join_count(graph.edges)))
 
 
 def _measured(field: Field, table: BettiTable, ht: int) -> OracleInvariants:

@@ -18,8 +18,8 @@ from compedge import (Field, SimpleGraph, SquarefreeIdeal, alexander_dual,
                       stanley_reisner)
 from compedge.graphs import (_join_count, complete_graph, connected_components, cycle_graph,
                              path_graph)
-from compedge.homology import (BettiTable, SimplicialComplex, _closure, _dual_betti,
-                               _edge_oracle, _forest_betti, _gf2_rank, _graph_betti,
+from compedge.homology import (BettiTable, SimplicialComplex, _closure, _count_betti,
+                               _dual_betti, _forest_betti, _gf2_rank, _graph_betti,
                                _graph_oracle, _homology, _primal_betti, _rational_rank,
                                clear_homology_cache, parse_field, reduced_homology_dims)
 from conftest import atlas_graphs, brute_force_component
@@ -63,6 +63,17 @@ def ideals(max_n: int) -> st.SearchStrategy[SquarefreeIdeal]:
     return st.integers(1, max_n).flatmap(lambda n: st.lists(
         st.sets(st.integers(1, n), min_size=1), min_size=1, max_size=6).map(
             lambda supports: minimalize(n, supports)))
+
+
+@st.composite
+def ideals_past_the_count_kernels(draw, max_n: int) -> SquarefreeIdeal:
+    """Ideals on 6..max_n variables with a generator of degree 3..n-3 inside which no
+    other support lies, so neither count kernel (_graph_betti, _forest_betti) takes them."""
+    n = draw(st.integers(6, max_n))
+    wide = draw(st.sets(st.integers(1, n), min_size=3, max_size=n - 3))
+    outside = st.sampled_from(sorted(set(range(1, n + 1)) - wide))
+    rest = draw(st.lists(st.tuples(st.sets(st.integers(1, n)), outside), max_size=5))
+    return minimalize(n, [wide, *(support | {v} for support, v in rest)])
 
 
 def antichain_ideals(n: int) -> list[SquarefreeIdeal]:
@@ -664,7 +675,7 @@ class TestBettiTables:
         assert sum(v for (i, _), v in table.entries if i == 1) == len(ideal.masks)
 
     @settings(max_examples=150, deadline=None)
-    @given(ideals(9))
+    @given(st.one_of(ideals(9), ideals_past_the_count_kernels(9)))
     @example(engine_rule_witness("dual"))
     @example(engine_rule_witness("primal"))
     def test_the_face_cap_never_moves_the_engine_choice(self, ideal: SquarefreeIdeal):
@@ -807,7 +818,7 @@ class TestGraphOracle:
             graph = record.graph
             masks = complementary_edge_ideal(graph).masks
             for field in Field:
-                table, ht = _graph_oracle(graph, field)
+                table, ht = _graph_oracle(graph, field, _join_count(graph.edges))
                 assert table == _graph_betti(graph.n, masks, field), graph
                 assert ht == record.height, graph
 
@@ -821,7 +832,7 @@ class TestGraphOracle:
         for k, graph in enumerate(graphs):
             ideal = complementary_edge_ideal(graph)
             for field in Field:
-                table, ht = _graph_oracle(graph, field)
+                table, ht = _graph_oracle(graph, field, _join_count(graph.edges))
                 assert table == dual_engine(ideal, field), graph
                 if graph.n < 7 or (k % 8 == 0 and field is Field.GF2):
                     assert table == _primal_betti(ideal, field), graph
@@ -830,16 +841,16 @@ class TestGraphOracle:
     @pytest.mark.parametrize("n", [200, 1000, 10000])
     def test_count_step_matches_the_graph_kernel_on_raw_masks(self, n):
         # seeded G(n, 3/n), past both limits: the kernel reads the n-bit
-        # generators of I_c(G), the count step the edges
+        # generators of I_c(G), the count step the edges' union-find counts
         edges = sparse_gnp(n, 3 / n, n)
         assert len(edges) > n
         full = (1 << n) - 1
         masks = [full ^ (1 << u - 1) ^ (1 << v - 1) for u, v in edges]
         graph = SimpleGraph(n, edges)
+        met, joins = _join_count(edges)
         for field in Field:
-            table, ht = _edge_oracle(n, edges, field)
+            table = _count_betti(n, len(edges), met, joins, 0, field)
             assert table == _graph_betti(n, masks, field) == closed_form_betti(graph, field)
-            assert ht == (1 if graph.isolated_vertices() else 2)
 
     def test_complementary_edge_ideals_are_never_built(self, monkeypatch):
         def refuse(*args):
@@ -848,8 +859,9 @@ class TestGraphOracle:
         for name in ("_closure", "_graph_betti", "_union_table"):
             monkeypatch.setattr(homology, name, refuse)
         for graph in (cycle_graph(14), complete_graph(14), SimpleGraph(14, ((1, 2),))):
+            counts = _join_count(graph.edges)
             for field in Field:
-                assert _graph_oracle(graph, field)[0] == closed_form_betti(graph, field)
+                assert _graph_oracle(graph, field, counts)[0] == closed_form_betti(graph, field)
 
 
 class TestRegPd:

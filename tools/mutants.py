@@ -146,10 +146,15 @@ MUTANTS = [
            "for _, member in sorted(members)]", "for _, member in members]",
            ("tests/test_cli.py::TestVerify::"
             "test_a_class_mismatch_lists_its_labeled_orbit_in_enumeration_order",)),
-    # the graph dual, the component chain and the quotient search
-    Mutant("dual-drop-the-triangle-covers", "ideals.py",
-           "covers.append(1 << (u - 1) | 1 << (v - 1) | low)", "pass",
-           ("tests/test_ideals.py",)),
+    # the one Alexander dual, the cover search, against the cover rule of
+    # I_c(G); the component chain and the quotient search
+    Mutant("dual-branch-on-the-lowest-vertex-only", "ideals.py",
+           "bits = first\n", "bits = first & -first\n",
+           ("tests/test_ideals.py::TestComplementaryEdgeDual::"
+            "test_follows_the_cover_rule_on_every_small_graph_and_forest",)),
+    Mutant("dual-skip-the-first-generator", "ideals.py",
+           "extend(0, ideal.masks)", "extend(0, ideal.masks[1:])",
+           ("tests/test_ideals.py::TestComplementaryEdgeDual::test_follows_the_cover_rule",)),
     Mutant("chain-skip-generators-of-degree-3-up", "ideals.py",
            "component.update(by_degree[d])", "component.update(by_degree[d] if d < 3 else [])",
            ("tests/test_ideals.py",)),
@@ -170,10 +175,6 @@ EQUIVALENT = [
                "if m >= vertices:", "if m > vertices:",
                "a graph with V edges on V vertices has a cycle, so the union-find declines "
                "every Gamma the count lets through"),
-    Equivalent("graph-dual-pairs-onto-isolated-vertices", "ideals.py",
-               " if neighbours[u] else 0", "",
-               "a pair holding an isolated vertex contains that vertex's cover of degree 1, "
-               "so the SquarefreeIdeal constructor drops it as redundant"),
 ]
 
 
