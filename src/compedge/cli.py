@@ -2,9 +2,12 @@
 
 Exit codes: 0 success, 1 a verification found discrepancies, 2 usage or input
 errors. Whenever the exit code is not 2, the payload on stdout is valid JSON,
-except for the montecarlo and sweep subcommands, which emit CSV. Those two are
-the only commands that import `experiments`, and with it numpy. A reader that
+except for the montecarlo and sweep subcommands, which emit CSV. A reader that
 closes stdout early changes no exit code: the rest of the payload is dropped.
+Each handler imports the layers it runs, so a fresh process loads only those:
+`graphs` for every command, `tables` for betti, `invariants` (and with it
+`tables`) for analyze and verify, `experiments` and numpy for montecarlo and
+sweep. No command loads `ideals` or `homology`.
 `verify` cross-validates one graph per isomorphism class and weights it by its
 orbit size, which gives the totals of the sweep over every labeled graph.
 """
@@ -22,8 +25,6 @@ from math import comb
 
 from .graphs import (DEFAULT_ENUMERATION_LIMIT, SimpleGraph, _graph_classes, _join_count,
                      _labeled_orbit, max_subgraph_density, parse_graph)
-from .homology import _graph_oracle, parse_field
-from .invariants import NOTE_COMPLETE_PD, NOTE_ISOLATED, cross_validate, predict_invariants
 
 
 @dataclass(frozen=True)
@@ -60,6 +61,8 @@ def _dump(obj, compact: bool) -> str:
 
 
 def _cmd_analyze(args: argparse.Namespace, graph: SimpleGraph) -> CommandOutcome:
+    from .invariants import cross_validate, predict_invariants
+    from .tables import parse_field
     field = parse_field(args.field)
     validation = cross_validate(graph, field) if args.oracle else None
     report = validation.predicted if validation else predict_invariants(graph)
@@ -76,6 +79,7 @@ def _cmd_analyze(args: argparse.Namespace, graph: SimpleGraph) -> CommandOutcome
 
 
 def _cmd_betti(args: argparse.Namespace, graph: SimpleGraph) -> CommandOutcome:
+    from .tables import _graph_oracle, parse_field
     field = parse_field(args.field)
     table, _ = _graph_oracle(graph, field, _join_count(graph.edges))
     return CommandOutcome(0, _dump(table.to_json_dict(), False))
@@ -91,6 +95,8 @@ def _cmd_verify(args: argparse.Namespace) -> CommandOutcome:
     (graphs._labeled_orbit), and each member is listed in enumerate_graphs
     order, as the labeled sweep lists it.
     """
+    from .invariants import NOTE_COMPLETE_PD, NOTE_ISOLATED, cross_validate
+    from .tables import parse_field
     if not 3 <= args.max_n <= DEFAULT_ENUMERATION_LIMIT:
         raise ValueError(f"--max-n must be between 3 and {DEFAULT_ENUMERATION_LIMIT}")
     field = parse_field(args.field)

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import combinations, permutations
 from math import factorial
 from typing import Iterable, Iterator, Sequence
@@ -298,6 +297,8 @@ def max_subgraph_density(graph: SimpleGraph) -> Fraction:
     Walks all 2^n vertex subsets, so n is capped at MDENSITY_LIMIT; meant for
     the small fixed graphs fed to threshold formulas.
     """
+    # imported here, its one use, so that no other command loads fractions
+    from fractions import Fraction
     if graph.m == 0:
         raise ValueError("density of an edgeless graph is undefined")
     if graph.n > MDENSITY_LIMIT:

@@ -31,11 +31,13 @@ read off vertex and edge counts (_forest_betti). So do ideals generated by
 variables alone: their complex is a full simplex, every nonempty restriction
 is a cone, and the table is the Koszul diagonal.
 
-A complementary edge ideal I_c(G) needs no ideal at all. _graph_oracle reads
-its table and its height off the graph's counts: the edges, and the vertices
-on an edge and the components holding one, which its caller counts once
-(graphs._join_count). The invariants layer and the betti command ask it,
-and never build I_c(G).
+A complementary edge ideal I_c(G) needs no ideal at all. tables._graph_oracle
+reads its table and its height off the graph's counts: the edges, and the
+vertices on an edge and the components holding one, which its caller counts
+once (graphs._join_count). The invariants layer and the betti command ask
+it, never build I_c(G) and never load this module. The table type
+(BettiTable), the field tag and ORACLE_LIMIT live in tables too, and are
+attributes of this module as well.
 
 Nothing is memoised. The exhaustive sweeps repeat small tables, but with
 every complementary edge ideal, every forest dual and every ideal of
@@ -68,32 +70,18 @@ it and ideals.has_linear_quotients serve general ideals.
 """
 from __future__ import annotations
 
-import enum
 from bisect import bisect_right
 from dataclasses import dataclass
 from math import comb, gcd
-from typing import Collection, Iterable, NamedTuple
+from typing import Collection, Iterable
 
-from .graphs import SimpleGraph, _clip, _join_count
-from .ideals import (_DUAL_FACE_CAP, AMBIENT_LIMIT, SquarefreeIdeal, _closure, _outside_ambient,
-                     _require_edge_ambient, _squarefree_components, alexander_dual, height,
-                     support_of)
-
-ORACLE_LIMIT = 14
-
-
-class Field(enum.Enum):
-    """Coefficient field tag for homology ranks."""
-
-    GF2 = "gf2"
-    RATIONALS = "q"
-
-
-def parse_field(name: str) -> Field:
-    for f in Field:
-        if f.value == name:
-            return f
-    raise ValueError(f"unknown field {name!r}, expected one of: gf2, q")
+from .graphs import _clip, _join_count
+from .ideals import (_DUAL_FACE_CAP, SquarefreeIdeal, _closure, _squarefree_components,
+                     alexander_dual, height, support_of)
+# the count-level oracle and the table type live in tables; Field, BettiTable,
+# ORACLE_LIMIT, parse_field and _graph_oracle stay attributes of this module too
+from .tables import (ORACLE_LIMIT, BettiTable, Field, Homological, _count_betti,
+                     _graph_oracle, _require_oracle, parse_field)
 
 
 @dataclass(frozen=True)
@@ -156,12 +144,6 @@ def stanley_reisner(ideal: SquarefreeIdeal) -> SimplicialComplex:
     _require_oracle(ideal.n)
     union = _union_table(ideal)
     return SimplicialComplex(ideal.n, frozenset(s for s, u in enumerate(union) if not u))
-
-
-def _require_oracle(n: int) -> None:
-    """Refuse an ambient size past ORACLE_LIMIT, the one limit of every Betti table."""
-    if n > ORACLE_LIMIT:
-        raise ValueError(f"ambient size {_clip(n)} exceeds the oracle limit of {ORACLE_LIMIT}")
 
 
 def _union_table(ideal: SquarefreeIdeal) -> list[int]:
@@ -276,47 +258,9 @@ def reduced_homology_dims(complex_: SimplicialComplex, field: Field = Field.GF2)
     return list(_homology(complex_.faces, field))
 
 
-@dataclass(frozen=True, eq=True)
-class BettiTable:
-    """Graded Betti numbers beta_(i,j) of S/I, keyed by (homological index, degree)."""
-
-    n: int
-    field: Field
-    entries: tuple[tuple[tuple[int, int], int], ...]
-
-    @staticmethod
-    def from_dict(n: int, field: Field, values: dict[tuple[int, int], int]) -> "BettiTable":
-        items = tuple(sorted((ij, v) for ij, v in values.items() if v))
-        return BettiTable(n, field, items)
-
-    def as_dict(self) -> dict[tuple[int, int], int]:
-        return dict(self.entries)
-
-    def value(self, i: int, j: int) -> int:
-        return self.as_dict().get((i, j), 0)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "field": self.field.value,
-            "betti": [{"i": i, "j": j, "value": v} for (i, j), v in self.entries],
-        }
-
-
-class Homological(NamedTuple):
-    reg_s_mod_i: int
-    pd_s_mod_i: int
-    reg_ideal: int
-    pd_ideal: int
-
-
 def reg_pd(table: BettiTable) -> Homological:
-    """Regularity and projective dimension of S/I and of I from one table."""
-    if not table.entries:
-        raise ValueError("empty Betti table")
-    pd = max(i for (i, _), _ in table.entries)
-    reg = max(j - i for (i, j), _ in table.entries)
-    return Homological(reg, pd, reg + 1, pd - 1)
+    """Regularity and projective dimension of S/I and of I from one table (BettiTable.reg_pd)."""
+    return table.reg_pd()
 
 
 def clear_homology_cache() -> None:
@@ -376,36 +320,6 @@ def _mask_betti(n: int, masks: Collection[int], indeg: int, field: Field) -> Bet
     if faces is None or len(faces) ** 2 > 3 * sum(1 << (n - tau.bit_count()) for tau in faces):
         return _primal_betti(SquarefreeIdeal(n, masks), field)
     return _dual_betti(n, faces, field)
-
-
-def _graph_oracle(graph: SimpleGraph, field: Field,
-                  counts: tuple[int, int]) -> tuple[BettiTable, int]:
-    """The Betti table and the height of I_c(G), read off the graph's counts.
-
-    counts is graphs._join_count(graph.edges), which the caller runs once per
-    question: the n' vertices on an edge and the n' - c' joins, for the c'
-    components holding an edge. No ideal, mask or face is built. The
-    refusals are those of hochster_betti(complementary_edge_ideal(graph)), in
-    the same order: fewer than 3 vertices, more than AMBIENT_LIMIT, no edge
-    (the zero ideal), more than ORACLE_LIMIT. The dual complex of I_c(G) is G
-    itself: the empty face, the n' vertices and the m edges. The dual Hochster
-    formula (Miller-Sturmfels, Combinatorial Commutative Algebra, Cor. 5.12)
-    then gives beta_(1, n-2) = m, beta_(2, n-1) = 2m - n', beta_(2, n) =
-    c' - 1 and beta_(3, n) = m - n' + c', over every field: the table of
-    _count_betti with no isolated facet vertex. The height is the least k
-    with f_(k-1) < C(n, k) in the f-vector (1, n', m), the rule of
-    ideals.height: 1 with an isolated vertex, else 2 unless G is complete.
-    """
-    n = graph.n
-    _require_edge_ambient(n)
-    if n > AMBIENT_LIMIT:
-        raise _outside_ambient(n)
-    m = graph.m
-    if not m:
-        raise ValueError("Betti table undefined for the zero ideal")
-    _require_oracle(n)
-    met, joins = counts
-    return _count_betti(n, m, met, joins, 0, field), 1 if met < n else 2 if m < comb(n, 2) else 3
 
 
 def _primal_betti(ideal: SquarefreeIdeal, field: Field) -> BettiTable:
@@ -492,19 +406,6 @@ def _graph_betti(n: int, masks: Iterable[int], field: Field) -> BettiTable:
             return BettiTable(n, field, (((0, 0), 1), ((1, n), 1)))
     met, joins = _join_count(edges)
     return _count_betti(n, len(edges), met, joins, points, field)
-
-
-def _count_betti(n: int, m: int, met: int, joins: int, points: int,
-                 field: Field) -> BettiTable:
-    """The dual Hochster table of a dual complex that is a graph plus isolated points.
-
-    The graph has m edges on met vertices, of which joins join two
-    components (graphs._join_count), beside points isolated facet vertices:
-    the counts of _graph_betti, and of _graph_oracle with points = 0.
-    """
-    return BettiTable.from_dict(n, field, {
-        (0, 0): 1, (1, n - 2): m, (1, n - 1): points, (2, n - 1): 2 * m - met,
-        (2, n): met + points - joins - 1, (3, n): m - joins})
 
 
 def _forest_betti(n: int, masks: Iterable[int], field: Field) -> BettiTable | None:

@@ -20,9 +20,11 @@ from itertools import islice
 from math import comb
 from typing import Iterable, Iterator, Sequence
 
-from .graphs import SimpleGraph, _clip
+from .graphs import SimpleGraph
+# the ambient refusals are shared with the count-level oracle, and
+# AMBIENT_LIMIT stays an attribute of this module
+from .tables import AMBIENT_LIMIT, _outside_ambient, _require_edge_ambient
 
-AMBIENT_LIMIT = 24
 LINEAR_QUOTIENTS_BUDGET = 10 ** 6
 # the one bound on the dual complex, the closure of the generator complements:
 # height reads its f-vector and homology's engine rule its face count only up
@@ -97,16 +99,6 @@ class SquarefreeIdeal:
 
     def to_json_dict(self) -> dict:
         return {"n": self.n, "generators": [sorted(g) for g in self.gens]}
-
-
-def _outside_ambient(n: int) -> ValueError:
-    return ValueError(f"ambient size {_clip(n)} outside supported range 0..{AMBIENT_LIMIT}")
-
-
-def _require_edge_ambient(n: int) -> None:
-    """Refuse n < 3, where an edge's complement support is empty: the unit ideal."""
-    if n < 3:
-        raise ValueError(f"degenerate ambient: need at least 3 vertices, got {n}")
 
 
 def _minimal_masks(masks: set[int]) -> list[int]:

@@ -21,8 +21,7 @@ from math import comb
 
 from .graphs import (SimpleGraph, _is_chordal, _join_count, _neighbour_masks, is_complete,
                      is_forest)
-from .homology import BettiTable, Field, _graph_oracle, reg_pd
-from .ideals import _require_edge_ambient
+from .tables import BettiTable, Field, _graph_oracle, _require_edge_ambient
 
 NOTE_COMPLETE_PD = "complete_pd_adjusted"
 NOTE_ISOLATED = "isolated_vertices_outside_hypotheses"
@@ -219,14 +218,14 @@ def oracle_invariants(graph: SimpleGraph, field: Field = Field.GF2) -> OracleInv
 
     The table and the height are read off the graph's counts (the edges, the
     vertices on an edge and the components holding one) by
-    homology._graph_oracle, which builds no ideal.
+    tables._graph_oracle, which builds no ideal.
     """
     _require_admissible(graph)
     return _measured(field, *_graph_oracle(graph, field, _join_count(graph.edges)))
 
 
 def _measured(field: Field, table: BettiTable, ht: int) -> OracleInvariants:
-    hom = reg_pd(table)
+    hom = table.reg_pd()
     return OracleInvariants(field, ht, hom.reg_s_mod_i, hom.pd_s_mod_i,
                             hom.reg_ideal, hom.pd_ideal, hom.pd_s_mod_i == ht)
 
@@ -341,7 +340,7 @@ def implication_suite(graph: SimpleGraph, field: Field = Field.GF2) -> Implicati
     The tests check this order against the colon ideals written out per
     difference, and has_linear_quotients on the dual against the suite.
     primal_linear_resolution is read off the table of
-    homology._graph_oracle, asked first so that its refusals come first.
+    tables._graph_oracle, asked first so that its refusals come first.
     One graphs._join_count serves the licci verdict, that table and the
     degree count (met, the vertices on an edge).
     """
@@ -360,7 +359,7 @@ def implication_suite(graph: SimpleGraph, field: Field = Field.GF2) -> Implicati
         neighbours[u] & neighbours[v] for u, v in graph.edges)
     dual_lin = dual_cl and degrees == 1
     # every generator has degree n - 2, so the resolution is linear iff reg(I) = n - 2
-    primal_lin = reg_pd(table).reg_ideal == n - 2
+    primal_lin = table.reg_pd().reg_ideal == n - 2
     failed = []
     if verdict.licci:
         if not seq_cm:

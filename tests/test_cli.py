@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import types
 from importlib import resources
 from math import comb
 from pathlib import Path
@@ -569,7 +570,7 @@ class TestProcessEntryPoint:
 
 
 class TestNumpyLoadsLazily:
-    """Only the Monte Carlo commands and the `experiments` names import numpy."""
+    """Commands and names load only the layers they run; only Monte Carlo imports numpy."""
 
     def test_only_the_monte_carlo_commands_import_numpy(self):
         script = textwrap.dedent("""
@@ -623,6 +624,57 @@ class TestNumpyLoadsLazily:
         assert not numpy_on_import
         assert set(LAZY_NAMES) | {"experiments"} <= set(listed)
         assert star == public
-        assert set(LAZY_NAMES) | {"experiments", "graphs", "ideals", "homology",
+        assert [name for name in listed if not name.startswith("_")] == star
+        assert set(LAZY_NAMES) | {"experiments", "graphs", "tables", "ideals", "homology",
                                   "invariants"} <= set(star)
         assert same
+
+    def test_every_public_name_is_its_home_modules_object(self):
+        for name in compedge.__all__:
+            obj = getattr(compedge, name)
+            if isinstance(obj, types.ModuleType):
+                assert obj is sys.modules[f"compedge.{name}"]
+            else:
+                assert obj.__module__.startswith("compedge.")
+                assert getattr(sys.modules[obj.__module__], name) is obj, name
+        # the names that moved to tables stay attributes of their old homes
+        from compedge import homology, ideals, tables
+        for name in ("Field", "BettiTable", "parse_field", "_graph_oracle", "_count_betti",
+                     "ORACLE_LIMIT"):
+            assert getattr(homology, name) is getattr(tables, name)
+        assert ideals.AMBIENT_LIMIT is tables.AMBIENT_LIMIT
+
+    def test_import_compedge_loads_no_submodule(self):
+        proc = run_python("-c", "import json, sys, compedge; print(json.dumps("
+                          "[name for name in sys.modules if name.startswith('compedge')]))")
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == ["compedge"]
+
+    @pytest.mark.parametrize("argv, layers", [
+        (["betti", "{k4}"], {"graphs", "tables"}),
+        (["betti", "--field", "q", "{k4}"], {"graphs", "tables"}),
+        (["analyze", "{c4}"], {"graphs", "tables", "invariants"}),
+        (["analyze", "--oracle", "{c4}"], {"graphs", "tables", "invariants"}),
+        (["mdensity", "{c5}"], {"graphs"}),
+        (["verify", "--max-n", "4"], {"graphs", "tables", "invariants"}),
+        (["montecarlo", "--n", "50", "--c", "0.5", "--trials", "20", "--seed", "7"],
+         {"graphs", "tables", "invariants", "experiments"}),
+    ])
+    def test_a_fresh_command_loads_only_the_layers_it_runs(self, argv, layers):
+        # `python -m compedge.cli` as runpy runs it, recording sys.modules at exit
+        script = textwrap.dedent("""
+            import atexit, json, runpy, sys
+            atexit.register(lambda: print(json.dumps([
+                sorted(name for name in sys.modules if name.split(".")[0] == "compedge"),
+                "numpy" in sys.modules]), file=sys.stderr))
+            runpy.run_module("compedge.cli", run_name="__main__", alter_sys=True)
+        """)
+        files = {"k4": FIXTURES / "k4.json", "c4": FIXTURES / "c4.json", "c5": FIXTURES / "c5.txt"}
+        argv = [arg.format(**files) for arg in argv]
+        proc = run_python("-c", script, *argv)
+        loaded, numpy_loaded = json.loads(proc.stderr.splitlines()[-1])
+        assert loaded == sorted({"compedge"} | {f"compedge.{layer}" for layer in layers})
+        assert numpy_loaded == ("experiments" in layers)
+        outcome = run(argv)
+        assert proc.returncode == outcome.exit_code
+        assert proc.stdout == outcome.payload + ("" if outcome.payload.endswith("\n") else "\n")

@@ -55,10 +55,11 @@ MUTANTS = [
            (HOMOLOGY + "test_the_face_cap_never_moves_the_engine_choice",)),
     # the graph kernel: the dual formula on a dual complex of dimension <= 1,
     # its table built from counts by the helper the graph-level entry shares
-    Mutant("graph-drop-facet-vertex-term", "homology.py",
+    # (tables._count_betti)
+    Mutant("graph-drop-facet-vertex-term", "tables.py",
            "(1, n - 1): points, ", "",
            (HOMOLOGY + "test_graph_kernel_on_every_one_dimensional_dual",)),
-    Mutant("graph-components-without-facet-vertices", "homology.py",
+    Mutant("graph-components-without-facet-vertices", "tables.py",
            "met + points - joins - 1", "met - joins - 1",
            (HOMOLOGY + "test_graph_kernel_on_every_one_dimensional_dual",)),
     Mutant("graph-route-on-indeg-n-3", "homology.py",
@@ -69,11 +70,11 @@ MUTANTS = [
            (HOMOLOGY + "test_complementary_edge_ideals_skip_the_subset_walk",)),
     # the graph-level entry: the table and height of I_c(G) off m, n' and c',
     # through the shared count helper with no isolated facet vertex
-    Mutant("entry-components-without-the-minus-one", "homology.py",
+    Mutant("entry-components-without-the-minus-one", "tables.py",
            "(2, n): met + points - joins - 1", "(2, n): met + points - joins",
            ("tests/test_homology.py::TestGraphOracle::"
             "test_count_step_matches_the_graph_kernel_on_raw_masks",)),
-    Mutant("entry-height-one-without-an-isolated-vertex", "homology.py",
+    Mutant("entry-height-one-without-an-isolated-vertex", "tables.py",
            "1 if met < n", "1 if met <= n",
            ("tests/test_homology.py::TestGraphOracle::"
             "test_atlas_classes_to_seven_against_both_engines_and_the_cover_search",)),
@@ -164,6 +165,13 @@ MUTANTS = [
     Mutant("quotients-keep-a-choice-on-backtrack", "ideals.py",
            "            chosen.pop()\n            continue\n", "            continue\n",
            ("tests/test_ideals.py",)),
+    # each command imports the layers it runs inside its handler
+    Mutant("cli-eager-invariants-import", "cli.py",
+           "from .graphs import (DEFAULT_ENUMERATION_LIMIT",
+           "from .invariants import cross_validate, predict_invariants\n"
+           "from .graphs import (DEFAULT_ENUMERATION_LIMIT",
+           ("tests/test_cli.py::TestNumpyLoadsLazily::"
+            "test_a_fresh_command_loads_only_the_layers_it_runs",)),
 ]
 
 EQUIVALENT = [
