@@ -9,7 +9,9 @@ Each handler imports the layers it runs, so a fresh process loads only those:
 `tables`) for analyze and verify, `experiments` and numpy for montecarlo and
 sweep. No command loads `ideals` or `homology`.
 `verify` cross-validates one graph per isomorphism class and weights it by its
-orbit size, which gives the totals of the sweep over every labeled graph.
+orbit size, which gives the totals of the sweep over every labeled graph; a
+class that mismatches outside the known tensions sends its n through that
+labeled sweep, which lists the mismatches.
 """
 from __future__ import annotations
 
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .graphs import (DEFAULT_ENUMERATION_LIMIT, SimpleGraph, _graph_classes, _join_count,
-                     _labeled_orbit, max_subgraph_density, parse_graph)
+                     enumerate_graphs, max_subgraph_density, parse_graph)
 
 
 @dataclass(frozen=True)
@@ -90,10 +92,11 @@ def _cmd_verify(args: argparse.Namespace) -> CommandOutcome:
 
     Every count is invariant under relabeling, so a class representative
     (graphs._graph_classes) adds its orbit size n!/|Aut| to each total and the
-    payload is that of the sweep over every labeled graph. A class that
-    mismatches outside the known tensions is expanded to its labeled orbit
-    (graphs._labeled_orbit), and each member is listed in enumerate_graphs
-    order, as the labeled sweep lists it.
+    payload is that of the sweep over every labeled graph. When a class on n
+    vertices mismatches outside the known tensions, the mismatches on n are
+    listed by the labeled sweep's own rule: every graph of enumerate_graphs(n)
+    with an edge that cross_validate finds unclean and that has no isolated
+    vertex, in enumeration order.
     """
     from .invariants import NOTE_COMPLETE_PD, NOTE_ISOLATED, cross_validate
     from .tables import parse_field
@@ -107,7 +110,7 @@ def _cmd_verify(args: argparse.Namespace) -> CommandOutcome:
     unflagged = []
     for n in range(3, args.max_n + 1):
         enumerated += 1 << comb(n, 2)
-        members = []
+        mismatched = False
         for graph, orbit in _graph_classes(n):
             if graph.m == 0:
                 continue
@@ -127,9 +130,11 @@ def _cmd_verify(args: argparse.Namespace) -> CommandOutcome:
             elif isolated:
                 isolated_mismatched += orbit
             else:
-                members += _labeled_orbit(graph)
-        unflagged += [cross_validate(member, field).to_json_dict()
-                      for _, member in sorted(members)]
+                mismatched = True
+        if mismatched:
+            reports = (cross_validate(graph, field) for graph in enumerate_graphs(n) if graph.m)
+            unflagged += [report.to_json_dict() for report in reports
+                          if not report.clean and NOTE_ISOLATED not in report.predicted.notes]
     payload = {
         "max_n": args.max_n,
         "field": field.value,

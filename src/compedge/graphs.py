@@ -7,8 +7,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import combinations, permutations
+from itertools import combinations
 from math import factorial
+from operator import index
 from typing import Iterable, Iterator, Sequence
 
 DEFAULT_ENUMERATION_LIMIT = 7
@@ -40,13 +41,26 @@ class SimpleGraph:
     edges: tuple[tuple[int, int], ...] = field(default=())
 
     def __post_init__(self):
-        """The one edge check: a GraphFormatError names the input edge at fault by index."""
-        n = self.n
+        """The one edge check: a GraphFormatError names the input edge at fault by index.
+
+        n and every endpoint are stored as plain ints (operator.index), so a
+        numpy integer or a bool is normalised and a float or a string refused.
+        """
+        try:
+            n = index(self.n)
+        except TypeError:
+            raise ValueError("vertex count must be an integer, got "
+                             f"{_clip(repr(self.n))}") from None
         if n < 0:
             raise ValueError(f"vertex count must be nonnegative, got {_clip(n)}")
         seen = set()
         canon = []
         for k, (u, v) in enumerate(self.edges):
+            try:
+                u, v = index(u), index(v)
+            except TypeError:
+                raise GraphFormatError(f"vertex label must be an integer in edge "
+                                       f"{_clip(repr(u))} {_clip(repr(v))}", edge=k) from None
             pair = (u, v) if u < v else (v, u)
             if u == v:
                 raise GraphFormatError(f"self-loop {_clip(u)} {_clip(v)}", edge=k)
@@ -57,6 +71,7 @@ class SimpleGraph:
                 raise GraphFormatError(f"duplicate edge {_clip(u)} {_clip(v)}", edge=k)
             seen.add(pair)
             canon.append(pair)
+        object.__setattr__(self, "n", n)
         # sort the input-order list: timsort is linear on already-sorted pairs
         object.__setattr__(self, "edges", tuple(sorted(canon)))
 
@@ -339,12 +354,12 @@ def _graph_classes(n: int) -> list[tuple[SimpleGraph, int]]:
     augmentation: a new vertex joined to a subset of the old ones. Deleting a
     vertex of largest degree from any graph leaves a class on k, so only the
     subsets that give the new vertex the largest degree are tried. Each class
-    is kept once, at the first augmentation that reaches its canonical code
-    (_canonical_order), labeled in that code's order; so the order is by
-    parent, then by the new vertex's neighbourhood mask. This is isomorph-free
-    exhaustive generation (McKay, J. Algorithms 26, 1998) with a canonical
-    form in place of canonical augmentation. The orbit sizes sum to
-    2^C(n,2), the labeled graphs of enumerate_graphs(n).
+    is kept once, as the first augmentation that reaches its canonical code
+    (_canonical_order); so the order is by parent, then by the new vertex's
+    neighbourhood mask. This is isomorph-free exhaustive generation (McKay,
+    J. Algorithms 26, 1998) with a canonical form in place of canonical
+    augmentation. The orbit sizes sum to 2^C(n,2), the labeled graphs of
+    enumerate_graphs(n).
     """
     if n > DEFAULT_ENUMERATION_LIMIT:
         raise ValueError(f"graph classes on {n} vertices exceed the limit of "
@@ -359,53 +374,38 @@ def _graph_classes(n: int) -> list[tuple[SimpleGraph, int]]:
                 if any(d + (s >> u & 1) > s.bit_count() for u, d in enumerate(degrees)):
                     continue
                 graph = [a | (s >> v & 1) << k for v, a in enumerate(neighbours)] + [s]
-                code, automorphisms, order = _canonical_order(graph)
+                code, automorphisms = _canonical_order(graph)
                 if code not in grown:
-                    grown[code] = ([sum(1 << p for p, w in enumerate(order) if graph[v] >> w & 1)
-                                    for v in order], automorphisms)
+                    grown[code] = (graph, automorphisms)
         level = grown
     return [(SimpleGraph(n, tuple((u + 1, v + 1) for v in range(n) for u in range(v)
                                   if neighbours[v] >> u & 1)), factorial(n) // automorphisms)
             for neighbours, automorphisms in level.values()]
 
 
-def _canonical_order(neighbours: Sequence[int]) -> tuple[int, int, list[int]]:
-    """(least code, |Aut|, an order reaching it) for the graph with these neighbour masks.
+def _canonical_order(neighbours: Sequence[int]) -> tuple[int, int]:
+    """(least code, |Aut|) for the graph with these neighbour masks.
 
     The code of a vertex order v_0, ..., v_(n-1) is its adjacency bits, most
     significant first, for j = 1..n-1 and then i = 0..j-1: [v_i ~ v_j]. Only
-    orders that respect the colour refinement are tried: vertices start
-    coloured by degree, each round recolours them by their colour and the
-    multiset of their neighbours' colours, until no class splits (1-WL), and
-    the orders list the colours in increasing rank. An automorphism maps
-    such an order to another with the same code, and two orders with the same
-    code differ by an automorphism, so |Aut| is the number of orders that
-    reach the least code. The search places one vertex per position and follows only the
+    orders that list the vertices by increasing degree are tried. Every
+    isomorphism keeps degrees, so it maps such an order to another with the
+    same code, and two orders with the same code differ by an automorphism:
+    the least code is canonical and |Aut| is the number of orders that reach
+    it. The search places one vertex per position and follows only the
     candidates whose bits so far are least, the others can reach no least code.
     """
     n = len(neighbours)
-    colour = [a.bit_count() for a in neighbours]
-    count = len(set(colour))
-    while True:
-        signature = [(colour[v], tuple(sorted(colour[w] for w in range(n) if a >> w & 1)))
-                     for v, a in enumerate(neighbours)]
-        rank = {s: r for r, s in enumerate(sorted(set(signature)))}
-        colour = [rank[s] for s in signature]
-        if len(rank) == count:
-            break
-        count = len(rank)
-    cells = [0] * count
-    for v, c in enumerate(colour):
-        cells[c] |= 1 << v
-    allowed = [cell for cell in cells for _ in range(cell.bit_count())]
-    best = [-1, 0, []]
+    degrees = [a.bit_count() for a in neighbours]
+    allowed = [sum(1 << v for v in range(n) if degrees[v] == d) for d in sorted(degrees)]
+    best = [-1, 0]
     order: list[int] = []
     bits = n * (n - 1) // 2
 
     def place(k: int, used: int, code: int) -> None:
         if k == n:
             if best[0] < 0 or code < best[0]:
-                best[:] = [code, 1, order[:]]
+                best[:] = [code, 1]
             elif code == best[0]:
                 best[1] += 1
             return
@@ -431,20 +431,7 @@ def _canonical_order(neighbours: Sequence[int]) -> tuple[int, int, list[int]]:
             order.pop()
 
     place(0, 0, 0)
-    return best[0], best[1], best[2]
-
-
-def _labeled_orbit(graph: SimpleGraph) -> list[tuple[int, SimpleGraph]]:
-    """(k, G) for every labeled graph G isomorphic to graph, G being graph k of enumerate_graphs."""
-    n = graph.n
-    slots = list(combinations(range(1, n + 1), 2))
-    bit = [[0] * (n + 1) for _ in range(n + 1)]
-    for i, (u, v) in enumerate(slots):
-        bit[u][v] = bit[v][u] = 1 << i
-    members = {sum(bit[p[u - 1]][p[v - 1]] for u, v in graph.edges)
-               for p in permutations(range(1, n + 1))}
-    return [(k, SimpleGraph(n, tuple(slots[i] for i in range(len(slots)) if k >> i & 1)))
-            for k in sorted(members)]
+    return best[0], best[1]
 
 
 def complete_graph(n: int) -> SimpleGraph:

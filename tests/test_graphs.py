@@ -3,10 +3,11 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from math import comb
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -69,6 +70,26 @@ class TestSimpleGraph:
         with pytest.raises(GraphFormatError, match="^duplicate edge 2 1$") as info:
             SimpleGraph(3, ((1, 3), (1, 2), (2, 1)))
         assert info.value.edge == 2 and info.value.line is None
+
+    @pytest.mark.parametrize("n, edges, expected", [
+        (3, ((True, 2), (np.int64(3), np.int64(2))), '{"n": 3, "edges": [[1, 2], [2, 3]]}'),
+        (np.int64(3), ((np.int32(3), 1),), '{"n": 3, "edges": [[1, 3]]}'),
+        (3, ((1, 2), (1.5, 2)), 1),
+        (3, ((2, "3"),), 0),
+        (2.5, (), None),
+    ])
+    def test_stores_plain_ints_and_refuses_non_integers(self, n, edges, expected):
+        # a JSON string is the graph's payload; otherwise the bad edge's index,
+        # None for a bad vertex count, which is a plain ValueError
+        if isinstance(expected, str):
+            graph = SimpleGraph(n, edges)
+            assert json.dumps(graph.to_json_dict()) == expected
+            assert {type(x) for x in (graph.n, *sum(graph.edges, ()))} == {int}
+            return
+        with pytest.raises(ValueError, match="must be an integer") as info:
+            SimpleGraph(n, edges)
+        assert isinstance(info.value, GraphFormatError) == (expected is not None)
+        assert getattr(info.value, "edge", None) == expected
 
 
 def outcome(build):
@@ -387,15 +408,24 @@ class TestGraphClasses:
         assert matched == sum(map(len, atlas.values())) == 4 + 11 + 34 + 156 + 1044 - 5
 
     def test_orbits_partition_the_labeled_graphs_to_six(self, graph_classes):
-        # every permutation of each representative, against enumerate_graphs
+        # every relabeling of each representative, looked up by its index in
+        # enumerate_graphs: graph k has edge slot i iff bit i of k is set
         for n in range(3, 7):
             labeled = list(enumerate_graphs(n))
+            bit = {}
+            for i, (u, v) in enumerate(combinations(range(1, n + 1), 2)):
+                bit[u, v] = bit[v, u] = 1 << i
             seen = []
             for g, orbit in graph_classes[n]:
-                members = graphs_module._labeled_orbit(g)
+                members = {}
+                for p in permutations(range(1, n + 1)):
+                    edges = tuple((p[u - 1], p[v - 1]) for u, v in g.edges)
+                    k = sum(bit[e] for e in edges)
+                    if k not in members:
+                        members[k] = SimpleGraph(n, edges)
                 assert len(members) == orbit, g
-                assert all(labeled[k] == member for k, member in members)
-                seen += [k for k, _ in members]
+                assert all(labeled[k] == member for k, member in members.items())
+                seen += members
             assert sorted(seen) == list(range(len(labeled)))
 
     def test_limit_guard(self):

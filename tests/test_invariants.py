@@ -23,6 +23,9 @@ from compedge.invariants import NOTE_COMPLETE_PD, NOTE_ISOLATED
 from conftest import (atlas_graphs, brute_force_component, has_linear_quotients_in_order,
                       maximum_cardinality_search, peo_lex_dual_order, reference_linear_quotients)
 
+# the layer modules, for the tests that patch a name and check no other layer holds it
+LAYERS = (graphs, tables, ideals, homology, invariants, cli)
+
 
 def graphs_with_edges(min_n: int = 3, max_n: int = 6) -> st.SearchStrategy[SimpleGraph]:
     def build(n: int) -> st.SearchStrategy[SimpleGraph]:
@@ -320,9 +323,11 @@ class TestDualComponentsOffTheGraph:
 
         def refuse(*args):
             raise AssertionError("routed a Betti table of the dual")
-        for module in (homology, invariants):
-            if hasattr(module, "_mask_betti"):
-                monkeypatch.setattr(module, "_mask_betti", refuse)
+        # raises if the name is gone from its home
+        monkeypatch.setattr(homology, "_mask_betti", refuse)
+        # no other layer holds the name, so the patch reaches every call
+        for module in set(LAYERS) - {homology}:
+            assert not hasattr(module, "_mask_betti"), module
         assert [implication_suite(g, f).to_json_dict()
                 for g in graphs for f in Field] == expected
 
@@ -426,11 +431,15 @@ class TestOneGraphLevelPath:
 
         def refuse(*args):
             raise AssertionError("took the ideal route")
-        names = ("complementary_edge_ideal", "hochster_betti", "height", "_closure")
-        for module in (ideals, homology, invariants, cli):
-            for name in names:
-                if hasattr(module, name):
-                    monkeypatch.setattr(module, name, refuse)
+        # each name where it lives, a raising patch if it is gone from there
+        homes = {"complementary_edge_ideal": (ideals,), "hochster_betti": (homology,),
+                 "height": (ideals, homology), "_closure": (ideals, homology)}
+        for name, modules in homes.items():
+            for module in modules:
+                monkeypatch.setattr(module, name, refuse)
+            # no other layer holds the name, so the patches reach every call
+            for module in set(LAYERS) - set(modules):
+                assert not hasattr(module, name), (module, name)
         assert [q(g, f) for g in forests for f in Field for q in questions] == expected
 
     @pytest.mark.parametrize("question", [cross_validate, implication_suite])
