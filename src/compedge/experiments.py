@@ -34,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graphs import SimpleGraph, _clip
+from .graphs import SimpleGraph, _clip, _plain_int
 from .invariants import is_licci
 
 SPOT_CHECK_TRIALS = 100
@@ -63,6 +63,10 @@ class ExperimentConfig:
     c: float | None = None
 
     def __post_init__(self):
+        """n, trials and seed are stored as plain ints (graphs._plain_int), so a numpy
+        integer or a bool is normalised and a float or a string refused by name."""
+        for name in ("n", "trials", "seed"):
+            object.__setattr__(self, name, _plain_int(getattr(self, name), name))
         if self.n < 3:
             raise ValueError(f"need n >= 3, got {_clip(self.n)}")
         if self.n > MONTECARLO_LIMIT:

@@ -33,6 +33,15 @@ def _clip(token: object) -> str:
     return text if len(text) <= 80 else f"{text[:80]}... ({len(text)} characters)"
 
 
+def _plain_int(value: object, what: str) -> int:
+    """value as a plain int (operator.index): a numpy integer or a bool is normalised,
+    and a float or a string is a ValueError that names what it is."""
+    try:
+        return index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {_clip(repr(value))}") from None
+
+
 @dataclass(frozen=True)
 class SimpleGraph:
     """A finite simple graph on {1, ..., n}."""
@@ -46,11 +55,7 @@ class SimpleGraph:
         n and every endpoint are stored as plain ints (operator.index), so a
         numpy integer or a bool is normalised and a float or a string refused.
         """
-        try:
-            n = index(self.n)
-        except TypeError:
-            raise ValueError("vertex count must be an integer, got "
-                             f"{_clip(repr(self.n))}") from None
+        n = _plain_int(self.n, "vertex count")
         if n < 0:
             raise ValueError(f"vertex count must be nonnegative, got {_clip(n)}")
         seen = set()

@@ -1,6 +1,6 @@
 """Exact reduced simplicial homology and graded Betti numbers of squarefree ideals.
 
-The Betti oracle has two engines and two cases read off counts, with one
+The Betti oracle has two engines and one case read off counts, with one
 result. The primal engine is Hochster's formula: the multidegree-sigma Betti
 number of S/I in homological position i is dim of reduced H_(|sigma|-i-1) of
 the Stanley-Reisner complex restricted to sigma. One table of 2^n entries
@@ -18,18 +18,13 @@ aggregates multidegrees by cardinality either way. The complex {emptyset}
 has reduced H_(-1) = K, which makes the links of the dual facets count the
 generators.
 
-Two cases take neither engine, and read the table off counts with no face
+One case takes neither engine, and reads the table off counts with no face
 list and no link. Generators all of degree at least n - 2 have a dual
 complex of dimension at most 1. For a complementary edge ideal it is the
 graph itself (the empty face, the n' vertices on an edge,
 the m edges), and every link is {emptyset}, a set of points or that graph,
 so the dual formula is read off vertex degrees, edge counts and the
-components (_graph_betti). Generators all of degree at most 2 whose
-Stanley-Reisner complex is a forest, the dual of I_c(F) for a forest F
-among them, have forests as every restriction, so the primal formula is
-read off vertex and edge counts (_forest_betti). So do ideals generated by
-variables alone: their complex is a full simplex, every nonempty restriction
-is a cone, and the table is the Koszul diagonal.
+components (_graph_betti). Every other ideal goes to an engine.
 
 A complementary edge ideal I_c(G) needs no ideal at all. tables._graph_oracle
 reads its table and its height off the graph's counts: the edges, and the
@@ -39,9 +34,9 @@ it, never build I_c(G) and never load this module. The table type
 (BettiTable), the field tag and ORACLE_LIMIT live in tables too, and are
 attributes of this module as well.
 
-Nothing is memoised. The exhaustive sweeps repeat small tables, but with
-every complementary edge ideal, every forest dual and every ideal of
-variables read off counts, a verify round sends no table to an engine.
+Nothing is memoised. The exhaustive sweeps repeat small tables, but they
+read every complementary edge ideal off counts, so a verify round sends no
+table to an engine.
 clear_homology_cache() is kept as a no-op for callers that clear before
 timing.
 
@@ -274,21 +269,18 @@ def hochster_betti(ideal: SquarefreeIdeal, field: Field = Field.GF2) -> BettiTab
     (_mask_betti), the one routing is_componentwise_linear also takes.
     Generators all of degree at least n - 2, every complementary edge ideal
     among them, have a dual complex of dimension at most 1: a graph, whose
-    links are read off counts (_graph_betti). Generators all of degree at
-    most 2 whose Stanley-Reisner complex is a forest, and ideals generated by
-    variables alone, whose table is the Koszul diagonal, have restrictions
-    read off counts too (_forest_betti). Otherwise two engines compute the
-    same table. The primal one sums the homology of the Stanley-Reisner
+    links are read off counts (_graph_betti). Otherwise two engines compute
+    the same table. The primal one sums the homology of the Stanley-Reisner
     complex restricted to each sigma of the lcm lattice (the unions of
     generators; every other restriction is a cone), found in one table of
-    2^n entries. The dual one
-    reads the table from the links of the faces of the Alexander dual
-    complex; it collects them by subset inversion, which costs sum over dual
-    faces f of 2^|f| (at most 4F for the F faces of a graph). Its faces tau
-    are the complements of the nonfaces sigma, so P = sum over tau of
-    2^(n - |tau|) is the sum over nonfaces of 2^|sigma|: an upper bound on
-    the faces the primal restrictions hold, since every lattice sigma but the
-    empty one is a nonface with at most 2^|sigma| faces inside it. The rule:
+    2^n entries. The dual one reads the table from the links of the faces of
+    the Alexander dual complex; it collects them by subset inversion, which
+    costs sum over dual faces f of 2^|f| (at most 4F for the F faces of a
+    graph). Its faces tau are the complements of the nonfaces sigma, so
+    P = sum over tau of 2^(n - |tau|) is the sum over nonfaces of 2^|sigma|:
+    an upper bound on the faces the primal restrictions hold, since every
+    lattice sigma but the empty one is a nonface with at most 2^|sigma|
+    faces inside it. The rule:
     the dual engine runs when F^2 <= 3 * P, the primal one otherwise. The
     dual faces are enumerated only up to ideals._DUAL_FACE_CAP (4,096), the
     cap height uses; past it the primal engine runs. The cap never moves the
@@ -307,14 +299,11 @@ def _mask_betti(n: int, masks: Collection[int], indeg: int, field: Field) -> Bet
     """The table of the ideal with these minimal generators, of least degree indeg.
 
     The one routing of hochster_betti, with no ideal to build: _graph_betti,
-    then _forest_betti, then the engine rule. Only the primal engine needs a
-    SquarefreeIdeal, and only it gets one.
+    else the engine rule. Only the primal engine needs a SquarefreeIdeal, and
+    only it gets one.
     """
     if indeg >= n - 2:
         return _graph_betti(n, masks, field)
-    table = _forest_betti(n, masks, field)
-    if table is not None:
-        return table
     full = (1 << n) - 1
     faces = _closure([full & ~g for g in masks], _DUAL_FACE_CAP)
     if faces is None or len(faces) ** 2 > 3 * sum(1 << (n - tau.bit_count()) for tau in faces):
@@ -406,56 +395,6 @@ def _graph_betti(n: int, masks: Iterable[int], field: Field) -> BettiTable:
             return BettiTable(n, field, (((0, 0), 1), ((1, n), 1)))
     met, joins = _join_count(edges)
     return _count_betti(n, len(edges), met, joins, points, field)
-
-
-def _forest_betti(n: int, masks: Iterable[int], field: Field) -> BettiTable | None:
-    """Hochster's formula of _primal_betti on a Stanley-Reisner complex that is a forest.
-
-    With generators all of degree at most 2, D of them variables, the
-    complex is the clique complex of the graph Gamma whose vertices are the
-    V = n - D other variables and whose edges are the M pairs among them that
-    are not generators. If a generator has degree 3 or more this returns
-    None. Every restriction to a sigma holding no vertex is {emptyset}, with
-    H~_(-1) = 1: the D-sets give beta_(j,j) = C(D, j). With no degree-2
-    generator the complex is the full simplex on the V vertices and every
-    other restriction is a cone, so that Koszul diagonal is the table. Else,
-    if Gamma has a cycle (graphs._join_count), this returns None. Otherwise
-    Gamma is a forest, its own clique complex, and so is every restriction,
-    whose homology is a count: H~_0 = v' - m' - 1 for its v' vertices and m'
-    edges. Summed over the C(n, j) - C(D, j) sets sigma of size j that hold a
-    vertex, v' adds up to V * C(n-1, j-1) and m' to M * C(n-2, j-2), which
-    gives beta_(j-1,j). Neither a simplex nor a forest has torsion, so the
-    table is the same over every field.
-    """
-    points = 0
-    pairs = set()
-    for g in masks:
-        size = g.bit_count()
-        if size == 1:
-            points |= g
-        elif size == 2:
-            pairs.add(g)
-        else:
-            return None
-    d = points.bit_count()
-    entries = {(j, j): comb(d, j) for j in range(d + 1)}
-    if not pairs:
-        return BettiTable.from_dict(n, field, entries)
-    labels = [v for v in range(n) if not points >> v & 1]
-    vertices = len(labels)
-    m = vertices * (vertices - 1) // 2 - len(pairs)
-    # a forest has fewer edges than vertices; a degree-2 generator, minimal,
-    # has two of the vertices
-    if m >= vertices:
-        return None
-    edges = [(u, v) for k, u in enumerate(labels) for v in labels[k + 1:]
-             if (1 << u) | (1 << v) not in pairs]
-    if _join_count(edges)[1] < m:
-        return None
-    for j in range(2, n + 1):
-        entries[(j - 1, j)] = (vertices * comb(n - 1, j - 1) - m * comb(n - 2, j - 2)
-                               - comb(n, j) + comb(d, j))
-    return BettiTable.from_dict(n, field, entries)
 
 
 def is_cohen_macaulay(ideal: SquarefreeIdeal, field: Field = Field.GF2) -> bool:

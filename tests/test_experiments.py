@@ -37,6 +37,19 @@ class TestConfig:
         with pytest.raises(ValueError, match="nonnegative"):
             ExperimentConfig(n=10, trials=5, seed=0, c=-1.0)
 
+    @pytest.mark.parametrize("field, value", [("n", 10.5), ("trials", 2.5), ("seed", 1.5),
+                                              ("n", np.int64(10)), ("trials", np.int32(2)),
+                                              ("seed", np.uint64(7))])
+    def test_integer_fields_are_plain_ints_or_refused_by_name(self, field, value):
+        kwargs = {"n": 10, "trials": 2, "seed": 0, field: value}
+        if isinstance(value, float):
+            with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value}$"):
+                ExperimentConfig(**kwargs, c=1.0)
+            return
+        config = ExperimentConfig(**kwargs, c=1.0)
+        assert type(getattr(config, field)) is int and getattr(config, field) == value
+        assert config == ExperimentConfig(**{**kwargs, field: int(value)}, c=1.0)
+
     def test_rejects_nan_probabilities(self):
         with pytest.raises(ValueError, match="p must be nonnegative, got nan"):
             ExperimentConfig(n=10, trials=5, seed=0, p=float("nan"))

@@ -19,7 +19,7 @@ from compedge import (Field, SimpleGraph, SquarefreeIdeal, alexander_dual,
 from compedge.graphs import (_join_count, complete_graph, connected_components, cycle_graph,
                              path_graph)
 from compedge.homology import (BettiTable, SimplicialComplex, _closure, _count_betti,
-                               _dual_betti, _forest_betti, _gf2_rank, _graph_betti,
+                               _dual_betti, _gf2_rank, _graph_betti,
                                _graph_oracle, _homology, _primal_betti, _rational_rank,
                                clear_homology_cache, parse_field, reduced_homology_dims)
 from conftest import atlas_graphs, brute_force_component
@@ -66,9 +66,9 @@ def ideals(max_n: int) -> st.SearchStrategy[SquarefreeIdeal]:
 
 
 @st.composite
-def ideals_past_the_count_kernels(draw, max_n: int) -> SquarefreeIdeal:
+def ideals_past_the_graph_kernel(draw, max_n: int) -> SquarefreeIdeal:
     """Ideals on 6..max_n variables with a generator of degree 3..n-3 inside which no
-    other support lies, so neither count kernel (_graph_betti, _forest_betti) takes them."""
+    other support lies, so the count kernel (_graph_betti) leaves them to an engine."""
     n = draw(st.integers(6, max_n))
     wide = draw(st.sets(st.integers(1, n), min_size=3, max_size=n - 3))
     outside = st.sampled_from(sorted(set(range(1, n + 1)) - wide))
@@ -151,8 +151,9 @@ def low_degree_ideals(n: int) -> list[SquarefreeIdeal]:
 
 
 @st.composite
-def forest_complexes(draw, max_n: int) -> SquarefreeIdeal:
-    """An ideal whose Stanley-Reisner complex is a random forest on a random vertex subset.
+def forest_complexes(draw, max_n: int) -> tuple[SquarefreeIdeal, int, int]:
+    """An ideal whose Stanley-Reisner complex is a random forest on a random vertex
+    subset, with the forest's vertex and edge counts.
 
     The other variables are generators, and so is every pair of forest vertices
     that is not a forest edge.
@@ -167,14 +168,14 @@ def forest_complexes(draw, max_n: int) -> SquarefreeIdeal:
     masks = [1 << v for v in range(n) if v not in labels]
     masks += [(1 << u) | (1 << v) for u, v in combinations(labels, 2)
               if (1 << u) | (1 << v) not in edges]
-    return SquarefreeIdeal(n, masks)
+    return SquarefreeIdeal(n, masks), len(labels), len(edges)
 
 
 def engine_rule_witness(engine: str) -> SquarefreeIdeal:
     """An ideal on n = 14 that only the named engine serves fast.
 
     For the dual engine, 60 generators of degree n - 3; for the primal one,
-    alexander_dual(I_c(C_14)), whose complex is the 14-cycle and so no forest.
+    alexander_dual(I_c(C_14)), whose complex is the 14-cycle.
     """
     n = 14
     if engine == "dual":
@@ -641,7 +642,7 @@ class TestBettiTables:
             assert hochster_betti(ideal, Field.RATIONALS).entries == over_2
 
     def test_a_primal_table_holds_one_restriction_at_a_time(self):
-        # called directly, as hochster_betti sends this ideal to _forest_betti:
+        # the primal engine, which the engine rule picks for this ideal:
         # 16,345 restrictions of at most 28 faces; holding every restriction
         # at once peaked at 4.8 MB (one at a time: 0.9 MB)
         ideal = alexander_dual(complementary_edge_ideal(path_graph(14)))
@@ -675,14 +676,14 @@ class TestBettiTables:
         assert sum(v for (i, _), v in table.entries if i == 1) == len(ideal.masks)
 
     @settings(max_examples=150, deadline=None)
-    @given(st.one_of(ideals(9), ideals_past_the_count_kernels(9)))
+    @given(st.one_of(ideals(9), ideals_past_the_graph_kernel(9)))
     @example(engine_rule_witness("dual"))
     @example(engine_rule_witness("primal"))
     def test_the_face_cap_never_moves_the_engine_choice(self, ideal: SquarefreeIdeal):
         # the rule on the whole dual complex, with no cap: P <= 3^n, so every
         # closure past the cap fails it anyway
         n = ideal.n
-        assume(ideal.indeg < n - 2 and _forest_betti(n, ideal.masks, Field.GF2) is None)
+        assume(ideal.indeg < n - 2)
         faces = _closure([((1 << n) - 1) & ~g for g in ideal.masks], 1 << n)
         dual = len(faces) ** 2 <= 3 * sum(1 << (n - tau.bit_count()) for tau in faces)
         slow = "_primal_betti" if dual else "_dual_betti"
@@ -694,13 +695,9 @@ class TestBettiTables:
             for field in Field:
                 hochster_betti(ideal, field)
 
-    def test_forest_complexes_skip_the_subset_walk(self, monkeypatch):
+    def test_the_path_dual_and_the_irrelevant_ideal_on_fourteen(self):
         # the complex of complementary_edge_dual(P_14) is the path itself, and
         # that of the ideal of all variables is {emptyset}
-        def refuse(*args):
-            raise AssertionError("walked subsets or ran an engine")
-        for name in ("_union_table", "_closure", "_dual_betti", "_primal_betti"):
-            monkeypatch.setattr(homology, name, refuse)
         linear = {(0, 0): 1} | {(i, i + 1): i * comb(13, i + 1) for i in range(1, 13)}
         koszul = {(i, i): comb(14, i) for i in range(15)}
         path = complementary_edge_dual(path_graph(14))
@@ -709,54 +706,53 @@ class TestBettiTables:
             assert hochster_betti(path, field).as_dict() == linear
             assert hochster_betti(variables, field).as_dict() == koszul
 
-    def test_variable_ideals_skip_the_subset_walk(self, monkeypatch):
+    def test_seven_variables_on_fourteen_give_the_koszul_diagonal(self):
         # (x_1..x_7) on n = 14: the complex is the full simplex on the other
-        # seven variables, no forest, yet its table is the Koszul diagonal
-        def refuse(*args):
-            raise AssertionError("walked subsets or ran an engine")
-        for name in ("_union_table", "_closure", "_dual_betti", "_primal_betti"):
-            monkeypatch.setattr(homology, name, refuse)
+        # seven variables, and every nonempty restriction to them is a cone
         ideal = minimalize(14, [[v] for v in range(1, 8)])
         for field in Field:
             assert hochster_betti(ideal, field).as_dict() == {(i, i): comb(7, i)
                                                               for i in range(8)}
 
-    @pytest.mark.parametrize("n, count, taken", [(1, 1, 1), (2, 4, 4), (3, 17, 17),
-                                                 (4, 112, 87), (5, 1449, 592)])
-    def test_forest_kernel_on_every_ideal_of_degree_at_most_two(self, n, count, taken):
+    @pytest.mark.parametrize("n, count", [(1, 1), (2, 4), (3, 17), (4, 112), (5, 1449)])
+    def test_every_ideal_of_degree_at_most_two(self, n, count):
         every = low_degree_ideals(n)
         assert len(every) == len(set(every)) == count
-        forests = 0
         for ideal in every:
             for field in Field:
-                table = _forest_betti(n, ideal.masks, field)
-                if table is None:
-                    continue
-                forests += field is Field.GF2
+                table = hochster_betti(ideal, field)
                 assert table == _primal_betti(ideal, field) == brute_force_betti(ideal, field)
-        assert forests == taken
 
     @settings(max_examples=60, deadline=None)
     @given(forest_complexes(14), st.sampled_from(Field))
-    def test_forest_kernel_matches_the_primal_engine(self, ideal: SquarefreeIdeal, field: Field):
-        table = _forest_betti(ideal.n, ideal.masks, field)
-        assert table is not None
-        assert table == _primal_betti(ideal, field)
+    def test_forest_complexes_match_the_closed_form(self, drawn, field: Field):
+        # every restriction of a forest is a forest, with H~_0 = v' - m' - 1
+        # for its v' vertices and m' edges; the sets sigma of the D variable
+        # generators restrict to {emptyset}, giving beta_(j,j) = C(D, j), and
+        # over the C(n, j) - C(D, j) others of size j, v' sums to
+        # V * C(n-1, j-1) and m' to M * C(n-2, j-2), giving beta_(j-1,j)
+        ideal, vertices, edges = drawn
+        n = ideal.n
+        d = n - vertices
+        expected = {(j, j): comb(d, j) for j in range(d + 1)}
+        for j in range(2, n + 1):
+            expected[(j - 1, j)] = (vertices * comb(n - 1, j - 1) - edges * comb(n - 2, j - 2)
+                                    - comb(n, j) + comb(d, j))
+        assert hochster_betti(ideal, field) == BettiTable.from_dict(n, field, expected)
 
-    def test_forest_kernel_declines_a_cubic_generator_and_a_cycle(self):
+    def test_a_cubic_generator_and_cyclic_complexes_match_brute_force(self):
         def non_edge_ideal(graph: SimpleGraph) -> SquarefreeIdeal:
-            # its complex is the clique complex of the graph, so Gamma is the graph
+            # its complex is the clique complex of the graph
             return SquarefreeIdeal(graph.n, [(1 << u - 1) | (1 << v - 1)
                                              for u, v in combinations(range(1, graph.n + 1), 2)
                                              if (u, v) not in graph.edges])
         cubic = minimalize(6, [[1, 2], [3, 4, 5]])
-        # the complement of C_5 is C_5: 5 edges on 5 vertices, refused by the count
+        # the complement of C_5 is C_5: its complex is the 5-cycle
         pentagon = non_edge_ideal(cycle_graph(5))
-        # 4 edges on 5 vertices, refused by the union-find
+        # a 4-cycle and an isolated vertex
         square = non_edge_ideal(SimpleGraph(5, ((1, 2), (2, 3), (3, 4), (1, 4))))
         for ideal in (cubic, pentagon, square):
             for field in Field:
-                assert _forest_betti(ideal.n, ideal.masks, field) is None
                 assert hochster_betti(ideal, field) == brute_force_betti(ideal, field)
 
     def test_irrelevant_ideal_is_koszul(self):

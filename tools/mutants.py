@@ -9,10 +9,12 @@ the replacement there and runs the mutant's pytest selection on the copy with
 a fixed hypothesis seed, so the tree it is run from is never written. A
 failing selection prints "caught", a passing one "survived". Equivalent
 mutants, which cannot change any result, are listed with the reason and not
-run. The exit status is 0 when every mutant is caught, 1 when one survives,
+run. A last line gives the totals, "N caught, M equivalent, K survived".
+The exit status is 0 when every mutant is caught, 1 when one survives,
 and 2 when a mutant's text is no longer found exactly once in its module or
 its selection does not run. Standard library only; not part of tier-1, as it
-runs pytest once per mutant.
+runs pytest once per mutant. tests/test_mutants.py, which is, checks without
+running a mutant that each text is found once and each selection exists.
 """
 from __future__ import annotations
 
@@ -83,23 +85,6 @@ MUTANTS = [
            ".reg_ideal != d:", ".reg_s_mod_i != d:",
            ("tests/test_homology.py::TestRingPredicates::"
             "test_veronese_exit_agrees_with_every_degree_on_every_ideal_to_four",)),
-    # the forest kernel: the primal formula on a Stanley-Reisner forest
-    Mutant("forest-drop-cdj-from-the-linear-strand", "homology.py",
-           "- comb(n, j) + comb(d, j))", "- comb(n, j))",
-           (HOMOLOGY + "test_forest_kernel_on_every_ideal_of_degree_at_most_two",)),
-    Mutant("forest-drop-cdj-from-the-diagonal", "homology.py",
-           "entries = {(j, j): comb(d, j) for j in range(d + 1)}", "entries = {(0, 0): 1}",
-           (HOMOLOGY + "test_forest_kernel_on_every_ideal_of_degree_at_most_two",)),
-    Mutant("forest-n-prime-for-v", "homology.py",
-           "(vertices * comb(n - 1, j - 1)",
-           "(len({x for e in edges for x in e}) * comb(n - 1, j - 1)",
-           (HOMOLOGY + "test_forest_kernel_on_every_ideal_of_degree_at_most_two",)),
-    Mutant("forest-drop-the-union-find", "homology.py",
-           "    if _join_count(edges)[1] < m:\n        return None\n", "",
-           (HOMOLOGY + "test_forest_kernel_on_every_ideal_of_degree_at_most_two",)),
-    Mutant("koszul-never-return", "homology.py",
-           "if not pairs:", "if False:",
-           (HOMOLOGY + "test_variable_ideals_skip_the_subset_walk",)),
     # the implication suite reads the dual's linear resolution off its
     # componentwise linearity, for one generator degree only, and counts the
     # degrees off the graph: isolated vertices, non-edges, triangles
@@ -179,10 +164,6 @@ EQUIVALENT = [
                "        if u != sigma:\n            continue\n", "",
                "a sigma off the lcm lattice has a vertex in no generator inside it, so its "
                "restriction is a cone on that vertex, with no reduced homology"),
-    Equivalent("forest-accept-v-edges", "homology.py",
-               "if m >= vertices:", "if m > vertices:",
-               "a graph with V edges on V vertices has a cycle, so the union-find declines "
-               "every Gamma the count lets through"),
     Equivalent("class-orders-ignore-degrees", "graphs.py",
                "allowed = [sum(1 << v for v in range(n) if degrees[v] == d) "
                "for d in sorted(degrees)]", "allowed = [(1 << n) - 1] * n",
@@ -230,14 +211,13 @@ def main(names: list[str]) -> int:
     if selections and run(selections):
         print("the unmutated tree fails the selections", file=sys.stderr)
         return 2
-    status = 0
-    for e in EQUIVALENT:
-        if names and e.name not in names:
-            continue
+    equivalent = [e for e in EQUIVALENT if not names or e.name in names]
+    for e in equivalent:
         if not located(e.module, e.old):
             print(f"{e.name}: text not found once in {e.module}", file=sys.stderr)
             return 2
         print(f"equivalent {e.name}: {e.reason}")
+    survived = 0
     for m in chosen:
         if not located(m.module, m.old):
             print(f"{m.name}: text not found once in {m.module}", file=sys.stderr)
@@ -248,9 +228,9 @@ def main(names: list[str]) -> int:
                   file=sys.stderr)
             return 2
         print(f"{'caught' if code else 'survived'} {m.name}", flush=True)
-        if not code:
-            status = 1
-    return status
+        survived += not code
+    print(f"{len(chosen) - survived} caught, {len(equivalent)} equivalent, {survived} survived")
+    return 1 if survived else 0
 
 
 if __name__ == "__main__":
