@@ -7,7 +7,10 @@ closes stdout early changes no exit code: the rest of the payload is dropped.
 Each handler imports the layers it runs, so a fresh process loads only those:
 `graphs` for every command, `tables` for betti, `invariants` (and with it
 `tables`) for analyze and verify, `experiments` and numpy for montecarlo and
-sweep. No command loads `ideals` or `homology`.
+sweep. No command loads `ideals` or `homology`. Every record type is a
+NamedTuple, or a slotted class where it checks its input (graphs._Frozen), so
+no command pays for `inspect` and `ast` or for methods generated by exec at
+import, which cost a graph command more than its own work.
 `verify` cross-validates one graph per isomorphism class and weights it by its
 orbit size, which gives the totals of the sweep over every labeled graph; a
 class that mismatches outside the known tensions sends its n through that
@@ -22,15 +25,14 @@ import os
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import dataclass
 from math import comb
+from typing import NamedTuple
 
 from .graphs import (DEFAULT_ENUMERATION_LIMIT, SimpleGraph, _graph_classes, _join_count,
                      enumerate_graphs, max_subgraph_density, parse_graph)
 
 
-@dataclass(frozen=True)
-class CommandOutcome:
+class CommandOutcome(NamedTuple):
     """What a subcommand produced: exit code, stdout payload, stderr diagnostics."""
 
     exit_code: int

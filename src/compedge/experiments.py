@@ -28,13 +28,12 @@ stream equals a one-shot draw bit for bit. The kept offsets map to pairs
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .graphs import SimpleGraph, _clip, _plain_int
+from .graphs import SimpleGraph, _clip, _Frozen, _plain_int
 from .invariants import is_licci
 
 SPOT_CHECK_TRIALS = 100
@@ -52,21 +51,19 @@ MONTECARLO_LIMIT = 100_000
 CSV_HEADER = "n,c,p,trials,seed,licci_count,fraction_licci"
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(_Frozen):
     """One G(n,p) experiment; give the edge probability as p or scaled as c/n."""
 
-    n: int
-    trials: int
-    seed: int
-    p: float | None = None
-    c: float | None = None
+    __slots__ = ("n", "trials", "seed", "p", "c")
 
-    def __post_init__(self):
+    def __init__(self, n: int, trials: int, seed: int, p: float | None = None,
+                 c: float | None = None):
         """n, trials and seed are stored as plain ints (graphs._plain_int), so a numpy
         integer or a bool is normalised and a float or a string refused by name."""
-        for name in ("n", "trials", "seed"):
-            object.__setattr__(self, name, _plain_int(getattr(self, name), name))
+        for name, value in (("n", n), ("trials", trials), ("seed", seed)):
+            object.__setattr__(self, name, _plain_int(value, name))
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "c", c)
         if self.n < 3:
             raise ValueError(f"need n >= 3, got {_clip(self.n)}")
         if self.n > MONTECARLO_LIMIT:
@@ -90,8 +87,7 @@ class ExperimentConfig:
         return min(self.c / self.n, 1.0)
 
 
-@dataclass(frozen=True)
-class ExperimentSummary:
+class ExperimentSummary(NamedTuple):
     """Counts from one experiment; fraction_licci is the exact count ratio."""
 
     config: ExperimentConfig
@@ -215,8 +211,7 @@ def estimate_licci_probability(config: ExperimentConfig) -> ExperimentSummary:
     return _run_trials([config])[0]
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(NamedTuple):
     rows: tuple[ExperimentSummary, ...]
     monotone_violations: tuple[tuple[float, float], ...]
 

@@ -6,10 +6,9 @@ two graphs are equal exactly when they have the same vertex count and edge set.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from itertools import combinations
 from math import factorial
-from operator import index
+from operator import attrgetter, index
 from typing import Iterable, Iterator, Sequence
 
 DEFAULT_ENUMERATION_LIMIT = 7
@@ -42,25 +41,59 @@ def _plain_int(value: object, what: str) -> int:
         raise ValueError(f"{what} must be an integer, got {_clip(repr(value))}") from None
 
 
-@dataclass(frozen=True)
-class SimpleGraph:
-    """A finite simple graph on {1, ..., n}."""
+class _Frozen:
+    """Base of the value types that check their input, frozen and slotted.
 
-    n: int
-    edges: tuple[tuple[int, int], ...] = field(default=())
+    A subclass's __init__ validates and stores each field of its __slots__ with
+    object.__setattr__. Instances compare equal within one type only, hash as
+    the tuple of their fields, and print and pickle by them. They are not
+    NamedTuples, whose _replace would skip the validation.
+    """
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._values = attrgetter(*cls.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values(self) == other._values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values(self)
+
+
+class SimpleGraph(_Frozen):
+    """A finite simple graph on {1, ..., n}: fields n and edges."""
+
+    __slots__ = ("n", "edges")
+
+    def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         """The one edge check: a GraphFormatError names the input edge at fault by index.
 
         n and every endpoint are stored as plain ints (operator.index), so a
         numpy integer or a bool is normalised and a float or a string refused.
         """
-        n = _plain_int(self.n, "vertex count")
+        n = _plain_int(n, "vertex count")
         if n < 0:
             raise ValueError(f"vertex count must be nonnegative, got {_clip(n)}")
         seen = set()
         canon = []
-        for k, (u, v) in enumerate(self.edges):
+        for k, (u, v) in enumerate(edges):
             try:
                 u, v = index(u), index(v)
             except TypeError:
@@ -86,9 +119,6 @@ class SimpleGraph:
 
     def vertices(self) -> range:
         return range(1, self.n + 1)
-
-    def degree(self, v: int) -> int:
-        return sum(1 for e in self.edges if v in e)
 
     def isolated_vertices(self) -> tuple[int, ...]:
         touched = {v for e in self.edges for v in e}

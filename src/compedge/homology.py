@@ -66,11 +66,10 @@ it and ideals.has_linear_quotients serve general ideals.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from math import comb, gcd
 from typing import Collection, Iterable
 
-from .graphs import _clip, _join_count
+from .graphs import _clip, _Frozen, _join_count
 from .ideals import (_DUAL_FACE_CAP, SquarefreeIdeal, _closure, _squarefree_components,
                      alexander_dual, height, support_of)
 # the count-level oracle and the table type live in tables; Field, BettiTable,
@@ -79,8 +78,7 @@ from .tables import (ORACLE_LIMIT, BettiTable, Field, Homological, _count_betti,
                      _graph_oracle, _require_oracle, parse_field)
 
 
-@dataclass(frozen=True)
-class SimplicialComplex:
+class SimplicialComplex(_Frozen):
     """A simplicial complex on ground set {1..n}, faces stored as bit masks.
 
     The void complex (no faces at all) is distinct from the complex whose only
@@ -88,36 +86,28 @@ class SimplicialComplex:
     face outside 1..n and a family that is not downward closed.
     """
 
-    n: int
-    faces: frozenset[int]
+    __slots__ = ("n", "faces")
 
-    def __post_init__(self):
-        if self.n < 0:
-            raise ValueError(f"ground size must be nonnegative, got {_clip(self.n)}")
-        for f in self.faces:
-            if f < 0 or f >> self.n:
-                raise ValueError(f"face mask {f} out of ground range 1..{self.n}")
+    def __init__(self, n: int, faces: frozenset[int]):
+        if n < 0:
+            raise ValueError(f"ground size must be nonnegative, got {_clip(n)}")
+        for f in faces:
+            if f < 0 or f >> n:
+                raise ValueError(f"face mask {f} out of ground range 1..{n}")
             # closed under dropping one vertex means closed under every subset
             bits = f
             while bits:
                 low = bits & -bits
                 bits ^= low
-                if f ^ low not in self.faces:
+                if f ^ low not in faces:
                     raise ValueError(f"not downward closed: face {sorted(support_of(f))} "
                                      f"lacks {sorted(support_of(f ^ low))}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "faces", faces)
 
     @property
     def is_void(self) -> bool:
         return not self.faces
-
-    @property
-    def dimension(self) -> int:
-        if self.is_void:
-            raise ValueError("the void complex has no dimension")
-        return max(f.bit_count() for f in self.faces) - 1
-
-    def face_sets(self) -> list[tuple[int, ...]]:
-        return sorted(tuple(sorted(support_of(f))) for f in self.faces)
 
 
 def simplicial_complex(n: int, facets: Iterable[Iterable[int]]) -> SimplicialComplex:

@@ -15,12 +15,11 @@ settles the dual's linear quotients.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
 from math import comb
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .graphs import SimpleGraph
+from .graphs import SimpleGraph, _Frozen
 # the ambient refusals are shared with the count-level oracle, and
 # AMBIENT_LIMIT stays an attribute of this module
 from .tables import AMBIENT_LIMIT, _outside_ambient, _require_edge_ambient
@@ -50,8 +49,7 @@ def support_of(mask: int) -> frozenset[int]:
     return frozenset(i + 1 for i in range(mask.bit_length()) if (mask >> i) & 1)
 
 
-@dataclass(frozen=True)
-class SquarefreeIdeal:
+class SquarefreeIdeal(_Frozen):
     """A squarefree monomial ideal in K[x_1..x_n], stored by generator bit masks.
 
     The constructor takes any iterable of masks and is the one generator check:
@@ -60,14 +58,12 @@ class SquarefreeIdeal:
     redundant masks, and stores the minimal ones in increasing mask order.
     """
 
-    n: int
-    masks: tuple[int, ...]
+    __slots__ = ("n", "masks")
 
-    def __post_init__(self):
-        n = self.n
+    def __init__(self, n: int, masks: Iterable[int]):
         if not 0 <= n <= AMBIENT_LIMIT:
             raise _outside_ambient(n)
-        masks = set(self.masks)
+        masks = set(masks)
         if 0 in masks:
             raise ValueError("unit ideal: a generator has empty support")
         if masks and (min(masks) < 0 or max(masks) >> n):
@@ -75,6 +71,7 @@ class SquarefreeIdeal:
         # masks of one degree form an antichain: nothing to filter
         if len({m.bit_count() for m in masks}) > 1:
             masks = _minimal_masks(masks)
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "masks", tuple(sorted(masks)))
 
     @property
@@ -214,8 +211,7 @@ def height(ideal: SquarefreeIdeal) -> int:
     return next(k for k in range(n + 1) if f_vector[k] < comb(n, k))
 
 
-@dataclass(frozen=True)
-class QuotientSearchResult:
+class QuotientSearchResult(NamedTuple):
     """Outcome of the linear-quotients search.
 
     status is "yes" (with a witness ordering), "no" (search space exhausted),

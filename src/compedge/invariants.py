@@ -16,8 +16,8 @@ Two known tensions are flagged rather than silently resolved:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
+from typing import NamedTuple
 
 from .graphs import (SimpleGraph, _is_chordal, _join_count, _neighbour_masks, is_complete,
                      is_forest)
@@ -32,8 +32,7 @@ REASON_COMPLETE = "complete_n_ge_4"
 REASON_CYCLE = "contains_cycle_not_complete"
 
 
-@dataclass(frozen=True)
-class LicciVerdict:
+class LicciVerdict(NamedTuple):
     """Whether the localized ideal is in the linkage class of a complete intersection."""
 
     licci: bool
@@ -43,8 +42,7 @@ class LicciVerdict:
         return {"licci": self.licci, "reason": self.reason}
 
 
-@dataclass(frozen=True)
-class InvariantReport:
+class InvariantReport(NamedTuple):
     """Formula-layer predictions for one graph."""
 
     graph_class: str
@@ -72,8 +70,7 @@ class InvariantReport:
         }
 
 
-@dataclass(frozen=True)
-class OracleInvariants:
+class OracleInvariants(NamedTuple):
     """Measured values of I_c(G) from the oracle, read off the graph's counts."""
 
     field: Field
@@ -96,8 +93,7 @@ class OracleInvariants:
         }
 
 
-@dataclass(frozen=True)
-class DiscrepancyReport:
+class DiscrepancyReport(NamedTuple):
     """Prediction-vs-oracle mismatches for one graph; empty means full agreement.
 
     Keeps the prediction and the oracle values it compared (not in the JSON).
@@ -253,8 +249,7 @@ def cross_validate(graph: SimpleGraph, field: Field = Field.GF2) -> DiscrepancyR
     return DiscrepancyReport(graph, field, tuple(mismatches), predicted, oracle)
 
 
-@dataclass(frozen=True)
-class ImplicationSuite:
+class ImplicationSuite(NamedTuple):
     """The five resolution-shape claims evaluated by the oracle for one graph.
 
     For a licci graph all five are asserted by the classification layer. A

@@ -16,7 +16,6 @@ import these names and keep them as their own attributes.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from math import comb
 from typing import NamedTuple
 
@@ -47,8 +46,7 @@ class Homological(NamedTuple):
     pd_ideal: int
 
 
-@dataclass(frozen=True, eq=True)
-class BettiTable:
+class BettiTable(NamedTuple):
     """Graded Betti numbers beta_(i,j) of S/I, keyed by (homological index, degree)."""
 
     n: int

@@ -1,7 +1,6 @@
 """Command line behavior: exit codes, payload schemas, pinned outputs."""
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 import subprocess
@@ -250,7 +249,7 @@ class TestVerify:
         def wrong(graph, met, joins):
             report = real(graph, met, joins)
             if graph.m == graph.n == met:
-                return dataclasses.replace(report, height=report.height + 1)
+                return report._replace(height=report.height + 1)
             return report
         monkeypatch.setattr(invariants, "_predict", wrong)
         outcome = run(["verify", "--max-n", "5"])
@@ -650,6 +649,13 @@ class TestNumpyLoadsLazily:
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout) == ["compedge"]
 
+    def test_no_layer_imports_dataclasses(self):
+        proc = run_python("-c", "import sys; from compedge import cli, experiments, graphs, "
+                          "homology, ideals, invariants, tables; print('dataclasses' in "
+                          "sys.modules)")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
+
     @pytest.mark.parametrize("argv, layers", [
         (["betti", "{k4}"], {"graphs", "tables"}),
         (["betti", "--field", "q", "{k4}"], {"graphs", "tables"}),
@@ -666,15 +672,20 @@ class TestNumpyLoadsLazily:
             import atexit, json, runpy, sys
             atexit.register(lambda: print(json.dumps([
                 sorted(name for name in sys.modules if name.split(".")[0] == "compedge"),
-                "numpy" in sys.modules]), file=sys.stderr))
+                [name in sys.modules for name in ("numpy", "dataclasses", "inspect")]]),
+                file=sys.stderr))
             runpy.run_module("compedge.cli", run_name="__main__", alter_sys=True)
         """)
         files = {"k4": FIXTURES / "k4.json", "c4": FIXTURES / "c4.json", "c5": FIXTURES / "c5.txt"}
         argv = [arg.format(**files) for arg in argv]
         proc = run_python("-c", script, *argv)
-        loaded, numpy_loaded = json.loads(proc.stderr.splitlines()[-1])
+        loaded, (numpy_loaded, dataclasses_loaded, inspect_loaded) = json.loads(
+            proc.stderr.splitlines()[-1])
         assert loaded == sorted({"compedge"} | {f"compedge.{layer}" for layer in layers})
         assert numpy_loaded == ("experiments" in layers)
+        # no record type is a dataclass; numpy itself loads inspect
+        assert not dataclasses_loaded
+        assert inspect_loaded == numpy_loaded
         outcome = run(argv)
         assert proc.returncode == outcome.exit_code
         assert proc.stdout == outcome.payload + ("" if outcome.payload.endswith("\n") else "\n")

@@ -1,7 +1,9 @@
 """Graph parsing, predicates, density, and enumeration."""
 from __future__ import annotations
 
+import inspect
 import json
+import pickle
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb
@@ -15,6 +17,12 @@ from compedge import (GraphFormatError, SimpleGraph, connected_components, enume
                       is_complete, is_forest, is_tree, max_subgraph_density, parse_graph,
                       complete_graph, cycle_graph, path_graph)
 from compedge import graphs as graphs_module
+from compedge.cli import CommandOutcome
+from compedge.experiments import ExperimentConfig, ExperimentSummary, SweepResult
+from compedge.homology import SimplicialComplex
+from compedge.ideals import QuotientSearchResult, SquarefreeIdeal
+from compedge.invariants import LicciVerdict, cross_validate, implication_suite, predict_invariants
+from compedge.tables import BettiTable, Field
 from conftest import atlas_graphs
 
 
@@ -34,10 +42,8 @@ class TestSimpleGraph:
         assert g.edges == ((1, 2), (1, 3))
         assert g == SimpleGraph(3, ((1, 3), (1, 2)))
 
-    def test_m_and_degree(self):
-        g = path_graph(4)
-        assert g.m == 3
-        assert [g.degree(v) for v in g.vertices()] == [1, 2, 2, 1]
+    def test_m_counts_the_edges(self):
+        assert path_graph(4).m == 3
 
     def test_isolated_vertices(self):
         g = SimpleGraph(5, ((1, 2),))
@@ -120,6 +126,79 @@ def test_constructor_and_both_parsers_agree(case):
     else:
         assert message.endswith(f" {pairs[bad][0]} {pairs[bad][1]}")
         assert as_lines == (None, f"line {bad + 2}: {message}")
+
+
+CONFIG = "ExperimentConfig(n=10, trials=2, seed=1, p=None, c=0.5)"
+SUMMARY = (f"ExperimentSummary(config={CONFIG}, licci_count=1, forest_count=1, cycle_count=1, "
+           "fraction_licci=Fraction(1, 2))")
+GF2 = "field=<Field.GF2: 'gf2'>"
+FOREST = "LicciVerdict(licci=True, reason='forest')"
+PROVENANCE = ("('height', 'non_complete_height_rule'), ('cohen_macaulay', "
+              "'cm_iff_complete_or_forest'), ('pd_ideal', 'forest_pd_rule'), ")
+# every record type with its repr; the first five cases build the four types
+# that check their input, the rest records that only hold values
+RECORDS = [
+    (lambda: SimpleGraph(3, [(2, 1)]), "SimpleGraph(n=3, edges=((1, 2),))"),
+    (lambda: SquarefreeIdeal(n=3, masks=[6, 3, 7]), "SquarefreeIdeal(n=3, masks=(3, 6))"),
+    (lambda: SimplicialComplex(2, frozenset({0, 1})),
+     "SimplicialComplex(n=2, faces=frozenset({0, 1}))"),
+    (lambda: ExperimentConfig(n=10, trials=2, seed=1, c=0.5), CONFIG),
+    (lambda: SimpleGraph(3), "SimpleGraph(n=3, edges=())"),
+    (lambda: BettiTable(3, Field.GF2, (((0, 0), 1), ((1, 1), 1))),
+     f"BettiTable(n=3, {GF2}, entries=(((0, 0), 1), ((1, 1), 1)))"),
+    (lambda: CommandOutcome(0, "x"), "CommandOutcome(exit_code=0, payload='x', diagnostics='')"),
+    (lambda: LicciVerdict(True, "forest"), FOREST),
+    (lambda: predict_invariants(path_graph(4)),
+     "InvariantReport(graph_class='tree', height=2, cohen_macaulay=True, pd_ideal=1, "
+     f"reg_ideal=(2, 2), indeg=2, verdict={FOREST}, notes=(), provenance=({PROVENANCE}"
+     "('reg_ideal', 'tree_reg_rule'), ('licci', 'licci_iff_forest_or_triangle')))"),
+    (lambda: cross_validate(path_graph(4)).oracle,
+     f"OracleInvariants({GF2}, height=2, reg_s_mod_i=1, pd_s_mod_i=2, reg_ideal=2, "
+     "pd_ideal=1, cohen_macaulay=True)"),
+    (lambda: cross_validate(SimpleGraph(3, [(1, 2)])),
+     f"DiscrepancyReport(graph=SimpleGraph(n=3, edges=((1, 2),)), {GF2}, "
+     "mismatches=(('height', 2, 1), ('pd_ideal', 1, 0), ('reg_ideal', (2, 2), 1)), "
+     "predicted=InvariantReport(graph_class='disconnected_forest', height=2, "
+     f"cohen_macaulay=True, pd_ideal=1, reg_ideal=(2, 2), indeg=1, verdict={FOREST}, "
+     f"notes=('isolated_vertices_outside_hypotheses',), provenance=({PROVENANCE}"
+     "('reg_ideal', 'disconnected_forest_reg_rule'), ('licci', "
+     f"'licci_iff_forest_or_triangle'))), oracle=OracleInvariants({GF2}, height=1, "
+     "reg_s_mod_i=0, pd_s_mod_i=1, reg_ideal=1, pd_ideal=0, cohen_macaulay=True))"),
+    (lambda: implication_suite(path_graph(4)),
+     f"ImplicationSuite(graph=SimpleGraph(n=4, edges=((1, 2), (2, 3), (3, 4))), {GF2}, "
+     f"licci={FOREST}, sequentially_cm=True, dual_componentwise_linear=True, "
+     "dual_linear_quotients='yes', dual_linear_resolution=True, "
+     "primal_linear_resolution=True, failed_claims=())"),
+    (lambda: ExperimentSummary(ExperimentConfig(10, 2, 1, c=0.5), 1, 1, 1, Fraction(1, 2)),
+     SUMMARY),
+    (lambda: SweepResult((ExperimentSummary(ExperimentConfig(10, 2, 1, c=0.5), 1, 1, 1,
+                                            Fraction(1, 2)),), ((0.5, 1.0),)),
+     f"SweepResult(rows=({SUMMARY},), monotone_violations=((0.5, 1.0),))"),
+    (lambda: QuotientSearchResult("no"),
+     "QuotientSearchResult(status='no', ordering=None, nodes=0)"),
+]
+
+
+class TestRecords:
+    @pytest.mark.parametrize("build, text", RECORDS,
+                             ids=[text[:text.index("(")] for _, text in RECORDS])
+    def test_repr_hash_frozen_fields_and_pickle(self, build, text):
+        record = build()
+        names = inspect.signature(type(record)).parameters
+        fields = tuple(getattr(record, name) for name in names)
+        assert repr(record) == text
+        assert record == build() and hash(record) == hash(fields)
+        for name in names:
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+        assert pickle.loads(pickle.dumps(record)) == record
+        if isinstance(record, (SimpleGraph, SquarefreeIdeal, SimplicialComplex,
+                               ExperimentConfig)):
+            # the validating types equal only their own type
+            assert record != fields and fields != record
+            assert SimpleGraph(3) != SquarefreeIdeal(3, ())
+            with pytest.raises(AttributeError):
+                del record.n
 
 
 class TestParseLineFormat:

@@ -295,7 +295,7 @@ class TestDualComponentsOffTheGraph:
 
         def refuse(*args):
             raise AssertionError("built the dual ideal or its chain")
-        monkeypatch.setattr(SquarefreeIdeal, "__post_init__", refuse)
+        monkeypatch.setattr(SquarefreeIdeal, "__init__", refuse)
         for module in (ideals, homology):
             monkeypatch.setattr(module, "_squarefree_components", refuse)
         assert [implication_suite(g, f) for g in graphs for f in Field] == expected

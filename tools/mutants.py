@@ -157,6 +157,15 @@ MUTANTS = [
            "from .graphs import (DEFAULT_ENUMERATION_LIMIT",
            ("tests/test_cli.py::TestNumpyLoadsLazily::"
             "test_a_fresh_command_loads_only_the_layers_it_runs",)),
+    # no layer loads dataclasses: the validating types share graphs._Frozen,
+    # which hashes as the tuple of their fields
+    Mutant("graphs-eager-dataclasses-import", "graphs.py",
+           "import json\n", "import dataclasses\nimport json\n",
+           ("tests/test_cli.py::TestNumpyLoadsLazily::"
+            "test_a_fresh_command_loads_only_the_layers_it_runs",)),
+    Mutant("record-hash-over-edges-only", "graphs.py",
+           "return hash(self._values(self))", "return hash(self._values(self)[1:])",
+           ("tests/test_graphs.py::TestRecords",)),
 ]
 
 EQUIVALENT = [
