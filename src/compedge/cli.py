@@ -66,8 +66,8 @@ def _dump(obj, compact: bool) -> str:
 
 def _cmd_analyze(args: argparse.Namespace, graph: SimpleGraph) -> CommandOutcome:
     from .invariants import cross_validate, predict_invariants
-    from .tables import parse_field
-    field = parse_field(args.field)
+    from .tables import Field
+    field = Field(args.field)
     validation = cross_validate(graph, field) if args.oracle else None
     report = validation.predicted if validation else predict_invariants(graph)
     payload = {"graph": graph.to_json_dict()}
@@ -83,8 +83,8 @@ def _cmd_analyze(args: argparse.Namespace, graph: SimpleGraph) -> CommandOutcome
 
 
 def _cmd_betti(args: argparse.Namespace, graph: SimpleGraph) -> CommandOutcome:
-    from .tables import _graph_oracle, parse_field
-    field = parse_field(args.field)
+    from .tables import Field, _graph_oracle
+    field = Field(args.field)
     table, _ = _graph_oracle(graph, field, _join_count(graph.edges))
     return CommandOutcome(0, _dump(table.to_json_dict(), False))
 
@@ -101,10 +101,10 @@ def _cmd_verify(args: argparse.Namespace) -> CommandOutcome:
     vertex, in enumeration order.
     """
     from .invariants import NOTE_COMPLETE_PD, NOTE_ISOLATED, cross_validate
-    from .tables import parse_field
+    from .tables import Field
     if not 3 <= args.max_n <= DEFAULT_ENUMERATION_LIMIT:
         raise ValueError(f"--max-n must be between 3 and {DEFAULT_ENUMERATION_LIMIT}")
-    field = parse_field(args.field)
+    field = Field(args.field)
     enumerated = analyzed = clean = 0
     complete_pd_count = 0
     isolated_total = isolated_mismatched = 0
@@ -144,8 +144,8 @@ def _cmd_verify(args: argparse.Namespace) -> CommandOutcome:
         "graphs_analyzed": analyzed,
         "clean": clean,
         "known_tensions": {
-            "complete_pd_adjusted": {"count": complete_pd_count},
-            "isolated_vertices_outside_hypotheses": {
+            NOTE_COMPLETE_PD: {"count": complete_pd_count},
+            NOTE_ISOLATED: {
                 "count": isolated_total,
                 "mismatched": isolated_mismatched,
             },

@@ -93,7 +93,12 @@ class SimpleGraph(_Frozen):
             raise ValueError(f"vertex count must be nonnegative, got {_clip(n)}")
         seen = set()
         canon = []
-        for k, (u, v) in enumerate(edges):
+        for k, edge in enumerate(edges):
+            try:
+                u, v = edge
+            except (TypeError, ValueError):
+                raise GraphFormatError(f"edge must be a pair of vertex labels, got "
+                                       f"{_clip(repr(edge))}", edge=k) from None
             try:
                 u, v = index(u), index(v)
             except TypeError:
@@ -290,27 +295,24 @@ def is_forest(graph: SimpleGraph) -> bool:
     return graph.m < max(graph.n, 1) and _join_count(graph.edges)[1] == graph.m
 
 
-def _neighbour_masks(graph: SimpleGraph) -> list[int]:
-    """neighbours[v] is the mask of v's neighbours (vertex i <-> bit i-1); index 0 is unused."""
+def _is_chordal(graph: SimpleGraph) -> bool:
+    """True iff the graph has no chordless cycle, read on its n-bit neighbour masks.
+
+    neighbours[v] is the mask of v's neighbours (vertex i <-> bit i-1), built
+    here and read by no other function. Simplicial-vertex elimination: a
+    vertex is simplicial when its neighbours still present form a clique,
+    that is when each of them is adjacent to all the others, one mask test
+    per neighbour. Every chordal graph has a simplicial vertex, and removing
+    a simplicial vertex neither makes nor breaks a chordless cycle (Dirac,
+    Abh. Math. Sem. Univ. Hamburg 25, 1961), so the graph is chordal exactly
+    when every vertex goes. A vertex stays simplicial when others go, so
+    each pass removes all it finds.
+    """
     neighbours = [0] * (graph.n + 1)
     for u, v in graph.edges:
         neighbours[u] |= 1 << (v - 1)
         neighbours[v] |= 1 << (u - 1)
-    return neighbours
-
-
-def _is_chordal(neighbours: Sequence[int]) -> bool:
-    """True iff the graph with these neighbour masks (_neighbour_masks) has no chordless cycle.
-
-    Simplicial-vertex elimination: a vertex is simplicial when its neighbours
-    still present form a clique, that is when each of them is adjacent to all
-    the others, one mask test per neighbour. Every chordal graph has a
-    simplicial vertex, and removing a simplicial vertex neither makes nor
-    breaks a chordless cycle (Dirac, Abh. Math. Sem. Univ. Hamburg 25, 1961),
-    so the graph is chordal exactly when every vertex goes. A vertex stays
-    simplicial when others go, so each pass removes all it finds.
-    """
-    left = (1 << (len(neighbours) - 1)) - 1
+    left = (1 << graph.n) - 1
     while left:
         before = left
         bits = left

@@ -58,8 +58,9 @@ degree-(d+1) component is the degree-d one times every variable, plus the
 generators of degree d + 1. The implication suite asks for no table of
 the dual of I_c(G), builds no dual and runs no quotient search: the graph
 names the dual's components, and only the one in degree 2 can fail to be
-linear, exactly when G is not chordal, which the suite reads off the graph
-(graphs._is_chordal); chordality settles the dual's linear quotients too.
+linear, exactly when G is not chordal, which the suite reads off the graph:
+a forest is, and a graph with a cycle goes to graphs._is_chordal.
+Chordality settles the dual's linear quotients too.
 On that dual, is_componentwise_linear is the suite's slow leg in the tests;
 it and ideals.has_linear_quotients serve general ideals.
 """
@@ -73,9 +74,9 @@ from .graphs import _clip, _Frozen, _join_count
 from .ideals import (_DUAL_FACE_CAP, SquarefreeIdeal, _closure, _squarefree_components,
                      alexander_dual, height, support_of)
 # the count-level oracle and the table type live in tables; Field, BettiTable,
-# ORACLE_LIMIT, parse_field and _graph_oracle stay attributes of this module too
+# ORACLE_LIMIT and _graph_oracle stay attributes of this module too
 from .tables import (ORACLE_LIMIT, BettiTable, Field, Homological, _count_betti,
-                     _graph_oracle, _require_oracle, parse_field)
+                     _graph_oracle, _require_oracle)
 
 
 class SimplicialComplex(_Frozen):

@@ -19,8 +19,7 @@ from __future__ import annotations
 from math import comb
 from typing import NamedTuple
 
-from .graphs import (SimpleGraph, _is_chordal, _join_count, _neighbour_masks, is_complete,
-                     is_forest)
+from .graphs import SimpleGraph, _is_chordal, _join_count, is_complete, is_forest
 from .tables import BettiTable, Field, _graph_oracle, _require_edge_ambient
 
 NOTE_COMPLETE_PD = "complete_pd_adjusted"
@@ -39,7 +38,7 @@ class LicciVerdict(NamedTuple):
     reason: str
 
     def to_json_dict(self) -> dict:
-        return {"licci": self.licci, "reason": self.reason}
+        return self._asdict()
 
 
 class InvariantReport(NamedTuple):
@@ -82,15 +81,7 @@ class OracleInvariants(NamedTuple):
     cohen_macaulay: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "field": self.field.value,
-            "height": self.height,
-            "reg_s_mod_i": self.reg_s_mod_i,
-            "pd_s_mod_i": self.pd_s_mod_i,
-            "reg_ideal": self.reg_ideal,
-            "pd_ideal": self.pd_ideal,
-            "cohen_macaulay": self.cohen_macaulay,
-        }
+        return {**self._asdict(), "field": self.field.value}
 
 
 class DiscrepancyReport(NamedTuple):
@@ -270,26 +261,18 @@ class ImplicationSuite(NamedTuple):
     failed_claims: tuple[str, ...]
 
     def to_json_dict(self) -> dict:
-        return {
-            "graph": self.graph.to_json_dict(),
-            "field": self.field.value,
-            "licci": self.licci.to_json_dict(),
-            "sequentially_cm": self.sequentially_cm,
-            "dual_componentwise_linear": self.dual_componentwise_linear,
-            "dual_linear_quotients": self.dual_linear_quotients,
-            "dual_linear_resolution": self.dual_linear_resolution,
-            "primal_linear_resolution": self.primal_linear_resolution,
-            "failed_claims": list(self.failed_claims),
-        }
+        return {**self._asdict(), "graph": self.graph.to_json_dict(),
+                "field": self.field.value, "licci": self.licci.to_json_dict(),
+                "failed_claims": list(self.failed_claims)}
 
 
 def implication_suite(graph: SimpleGraph, field: Field = Field.GF2) -> ImplicationSuite:
     """Evaluate the five claims; failed_claims lists false ones on licci inputs.
 
-    The four dual claims are read off the graph's neighbour masks
-    (graphs._neighbour_masks), with neither the Alexander dual J of I_c(G)
-    nor a search built. J's generators are the isolated vertices, the
-    non-edges between vertices that carry an edge, and the triangles.
+    The four dual claims are read off the graph's counts and its
+    chordality, with neither the Alexander dual J of I_c(G) nor a search
+    built. J's generators are the isolated vertices, the non-edges between
+    vertices that carry an edge, and the triangles.
     sequentially_cm is J's componentwise linearity, which is equivalent
     (Herzog-Hibi, Nagoya Math. J. 153, 1999). The graph names J's squarefree
     components: J_[1] holds the isolated vertices, a variable ideal; J_[2]
@@ -298,13 +281,17 @@ def implication_suite(graph: SimpleGraph, field: Field = Field.GF2) -> Implicati
     component is a squarefree Veronese ideal. Variable and Veronese ideals
     are linear over every field, so J is componentwise linear exactly when
     J_[2] is, and J_[2] is linear exactly when G is chordal (Froberg, Banach
-    Center Publ. 26, 1990), read by simplicial-vertex elimination
-    (graphs._is_chordal). The same Herzog-Hibi paper gives
-    dual_linear_resolution: J has a linear resolution exactly when it is
-    componentwise linear and generated in one degree. Its degrees are
-    counts: 1 when an isolated vertex exists (n' < n for the n' vertices on
-    an edge), 2 when a pair of those is no edge (m < C(n', 2)), 3 when a
-    triangle exists (the two ends of an edge share a neighbour).
+    Center Publ. 26, 1990). A forest is chordal, so only a graph with a
+    cycle goes to the elimination kernel (graphs._is_chordal). The same
+    Herzog-Hibi paper gives dual_linear_resolution: J has a linear
+    resolution exactly when it is componentwise linear and generated in one
+    degree. Its degrees are counts: 1 when an isolated vertex exists
+    (n' < n for the n' vertices on an edge), 2 when a pair of those is no
+    edge (m < C(n', 2)), 3 when a triangle exists. The degrees matter only
+    for a chordal G, and a chordal G has a triangle exactly when it is no
+    forest. A triangle is a cycle. A shortest cycle has no chord, as a chord
+    would split it into two shorter cycles; in a chordal G every cycle of
+    length 4 or more has a chord, so a shortest cycle is a triangle.
 
     dual_linear_quotients is "yes" exactly when G is chordal, with no
     ordering built. "No" holds past chordality: linear quotients in a
@@ -336,22 +323,21 @@ def implication_suite(graph: SimpleGraph, field: Field = Field.GF2) -> Implicati
     difference, and has_linear_quotients on the dual against the suite.
     primal_linear_resolution is read off the table of
     tables._graph_oracle, asked first so that its refusals come first.
-    One graphs._join_count serves the licci verdict, that table and the
-    degree count (met, the vertices on an edge).
+    One graphs._join_count serves the licci verdict, that table, the forest
+    test and the degree count (met, the vertices on an edge).
     """
     _require_admissible(graph)
     met, joins = counts = _join_count(graph.edges)
-    verdict = _licci(graph, joins == graph.m)
+    forest = joins == graph.m
+    verdict = _licci(graph, forest)
     table, _ = _graph_oracle(graph, field, counts)
     n = graph.n
-    neighbours = _neighbour_masks(graph)
-    dual_cl = _is_chordal(neighbours)
+    dual_cl = forest or _is_chordal(graph)
     seq_cm = dual_cl
     lq_status = "yes" if dual_cl else "no"
     # J's generator degrees: 1 past the met vertices on an edge, 2 below
-    # C(met, 2) edges, 3 with a triangle
-    degrees = (met < n) + (graph.m < comb(met, 2)) + any(
-        neighbours[u] & neighbours[v] for u, v in graph.edges)
+    # C(met, 2) edges, 3 with a triangle, which a chordal G has iff it has a cycle
+    degrees = (met < n) + (graph.m < comb(met, 2)) + (not forest)
     dual_lin = dual_cl and degrees == 1
     # every generator has degree n - 2, so the resolution is linear iff reg(I) = n - 2
     primal_lin = table.reg_pd().reg_ideal == n - 2

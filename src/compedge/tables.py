@@ -32,13 +32,6 @@ class Field(enum.Enum):
     RATIONALS = "q"
 
 
-def parse_field(name: str) -> Field:
-    for f in Field:
-        if f.value == name:
-            return f
-    raise ValueError(f"unknown field {name!r}, expected one of: gf2, q")
-
-
 class Homological(NamedTuple):
     reg_s_mod_i: int
     pd_s_mod_i: int

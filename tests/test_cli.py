@@ -638,8 +638,7 @@ class TestNumpyLoadsLazily:
                 assert getattr(sys.modules[obj.__module__], name) is obj, name
         # the names that moved to tables stay attributes of their old homes
         from compedge import homology, ideals, tables
-        for name in ("Field", "BettiTable", "parse_field", "_graph_oracle", "_count_betti",
-                     "ORACLE_LIMIT"):
+        for name in ("Field", "BettiTable", "_graph_oracle", "_count_betti", "ORACLE_LIMIT"):
             assert getattr(homology, name) is getattr(tables, name)
         assert ideals.AMBIENT_LIMIT is tables.AMBIENT_LIMIT
 

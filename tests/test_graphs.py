@@ -97,6 +97,20 @@ class TestSimpleGraph:
         assert isinstance(info.value, GraphFormatError) == (expected is not None)
         assert getattr(info.value, "edge", None) == expected
 
+    @pytest.mark.parametrize("edges, index, shown", [
+        (((1, 2, 3),), 0, "(1, 2, 3)"),
+        ((1,), 0, "1"),
+        ((None,), 0, "None"),
+        (((1, 2), (3,)), 1, "(3,)"),
+        (((1, 2), [1, 2, 3, 1]), 1, "[1, 2, 3, 1]"),
+        (((1, 3), tuple(range(100))), 1, "(0, 1, 2, 3, "),
+    ])
+    def test_an_edge_that_is_not_a_pair_is_named_by_index(self, edges, index, shown):
+        with pytest.raises(GraphFormatError, match="^edge must be a pair of vertex labels") as info:
+            SimpleGraph(3, edges)
+        assert info.value.edge == index and info.value.line is None
+        assert shown in str(info.value) and len(str(info.value)) < 150
+
 
 def outcome(build):
     try:
@@ -350,11 +364,6 @@ class TestPredicates:
                 met, met - nx.number_connected_components(touched))
 
 
-def chordal(graph: SimpleGraph) -> bool:
-    """The kernel on the graph's neighbour masks."""
-    return graphs_module._is_chordal(graphs_module._neighbour_masks(graph))
-
-
 def networkx_chordal(graph: SimpleGraph) -> bool:
     h = nx.Graph()
     h.add_nodes_from(graph.vertices())
@@ -383,17 +392,17 @@ class TestChordalityKernel:
         graphs = atlas_graphs(3, 7)
         assert len(graphs) == 201 + 1043
         for g in graphs:
-            assert chordal(g) == networkx_chordal(g), g
+            assert graphs_module._is_chordal(g) == networkx_chordal(g), g
 
     @settings(max_examples=300)
     @given(st.one_of(labeled_interval_graphs(), graphs(min_n=0, max_n=14)))
     def test_randomly_labeled_graphs_to_fourteen(self, g: SimpleGraph):
         # the bit a vertex gets is its label, so labels move every mask test
-        assert chordal(g) == networkx_chordal(g)
+        assert graphs_module._is_chordal(g) == networkx_chordal(g)
 
     @pytest.mark.parametrize("n", range(4, 9))
     def test_long_cycles_are_not_chordal(self, n):
-        assert not chordal(cycle_graph(n))
+        assert not graphs_module._is_chordal(cycle_graph(n))
 
     @pytest.mark.parametrize("g", [
         SimpleGraph(4, ((1, 2), (1, 3), (1, 4), (2, 3), (3, 4))),  # K_4 minus an edge
@@ -403,7 +412,7 @@ class TestChordalityKernel:
         complete_graph(6), SimpleGraph(0, ()), SimpleGraph(5, ()),
     ])
     def test_chordal_graphs(self, g):
-        assert chordal(g)
+        assert graphs_module._is_chordal(g)
 
 
 class TestMaxSubgraphDensity:

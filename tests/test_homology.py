@@ -21,7 +21,7 @@ from compedge.graphs import (_join_count, complete_graph, connected_components, 
 from compedge.homology import (BettiTable, SimplicialComplex, _closure, _count_betti,
                                _dual_betti, _gf2_rank, _graph_betti,
                                _graph_oracle, _homology, _primal_betti, _rational_rank,
-                               clear_homology_cache, parse_field, reduced_homology_dims)
+                               clear_homology_cache, reduced_homology_dims)
 from conftest import atlas_graphs, brute_force_component
 
 
@@ -232,12 +232,12 @@ def dual_engine(ideal: SquarefreeIdeal, field: Field) -> BettiTable:
 
 class TestFieldParsing:
     def test_round_trip(self):
-        assert parse_field("gf2") is Field.GF2
-        assert parse_field("q") is Field.RATIONALS
+        assert Field("gf2") is Field.GF2
+        assert Field("q") is Field.RATIONALS
 
     def test_unknown_name(self):
-        with pytest.raises(ValueError, match="unknown field"):
-            parse_field("gf3")
+        with pytest.raises(ValueError, match="'gf3' is not a valid Field"):
+            Field("gf3")
 
 
 class TestSimplicialComplexes:

@@ -12,7 +12,7 @@ from compedge import (SimpleGraph, SquarefreeIdeal, alexander_dual, complementar
                       complementary_edge_ideal, enumerate_graphs, has_linear_quotients,
                       has_linear_resolution, height, minimal_vertex_covers, minimalize,
                       squarefree_component)
-from compedge.graphs import _neighbour_masks, complete_graph, is_complete, path_graph
+from compedge.graphs import complete_graph, is_complete, path_graph
 from compedge import ideals as ideals_module
 from compedge.ideals import _squarefree_components, mask_of, support_of
 from conftest import (atlas_graphs, brute_force_component, labeled_forests,
@@ -228,20 +228,19 @@ class TestComplementaryEdgeDual:
     def test_graph_dual_names_the_components_of_degree_one_to_three(self, oracle_sweep):
         # the chain of the dual's squarefree components against the dual
         # read off the graph, on every labeled graph to n = 6 and every class
-        # on n = 7: J_[1] is its covers of degree 1, J_[2] the non-adjacent
-        # pairs of the neighbour masks, on all n vertices, and J_[3] holds
-        # every triple
+        # on n = 7: J_[1] is its covers of degree 1, J_[2] the pairs that are
+        # not edges, on all n vertices, and J_[3] holds every triple
         records, _ = oracle_sweep
         graphs = [r.graph for r in records] + atlas_graphs(7, 7)
         assert len(graphs) == 7 + 63 + 1023 + 32767 + 1043
         for graph in graphs:
-            neighbours = _neighbour_masks(graph)
+            edges = set(graph.edges)
             dual = complementary_edge_dual(graph)
             covers = list(dual.masks)
             _, one, two, three = islice(_squarefree_components(dual), 4)
             assert {c for c in covers if c.bit_count() == 1} == one, graph
-            assert {mask_of((u, w)) for u, w in combinations(graph.vertices(), 2)
-                    if not neighbours[u] >> (w - 1) & 1} == two, graph
+            assert {mask_of(pair) for pair in combinations(graph.vertices(), 2)
+                    if pair not in edges} == two, graph
             assert len(three) == comb(graph.n, 3), graph
 
     def test_refuses_what_the_ideal_refuses_with_the_same_messages(self):

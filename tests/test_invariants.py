@@ -21,7 +21,8 @@ from compedge.homology import _primal_betti
 from compedge.ideals import mask_of
 from compedge.invariants import NOTE_COMPLETE_PD, NOTE_ISOLATED
 from conftest import (atlas_graphs, brute_force_component, has_linear_quotients_in_order,
-                      maximum_cardinality_search, peo_lex_dual_order, reference_linear_quotients)
+                      labeled_forests, maximum_cardinality_search, peo_lex_dual_order,
+                      reference_linear_quotients)
 
 # the layer modules, for the tests that patch a name and check no other layer holds it
 LAYERS = (graphs, tables, ideals, homology, invariants, cli)
@@ -460,6 +461,26 @@ class TestOneGraphLevelPath:
                 question(graph, field)
                 assert len(calls) == 1, graph
 
+    def test_the_chordality_kernel_never_runs_on_a_forest(self, monkeypatch):
+        # a forest is chordal, so the suite reads its dual claims off the one
+        # union-find count; a graph with a cycle still goes to the kernel
+        real = graphs._is_chordal
+        calls = []
+
+        def counted(graph):
+            calls.append(graph)
+            return real(graph)
+        for module in (graphs, invariants):
+            monkeypatch.setattr(module, "_is_chordal", counted)
+        forests = [g for n in range(3, 7) for g in labeled_forests(n)]
+        assert len(forests) == 3264
+        for graph in forests:
+            implication_suite(graph)
+        assert calls == []
+        for graph in (cycle_graph(4), complete_graph(3)):
+            implication_suite(graph)
+        assert calls == [cycle_graph(4), complete_graph(3)]
+
     @pytest.mark.parametrize("graph, message", [
         (SimpleGraph(4, ()), "edgeless graph: the complementary edge ideal is zero"),
         (SimpleGraph(2, ((1, 2),)), "degenerate ambient: need at least 3 vertices, got 2"),
@@ -524,6 +545,25 @@ class TestDualityTheorems:
         for graph in graphs:
             chordal = nx.is_chordal(nx.Graph(graph.edges))
             assert has_linear_resolution(complementary_edge_dual(graph)) == chordal, graph
+
+    def test_a_chordal_graph_has_a_triangle_iff_it_has_a_cycle(self, oracle_sweep):
+        # the suite's triangle term: a shortest cycle has no chord, so in a
+        # chordal graph it is a triangle; every labeled graph to n = 6 and
+        # every class on n = 7, with the cycle read off graphs._join_count.
+        # A triangle is a cycle, so only a graph with a cycle and no triangle
+        # could break the rule, and networkx must call each of them not chordal
+        records, _ = oracle_sweep
+        universe = [r.graph for r in records] + atlas_graphs(7, 7)
+        assert len(universe) == 7 + 63 + 1023 + 32767 + 1043
+        suspects = []
+        for graph in universe:
+            cycle = graphs._join_count(graph.edges)[1] < graph.m
+            assert cycle or not has_triangle(graph), graph
+            if cycle and not has_triangle(graph):
+                suspects.append(graph)
+        assert len(suspects) == 3 + 97 + 2857 + 70
+        for graph in suspects:
+            assert not nx.is_chordal(nx.Graph(graph.edges)), graph
 
 
 def has_triangle(graph: SimpleGraph) -> bool:

@@ -41,6 +41,12 @@ def test_every_mutant_text_is_found_once():
     assert not stale
 
 
+def test_every_name_is_unique():
+    tool = load_tool()
+    names = [m.name for m in [*tool.MUTANTS, *tool.EQUIVALENT]]
+    assert len(names) == len(set(names))
+
+
 def test_every_selection_names_an_existing_test():
     tool = load_tool()
     stale = [(m.name, s) for m in tool.MUTANTS for s in m.selection if not selection_found(s)]

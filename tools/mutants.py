@@ -87,7 +87,8 @@ MUTANTS = [
             "test_veronese_exit_agrees_with_every_degree_on_every_ideal_to_four",)),
     # the implication suite reads the dual's linear resolution off its
     # componentwise linearity, for one generator degree only, and counts the
-    # degrees off the graph: isolated vertices, non-edges, triangles
+    # degrees off the graph: isolated vertices, non-edges, triangles; a
+    # forest, read off the one union-find count, is chordal with no triangle
     Mutant("suite-linear-without-one-degree", "invariants.py",
            "dual_lin = dual_cl and degrees == 1", "dual_lin = dual_cl",
            ("tests/test_invariants.py::TestImplicationSuite::"
@@ -97,7 +98,11 @@ MUTANTS = [
            ("tests/test_invariants.py::TestImplicationSuite::"
             "test_payload_digest_over_every_graph_to_five_and_forest_on_six",)),
     Mutant("suite-degrees-without-triangles", "invariants.py",
-           " + any(\n        neighbours[u] & neighbours[v] for u, v in graph.edges)", "",
+           " + (not forest)", "",
+           ("tests/test_invariants.py::TestImplicationSuite::"
+            "test_payload_digest_over_every_graph_to_five_and_forest_on_six",)),
+    Mutant("suite-every-graph-a-forest", "invariants.py",
+           "forest = joins == graph.m", "forest = True",
            ("tests/test_invariants.py::TestImplicationSuite::"
             "test_payload_digest_over_every_graph_to_five_and_forest_on_six",)),
     # the chordality kernel that decides the dual's componentwise linearity
@@ -179,6 +184,9 @@ EQUIVALENT = [
                "the trivial partition is also kept by every isomorphism, so the least code "
                "is still canonical and |Aut| still the number of orders reaching it; only "
                "the search grows"),
+    Equivalent("suite-chordality-kernel-on-forests", "invariants.py",
+               "dual_cl = forest or _is_chordal(graph)", "dual_cl = _is_chordal(graph)",
+               "every forest is chordal"),
 ]
 
 
