@@ -93,8 +93,9 @@ def _cmd_verify(args: argparse.Namespace) -> CommandOutcome:
     """Cross-validate one graph per isomorphism class on 3..max_n vertices, weighted by its orbit.
 
     Every count is invariant under relabeling, so a class representative
-    (graphs._graph_classes) adds its orbit size n!/|Aut| to each total and the
-    payload is that of the sweep over every labeled graph. When a class on n
+    (graphs._graph_classes, one pass per run) adds its orbit size n!/|Aut| to
+    each total and the payload is that of the sweep over every labeled
+    graph. When a class on n
     vertices mismatches outside the known tensions, the mismatches on n are
     listed by the labeled sweep's own rule: every graph of enumerate_graphs(n)
     with an edge that cross_validate finds unclean and that has no isolated
@@ -110,10 +111,10 @@ def _cmd_verify(args: argparse.Namespace) -> CommandOutcome:
     isolated_total = isolated_mismatched = 0
     disc_forest_linear = {"true": 0, "false": 0}
     unflagged = []
-    for n in range(3, args.max_n + 1):
+    for n, classes in enumerate(_graph_classes(args.max_n)[3:], 3):
         enumerated += 1 << comb(n, 2)
         mismatched = False
-        for graph, orbit in _graph_classes(n):
+        for graph, orbit in classes:
             if graph.m == 0:
                 continue
             analyzed += orbit

@@ -115,15 +115,21 @@ def sample_gnp(n: int, p: float, rng: np.random.Generator) -> SimpleGraph:
     return SimpleGraph(n, edges)
 
 
-def _pairs(n: int, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(u, v), 0-based, of each flat offset into the pairs in np.triu_indices(n, k=1) order.
+def _row_starts(n: int) -> np.ndarray:
+    """The flat offset of the first pair of each row u in np.triu_indices(n, k=1) order.
 
-    Row u starts at offset starts[u] = u(2n - u - 1)/2, so u is the last row
-    starting at or before k and v = k - starts[u] + u + 1; int64 holds C(n, 2)
-    for every n up to MONTECARLO_LIMIT.
+    starts[u] = u(2n - u - 1)/2; int64 holds C(n, 2) for every n up to
+    MONTECARLO_LIMIT.
     """
     u = np.arange(n, dtype=np.int64)
-    starts = u * (2 * n - u - 1) // 2
+    return u * (2 * n - u - 1) // 2
+
+
+def _pairs(starts: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(u, v), 0-based, of each flat offset, off the row starts of _row_starts(n).
+
+    u is the last row starting at or before k and v = k - starts[u] + u + 1.
+    """
     us = np.searchsorted(starts, offsets, side="right") - 1
     return us, offsets - starts[us] + us + 1
 
@@ -154,6 +160,7 @@ def _run_trials(configs: Sequence[ExperimentConfig]) -> tuple[ExperimentSummary,
     ps = [cfg.edge_probability for cfg in configs]
     top = max(ps)
     total = n * (n - 1) // 2
+    starts = _row_starts(n)
     chunk = np.empty(min(CHUNK, total))
     licci = [0] * len(ps)
     forest = [0] * len(ps)
@@ -171,7 +178,12 @@ def _run_trials(configs: Sequence[ExperimentConfig]) -> tuple[ExperimentSummary,
                 below, bdraws = _smallest(offsets, kept, n)
                 offsets, kept, cut, size = [below], [bdraws], bdraws.max(), n
         below, bdraws = _smallest(offsets, kept, n)
-        us, vs = _pairs(n, below)
+        # offsets in increasing order give the spot checks their edges sorted;
+        # tau does not depend on the order of tied draws, as the pairs drawn
+        # at or below any one value close a cycle or not as a set
+        ranked = np.argsort(below)
+        us, vs = _pairs(starts, below[ranked])
+        bdraws = bdraws[ranked]
         order = np.argsort(bdraws)
         # not graphs._join_count: tau needs the first pair that closes a cycle,
         # which a count cannot give, and the spot check below would compare

@@ -384,40 +384,40 @@ def enumerate_graphs(n: int) -> Iterator[SimpleGraph]:
         yield SimpleGraph(n, edges)
 
 
-def _graph_classes(n: int) -> list[tuple[SimpleGraph, int]]:
-    """One graph per isomorphism class on {1..n}, with its orbit size n!/|Aut|, in a fixed order.
+def _graph_classes(max_n: int) -> list[list[tuple[SimpleGraph, int]]]:
+    """Level n = 0..max_n: one graph per class on {1..n}, its orbit size n!/|Aut|, in one pass.
 
     The classes on k + 1 vertices come from those on k by vertex
     augmentation: a new vertex joined to a subset of the old ones. Deleting a
     vertex of largest degree from any graph leaves a class on k, so only the
     subsets that give the new vertex the largest degree are tried. Each class
     is kept once, as the first augmentation that reaches its canonical code
-    (_canonical_order); so the order is by parent, then by the new vertex's
-    neighbourhood mask. This is isomorph-free exhaustive generation (McKay,
-    J. Algorithms 26, 1998) with a canonical form in place of canonical
-    augmentation. The orbit sizes sum to 2^C(n,2), the labeled graphs of
-    enumerate_graphs(n).
+    (_canonical_order); so a level is ordered by parent, then by the new
+    vertex's neighbourhood mask. This is isomorph-free exhaustive generation
+    (McKay, J. Algorithms 26, 1998) with a canonical form in place of
+    canonical augmentation. The orbit sizes of level n sum to 2^C(n,2), the
+    labeled graphs of enumerate_graphs(n).
     """
-    if n > DEFAULT_ENUMERATION_LIMIT:
-        raise ValueError(f"graph classes on {n} vertices exceed the limit of "
+    if max_n > DEFAULT_ENUMERATION_LIMIT:
+        raise ValueError(f"graph classes on {max_n} vertices exceed the limit of "
                          f"{DEFAULT_ENUMERATION_LIMIT}")
     # a class is its neighbour masks (vertex i <-> bit i, 0-based) and |Aut|
-    level: dict[int, tuple[list[int], int]] = {0: ([], 1)}
-    for k in range(n):
+    levels: list[dict[int, tuple[list[int], int]]] = [{0: ([], 1)}]
+    for k in range(max_n):
         grown: dict[int, tuple[list[int], int]] = {}
-        for neighbours, _ in level.values():
+        for neighbours, _ in levels[-1].values():
             degrees = [a.bit_count() for a in neighbours]
             for s in range(1 << k):
                 if any(d + (s >> u & 1) > s.bit_count() for u, d in enumerate(degrees)):
                     continue
                 graph = [a | (s >> v & 1) << k for v, a in enumerate(neighbours)] + [s]
                 code, automorphisms = _canonical_order(graph)
-                if code not in grown:
-                    grown[code] = (graph, automorphisms)
-        level = grown
-    return [(SimpleGraph(n, tuple((u + 1, v + 1) for v in range(n) for u in range(v)
-                                  if neighbours[v] >> u & 1)), factorial(n) // automorphisms)
-            for neighbours, automorphisms in level.values()]
+                grown.setdefault(code, (graph, automorphisms))
+        levels.append(grown)
+    return [[(SimpleGraph(n, tuple((u + 1, v + 1) for v, a in enumerate(neighbours)
+                                   for u in range(v) if a >> u & 1)),
+              factorial(n) // automorphisms) for neighbours, automorphisms in level.values()]
+            for n, level in enumerate(levels)]
 
 
 def _canonical_order(neighbours: Sequence[int]) -> tuple[int, int]:

@@ -30,6 +30,23 @@ REASON_K3 = "K3"
 REASON_COMPLETE = "complete_n_ge_4"
 REASON_CYCLE = "contains_cycle_not_complete"
 
+_ISOLATED_NOTES = (NOTE_ISOLATED,)
+_COMPLETE_NOTES = (NOTE_COMPLETE_PD,)
+
+
+def _provenance(height: str, pd: str, reg: str) -> tuple[tuple[str, str], ...]:
+    """The rule behind each invariant predicted for one graph class."""
+    return (("height", height), ("cohen_macaulay", "cm_iff_complete_or_forest"),
+            ("pd_ideal", pd), ("reg_ideal", reg), ("licci", "licci_iff_forest_or_triangle"))
+
+
+_PROVENANCE_COMPLETE = _provenance("complete_height_rule", "complete_pd_from_height_and_cm",
+                                   "complete_reg_rule")
+_PROVENANCE_TREE = _provenance("non_complete_height_rule", "forest_pd_rule", "tree_reg_rule")
+_PROVENANCE_DISCONNECTED_FOREST = _provenance("non_complete_height_rule", "forest_pd_rule",
+                                              "disconnected_forest_reg_rule")
+_PROVENANCE_OTHER = _provenance("non_complete_height_rule", "non_cm_pd_rule", "reg_bounds_rule")
+
 
 class LicciVerdict(NamedTuple):
     """Whether the localized ideal is in the linkage class of a complete intersection."""
@@ -159,45 +176,24 @@ def _predict(graph: SimpleGraph, met: int, joins: int) -> InvariantReport:
     """predict_invariants off graphs._join_count(graph.edges), which gives (met, joins).
 
     met vertices lie on an edge, and joins of the edges join two components:
-    the edges form a forest exactly when every one of them does.
+    the edges form a forest exactly when every one of them does. Notes and
+    provenance are per-class constants; a complete G has no isolated vertex.
     """
     n = graph.n
-    indeg = n - 2
-    notes: list[str] = []
-    prov: list[tuple[str, str]] = []
     verdict = _licci(graph, joins == graph.m)
-    if met < n:
-        notes.append(NOTE_ISOLATED)
-    if verdict.reason in (REASON_K3, REASON_COMPLETE):
-        graph_class = "complete"
-        ht, cm = 3, True
-        pd, reg = 2, (n - 2, n - 2)
-        notes.append(NOTE_COMPLETE_PD)
-        prov += [("height", "complete_height_rule"),
-                 ("cohen_macaulay", "cm_iff_complete_or_forest"),
-                 ("pd_ideal", "complete_pd_from_height_and_cm"),
-                 ("reg_ideal", "complete_reg_rule")]
-    elif verdict.reason == REASON_FOREST:
+    notes = _ISOLATED_NOTES if met < n else ()
+    if verdict.reason == REASON_FOREST:
         # a forest with c components has n - c edges
-        connected = graph.m == n - 1
-        graph_class = "tree" if connected else "disconnected_forest"
-        ht, cm, pd = 2, True, 1
-        reg = (n - 2, n - 2) if connected else (n - 1, n - 1)
-        prov += [("height", "non_complete_height_rule"),
-                 ("cohen_macaulay", "cm_iff_complete_or_forest"),
-                 ("pd_ideal", "forest_pd_rule"),
-                 ("reg_ideal", "tree_reg_rule" if connected else "disconnected_forest_reg_rule")]
-    else:
-        graph_class = "other"
-        ht, cm, pd = 2, False, 2
-        reg = (n - 2, n - 1)
-        prov += [("height", "non_complete_height_rule"),
-                 ("cohen_macaulay", "cm_iff_complete_or_forest"),
-                 ("pd_ideal", "non_cm_pd_rule"),
-                 ("reg_ideal", "reg_bounds_rule")]
-    prov.append(("licci", "licci_iff_forest_or_triangle"))
-    return InvariantReport(graph_class, ht, cm, pd, reg, indeg, verdict,
-                           tuple(notes), tuple(prov))
+        if graph.m == n - 1:
+            return InvariantReport("tree", 2, True, 1, (n - 2, n - 2), n - 2, verdict,
+                                   notes, _PROVENANCE_TREE)
+        return InvariantReport("disconnected_forest", 2, True, 1, (n - 1, n - 1), n - 2,
+                               verdict, notes, _PROVENANCE_DISCONNECTED_FOREST)
+    if verdict.reason == REASON_CYCLE:
+        return InvariantReport("other", 2, False, 2, (n - 2, n - 1), n - 2, verdict,
+                               notes, _PROVENANCE_OTHER)
+    return InvariantReport("complete", 3, True, 2, (n - 2, n - 2), n - 2, verdict,
+                           _COMPLETE_NOTES, _PROVENANCE_COMPLETE)
 
 
 def oracle_invariants(graph: SimpleGraph, field: Field = Field.GF2) -> OracleInvariants:

@@ -40,7 +40,7 @@ class Homological(NamedTuple):
 
 
 class BettiTable(NamedTuple):
-    """Graded Betti numbers beta_(i,j) of S/I, keyed by (homological index, degree)."""
+    """Graded Betti numbers beta_(i,j) of S/I, sorted by key (homological index, degree)."""
 
     n: int
     field: Field
@@ -58,11 +58,11 @@ class BettiTable(NamedTuple):
         return self.as_dict().get((i, j), 0)
 
     def reg_pd(self) -> Homological:
-        """Regularity and projective dimension of S/I and of I, read off this table."""
+        """Regularity and projective dimension of S/I and of I; pd is the last key's i."""
         if not self.entries:
             raise ValueError("empty Betti table")
-        pd = max(i for (i, _), _ in self.entries)
-        reg = max(j - i for (i, j), _ in self.entries)
+        pd = self.entries[-1][0][0]
+        reg = max([j - i for (i, j), _ in self.entries])
         return Homological(reg, pd, reg + 1, pd - 1)
 
     def to_json_dict(self) -> dict:
@@ -126,7 +126,8 @@ def _count_betti(n: int, m: int, met: int, joins: int, points: int,
     The graph has m edges on met vertices, of which joins join two
     components (graphs._join_count), beside points isolated facet vertices:
     the counts of homology._graph_betti, and of _graph_oracle with points = 0.
+    Its keys are in order for every n.
     """
-    return BettiTable.from_dict(n, field, {
-        (0, 0): 1, (1, n - 2): m, (1, n - 1): points, (2, n - 1): 2 * m - met,
-        (2, n): met + points - joins - 1, (3, n): m - joins})
+    entries = (((0, 0), 1), ((1, n - 2), m), ((1, n - 1), points), ((2, n - 1), 2 * m - met),
+               ((2, n), met + points - joins - 1), ((3, n), m - joins))
+    return BettiTable(n, field, tuple([e for e in entries if e[1]]))

@@ -13,7 +13,7 @@ from compedge import (ExperimentConfig, estimate_licci_probability, sample_gnp,
                       summaries_to_csv, threshold_sweep)
 from compedge import experiments
 from compedge.experiments import (CSV_HEADER, MONTECARLO_LIMIT, _fraction_6dp, _pairs,
-                                  _trial_generator, summary_csv_line)
+                                  _row_starts, _trial_generator, summary_csv_line)
 from compedge.graphs import is_complete, is_forest
 from compedge.invariants import is_licci
 
@@ -94,12 +94,12 @@ class TestSampling:
 class TestChunkedStream:
     def test_offsets_map_to_the_triu_indices_pairs(self):
         for n in range(2, 81):
-            us, vs = _pairs(n, np.arange(n * (n - 1) // 2))
+            us, vs = _pairs(_row_starts(n), np.arange(n * (n - 1) // 2))
             want_us, want_vs = np.triu_indices(n, k=1)
             assert np.array_equal(us, want_us) and np.array_equal(vs, want_vs)
         # the first and last pair at the limit, where C(n, 2) is about 5 * 10^9
         n = MONTECARLO_LIMIT
-        us, vs = _pairs(n, np.array([0, n * (n - 1) // 2 - 1]))
+        us, vs = _pairs(_row_starts(n), np.array([0, n * (n - 1) // 2 - 1]))
         assert us.tolist() == [0, n - 2] and vs.tolist() == [1, n - 1]
 
     @settings(max_examples=20, deadline=None)

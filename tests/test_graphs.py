@@ -467,9 +467,9 @@ class TestEnumeration:
 
 
 @pytest.fixture(scope="module")
-def graph_classes() -> dict[int, list[tuple[SimpleGraph, int]]]:
-    """graphs._graph_classes(n) for n = 0..7, built once for the tests below."""
-    return {n: graphs_module._graph_classes(n) for n in range(8)}
+def graph_classes() -> list[list[tuple[SimpleGraph, int]]]:
+    """The levels n = 0..7 of graphs._graph_classes, grown in one pass for the tests below."""
+    return graphs_module._graph_classes(7)
 
 
 class TestGraphClasses:
@@ -515,6 +515,15 @@ class TestGraphClasses:
                 assert all(labeled[k] == member for k, member in members.items())
                 seen += members
             assert sorted(seen) == list(range(len(labeled)))
+
+    def test_one_pass_hands_out_each_level_once(self, graph_classes):
+        # level n holds graphs on n vertices, and a shorter pass grows the
+        # same levels: no level is handed out twice, late or past max_n
+        assert len(graph_classes) == 8
+        for n, level in enumerate(graph_classes):
+            assert {graph.n for graph, _ in level} == {n}
+        for max_n in range(7):
+            assert graphs_module._graph_classes(max_n) == graph_classes[:max_n + 1]
 
     def test_limit_guard(self):
         with pytest.raises(ValueError, match="limit"):

@@ -875,6 +875,64 @@ class TestRegPd:
             reg_pd(BettiTable(3, Field.GF2, ()))
 
 
+def two_max_reg_pd(table: BettiTable) -> tuple[int, int, int, int]:
+    """(reg, pd) of S/I and of I by the definition: the largest j - i and the largest i."""
+    pd = max(i for (i, _), _ in table.entries)
+    reg = max(j - i for (i, j), _ in table.entries)
+    return reg, pd, reg + 1, pd - 1
+
+
+def feasible_counts(n: int):
+    """(m, met, joins, points) of every graph plus isolated facet vertices on n vertices.
+
+    met vertices lie on the m edges, in c components of at least two vertices
+    (joins = met - c), and points isolated facet vertices lie beside them; a
+    dual complex has at least one facet.
+    """
+    for met in [0, *range(2, n + 1)]:
+        for c in range(1, met // 2 + 1) if met else (0,):
+            # one big component and c - 1 single edges carry the most edges
+            most = comb(met - 2 * (c - 1), 2) + c - 1
+            for m in range(met - c, most + 1):
+                for points in range(0 if met else 1, n - met + 1):
+                    yield m, met, met - c, points
+
+
+class TestTableKeyOrder:
+    """The count table is built in key order and reg_pd reads pd off the last key."""
+
+    def test_count_table_equals_the_dict_table_on_every_feasible_count(self):
+        checked = 0
+        for n in range(3, 15):
+            for m, met, joins, points in feasible_counts(n):
+                for field in Field:
+                    table = _count_betti(n, m, met, joins, points, field)
+                    assert table == BettiTable.from_dict(n, field, {
+                        (0, 0): 1, (1, n - 2): m, (1, n - 1): points, (2, n - 1): 2 * m - met,
+                        (2, n): met + points - joins - 1, (3, n): m - joins}), (n, m, met, points)
+                    assert table.reg_pd() == two_max_reg_pd(table)
+                    checked += 1
+        assert checked > 10 ** 4
+
+    def test_every_engine_table_has_increasing_keys_and_the_two_max_reg_pd(
+            self, oracle_sweep, forest_sweep):
+        # the count table of _graph_oracle on the exhaustive fixtures, every
+        # labeled graph to six and forest to seven (the field is only a tag
+        # there); both engines on every ideal on at most four variables and
+        # every atlas class to six, over both fields
+        graphs = [record.graph for record in oracle_sweep[0]] + [row[0] for row in forest_sweep]
+        tables = {_graph_oracle(graph, Field.GF2, _join_count(graph.edges))[0]
+                  for graph in graphs}
+        ideals = [ideal for n in range(1, 5) for ideal in antichain_ideals(n)]
+        ideals += [complementary_edge_ideal(graph) for graph in atlas_graphs(3, 6)]
+        for field in Field:
+            for ideal in ideals:
+                tables |= {_primal_betti(ideal, field), dual_engine(ideal, field)}
+        for table in tables:
+            keys = [ij for ij, _ in table.entries]
+            assert all(a < b for a, b in zip(keys, keys[1:])), table
+            assert table.reg_pd() == two_max_reg_pd(table), table
+
 class TestRingPredicates:
     def test_cohen_macaulay_examples(self):
         assert is_cohen_macaulay(complementary_edge_ideal(complete_graph(4)))

@@ -125,6 +125,36 @@ class TestPredictions:
         assert dict(report.provenance).keys() == {
             "height", "cohen_macaulay", "pd_ideal", "reg_ideal", "licci"}
 
+    def test_notes_and_provenance_are_one_constant_per_class(self):
+        # the rules per class, written out; every graph of a class shares one tuple
+        rules = {
+            "complete": ("complete_height_rule", "complete_pd_from_height_and_cm",
+                         "complete_reg_rule"),
+            "tree": ("non_complete_height_rule", "forest_pd_rule", "tree_reg_rule"),
+            "disconnected_forest": ("non_complete_height_rule", "forest_pd_rule",
+                                    "disconnected_forest_reg_rule"),
+            "other": ("non_complete_height_rule", "non_cm_pd_rule", "reg_bounds_rule"),
+        }
+        provenances, notes = {}, {}
+        for n in range(3, 6):
+            for graph in enumerate_graphs(n):
+                if not graph.m:
+                    continue
+                report = predict_invariants(graph)
+                height, pd, reg = rules[report.graph_class]
+                assert report.provenance == (
+                    ("height", height), ("cohen_macaulay", "cm_iff_complete_or_forest"),
+                    ("pd_ideal", pd), ("reg_ideal", reg),
+                    ("licci", "licci_iff_forest_or_triangle"))
+                assert provenances.setdefault(report.graph_class, report.provenance) \
+                    is report.provenance
+                isolated = len({v for e in graph.edges for v in e}) < n
+                complete = report.graph_class == "complete"
+                assert report.notes == (NOTE_ISOLATED,) * isolated + (NOTE_COMPLETE_PD,) * complete
+                assert notes.setdefault(report.notes, report.notes) is report.notes
+        assert provenances.keys() == rules.keys()
+        assert notes.keys() == {(), (NOTE_ISOLATED,), (NOTE_COMPLETE_PD,)}
+
 
 class TestOracleAndCrossValidation:
     def test_oracle_on_a_tree(self):

@@ -59,7 +59,7 @@ MUTANTS = [
     # its table built from counts by the helper the graph-level entry shares
     # (tables._count_betti)
     Mutant("graph-drop-facet-vertex-term", "tables.py",
-           "(1, n - 1): points, ", "",
+           "((1, n - 1), points), ", "",
            (HOMOLOGY + "test_graph_kernel_on_every_one_dimensional_dual",)),
     Mutant("graph-components-without-facet-vertices", "tables.py",
            "met + points - joins - 1", "met - joins - 1",
@@ -73,13 +73,23 @@ MUTANTS = [
     # the graph-level entry: the table and height of I_c(G) off m, n' and c',
     # through the shared count helper with no isolated facet vertex
     Mutant("entry-components-without-the-minus-one", "tables.py",
-           "(2, n): met + points - joins - 1", "(2, n): met + points - joins",
+           "((2, n), met + points - joins - 1)", "((2, n), met + points - joins)",
            ("tests/test_homology.py::TestGraphOracle::"
             "test_count_step_matches_the_graph_kernel_on_raw_masks",)),
     Mutant("entry-height-one-without-an-isolated-vertex", "tables.py",
            "1 if met < n", "1 if met <= n",
            ("tests/test_homology.py::TestGraphOracle::"
             "test_atlas_classes_to_seven_against_both_engines_and_the_cover_search",)),
+    # the count table is listed in key order, and reg_pd reads pd off its
+    # last entry
+    Mutant("count-entries-out-of-key-order", "tables.py",
+           "((2, n - 1), 2 * m - met),\n               ((2, n), met + points - joins - 1)",
+           "((2, n), met + points - joins - 1),\n               ((2, n - 1), 2 * m - met)",
+           ("tests/test_homology.py::TestTableKeyOrder::"
+            "test_count_table_equals_the_dict_table_on_every_feasible_count",)),
+    Mutant("reg-pd-off-the-first-entry", "tables.py",
+           "pd = self.entries[-1][0][0]", "pd = self.entries[0][0][0]",
+           ("tests/test_homology.py::TestRegPd::test_conversions",)),
     # the component chain's tables, read without building an ideal
     Mutant("chain-regularity-off-by-one", "homology.py",
            ".reg_ideal != d:", ".reg_s_mod_i != d:",
@@ -118,8 +128,9 @@ MUTANTS = [
            'lq_status = "yes" if dual_cl else "no"', 'lq_status = "yes"',
            ("tests/test_invariants.py::TestImplicationSuite::"
             "test_payload_digest_over_every_graph_to_five_and_forest_on_six",)),
-    # verify over isomorphism classes: the class generator's canonical code
-    # and orbit sizes, and the labeled sweep that lists a mismatch
+    # verify over isomorphism classes: the class generator's canonical code,
+    # orbit sizes and levels grown in one pass, and the labeled sweep that
+    # lists a mismatch
     Mutant("class-orbit-weight-one", "graphs.py",
            "factorial(n) // automorphisms)", "1)",
            ("tests/test_cli.py::TestVerify::test_classes_give_the_labeled_sweep_byte_for_byte",)),
@@ -133,6 +144,12 @@ MUTANTS = [
     Mutant("class-augment-below-the-largest-degree", "graphs.py",
            "> s.bit_count() for u, d", ">= s.bit_count() for u, d",
            ("tests/test_graphs.py::TestGraphClasses::test_class_counts_are_oeis_a000088",)),
+    Mutant("class-level-handed-out-stale", "graphs.py",
+           "levels.append(grown)", "levels.append(levels[-1])",
+           ("tests/test_graphs.py::TestGraphClasses::test_class_counts_are_oeis_a000088",)),
+    Mutant("verify-reads-the-level-below", "cli.py",
+           "_graph_classes(args.max_n)[3:], 3)", "_graph_classes(args.max_n)[2:], 3)",
+           ("tests/test_cli.py::TestVerify::test_classes_give_the_labeled_sweep_byte_for_byte",)),
     Mutant("verify-expand-lists-isolated", "cli.py",
            " and NOTE_ISOLATED not in report.predicted.notes]", "]",
            ("tests/test_cli.py::TestVerify::"
