@@ -26,13 +26,18 @@ the m edges), and every link is {emptyset}, a set of points or that graph,
 so the dual formula is read off vertex degrees, edge counts and the
 components (_graph_betti). Every other ideal goes to an engine.
 
+The engines, and stanley_reisner, do work that grows as 2^n, and they alone
+refuse an ambient size past ORACLE_LIMIT (14): _mask_betti checks it after
+the count case and before the engine rule. A table read off counts answers
+up to the ideal layer's AMBIENT_LIMIT (24).
+
 A complementary edge ideal I_c(G) needs no ideal at all. tables._graph_oracle
 reads its table and its height off the graph's counts: the edges, and the
 vertices on an edge and the components holding one, which its caller counts
 once (graphs._join_count). The invariants layer and the betti command ask
 it, never build I_c(G) and never load this module. The table type
-(BettiTable), the field tag and ORACLE_LIMIT live in tables too, and are
-attributes of this module as well.
+(BettiTable) and the field tag live in tables too, and are attributes of
+this module as well.
 
 Nothing is memoised. The exhaustive sweeps repeat small tables, but they
 read every complementary edge ideal off counts, so a verify round sends no
@@ -70,26 +75,36 @@ from bisect import bisect_right
 from math import comb, gcd
 from typing import Collection, Iterable
 
-from .graphs import _clip, _Frozen, _join_count
+from .graphs import _clip, _Frozen, _join_count, _plain_int
 from .ideals import (_DUAL_FACE_CAP, SquarefreeIdeal, _closure, _squarefree_components,
                      alexander_dual, height, support_of)
-# the count-level oracle and the table type live in tables; Field, BettiTable,
-# ORACLE_LIMIT and _graph_oracle stay attributes of this module too
-from .tables import (ORACLE_LIMIT, BettiTable, Field, Homological, _count_betti,
-                     _graph_oracle, _require_oracle)
+# the count-level oracle and the table type live in tables; Field, BettiTable
+# and _graph_oracle stay attributes of this module too
+from .tables import BettiTable, Field, Homological, _count_betti, _graph_oracle
+
+ORACLE_LIMIT = 14
+
+
+def _require_oracle(n: int) -> None:
+    """Refuse an ambient size past ORACLE_LIMIT, the one limit of the two engines and
+    of stanley_reisner, whose work grows as 2^n; a table read off counts has none."""
+    if n > ORACLE_LIMIT:
+        raise ValueError(f"ambient size {_clip(n)} exceeds the oracle limit of {ORACLE_LIMIT}")
 
 
 class SimplicialComplex(_Frozen):
     """A simplicial complex on ground set {1..n}, faces stored as bit masks.
 
     The void complex (no faces at all) is distinct from the complex whose only
-    face is the empty set (mask 0). The constructor refuses a negative n, a
-    face outside 1..n and a family that is not downward closed.
+    face is the empty set (mask 0). The constructor stores n as a plain int
+    (graphs._plain_int) and refuses a float or a string, a negative n, a face
+    outside 1..n and a family that is not downward closed.
     """
 
     __slots__ = ("n", "faces")
 
     def __init__(self, n: int, faces: frozenset[int]):
+        n = _plain_int(n, "ground size")
         if n < 0:
             raise ValueError(f"ground size must be nonnegative, got {_clip(n)}")
         for f in faces:
@@ -256,7 +271,7 @@ def clear_homology_cache() -> None:
 def hochster_betti(ideal: SquarefreeIdeal, field: Field = Field.GF2) -> BettiTable:
     """Graded Betti numbers of S/I over the chosen field, degree by multidegree.
 
-    After the checks below, the table is routed from the generator masks
+    After the zero-ideal check, the table is routed from the generator masks
     (_mask_betti), the one routing is_componentwise_linear also takes.
     Generators all of degree at least n - 2, every complementary edge ideal
     among them, have a dual complex of dimension at most 1: a graph, whose
@@ -276,13 +291,13 @@ def hochster_betti(ideal: SquarefreeIdeal, field: Field = Field.GF2) -> BettiTab
     dual faces are enumerated only up to ideals._DUAL_FACE_CAP (4,096), the
     cap height uses; past it the primal engine runs. The cap never moves the
     choice: P <= 3^n, so the rule already refuses every F above
-    isqrt(3^(n+1)), which is at most 3,787 for n <= 14. Ambient sizes above
-    ORACLE_LIMIT (14) are refused. Nothing is memoised: a repeated table is
-    computed again.
+    isqrt(3^(n+1)), which is at most 3,787 for n <= 14. An ideal that goes
+    to an engine is refused past ORACLE_LIMIT (14); one read off counts
+    answers up to AMBIENT_LIMIT (24). Nothing is memoised: a repeated table
+    is computed again.
     """
     if ideal.is_zero:
         raise ValueError("Betti table undefined for the zero ideal")
-    _require_oracle(ideal.n)
     return _mask_betti(ideal.n, ideal.masks, ideal.indeg, field)
 
 
@@ -290,11 +305,12 @@ def _mask_betti(n: int, masks: Collection[int], indeg: int, field: Field) -> Bet
     """The table of the ideal with these minimal generators, of least degree indeg.
 
     The one routing of hochster_betti, with no ideal to build: _graph_betti,
-    else the engine rule. Only the primal engine needs a SquarefreeIdeal, and
-    only it gets one.
+    else the engine rule, which refuses n past ORACLE_LIMIT first. Only the
+    primal engine needs a SquarefreeIdeal, and only it gets one.
     """
     if indeg >= n - 2:
         return _graph_betti(n, masks, field)
+    _require_oracle(n)
     full = (1 << n) - 1
     faces = _closure([full & ~g for g in masks], _DUAL_FACE_CAP)
     if faces is None or len(faces) ** 2 > 3 * sum(1 << (n - tau.bit_count()) for tau in faces):
@@ -390,8 +406,7 @@ def _graph_betti(n: int, masks: Iterable[int], field: Field) -> BettiTable:
 
 def is_cohen_macaulay(ideal: SquarefreeIdeal, field: Field = Field.GF2) -> bool:
     """S/I is Cohen-Macaulay iff pd(S/I) equals the height of I."""
-    table = hochster_betti(ideal, field)
-    return reg_pd(table).pd_s_mod_i == height(ideal)
+    return reg_pd(hochster_betti(ideal, field)).pd_s_mod_i == height(ideal)
 
 
 def has_linear_resolution(ideal: SquarefreeIdeal, field: Field = Field.GF2) -> bool:
@@ -401,9 +416,7 @@ def has_linear_resolution(ideal: SquarefreeIdeal, field: Field = Field.GF2) -> b
     degrees = set(ideal.degrees)
     if len(degrees) != 1:
         return False
-    d = degrees.pop()
-    table = hochster_betti(ideal, field)
-    return reg_pd(table).reg_ideal == d
+    return reg_pd(hochster_betti(ideal, field)).reg_ideal == degrees.pop()
 
 
 def is_componentwise_linear(ideal: SquarefreeIdeal, field: Field = Field.GF2) -> bool:
@@ -417,8 +430,9 @@ def is_componentwise_linear(ideal: SquarefreeIdeal, field: Field = Field.GF2) ->
     component holds all C(n, d) squarefree monomials: that component and
     every higher one is a squarefree Veronese ideal, which has linear
     quotients and so a linear resolution over every field (Herzog-Hibi,
-    Monomial Ideals, 2011). The first component below that reached on more
-    than ORACLE_LIMIT variables is refused.
+    Monomial Ideals, 2011). A component below that goes to _mask_betti, so
+    past ORACLE_LIMIT variables it is refused unless its degree d is at
+    least n - 2, where its table is read off counts.
     """
     if ideal.is_zero:
         raise ValueError("componentwise linearity undefined for the zero ideal")
@@ -428,7 +442,6 @@ def is_componentwise_linear(ideal: SquarefreeIdeal, field: Field = Field.GF2) ->
             continue
         if len(masks) == comb(n, d):
             return True
-        _require_oracle(n)
         if reg_pd(_mask_betti(n, masks, d, field)).reg_ideal != d:
             return False
     return True

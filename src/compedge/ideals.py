@@ -19,10 +19,10 @@ from itertools import islice
 from math import comb
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .graphs import SimpleGraph, _Frozen
+from .graphs import SimpleGraph, _Frozen, _plain_int
 # the ambient refusals are shared with the count-level oracle, and
 # AMBIENT_LIMIT stays an attribute of this module
-from .tables import AMBIENT_LIMIT, _outside_ambient, _require_edge_ambient
+from .tables import AMBIENT_LIMIT, _require_ambient, _require_edge_ambient
 
 LINEAR_QUOTIENTS_BUDGET = 10 ** 6
 # the one bound on the dual complex, the closure of the generator complements:
@@ -53,16 +53,17 @@ class SquarefreeIdeal(_Frozen):
     """A squarefree monomial ideal in K[x_1..x_n], stored by generator bit masks.
 
     The constructor takes any iterable of masks and is the one generator check:
-    it refuses n outside 0..AMBIENT_LIMIT before reading a mask, refuses a zero
-    mask (the unit ideal) and a mask outside 1..n, drops duplicate and
+    it stores n as a plain int (graphs._plain_int), refusing a float or a
+    string, refuses n outside 0..AMBIENT_LIMIT before reading a mask, refuses
+    a zero mask (the unit ideal) and a mask outside 1..n, drops duplicate and
     redundant masks, and stores the minimal ones in increasing mask order.
     """
 
     __slots__ = ("n", "masks")
 
     def __init__(self, n: int, masks: Iterable[int]):
-        if not 0 <= n <= AMBIENT_LIMIT:
-            raise _outside_ambient(n)
+        n = _plain_int(n, "ambient size")
+        _require_ambient(n)
         masks = set(masks)
         if 0 in masks:
             raise ValueError("unit ideal: a generator has empty support")

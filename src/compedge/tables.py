@@ -2,16 +2,17 @@
 
 This layer sits between graphs and the ideal and homology layers. It holds
 the table type (BettiTable, with its regularity and projective dimension),
-the coefficient field tag, the ambient refusals the ideal layer shares
-(AMBIENT_LIMIT) and the one limit of every Betti table (ORACLE_LIMIT). It
-also holds the oracle of I_c(G) read off graph counts: _graph_oracle gives
-the table and the height from the edges, the vertices on an edge and the
-components holding one, through _count_betti, the dual Hochster table of a
-dual complex that is a graph plus isolated points. No ideal, mask or face is
-built here, and this module imports only graphs: the invariants layer and
-the CLI's graph commands read every table of I_c(G) from it and load
-neither the ideal layer nor the homology engines. homology and ideals
-import these names and keep them as their own attributes.
+the coefficient field tag and the ambient refusals the ideal layer shares
+(AMBIENT_LIMIT). It also holds the oracle of I_c(G) read off graph counts,
+which answers up to AMBIENT_LIMIT: _graph_oracle gives the table and the
+height from the edges, the vertices on an edge and the components holding
+one, through _count_betti, the dual Hochster table of a dual complex that
+is a graph plus isolated points. No ideal, mask or face is built here, and
+this module imports only graphs: the invariants layer and the CLI's graph
+commands read every table of I_c(G) from it and load neither the ideal
+layer nor the homology engines, whose oracle limit (homology.ORACLE_LIMIT)
+it never meets. homology and ideals import these names and keep them as
+their own attributes.
 """
 from __future__ import annotations
 
@@ -22,7 +23,6 @@ from typing import NamedTuple
 from .graphs import SimpleGraph, _clip
 
 AMBIENT_LIMIT = 24
-ORACLE_LIMIT = 14
 
 
 class Field(enum.Enum):
@@ -58,11 +58,16 @@ class BettiTable(NamedTuple):
         return self.as_dict().get((i, j), 0)
 
     def reg_pd(self) -> Homological:
-        """Regularity and projective dimension of S/I and of I; pd is the last key's i."""
+        """Regularity and projective dimension of S/I and of I: the largest j - i and the
+        largest i (both at least 0, as j >= i >= 0), read in one pass over entries in any order."""
         if not self.entries:
             raise ValueError("empty Betti table")
-        pd = self.entries[-1][0][0]
-        reg = max([j - i for (i, j), _ in self.entries])
+        pd = reg = 0
+        for (i, j), _ in self.entries:
+            if i > pd:
+                pd = i
+            if j - i > reg:
+                reg = j - i
         return Homological(reg, pd, reg + 1, pd - 1)
 
     def to_json_dict(self) -> dict:
@@ -73,20 +78,16 @@ class BettiTable(NamedTuple):
         }
 
 
-def _outside_ambient(n: int) -> ValueError:
-    return ValueError(f"ambient size {_clip(n)} outside supported range 0..{AMBIENT_LIMIT}")
+def _require_ambient(n: int) -> None:
+    """Refuse an ambient size outside 0..AMBIENT_LIMIT, for ideals and graphs alike."""
+    if not 0 <= n <= AMBIENT_LIMIT:
+        raise ValueError(f"ambient size {_clip(n)} outside supported range 0..{AMBIENT_LIMIT}")
 
 
 def _require_edge_ambient(n: int) -> None:
     """Refuse n < 3, where an edge's complement support is empty: the unit ideal."""
     if n < 3:
         raise ValueError(f"degenerate ambient: need at least 3 vertices, got {n}")
-
-
-def _require_oracle(n: int) -> None:
-    """Refuse an ambient size past ORACLE_LIMIT, the one limit of every Betti table."""
-    if n > ORACLE_LIMIT:
-        raise ValueError(f"ambient size {_clip(n)} exceeds the oracle limit of {ORACLE_LIMIT}")
 
 
 def _graph_oracle(graph: SimpleGraph, field: Field,
@@ -98,7 +99,8 @@ def _graph_oracle(graph: SimpleGraph, field: Field,
     components holding an edge. No ideal, mask or face is built. The
     refusals are those of hochster_betti(complementary_edge_ideal(graph)), in
     the same order: fewer than 3 vertices, more than AMBIENT_LIMIT, no edge
-    (the zero ideal), more than ORACLE_LIMIT. The dual complex of I_c(G) is G
+    (the zero ideal). That route reads the table off counts too, so both
+    answer up to AMBIENT_LIMIT. The dual complex of I_c(G) is G
     itself: the empty face, the n' vertices and the m edges. The dual Hochster
     formula (Miller-Sturmfels, Combinatorial Commutative Algebra, Cor. 5.12)
     then gives beta_(1, n-2) = m, beta_(2, n-1) = 2m - n', beta_(2, n) =
@@ -109,12 +111,10 @@ def _graph_oracle(graph: SimpleGraph, field: Field,
     """
     n = graph.n
     _require_edge_ambient(n)
-    if n > AMBIENT_LIMIT:
-        raise _outside_ambient(n)
+    _require_ambient(n)
     m = graph.m
     if not m:
         raise ValueError("Betti table undefined for the zero ideal")
-    _require_oracle(n)
     met, joins = counts
     return _count_betti(n, m, met, joins, 0, field), 1 if met < n else 2 if m < comb(n, 2) else 3
 

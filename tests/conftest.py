@@ -8,6 +8,7 @@ compare the library's fast paths against live here too.
 from __future__ import annotations
 
 import json
+import random
 import time
 from dataclasses import dataclass
 from functools import cache
@@ -17,7 +18,7 @@ from typing import Sequence
 import networkx as nx
 import pytest
 
-from compedge import (Field, QuotientSearchResult, SimpleGraph, SquarefreeIdeal,
+from compedge import (BettiTable, Field, QuotientSearchResult, SimpleGraph, SquarefreeIdeal,
                       complementary_edge_dual, complementary_edge_ideal, enumerate_graphs,
                       height, hochster_betti, implication_suite, reg_pd)
 from compedge import ideals as ideals_module
@@ -46,6 +47,30 @@ def measure(graph: SimpleGraph) -> OracleRecord:
     ht = height(ideal)
     return OracleRecord(graph, ht, hom.pd_ideal, hom.reg_ideal, hom.reg_s_mod_i,
                         hom.pd_s_mod_i == ht)
+
+
+def gnp_graph(n: int, p: float, rng) -> SimpleGraph:
+    """One G(n, p) draw with at least one edge; isolated vertices are allowed."""
+    edges = tuple(e for e in combinations(range(1, n + 1), 2) if rng.random() < p)
+    return SimpleGraph(n, edges or ((1, 2),))
+
+
+def closed_form_betti(graph: SimpleGraph, field: Field) -> BettiTable:
+    """Betti table of S/I_c(G) from m, n' (vertices on an edge) and c' (components with an edge)."""
+    n, m = graph.n, graph.m
+    blocks = [b for b in connected_components(graph) if len(b) > 1]
+    n_prime, c_prime = sum(map(len, blocks)), len(blocks)
+    return BettiTable.from_dict(n, field, {
+        (0, 0): 1, (1, n - 2): m, (2, n - 1): 2 * m - n_prime,
+        (2, n): c_prime - 1, (3, n): m - n_prime + c_prime})
+
+
+def past_the_oracle_limit() -> list[SimpleGraph]:
+    """Graphs on 15, 20 and 24 vertices, past the engines' oracle limit of 14 and within
+    the ambient limit of 24: a seeded G(15, 0.3) draw, a seeded G(19, 0.2) draw with
+    vertex 20 left isolated, and K_24."""
+    isolated = SimpleGraph(20, gnp_graph(19, 0.2, random.Random(20)).edges)
+    return [gnp_graph(15, 0.3, random.Random(15)), isolated, complete_graph(24)]
 
 
 def labeled_forests(n: int) -> list[SimpleGraph]:

@@ -18,7 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 import compedge
 from compedge import Field, cli, graphs, invariants
 from compedge.cli import run
-from conftest import labeled_verify
+from conftest import closed_form_betti, labeled_verify, past_the_oracle_limit
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SRC = Path(__file__).parents[1] / "src"
@@ -117,14 +117,14 @@ class TestAnalyze:
         assert outcome.exit_code == 2
         assert "edgeless" in outcome.diagnostics
 
-    def test_oracle_limit_is_a_usage_error(self, tmp_path):
-        path = tmp_path / "fifteen.txt"
-        path.write_text("15 1\n1 2\n")
+    def test_ambient_limit_is_a_usage_error(self, tmp_path):
+        path = tmp_path / "twenty-five.txt"
+        path.write_text("25 1\n1 2\n")
         outcome = run(["analyze", str(path), "--oracle"])
         assert outcome.exit_code == 2
         assert outcome.payload == ""
         assert outcome.diagnostics.startswith("error: ")
-        assert "oracle limit" in outcome.diagnostics
+        assert "outside supported range 0..24" in outcome.diagnostics
 
     def test_huge_header_is_analyzed_without_walking_the_vertices(self, tmp_path, monkeypatch):
         def walk(graph):
@@ -189,7 +189,10 @@ class TestOracleRefusals:
         ('{"n": 4, "edges": []}', "Betti table undefined for the zero ideal",
          "edgeless graph: the complementary edge ideal is zero"),
         ("2 1\n1 2\n", *["degenerate ambient: need at least 3 vertices, got 2"] * 2),
-        ("15 1\n1 2\n", *["ambient size 15 exceeds the oracle limit of 14"] * 2),
+        # betti refuses the ambient size before the zero ideal, analyze the
+        # edgeless graph first; 15..24 vertices pass both
+        ('{"n": 25, "edges": []}', "ambient size 25 outside supported range 0..24",
+         "edgeless graph: the complementary edge ideal is zero"),
         ("25 1\n1 2\n", *["ambient size 25 outside supported range 0..24"] * 2),
     ])
     def test_betti_and_analyze_oracle_keep_their_messages(self, tmp_path, text, betti, analyze):
@@ -200,6 +203,33 @@ class TestOracleRefusals:
             outcome = run(argv)
             assert (outcome.exit_code, outcome.payload) == (2, "")
             assert outcome.diagnostics == f"error: {path}: {message}"
+
+
+class TestPastTheOracleLimit:
+    """betti and analyze --oracle read I_c(G) off counts, so the engines' oracle limit
+    of 14 does not bind them: they answer up to the ambient limit of 24."""
+
+    @pytest.mark.parametrize("graph", past_the_oracle_limit(), ids=lambda g: f"n{g.n}")
+    @pytest.mark.parametrize("field", list(Field))
+    def test_betti_and_analyze_oracle_answer(self, tmp_path, graph, field):
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps(graph.to_json_dict()))
+        table = closed_form_betti(graph, field)
+        outcome = run(["betti", "--field", field.value, str(path)])
+        assert outcome.exit_code == 0
+        assert check(outcome.payload, "betti") == table.to_json_dict()
+        outcome = run(["analyze", "--oracle", "--field", field.value, str(path)])
+        payload = check(outcome.payload, "analyze")
+        hom = table.reg_pd()
+        isolated = len({v for edge in graph.edges for v in edge}) < graph.n
+        height = 1 if isolated else 2 if graph.m < comb(graph.n, 2) else 3
+        assert payload["oracle"] == {
+            "field": field.value, "height": height, "reg_s_mod_i": hom.reg_s_mod_i,
+            "pd_s_mod_i": hom.pd_s_mod_i, "reg_ideal": hom.reg_ideal,
+            "pd_ideal": hom.pd_ideal, "cohen_macaulay": hom.pd_s_mod_i == height}
+        # only the known tension of an isolated vertex leaves a mismatch
+        assert bool(payload["mismatches"]) == isolated
+        assert outcome.exit_code == (1 if isolated else 0)
 
 
 class TestVerify:
@@ -636,11 +666,13 @@ class TestNumpyLoadsLazily:
             else:
                 assert obj.__module__.startswith("compedge.")
                 assert getattr(sys.modules[obj.__module__], name) is obj, name
-        # the names that moved to tables stay attributes of their old homes
+        # the names that moved to tables stay attributes of their old homes;
+        # the engines' oracle limit is homology's own
         from compedge import homology, ideals, tables
-        for name in ("Field", "BettiTable", "_graph_oracle", "_count_betti", "ORACLE_LIMIT"):
+        for name in ("Field", "BettiTable", "_graph_oracle", "_count_betti"):
             assert getattr(homology, name) is getattr(tables, name)
         assert ideals.AMBIENT_LIMIT is tables.AMBIENT_LIMIT
+        assert homology.ORACLE_LIMIT == 14 and not hasattr(tables, "ORACLE_LIMIT")
 
     def test_import_compedge_loads_no_submodule(self):
         proc = run_python("-c", "import json, sys, compedge; print(json.dumps("

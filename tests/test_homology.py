@@ -2,12 +2,14 @@
 from __future__ import annotations
 
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 from math import comb, log
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
@@ -22,32 +24,17 @@ from compedge.homology import (BettiTable, SimplicialComplex, _closure, _count_b
                                _dual_betti, _gf2_rank, _graph_betti,
                                _graph_oracle, _homology, _primal_betti, _rational_rank,
                                clear_homology_cache, reduced_homology_dims)
-from conftest import atlas_graphs, brute_force_component
+from conftest import (atlas_graphs, brute_force_component, closed_form_betti, gnp_graph,
+                      past_the_oracle_limit)
 
 
 def fs(*vertices: int) -> frozenset[int]:
     return frozenset(vertices)
 
 
-def gnp_graph(n: int, p: float, rng) -> SimpleGraph:
-    """One G(n, p) draw with at least one edge; isolated vertices are allowed."""
-    edges = tuple(e for e in combinations(range(1, n + 1), 2) if rng.random() < p)
-    return SimpleGraph(n, edges or ((1, 2),))
-
-
 def gnp_graphs(min_n: int, max_n: int) -> st.SearchStrategy[SimpleGraph]:
     return st.builds(gnp_graph, st.integers(min_n, max_n), st.floats(0.05, 0.95),
                      st.randoms(use_true_random=False))
-
-
-def closed_form_betti(graph: SimpleGraph, field: Field) -> BettiTable:
-    """Betti table of S/I_c(G) from m, n' (vertices on an edge) and c' (components with an edge)."""
-    n, m = graph.n, graph.m
-    blocks = [b for b in connected_components(graph) if len(b) > 1]
-    n_prime, c_prime = sum(map(len, blocks)), len(blocks)
-    return BettiTable.from_dict(n, field, {
-        (0, 0): 1, (1, n - 2): m, (2, n - 1): 2 * m - n_prime,
-        (2, n): c_prime - 1, (3, n): m - n_prime + c_prime})
 
 
 def complexes(max_n: int = 5, max_facet: int = 5) -> st.SearchStrategy[SimplicialComplex]:
@@ -91,7 +78,6 @@ def antichain_ideals(n: int) -> list[SquarefreeIdeal]:
 
 
 def monte_carlo_graph(n: int, regime: str) -> SimpleGraph:
-    import numpy as np
     from compedge.experiments import sample_gnp
     p = 0.5 / n if regime == "c/n, c = 0.5" else 2 * log(n) / n
     return sample_gnp(n, p, np.random.default_rng(n))
@@ -267,6 +253,18 @@ class TestSimplicialComplexes:
             tracemalloc.stop()
         assert peak < 1 << 16
         assert c.faces == {0, 1, 2, 3}
+
+    @pytest.mark.parametrize("n", [3.5, 3.0, "3", np.int64(3), np.int32(3), True])
+    def test_ground_size_is_a_plain_int_or_refused_by_name(self, n):
+        if isinstance(n, (float, str)):
+            message = f"^ground size must be an integer, got {re.escape(repr(n))}$"
+            with pytest.raises(ValueError, match=message):
+                SimplicialComplex(n, frozenset({0}))
+            return
+        c = SimplicialComplex(n, frozenset({0, 1}))
+        assert type(c.n) is int and c.n == n
+        assert c == SimplicialComplex(int(n), frozenset({0, 1}))
+        assert repr(c) == f"SimplicialComplex(n={int(n)}, faces=frozenset({{0, 1}}))"
 
     @pytest.mark.parametrize("build", [lambda: SimplicialComplex(-1, frozenset()),
                                        lambda: SimplicialComplex(-1, frozenset({0})),
@@ -856,6 +854,26 @@ class TestGraphOracle:
             for field in Field:
                 assert _graph_oracle(graph, field, counts)[0] == closed_form_betti(graph, field)
 
+    @pytest.mark.parametrize("graph", past_the_oracle_limit(), ids=lambda g: f"n{g.n}")
+    def test_count_level_questions_answer_past_the_oracle_limit(self, graph):
+        # n = 15..24: hochster_betti routes I_c(G) to the count kernel before
+        # the oracle limit, so it agrees with the graph-level entry; an engine
+        # ideal on the same n and stanley_reisner's 2^n table are refused
+        ideal = complementary_edge_ideal(graph)
+        for field in Field:
+            table, ht = _graph_oracle(graph, field, _join_count(graph.edges))
+            assert hochster_betti(ideal, field) == table == closed_form_betti(graph, field)
+            hom = reg_pd(table)
+            assert is_cohen_macaulay(ideal, field) == (hom.pd_s_mod_i == ht)
+            # the degree n - 2 component is I_c(G), and the higher ones are linear
+            assert has_linear_resolution(ideal, field) == is_componentwise_linear(ideal, field) == (
+                hom.reg_ideal == graph.n - 2)
+        message = f"^ambient size {graph.n} exceeds the oracle limit of 14$"
+        with pytest.raises(ValueError, match=message):
+            hochster_betti(minimalize(graph.n, [[1, 2]]))
+        with pytest.raises(ValueError, match=message):
+            stanley_reisner(ideal)
+
 
 class TestRegPd:
     def test_conversions(self):
@@ -873,6 +891,21 @@ class TestRegPd:
     def test_empty_table_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             reg_pd(BettiTable(3, Field.GF2, ()))
+
+    def test_entries_in_any_order(self):
+        # the NamedTuple constructor keeps the entries in the order given
+        assert BettiTable(3, Field.GF2, (((1, 1), 3), ((0, 0), 1))).reg_pd() == (0, 1, 1, 0)
+        rng = random.Random(0)
+        ideals = [ideal for n in range(1, 5) for ideal in antichain_ideals(n)]
+        ideals += [complementary_edge_ideal(graph) for graph in atlas_graphs(3, 5)]
+        for field in Field:
+            for ideal in ideals:
+                for table in (_primal_betti(ideal, field), dual_engine(ideal, field)):
+                    shuffled = list(table.entries)
+                    rng.shuffle(shuffled)
+                    for entries in (shuffled, table.entries[::-1]):
+                        reordered = BettiTable(table.n, field, tuple(entries))
+                        assert reordered.reg_pd() == two_max_reg_pd(table), table
 
 
 def two_max_reg_pd(table: BettiTable) -> tuple[int, int, int, int]:

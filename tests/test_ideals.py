@@ -1,10 +1,12 @@
 """Squarefree ideals: construction, covers, height, duality, linear quotients."""
 from __future__ import annotations
 
+import re
 import tracemalloc
 from itertools import combinations, islice, permutations, product
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -85,6 +87,18 @@ class TestConstructor:
         if isinstance(expected, tuple):
             stored = SquarefreeIdeal(n, masks).masks
             assert all(a < b for a, b in zip(stored, stored[1:]))
+
+    @pytest.mark.parametrize("n", [3.0, 2.5, "3", np.int64(3), np.uint8(3), True])
+    def test_ambient_size_is_a_plain_int_or_refused_by_name(self, n):
+        if isinstance(n, (float, str)):
+            message = f"^ambient size must be an integer, got {re.escape(repr(n))}$"
+            with pytest.raises(ValueError, match=message):
+                SquarefreeIdeal(n, [1])
+            return
+        ideal = SquarefreeIdeal(n, [1])
+        assert type(ideal.n) is int and ideal.n == n
+        assert ideal == SquarefreeIdeal(int(n), [1])
+        assert repr(ideal) == f"SquarefreeIdeal(n={int(n)}, masks=(1,))"
 
     def test_generator_outside_the_ambient_is_refused(self):
         with pytest.raises(ValueError, match="out of ambient range"):

@@ -20,9 +20,9 @@ from compedge.graphs import complete_graph, cycle_graph, path_graph
 from compedge.homology import _primal_betti
 from compedge.ideals import mask_of
 from compedge.invariants import NOTE_COMPLETE_PD, NOTE_ISOLATED
-from conftest import (atlas_graphs, brute_force_component, has_linear_quotients_in_order,
-                      labeled_forests, maximum_cardinality_search, peo_lex_dual_order,
-                      reference_linear_quotients)
+from conftest import (atlas_graphs, brute_force_component, closed_form_betti,
+                      has_linear_quotients_in_order, labeled_forests, maximum_cardinality_search,
+                      past_the_oracle_limit, peo_lex_dual_order, reference_linear_quotients)
 
 # the layer modules, for the tests that patch a name and check no other layer holds it
 LAYERS = (graphs, tables, ideals, homology, invariants, cli)
@@ -445,11 +445,8 @@ class TestPerfectEliminationOrder:
         peo = maximum_cardinality_search(graph)
         assert peo is not None
         assert has_linear_quotients_in_order(peo_lex_dual_order(graph, peo))
-        # the suite answers up to the oracle limit
-        if graph.n <= homology.ORACLE_LIMIT:
-            suite = implication_suite(graph)
-            assert (suite.dual_componentwise_linear, suite.dual_linear_quotients) == (
-                True, "yes")
+        suite = implication_suite(graph)
+        assert (suite.dual_componentwise_linear, suite.dual_linear_quotients) == (True, "yes")
 
 
 class TestOneGraphLevelPath:
@@ -511,10 +508,26 @@ class TestOneGraphLevelPath:
             implication_suite(graph)
         assert calls == [cycle_graph(4), complete_graph(3)]
 
+    @pytest.mark.parametrize("graph", past_the_oracle_limit(), ids=lambda g: f"n{g.n}")
+    @pytest.mark.parametrize("field", list(Field))
+    def test_every_question_answers_past_the_oracle_limit(self, graph, field):
+        # n = 15..24, up to the ambient limit: the table off counts, the dual
+        # claims off chordality
+        hom = closed_form_betti(graph, field).reg_pd()
+        oracle = oracle_invariants(graph, field)
+        assert (oracle.reg_s_mod_i, oracle.pd_s_mod_i) == (hom.reg_s_mod_i, hom.pd_s_mod_i)
+        assert cross_validate(graph, field).oracle == oracle
+        suite = implication_suite(graph, field)
+        chordal = nx.is_chordal(nx.Graph(graph.edges))
+        assert (suite.dual_componentwise_linear, suite.dual_linear_quotients) == (
+            chordal, "yes" if chordal else "no")
+        assert suite.primal_linear_resolution == (hom.reg_ideal == graph.n - 2)
+
     @pytest.mark.parametrize("graph, message", [
         (SimpleGraph(4, ()), "edgeless graph: the complementary edge ideal is zero"),
         (SimpleGraph(2, ((1, 2),)), "degenerate ambient: need at least 3 vertices, got 2"),
-        (SimpleGraph(15, ((1, 2),)), "ambient size 15 exceeds the oracle limit of 14"),
+        # no edge is refused before the ambient size, which 15..24 vertices pass
+        (SimpleGraph(25, ()), "edgeless graph: the complementary edge ideal is zero"),
         (SimpleGraph(25, ((1, 2),)), "ambient size 25 outside supported range 0..24"),
     ])
     @pytest.mark.parametrize("question", [oracle_invariants, cross_validate, implication_suite])

@@ -80,16 +80,28 @@ MUTANTS = [
            "1 if met < n", "1 if met <= n",
            ("tests/test_homology.py::TestGraphOracle::"
             "test_atlas_classes_to_seven_against_both_engines_and_the_cover_search",)),
-    # the count table is listed in key order, and reg_pd reads pd off its
-    # last entry
+    # the count table is listed in key order, and reg_pd reads pd as the
+    # largest index over entries in any order
     Mutant("count-entries-out-of-key-order", "tables.py",
            "((2, n - 1), 2 * m - met),\n               ((2, n), met + points - joins - 1)",
            "((2, n), met + points - joins - 1),\n               ((2, n - 1), 2 * m - met)",
            ("tests/test_homology.py::TestTableKeyOrder::"
             "test_count_table_equals_the_dict_table_on_every_feasible_count",)),
     Mutant("reg-pd-off-the-first-entry", "tables.py",
-           "pd = self.entries[-1][0][0]", "pd = self.entries[0][0][0]",
+           "            if i > pd:\n                pd = i\n", "",
            ("tests/test_homology.py::TestRegPd::test_conversions",)),
+    # the oracle limit binds the two engines alone: it is checked after the
+    # count route, which answers up to the ambient limit
+    Mutant("engine-without-the-oracle-limit", "homology.py",
+           "    _require_oracle(n)\n    full = (1 << n) - 1", "    full = (1 << n) - 1",
+           (HOMOLOGY + "test_ambient_limit_guard",)),
+    Mutant("oracle-limit-above-the-count-route", "homology.py",
+           "    if indeg >= n - 2:\n        return _graph_betti(n, masks, field)\n"
+           "    _require_oracle(n)\n",
+           "    _require_oracle(n)\n    if indeg >= n - 2:\n"
+           "        return _graph_betti(n, masks, field)\n",
+           ("tests/test_homology.py::TestGraphOracle::"
+            "test_count_level_questions_answer_past_the_oracle_limit",)),
     # the component chain's tables, read without building an ideal
     Mutant("chain-regularity-off-by-one", "homology.py",
            ".reg_ideal != d:", ".reg_s_mod_i != d:",
