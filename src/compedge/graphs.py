@@ -41,6 +41,16 @@ def _plain_int(value: object, what: str) -> int:
         raise ValueError(f"{what} must be an integer, got {_clip(repr(value))}") from None
 
 
+def _plain_ints(values: Iterable[object], what: str) -> frozenset[int]:
+    """values as a frozenset of plain ints, read by one C-level map(operator.index), or a
+    ValueError that names what they are when one is a float or a string."""
+    read = map(index, values)
+    try:
+        return frozenset(read)
+    except TypeError as exc:
+        raise ValueError(f"{what} must be an integer: {exc}") from None
+
+
 class _Frozen:
     """Base of the value types that check their input, frozen and slotted.
 

@@ -31,13 +31,14 @@ refuse an ambient size past ORACLE_LIMIT (14): _mask_betti checks it after
 the count case and before the engine rule. A table read off counts answers
 up to the ideal layer's AMBIENT_LIMIT (24).
 
-A complementary edge ideal I_c(G) needs no ideal at all. tables._graph_oracle
-reads its table and its height off the graph's counts: the edges, and the
-vertices on an edge and the components holding one, which its caller counts
-once (graphs._join_count). The invariants layer and the betti command ask
-it, never build I_c(G) and never load this module. The table type
-(BettiTable) and the field tag live in tables too, and are attributes of
-this module as well.
+A complementary edge ideal I_c(G) needs no ideal at all. Its table and its
+height, reg and pd are read off the graph's counts: the edges, and the
+vertices on an edge and the components holding one, which the caller counts
+once (graphs._join_count). The betti command reads the table from
+tables._graph_oracle; the invariants layer reads height, reg and pd from
+tables._count_invariants and builds no table. Neither builds I_c(G) or
+loads this module. The table type (BettiTable) and the field tag live in
+tables too, and are attributes of this module as well.
 
 Nothing is memoised. The exhaustive sweeps repeat small tables, but they
 read every complementary edge ideal off counts, so a verify round sends no
@@ -75,7 +76,7 @@ from bisect import bisect_right
 from math import comb, gcd
 from typing import Collection, Iterable
 
-from .graphs import _clip, _Frozen, _join_count, _plain_int
+from .graphs import _clip, _Frozen, _join_count, _plain_int, _plain_ints
 from .ideals import (_DUAL_FACE_CAP, SquarefreeIdeal, _closure, _squarefree_components,
                      alexander_dual, height, support_of)
 # the count-level oracle and the table type live in tables; Field, BettiTable
@@ -96,17 +97,19 @@ class SimplicialComplex(_Frozen):
     """A simplicial complex on ground set {1..n}, faces stored as bit masks.
 
     The void complex (no faces at all) is distinct from the complex whose only
-    face is the empty set (mask 0). The constructor stores n as a plain int
-    (graphs._plain_int) and refuses a float or a string, a negative n, a face
-    outside 1..n and a family that is not downward closed.
+    face is the empty set (mask 0). The constructor stores n and each face
+    as plain ints (graphs._plain_int and _plain_ints), the faces as a
+    frozenset, and refuses a float or a string, a negative n, a face outside
+    1..n and a family that is not downward closed.
     """
 
     __slots__ = ("n", "faces")
 
-    def __init__(self, n: int, faces: frozenset[int]):
+    def __init__(self, n: int, faces: Iterable[int]):
         n = _plain_int(n, "ground size")
         if n < 0:
             raise ValueError(f"ground size must be nonnegative, got {_clip(n)}")
+        faces = _plain_ints(faces, "face mask")
         for f in faces:
             if f < 0 or f >> n:
                 raise ValueError(f"face mask {f} out of ground range 1..{n}")

@@ -19,7 +19,7 @@ from itertools import islice
 from math import comb
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .graphs import SimpleGraph, _Frozen, _plain_int
+from .graphs import SimpleGraph, _Frozen, _plain_int, _plain_ints
 # the ambient refusals are shared with the count-level oracle, and
 # AMBIENT_LIMIT stays an attribute of this module
 from .tables import AMBIENT_LIMIT, _require_ambient, _require_edge_ambient
@@ -53,10 +53,12 @@ class SquarefreeIdeal(_Frozen):
     """A squarefree monomial ideal in K[x_1..x_n], stored by generator bit masks.
 
     The constructor takes any iterable of masks and is the one generator check:
-    it stores n as a plain int (graphs._plain_int), refusing a float or a
-    string, refuses n outside 0..AMBIENT_LIMIT before reading a mask, refuses
-    a zero mask (the unit ideal) and a mask outside 1..n, drops duplicate and
-    redundant masks, and stores the minimal ones in increasing mask order.
+    it stores n and each mask as plain ints (graphs._plain_int and
+    _plain_ints), refusing a float or a string, refuses n outside
+    0..AMBIENT_LIMIT before reading a mask, refuses a zero mask (the unit
+    ideal) and a mask outside 1..n, drops duplicate and redundant masks, and
+    stores the minimal ones in increasing mask order. Ambient size 0 is
+    accepted: its one ideal is the zero ideal.
     """
 
     __slots__ = ("n", "masks")
@@ -64,7 +66,7 @@ class SquarefreeIdeal(_Frozen):
     def __init__(self, n: int, masks: Iterable[int]):
         n = _plain_int(n, "ambient size")
         _require_ambient(n)
-        masks = set(masks)
+        masks = _plain_ints(masks, "generator mask")
         if 0 in masks:
             raise ValueError("unit ideal: a generator has empty support")
         if masks and (min(masks) < 0 or max(masks) >> n):
@@ -99,7 +101,7 @@ class SquarefreeIdeal(_Frozen):
         return {"n": self.n, "generators": [sorted(g) for g in self.gens]}
 
 
-def _minimal_masks(masks: set[int]) -> list[int]:
+def _minimal_masks(masks: Iterable[int]) -> list[int]:
     """Inclusion-minimal masks: by size, each kept unless it contains a kept one."""
     kept: list[int] = []
     for c in sorted(masks, key=int.bit_count):

@@ -19,8 +19,8 @@ from __future__ import annotations
 from math import comb
 from typing import NamedTuple
 
-from .graphs import SimpleGraph, _is_chordal, _join_count, is_complete, is_forest
-from .tables import BettiTable, Field, _graph_oracle, _require_edge_ambient
+from .graphs import SimpleGraph, _is_chordal, _join_count, is_forest
+from .tables import Field, _count_invariants, _require_ambient, _require_edge_ambient
 
 NOTE_COMPLETE_PD = "complete_pd_adjusted"
 NOTE_ISOLATED = "isolated_vertices_outside_hypotheses"
@@ -56,6 +56,13 @@ class LicciVerdict(NamedTuple):
 
     def to_json_dict(self) -> dict:
         return self._asdict()
+
+
+# the four verdicts, shared by every graph of their class
+_LICCI_K3 = LicciVerdict(True, REASON_K3)
+_NOT_LICCI_COMPLETE = LicciVerdict(False, REASON_COMPLETE)
+_LICCI_FOREST = LicciVerdict(True, REASON_FOREST)
+_NOT_LICCI_CYCLE = LicciVerdict(False, REASON_CYCLE)
 
 
 class InvariantReport(NamedTuple):
@@ -122,21 +129,17 @@ class DiscrepancyReport(NamedTuple):
             "graph": self.graph.to_json_dict(),
             "field": self.field.value,
             "mismatches": [
-                {"invariant": name, "predicted": _plain(pred), "oracle": _plain(orc)}
+                # a predicted regularity is an interval; every oracle value is a number
+                {"invariant": name, "predicted": list(pred) if isinstance(pred, tuple) else pred,
+                 "oracle": orc}
                 for name, pred, orc in self.mismatches
             ],
         }
 
 
-def _plain(value):
-    if isinstance(value, tuple):
-        return list(value)
-    return value
-
-
 def _require_admissible(graph: SimpleGraph) -> None:
     _require_edge_ambient(graph.n)
-    if graph.m == 0:
+    if not graph.edges:
         raise ValueError("edgeless graph: the complementary edge ideal is zero")
 
 
@@ -147,18 +150,14 @@ def is_licci(graph: SimpleGraph) -> LicciVerdict:
     reason; beyond K_3, completeness rules licci out, as does any cycle.
     """
     _require_admissible(graph)
-    return _licci(graph, is_forest(graph))
+    return _licci(graph.n, graph.m, is_forest(graph))
 
 
-def _licci(graph: SimpleGraph, forest: bool) -> LicciVerdict:
-    """is_licci for a graph already known to be a forest or not."""
-    if is_complete(graph):
-        if graph.n == 3:
-            return LicciVerdict(True, REASON_K3)
-        return LicciVerdict(False, REASON_COMPLETE)
-    if forest:
-        return LicciVerdict(True, REASON_FOREST)
-    return LicciVerdict(False, REASON_CYCLE)
+def _licci(n: int, m: int, forest: bool) -> LicciVerdict:
+    """is_licci for m edges on n vertices that form a forest or not: one of the four verdicts."""
+    if m == n * (n - 1) // 2:
+        return _LICCI_K3 if n == 3 else _NOT_LICCI_COMPLETE
+    return _LICCI_FOREST if forest else _NOT_LICCI_CYCLE
 
 
 def huneke_ulrich_check(reg_s_mod_i: int, height_: int, indeg: int) -> bool:
@@ -179,17 +178,17 @@ def _predict(graph: SimpleGraph, met: int, joins: int) -> InvariantReport:
     the edges form a forest exactly when every one of them does. Notes and
     provenance are per-class constants; a complete G has no isolated vertex.
     """
-    n = graph.n
-    verdict = _licci(graph, joins == graph.m)
+    n, m = graph.n, graph.m
+    verdict = _licci(n, m, joins == m)
     notes = _ISOLATED_NOTES if met < n else ()
-    if verdict.reason == REASON_FOREST:
+    if verdict is _LICCI_FOREST:
         # a forest with c components has n - c edges
-        if graph.m == n - 1:
+        if m == n - 1:
             return InvariantReport("tree", 2, True, 1, (n - 2, n - 2), n - 2, verdict,
                                    notes, _PROVENANCE_TREE)
         return InvariantReport("disconnected_forest", 2, True, 1, (n - 1, n - 1), n - 2,
                                verdict, notes, _PROVENANCE_DISCONNECTED_FOREST)
-    if verdict.reason == REASON_CYCLE:
+    if verdict is _NOT_LICCI_CYCLE:
         return InvariantReport("other", 2, False, 2, (n - 2, n - 1), n - 2, verdict,
                                notes, _PROVENANCE_OTHER)
     return InvariantReport("complete", 3, True, 2, (n - 2, n - 2), n - 2, verdict,
@@ -199,18 +198,19 @@ def _predict(graph: SimpleGraph, met: int, joins: int) -> InvariantReport:
 def oracle_invariants(graph: SimpleGraph, field: Field = Field.GF2) -> OracleInvariants:
     """Measure height, reg, pd and Cohen-Macaulayness with the exact oracle.
 
-    The table and the height are read off the graph's counts (the edges, the
-    vertices on an edge and the components holding one) by
-    tables._graph_oracle, which builds no ideal.
+    They are read off the graph's counts (the edges, the vertices on an edge
+    and the components holding one) by tables._count_invariants, which
+    builds no ideal and no Betti table.
     """
     _require_admissible(graph)
-    return _measured(field, *_graph_oracle(graph, field, _join_count(graph.edges)))
+    return _oracle(graph, field, *_join_count(graph.edges))
 
 
-def _measured(field: Field, table: BettiTable, ht: int) -> OracleInvariants:
-    hom = table.reg_pd()
-    return OracleInvariants(field, ht, hom.reg_s_mod_i, hom.pd_s_mod_i,
-                            hom.reg_ideal, hom.pd_ideal, hom.pd_s_mod_i == ht)
+def _oracle(graph: SimpleGraph, field: Field, met: int, joins: int) -> OracleInvariants:
+    """oracle_invariants off graphs._join_count(graph.edges), past the ambient refusal."""
+    _require_ambient(graph.n)
+    ht, reg, pd = _count_invariants(graph.n, graph.m, met, joins)
+    return OracleInvariants(field, ht, reg, pd, reg + 1, pd - 1, pd == ht)
 
 
 def cross_validate(graph: SimpleGraph, field: Field = Field.GF2) -> DiscrepancyReport:
@@ -222,7 +222,7 @@ def cross_validate(graph: SimpleGraph, field: Field = Field.GF2) -> DiscrepancyR
     _require_admissible(graph)
     counts = _join_count(graph.edges)
     predicted = _predict(graph, *counts)
-    oracle = _measured(field, *_graph_oracle(graph, field, counts))
+    oracle = _oracle(graph, field, *counts)
     mismatches: list[tuple[str, object, object]] = []
     if predicted.height != oracle.height:
         mismatches.append(("height", predicted.height, oracle.height))
@@ -237,7 +237,7 @@ def cross_validate(graph: SimpleGraph, field: Field = Field.GF2) -> DiscrepancyR
 
 
 class ImplicationSuite(NamedTuple):
-    """The five resolution-shape claims evaluated by the oracle for one graph.
+    """The five resolution-shape claims, read off one graph's counts and chordality.
 
     For a licci graph all five are asserted by the classification layer. A
     forest breaks the last one, primal_linear_resolution, exactly when two or
@@ -317,37 +317,34 @@ def implication_suite(graph: SimpleGraph, field: Field = Field.GF2) -> Implicati
       colon as above.
     The tests check this order against the colon ideals written out per
     difference, and has_linear_quotients on the dual against the suite.
-    primal_linear_resolution is read off the table of
-    tables._graph_oracle, asked first so that its refusals come first.
-    One graphs._join_count serves the licci verdict, that table, the forest
-    test and the degree count (met, the vertices on an edge).
+    primal_linear_resolution: I_c(G) is generated in degree n - 2, so its
+    resolution is linear exactly when reg(I) = n - 2, that is when at most
+    one component holds an edge (tables._count_invariants). One
+    graphs._join_count serves the licci verdict, the forest test, that
+    component count and the degree count (met, the vertices on an edge).
+    The ambient refusal comes before the chordality kernel, whose n-bit
+    masks it bounds.
     """
     _require_admissible(graph)
-    met, joins = counts = _join_count(graph.edges)
-    forest = joins == graph.m
-    verdict = _licci(graph, forest)
-    table, _ = _graph_oracle(graph, field, counts)
-    n = graph.n
+    met, joins = _join_count(graph.edges)
+    n, m = graph.n, graph.m
+    forest = joins == m
+    verdict = _licci(n, m, forest)
+    _require_ambient(n)
     dual_cl = forest or _is_chordal(graph)
-    seq_cm = dual_cl
-    lq_status = "yes" if dual_cl else "no"
     # J's generator degrees: 1 past the met vertices on an edge, 2 below
     # C(met, 2) edges, 3 with a triangle, which a chordal G has iff it has a cycle
-    degrees = (met < n) + (graph.m < comb(met, 2)) + (not forest)
+    degrees = (met < n) + (m < comb(met, 2)) + (not forest)
     dual_lin = dual_cl and degrees == 1
-    # every generator has degree n - 2, so the resolution is linear iff reg(I) = n - 2
-    primal_lin = table.reg_pd().reg_ideal == n - 2
+    primal_lin = met - joins <= 1
     failed = []
     if verdict.licci:
-        if not seq_cm:
-            failed.append("sequentially_cm")
+        # sequential CM-ness and the dual's linear quotients are its componentwise linearity
         if not dual_cl:
-            failed.append("dual_componentwise_linear")
-        if lq_status == "no":
-            failed.append("dual_linear_quotients")
+            failed += ("sequentially_cm", "dual_componentwise_linear", "dual_linear_quotients")
         if not dual_lin:
             failed.append("dual_linear_resolution")
         if not primal_lin:
             failed.append("primal_linear_resolution")
-    return ImplicationSuite(graph, field, verdict, seq_cm, dual_cl, lq_status,
+    return ImplicationSuite(graph, field, verdict, dual_cl, dual_cl, "yes" if dual_cl else "no",
                             dual_lin, primal_lin, tuple(failed))

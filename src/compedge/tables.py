@@ -4,15 +4,16 @@ This layer sits between graphs and the ideal and homology layers. It holds
 the table type (BettiTable, with its regularity and projective dimension),
 the coefficient field tag and the ambient refusals the ideal layer shares
 (AMBIENT_LIMIT). It also holds the oracle of I_c(G) read off graph counts,
-which answers up to AMBIENT_LIMIT: _graph_oracle gives the table and the
-height from the edges, the vertices on an edge and the components holding
-one, through _count_betti, the dual Hochster table of a dual complex that
-is a graph plus isolated points. No ideal, mask or face is built here, and
-this module imports only graphs: the invariants layer and the CLI's graph
-commands read every table of I_c(G) from it and load neither the ideal
-layer nor the homology engines, whose oracle limit (homology.ORACLE_LIMIT)
-it never meets. homology and ideals import these names and keep them as
-their own attributes.
+which answers up to AMBIENT_LIMIT: the edges, the vertices on an edge and
+the components holding one. _count_betti gives the dual Hochster table of a
+dual complex that is a graph plus isolated points; _graph_oracle gives that
+table of I_c(G) for the betti command, and _count_invariants the height,
+reg and pd it implies, which the invariants layer reads with no table
+built. No ideal, mask or face is built here, and this module imports only
+graphs: the invariants layer and the CLI's graph commands load neither the
+ideal layer nor the homology engines, whose oracle limit
+(homology.ORACLE_LIMIT) they never meet. homology and ideals import these
+names and keep them as their own attributes.
 """
 from __future__ import annotations
 
@@ -105,9 +106,8 @@ def _graph_oracle(graph: SimpleGraph, field: Field,
     formula (Miller-Sturmfels, Combinatorial Commutative Algebra, Cor. 5.12)
     then gives beta_(1, n-2) = m, beta_(2, n-1) = 2m - n', beta_(2, n) =
     c' - 1 and beta_(3, n) = m - n' + c', over every field: the table of
-    _count_betti with no isolated facet vertex. The height is the least k
-    with f_(k-1) < C(n, k) in the f-vector (1, n', m), the rule of
-    ideals.height: 1 with an isolated vertex, else 2 unless G is complete.
+    _count_betti with no isolated facet vertex. The height is that of
+    _count_invariants.
     """
     n = graph.n
     _require_edge_ambient(n)
@@ -115,8 +115,25 @@ def _graph_oracle(graph: SimpleGraph, field: Field,
     m = graph.m
     if not m:
         raise ValueError("Betti table undefined for the zero ideal")
-    met, joins = counts
-    return _count_betti(n, m, met, joins, 0, field), 1 if met < n else 2 if m < comb(n, 2) else 3
+    return _count_betti(n, m, *counts, 0, field), _count_invariants(n, m, *counts)[0]
+
+
+def _count_invariants(n: int, m: int, met: int, joins: int) -> tuple[int, int, int]:
+    """(height, reg(S/I), pd(S/I)) of I_c(G) for m >= 1 edges on n >= 3 vertices.
+
+    met vertices lie on an edge and joins of the edges join two components
+    (graphs._join_count), so c' = met - joins components hold an edge. pd
+    and reg are the largest i and j - i among the nonzero entries of
+    _count_betti(n, m, met, joins, 0, field), with no table built:
+    beta_(3, n) = m - joins is nonzero iff G has a cycle; beta_(2, n-1) =
+    2m - met iff two edges meet; beta_(2, n) = c' - 1 iff c' >= 2, and it is
+    the one entry with j - i = n - 2; beta_(1, n-2) = m is never zero and
+    has j - i = n - 3. The height is the least k with f_(k-1) < C(n, k) in
+    the f-vector (1, met, m) of the dual complex, the rule of ideals.height:
+    1 with an isolated vertex, else 2 unless G is complete, else 3.
+    """
+    return (1 if met < n else 2 if m < comb(n, 2) else 3, n - 2 if met - joins >= 2 else n - 3,
+            3 if m > joins else 2 if 2 * m > met or met - joins >= 2 else 1)
 
 
 def _count_betti(n: int, m: int, met: int, joins: int, points: int,

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import compedge
-from compedge import Field, cli, graphs, invariants
+from compedge import Field, cli, graphs, invariants, tables
 from compedge.cli import run
 from conftest import closed_form_betti, labeled_verify, past_the_oracle_limit
 
@@ -324,11 +324,17 @@ def count_calls(monkeypatch, name: str, *modules) -> list:
 
 
 class TestOnePassPerGraph:
-    def test_analyze_oracle_computes_one_betti_table(self, monkeypatch):
-        # every table of I_c(G) comes from the one graph-level entry
-        calls = count_calls(monkeypatch, "_graph_oracle", invariants)
+    def test_analyze_oracle_counts_once_and_builds_no_betti_table(self, monkeypatch):
+        # the prediction and the oracle's height, reg and pd share one
+        # union-find count, and no table of I_c(G) is built to read them
+        calls = count_calls(monkeypatch, "_join_count", graphs, invariants)
+
+        def refuse(*args):
+            raise AssertionError("built a Betti table")
+        monkeypatch.setattr(tables.BettiTable, "__new__", refuse)
         outcome = run(["analyze", str(FIXTURES / "k4.json"), "--oracle"])
         assert outcome.exit_code == 0
+        assert json.loads(outcome.payload)["oracle"]["pd_s_mod_i"] == 3
         assert len(calls) == 1
 
     def test_verify_predicts_each_graph_once(self, monkeypatch):
@@ -668,7 +674,7 @@ class TestNumpyLoadsLazily:
                 assert getattr(sys.modules[obj.__module__], name) is obj, name
         # the names that moved to tables stay attributes of their old homes;
         # the engines' oracle limit is homology's own
-        from compedge import homology, ideals, tables
+        from compedge import homology, ideals
         for name in ("Field", "BettiTable", "_graph_oracle", "_count_betti"):
             assert getattr(homology, name) is getattr(tables, name)
         assert ideals.AMBIENT_LIMIT is tables.AMBIENT_LIMIT

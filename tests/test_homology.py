@@ -24,6 +24,7 @@ from compedge.homology import (BettiTable, SimplicialComplex, _closure, _count_b
                                _dual_betti, _gf2_rank, _graph_betti,
                                _graph_oracle, _homology, _primal_betti, _rational_rank,
                                clear_homology_cache, reduced_homology_dims)
+from compedge.tables import _count_invariants
 from conftest import (atlas_graphs, brute_force_component, closed_form_betti, gnp_graph,
                       past_the_oracle_limit)
 
@@ -265,6 +266,17 @@ class TestSimplicialComplexes:
         assert type(c.n) is int and c.n == n
         assert c == SimplicialComplex(int(n), frozenset({0, 1}))
         assert repr(c) == f"SimplicialComplex(n={int(n)}, faces=frozenset({{0, 1}}))"
+
+    def test_face_masks_are_plain_ints_or_refused_by_name(self):
+        c = SimplicialComplex(2, {0, np.int64(1), np.uint8(2), True, 3})
+        assert c == SimplicialComplex(2, frozenset({0, 1, 2, 3}))
+        assert all(type(f) is int for f in c.faces) and type(c.faces) is frozenset
+        for bad in (1.0, 2.5, "1"):
+            with pytest.raises(ValueError, match="^face mask must be an integer: "):
+                SimplicialComplex(2, frozenset({0, bad}))
+        # the ground size is checked before any face is read
+        with pytest.raises(ValueError, match="^ground size must be nonnegative, got -1$"):
+            SimplicialComplex(-1, frozenset({1.0}))
 
     @pytest.mark.parametrize("build", [lambda: SimplicialComplex(-1, frozenset()),
                                        lambda: SimplicialComplex(-1, frozenset({0})),
@@ -873,6 +885,61 @@ class TestGraphOracle:
             hochster_betti(minimalize(graph.n, [[1, 2]]))
         with pytest.raises(ValueError, match=message):
             stanley_reisner(ideal)
+
+
+class TestCountInvariants:
+    """tables._count_invariants: height, reg(S/I) and pd(S/I) of I_c(G) off the counts."""
+
+    def test_every_labeled_graph_to_six_against_the_tables_and_the_cover_search(
+            self, oracle_sweep):
+        # oracle_sweep holds, per labeled graph, reg_pd of
+        # hochster_betti(complementary_edge_ideal(graph)) and ideals.height of it
+        records, _ = oracle_sweep
+        assert len(records) == 7 + 63 + 1023 + 32767
+        for record in records:
+            graph = record.graph
+            n, m = graph.n, graph.m
+            counts = _join_count(graph.edges)
+            closed = _count_invariants(n, m, *counts)
+            assert closed == (record.height, record.reg_s_mod_i, record.pd_ideal + 1), graph
+            for field in Field:
+                hom = _count_betti(n, m, *counts, 0, field).reg_pd()
+                assert closed[1:] == (hom.reg_s_mod_i, hom.pd_s_mod_i), graph
+
+    @settings(max_examples=40, deadline=None)
+    @given(gnp_graphs(3, 14))
+    @example(cycle_graph(14))
+    @example(SimpleGraph(11, ((1, 2), (3, 4), (5, 6))))
+    def test_equals_both_engines_and_the_cover_search_to_fourteen(self, graph: SimpleGraph):
+        # the dual engine on every draw over both fields; the primal one,
+        # whose 2^n union table takes about 2 s over GF(2) and 40 s over Q
+        # at n = 14, to n = 11 over GF(2) and n = 8 over Q
+        ideal = complementary_edge_ideal(graph)
+        ht, reg, pd = _count_invariants(graph.n, graph.m, *_join_count(graph.edges))
+        assert ht == alexander_dual(ideal).indeg
+        for field in Field:
+            tables = [dual_engine(ideal, field)]
+            if graph.n <= (11 if field is Field.GF2 else 8):
+                tables.append(_primal_betti(ideal, field))
+            for table in tables:
+                hom = table.reg_pd()
+                assert (reg, pd) == (hom.reg_s_mod_i, hom.pd_s_mod_i), (graph, field)
+
+    def test_each_rule_on_its_smallest_witness(self):
+        # pd 3 exactly with a cycle, 2 when two edges meet or two components
+        # hold an edge, else 1; reg n - 2 exactly with two such components
+        cases = {
+            SimpleGraph(3, ((1, 2),)): (1, 0, 1),
+            SimpleGraph(3, ((1, 2), (2, 3))): (2, 0, 2),
+            SimpleGraph(4, ((1, 2), (3, 4))): (2, 2, 2),
+            SimpleGraph(5, ((1, 2), (3, 4))): (1, 3, 2),
+            cycle_graph(4): (2, 1, 3),
+            complete_graph(3): (3, 0, 3),
+            complete_graph(4): (3, 1, 3),
+        }
+        for graph, expected in cases.items():
+            assert _count_invariants(graph.n, graph.m, *_join_count(graph.edges)) == expected
+            assert expected[1:] == tuple(reg_pd(closed_form_betti(graph, Field.GF2))[:2])
 
 
 class TestRegPd:

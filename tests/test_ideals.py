@@ -100,6 +100,32 @@ class TestConstructor:
         assert ideal == SquarefreeIdeal(int(n), [1])
         assert repr(ideal) == f"SquarefreeIdeal(n={int(n)}, masks=(1,))"
 
+    def test_generator_masks_are_plain_ints_or_refused_by_name(self):
+        # numpy integers and bools are read through operator.index, so mixed
+        # degrees reach int.bit_count on plain ints
+        ideal = SquarefreeIdeal(3, [np.int64(3), np.int64(5), np.uint8(6), True])
+        assert ideal == SquarefreeIdeal(3, [1, 6])
+        assert all(type(m) is int for m in ideal.masks)
+        assert SquarefreeIdeal(3, (np.int64(m) for m in (3, 5))).masks == (3, 5)
+        for bad in (1.0, 2.5, "3", None):
+            with pytest.raises(ValueError, match="^generator mask must be an integer: "):
+                SquarefreeIdeal(3, [1, bad])
+        # the ambient size is checked before any mask is read
+        with pytest.raises(ValueError, match="^ambient size 25 outside"):
+            SquarefreeIdeal(25, [1.0])
+
+    def test_ambient_size_zero_is_accepted(self):
+        # the ideal layer accepts n = 0, whose one ideal is the zero ideal;
+        # the polynomial ring in no variables is a field, and every mask is
+        # outside its ambient
+        ideal = SquarefreeIdeal(0, [])
+        assert (ideal.n, ideal.masks, ideal.is_zero) == (0, (), True)
+        assert ideal == minimalize(0, [])
+        with pytest.raises(ValueError, match="out of ambient range 1..0"):
+            SquarefreeIdeal(0, [1])
+        with pytest.raises(ValueError, match="^ambient size -1 outside supported range 0..24$"):
+            SquarefreeIdeal(-1, [])
+
     def test_generator_outside_the_ambient_is_refused(self):
         with pytest.raises(ValueError, match="out of ambient range"):
             SquarefreeIdeal(3, (mask_of([5]),))

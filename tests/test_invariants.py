@@ -4,6 +4,7 @@ from __future__ import annotations
 import hashlib
 import json
 from itertools import combinations
+from math import comb
 
 import networkx as nx
 import pytest
@@ -63,6 +64,13 @@ class TestLicciVerdict:
         assert is_licci(complete_graph(3)).to_json_dict() == {
             "licci": True, "reason": "K3"}
 
+    def test_every_verdict_is_one_of_four_shared_records(self):
+        verdicts = {id(is_licci(graph)): is_licci(graph)
+                    for n in range(3, 6) for graph in enumerate_graphs(n) if graph.m}
+        assert sorted(verdicts.values()) == [(False, "complete_n_ge_4"),
+                                             (False, "contains_cycle_not_complete"),
+                                             (True, "K3"), (True, "forest")]
+
 
 class TestHunekeUlrich:
     def test_threshold_arithmetic(self):
@@ -72,6 +80,17 @@ class TestHunekeUlrich:
         # height 1 or linear generators make the bound vacuous
         assert huneke_ulrich_check(0, 1, 5)
         assert huneke_ulrich_check(0, 4, 1)
+
+    @pytest.mark.parametrize("reg, height_, indeg, holds", [
+        # the height factor decides: (3 - 1) * (2 - 1) = 2 > 1, but (2 - 1) * 1 = 1
+        (1, 3, 2, False), (1, 2, 2, True), (2, 3, 2, True),
+        # the degree factor decides: (2 - 1) * (3 - 1) = 2 > 1, but 1 * (2 - 1) = 1
+        (1, 2, 3, False), (2, 2, 3, True),
+        # both decide at once: 2 * 2 = 4
+        (3, 3, 3, False), (4, 3, 3, True),
+    ])
+    def test_each_factor_decides_at_its_boundary(self, reg, height_, indeg, holds):
+        assert huneke_ulrich_check(reg, height_, indeg) is holds
 
 
 class TestPredictions:
@@ -124,6 +143,43 @@ class TestPredictions:
         report = predict_invariants(cycle_graph(4))
         assert dict(report.provenance).keys() == {
             "height", "cohen_macaulay", "pd_ideal", "reg_ideal", "licci"}
+
+    def test_every_field_of_every_class_against_slow_paths(self, oracle_sweep):
+        # on every labeled graph to six: the class and the verdict by
+        # networkx, indeg off the generators of complementary_edge_ideal(G),
+        # and height, CM, pd and reg by the class rules written out; where no
+        # vertex is isolated, which the rules assume, those four by the ideal
+        # route too (oracle_sweep: hochster_betti and the cover search), reg
+        # by interval containment
+        rules = {"tree": lambda n: (2, True, 1, (n - 2, n - 2)),
+                 "disconnected_forest": lambda n: (2, True, 1, (n - 1, n - 1)),
+                 "other": lambda n: (2, False, 2, (n - 2, n - 1)),
+                 "complete": lambda n: (3, True, 2, (n - 2, n - 2))}
+        records, _ = oracle_sweep
+        classes = set()
+        for record in records:
+            graph = record.graph
+            n = graph.n
+            g = nx.Graph(graph.edges)
+            g.add_nodes_from(graph.vertices())
+            complete = graph.m == comb(n, 2)
+            forest = nx.is_forest(g)
+            expected = ("complete" if complete else "other" if not forest
+                        else "tree" if nx.is_connected(g) else "disconnected_forest")
+            reason = (("K3" if n == 3 else "complete_n_ge_4") if complete
+                      else "forest" if forest else "contains_cycle_not_complete")
+            report = predict_invariants(graph)
+            assert report.graph_class == expected, graph
+            assert report.verdict == (reason in ("K3", "forest"), reason), graph
+            assert report.indeg == complementary_edge_ideal(graph).indeg == n - 2, graph
+            values = (report.height, report.cohen_macaulay, report.pd_ideal, report.reg_ideal)
+            assert values == rules[expected](n), graph
+            if nx.number_of_isolates(g) == 0:
+                lo, hi = report.reg_ideal
+                assert values[:3] == (record.height, record.cohen_macaulay, record.pd_ideal)
+                assert lo <= record.reg_ideal <= hi, graph
+            classes.add(expected)
+        assert classes == rules.keys()
 
     def test_notes_and_provenance_are_one_constant_per_class(self):
         # the rules per class, written out; every graph of a class shares one tuple
@@ -469,6 +525,21 @@ class TestOneGraphLevelPath:
             for module in set(LAYERS) - set(modules):
                 assert not hasattr(module, name), (module, name)
         assert [q(g, f) for g in forests for f in Field for q in questions] == expected
+
+    def test_no_question_builds_a_betti_table(self, monkeypatch):
+        # height, reg and pd come off the closed form tables._count_invariants;
+        # a table is built only where one is returned
+        graphs_ = [path_graph(5), cycle_graph(5), complete_graph(3), complete_graph(4),
+                   SimpleGraph(6, ((1, 2), (3, 4))), SimpleGraph(6, ((1, 2), (2, 3), (1, 3)))]
+        questions = (oracle_invariants, cross_validate, implication_suite)
+        expected = [q(g, f) for g in graphs_ for f in Field for q in questions]
+
+        def refuse(*args):
+            raise AssertionError("built a Betti table")
+        monkeypatch.setattr(tables.BettiTable, "__new__", refuse)
+        assert [q(g, f) for g in graphs_ for f in Field for q in questions] == expected
+        with pytest.raises(AssertionError, match="built a Betti table"):
+            tables._graph_oracle(path_graph(5), Field.GF2, graphs._join_count(path_graph(5).edges))
 
     @pytest.mark.parametrize("question", [cross_validate, implication_suite])
     def test_one_union_find_per_question(self, monkeypatch, question):

@@ -102,6 +102,47 @@ MUTANTS = [
            "        return _graph_betti(n, masks, field)\n",
            ("tests/test_homology.py::TestGraphOracle::"
             "test_count_level_questions_answer_past_the_oracle_limit",)),
+    # height, reg and pd of I_c(G) off the counts, with no table built
+    Mutant("closed-form-reg-split-at-one-component", "tables.py",
+           "n - 2 if met - joins >= 2", "n - 2 if met - joins >= 1",
+           ("tests/test_homology.py::TestCountInvariants::"
+            "test_every_labeled_graph_to_six_against_the_tables_and_the_cover_search",)),
+    Mutant("closed-form-cycle-pd-two", "tables.py",
+           "3 if m > joins else", "2 if m > joins else",
+           ("tests/test_homology.py::TestCountInvariants::"
+            "test_every_labeled_graph_to_six_against_the_tables_and_the_cover_search",)),
+    Mutant("closed-form-pd-without-the-split", "tables.py",
+           "2 * m > met or met - joins >= 2", "2 * m > met",
+           ("tests/test_homology.py::TestCountInvariants::"
+            "test_every_labeled_graph_to_six_against_the_tables_and_the_cover_search",)),
+    Mutant("closed-form-pd-two-on-one-edge", "tables.py",
+           "2 * m > met or", "2 * m >= met or",
+           ("tests/test_homology.py::TestCountInvariants::"
+            "test_every_labeled_graph_to_six_against_the_tables_and_the_cover_search",)),
+    Mutant("closed-form-height-two-on-complete", "tables.py",
+           "2 if m < comb(n, 2) else 3", "2 if m <= comb(n, 2) else 3",
+           ("tests/test_homology.py::TestCountInvariants::"
+            "test_every_labeled_graph_to_six_against_the_tables_and_the_cover_search",)),
+    # the ideal layer accepts ambient size 0
+    Mutant("ambient-size-zero-refused", "tables.py",
+           "if not 0 <= n <= AMBIENT_LIMIT:", "if not 0 < n <= AMBIENT_LIMIT:",
+           ("tests/test_ideals.py::TestConstructor::test_ambient_size_zero_is_accepted",)),
+    # the predicted initial degree of each class, and the Huneke-Ulrich bound
+    Mutant("predicted-indeg-of-a-complete-graph", "invariants.py",
+           "n - 2, verdict,\n                           _COMPLETE_NOTES",
+           "n + 2, verdict,\n                           _COMPLETE_NOTES",
+           ("tests/test_invariants.py::TestPredictions::"
+            "test_every_field_of_every_class_against_slow_paths",)),
+    Mutant("predicted-indeg-of-a-cycle", "invariants.py",
+           "(n - 2, n - 1), n - 2, verdict", "(n - 2, n - 1), n + 2, verdict",
+           ("tests/test_invariants.py::TestPredictions::"
+            "test_every_field_of_every_class_against_slow_paths",)),
+    Mutant("huneke-ulrich-height-minus-two", "invariants.py",
+           "(height_ - 1) * (indeg - 1)", "(height_ - 2) * (indeg - 1)",
+           ("tests/test_invariants.py::TestHunekeUlrich",)),
+    Mutant("huneke-ulrich-indeg-minus-two", "invariants.py",
+           "(height_ - 1) * (indeg - 1)", "(height_ - 1) * (indeg - 2)",
+           ("tests/test_invariants.py::TestHunekeUlrich",)),
     # the component chain's tables, read without building an ideal
     Mutant("chain-regularity-off-by-one", "homology.py",
            ".reg_ideal != d:", ".reg_s_mod_i != d:",
@@ -124,7 +165,11 @@ MUTANTS = [
            ("tests/test_invariants.py::TestImplicationSuite::"
             "test_payload_digest_over_every_graph_to_five_and_forest_on_six",)),
     Mutant("suite-every-graph-a-forest", "invariants.py",
-           "forest = joins == graph.m", "forest = True",
+           "forest = joins == m", "forest = True",
+           ("tests/test_invariants.py::TestImplicationSuite::"
+            "test_payload_digest_over_every_graph_to_five_and_forest_on_six",)),
+    Mutant("suite-primal-linear-with-two-components", "invariants.py",
+           "primal_lin = met - joins <= 1", "primal_lin = met - joins <= 2",
            ("tests/test_invariants.py::TestImplicationSuite::"
             "test_payload_digest_over_every_graph_to_five_and_forest_on_six",)),
     # the chordality kernel that decides the dual's componentwise linearity
@@ -137,7 +182,7 @@ MUTANTS = [
            "if left == before:\n            return True",
            ("tests/test_graphs.py::TestChordalityKernel",)),
     Mutant("suite-quotients-yes-past-a-non-linear-dual", "invariants.py",
-           'lq_status = "yes" if dual_cl else "no"', 'lq_status = "yes"',
+           '"yes" if dual_cl else "no"', '"yes"',
            ("tests/test_invariants.py::TestImplicationSuite::"
             "test_payload_digest_over_every_graph_to_five_and_forest_on_six",)),
     # verify over isomorphism classes: the class generator's canonical code,

@@ -7,14 +7,20 @@ Runs `PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q
 command of ROADMAP.md, and prints the passed and failed counts and the wall
 time. Six acceptance criteria, tests/test_acceptance.py::test_criterion_01..06,
 fail on purpose: each quantifies a textbook rule over a universe holding
-graphs with isolated vertices, where the rule is false. The exit status is 0
-when the failures are exactly those six and nothing errored, and 1 otherwise,
-with each unexpected failure or error and each intended failure that passed
-named. It selects, deselects, skips and marks nothing. Standard library only;
-not part of tier-1, as it runs tier-1.
+graphs with isolated vertices, where the rule is false. The first E line of
+each, the assertion message that carries its counterexample census, must equal
+the copy in tools/tier1_censuses.json, so a failure that moved to another
+assertion or changed its census is seen. The exit status is 0 when the
+failures are exactly those six, each with its committed census, and nothing
+errored, and 1 otherwise, with each unexpected failure or error, each intended
+failure that passed and each changed census named. A census changes only with
+the code it counts; update the copy with that change and say so in CHANGES.md.
+It selects, deselects, skips and marks nothing. Standard library only; not
+part of tier-1, as it runs tier-1.
 """
 from __future__ import annotations
 
+import json
 import os
 import re
 import subprocess
@@ -27,7 +33,23 @@ INTENDED = {
     f"tests/test_acceptance.py::test_criterion_{name}" for name in (
         "01_pd_and_reg_bounds", "02_cm_characterization", "03_heights",
         "04_forest_reg_pd", "05_licci_equivalence", "06_implication_suite")}
+CENSUSES = ROOT / "tools" / "tier1_censuses.json"
 COUNT = re.compile(r"(\d+) (passed|failed|errors?)\b")
+# the header of one failure's traceback: its test name between rules of underscores
+SECTION = re.compile(r"^_{3,} (\S+) _{3,}$")
+
+
+def first_e_lines(lines: list[str]) -> dict[str, str]:
+    """The first E line of each failure's traceback, stripped, keyed by its test name."""
+    found: dict[str, str] = {}
+    name = None
+    for line in lines:
+        head = SECTION.match(line)
+        if head:
+            name = head.group(1)
+        elif name and line.startswith("E ") and name not in found:
+            found[name] = line[1:].strip()
+    return found
 
 
 def main() -> int:
@@ -59,9 +81,18 @@ def main() -> int:
         print(f"error: {node}")
     for node in sorted(INTENDED - failed):
         print(f"intended failure passed: {node}")
-    if failed != INTENDED or errored:
+    expected = json.loads(CENSUSES.read_text())
+    found = first_e_lines(lines)
+    changed = False
+    for node in sorted(INTENDED & failed):
+        name = node.split("::", 1)[1]
+        if found.get(name) != expected[name]:
+            print(f"census changed: {node}\n  committed: {expected[name]}\n  found:     "
+                  f"{found.get(name)}")
+            changed = True
+    if failed != INTENDED or errored or changed:
         return 1
-    print("the only failures are the six intended acceptance criteria")
+    print("the only failures are the six intended acceptance criteria, each with its census")
     return 0
 
 
