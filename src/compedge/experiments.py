@@ -9,21 +9,28 @@ counter-based splitting of the master seed (spawn key = (t,)), so a summary
 depends only on the configuration, not on scheduling or trial order.
 
 One pass per trial answers every edge probability: a pair is present iff its
-uniform draw is below p, so adding pairs in increasing draw order (union-find)
-gives tau, the draw of the first pair that closes a cycle, and the graph at p
-is a forest exactly when p <= tau. A sweep draws and sorts each trial once and
-reads every row from the same tau, so the licci fraction is non-increasing in
-c by construction, not just on average.
+uniform draw is below p, so the pairs drawn below the smallest p are present
+at every p. A union-find joins those pairs in stream order as the draws
+arrive, and the trial stops drawing at the chunk where one of them closes a
+cycle: every p then has a cycle. Once p * n is past about 1 a cycle closes
+early in the stream (Erdos and Renyi, 1960), so such a trial draws a fraction
+of its C(n, 2) uniforms; a forest draws them all. Only when the ps differ and
+the stream closed no cycle does the trial compute tau, the draw of the first
+pair that closes a cycle when pairs are added in increasing draw order; the
+graph at p is a forest exactly when p <= tau. A sweep draws each trial once
+and reads every row from the same stream and tau, so the licci fraction is
+non-increasing in c by construction, not just on average.
 
 Memory is O(CHUNK + n) per trial, whatever C(n, 2) and p are. Each trial
-streams its C(n, 2) draws through one buffer of CHUNK doubles and keeps the
-flat offsets (pair positions in np.triu_indices(n, k=1) order) of only the n
-smallest draws below the largest p: n pairs on n vertices always close a
-cycle, so tau never lies past them. The cut-off falls to the n-th smallest
+streams up to its C(n, 2) draws through one buffer of CHUNK doubles and keeps
+the flat offsets (pair positions in np.triu_indices(n, k=1) order) of only
+the n smallest draws below the largest p: n pairs on n vertices always close
+a cycle, so tau never lies past them. The cut-off falls to the n-th smallest
 draw whenever more than 2n are held, so each partition is paid for by at
 least n new hits. A PCG64 double takes one 64-bit output, so the chunked
-stream equals a one-shot draw bit for bit. The kept offsets map to pairs
-(u, v) arithmetically, so no O(n^2) index array is built.
+stream equals a one-shot draw bit for bit, up to where a trial stops. The
+kept offsets map to pairs (u, v) arithmetically, so no O(n^2) index array is
+built.
 """
 from __future__ import annotations
 
@@ -38,14 +45,19 @@ from .invariants import is_licci
 
 SPOT_CHECK_TRIALS = 100
 
-# Doubles drawn per fill of a trial's buffer (2 MiB). Per-fill Python work (a
-# call, a mask, two appends) is a fixed cost: at n = 5000, three one-trial
-# estimates took the same time for 2^14 to 2^20, 30 % longer at 2^12, and
-# 2^22 only grew the traced peak (2.8 MiB at 2^18, 36 MiB at 2^22).
-CHUNK = 2 ** 18
+# Doubles drawn per fill of a trial's buffer (512 KiB). A trial stops at the
+# end of the chunk whose pairs below the smallest p close a cycle, so a smaller
+# chunk stops sooner, while per-fill Python work (a call, two masks, a
+# union-find call, two appends) is a fixed cost. One-p estimates in ms per trial
+# at 2^14 / 2^16 / 2^18, medians of 9 on one CPU of a shared 2-vCPU VM (Python
+# 3.11.7, numpy 2.4.6): n = 1000, c = 2, 1.0 / 1.1 / 1.5; n = 5000, c = 0.5
+# (mostly forests, which draw every pair), 46 / 41 / 42; n = 5000, c = 2,
+# 16.6 / 13.7 / 14.7. 2^15 and 2^17 were within about 10 % of 2^16. The traced
+# peak at n = 5000 was 0.9 / 1.1 / 2.6 MiB.
+CHUNK = 2 ** 16
 
-# Each trial draws all C(n, 2) uniforms: n = 100,000 is 5 * 10^9 draws, tens of
-# seconds per trial, and n beyond it would run for hours without failing.
+# A forest trial draws all C(n, 2) uniforms: n = 100,000 is 5 * 10^9 draws,
+# tens of seconds per trial, and n beyond it would run for hours without failing.
 MONTECARLO_LIMIT = 100_000
 
 CSV_HEADER = "n,c,p,trials,seed,licci_count,fraction_licci"
@@ -144,21 +156,46 @@ def _smallest(offsets: list[np.ndarray], draws: list[np.ndarray],
     return offsets, draws
 
 
+def _closing(parent: list[int], us: list[int], vs: list[int]) -> int:
+    """The index of the first pair (us[k], vs[k]), in this order, that closes a cycle.
+
+    parent is a union-find forest over the vertices, updated in place: the
+    pairs before the one returned, or all of them when none closes a cycle
+    (-1), are joined into it, so a later call carries on from them.
+    """
+    for k, (u, v) in enumerate(zip(us, vs)):
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        if u == v:
+            return k
+        parent[u] = v
+    return -1
+
+
 def _run_trials(configs: Sequence[ExperimentConfig]) -> tuple[ExperimentSummary, ...]:
     """One pass over the shared trials of configs that differ only in p.
 
-    Each trial records tau, the draw of the first pair, in increasing draw
-    order, that closes a cycle (inf if none below the largest p does). A pair
-    is present at p iff its draw is below p, so the graph at p is a forest
-    exactly when p <= tau; tau lies among the n smallest draws, the only ones
-    kept. Spot checks rebuild each graph from those raw draws, independently
-    of tau, and compare is_licci with the fast verdict. A graph at p with more
-    than n pairs is seen as its n smallest, which hold a cycle too (K_3 itself
-    when n = 3), so the verdict is the same.
+    A pair is present at p iff its draw is below p, so the pairs drawn below
+    the smallest p, low, are present at every p. While a trial streams its
+    chunks, a union-find joins those pairs in stream order; the moment one
+    closes a cycle, every p has a cycle and the trial stops drawing.
+    Otherwise, and only when the ps differ, the trial records tau, the draw
+    of the first pair, in increasing draw order, that closes a cycle (inf if
+    none below the largest p does): the graph at p is a forest exactly when
+    p <= tau, and tau lies among the n smallest draws, the only ones kept.
+    With one p, a stream that closes no cycle is a forest. Spot checks
+    rebuild each graph from the kept raw draws, independently of the stream
+    and of tau, and compare is_licci with the fast verdict. A graph at p with
+    more than n kept pairs is seen as its n smallest, which hold a cycle too
+    (K_3 itself when n = 3); a trial that stopped early is seen as its pairs
+    in the chunks drawn, which hold the stream's cycle or n pairs below low.
+    Either way the verdict is the same.
     """
     n, trials, seed = configs[0].n, configs[0].trials, configs[0].seed
     ps = [cfg.edge_probability for cfg in configs]
-    top = max(ps)
+    low, top = min(ps), max(ps)
     total = n * (n - 1) // 2
     starts = _row_starts(n)
     chunk = np.empty(min(CHUNK, total))
@@ -166,44 +203,50 @@ def _run_trials(configs: Sequence[ExperimentConfig]) -> tuple[ExperimentSummary,
     forest = [0] * len(ps)
     for trial in range(trials):
         rng = _trial_generator(seed, trial)
-        cut, offsets, kept, size = top, [], [], 0
+        cut, offsets, kept, size, closed = top, [], [], 0, False
+        parent = list(range(n))
         for lo in range(0, total, CHUNK):
             draws = chunk[:total - lo]
             rng.random(out=draws)
             hits = np.flatnonzero(draws < cut)
-            offsets.append(hits + lo)
-            kept.append(draws[hits])
+            hoffs, hdraws = hits + lo, draws[hits]
+            # not graphs._join_count: the stream needs the pair that closes a
+            # cycle, which a count cannot give, and the spot check below would
+            # compare _join_count (under is_licci -> is_forest) with itself.
+            # Until a cycle closes, fewer than n pairs lie below low, so the
+            # cut (the n-th smallest draw held) stays at or above low.
+            us, vs = _pairs(starts, hoffs[hdraws < low])
+            closed = _closing(parent, us.tolist(), vs.tolist()) >= 0
+            offsets.append(hoffs)
+            kept.append(hdraws)
             size += hits.size
+            if closed:
+                break
             if size > 2 * n:
                 below, bdraws = _smallest(offsets, kept, n)
                 offsets, kept, cut, size = [below], [bdraws], bdraws.max(), n
-        below, bdraws = _smallest(offsets, kept, n)
-        # offsets in increasing order give the spot checks their edges sorted;
-        # tau does not depend on the order of tied draws, as the pairs drawn
-        # at or below any one value close a cycle or not as a set
-        ranked = np.argsort(below)
-        us, vs = _pairs(starts, below[ranked])
-        bdraws = bdraws[ranked]
-        order = np.argsort(bdraws)
-        # not graphs._join_count: tau needs the first pair that closes a cycle,
-        # which a count cannot give, and the spot check below would compare
-        # _join_count (under is_licci -> is_forest) with itself
-        parent = list(range(n))
-        tau = math.inf
-        for u, v, d in zip(us[order].tolist(), vs[order].tolist(), bdraws[order].tolist()):
-            while parent[u] != u:
-                parent[u] = u = parent[parent[u]]
-            while parent[v] != v:
-                parent[v] = v = parent[parent[v]]
-            if u == v:
-                tau = d
-                break
-            parent[u] = v
+        spot = trial < SPOT_CHECK_TRIALS
+        needs_tau = low < top and not closed
+        # a cycle closed by the stream is drawn below every p, and so is its tau
+        tau = -math.inf if closed else math.inf
+        if spot or needs_tau:
+            below, bdraws = _smallest(offsets, kept, n)
+            # offsets in increasing order give the spot checks their edges
+            # sorted; tau does not depend on the order of tied draws, as the
+            # pairs drawn at or below any one value close a cycle or not as a set
+            ranked = np.argsort(below)
+            us, vs = _pairs(starts, below[ranked])
+            bdraws = bdraws[ranked]
+        if needs_tau:
+            order = np.argsort(bdraws)
+            first = _closing(list(range(n)), us[order].tolist(), vs[order].tolist())
+            if first >= 0:
+                tau = float(bdraws[order[first]])
         for k, p in enumerate(ps):
             forest_trial = p <= tau
             # on three vertices the only cycle is the triangle K_3, which is licci
             licci_trial = forest_trial or n == 3
-            if trial < SPOT_CHECK_TRIALS:
+            if spot:
                 keep = bdraws < p
                 edges = zip((us[keep] + 1).tolist(), (vs[keep] + 1).tolist())
                 graph = SimpleGraph(n, tuple(edges))

@@ -41,10 +41,19 @@ def _plain_int(value: object, what: str) -> int:
         raise ValueError(f"{what} must be an integer, got {_clip(repr(value))}") from None
 
 
+def _iterate(values: object, what: str) -> Iterator:
+    """iter(values), or a ValueError that names what they are when values is not iterable."""
+    try:
+        return iter(values)
+    except TypeError:
+        raise ValueError(f"{what} must be iterable, got {_clip(repr(values))}") from None
+
+
 def _plain_ints(values: Iterable[object], what: str) -> frozenset[int]:
     """values as a frozenset of plain ints, read by one C-level map(operator.index), or a
-    ValueError that names what they are when one is a float or a string."""
-    read = map(index, values)
+    ValueError that names what they are when values is not iterable or one is a float
+    or a string."""
+    read = map(index, _iterate(values, f"{what}s"))
     try:
         return frozenset(read)
     except TypeError as exc:
@@ -96,14 +105,15 @@ class SimpleGraph(_Frozen):
         """The one edge check: a GraphFormatError names the input edge at fault by index.
 
         n and every endpoint are stored as plain ints (operator.index), so a
-        numpy integer or a bool is normalised and a float or a string refused.
+        numpy integer or a bool is normalised and a float or a string refused;
+        edges that are not iterable are refused by name, as a ValueError.
         """
         n = _plain_int(n, "vertex count")
         if n < 0:
             raise ValueError(f"vertex count must be nonnegative, got {_clip(n)}")
         seen = set()
         canon = []
-        for k, edge in enumerate(edges):
+        for k, edge in enumerate(_iterate(edges, "edges")):
             try:
                 u, v = edge
             except (TypeError, ValueError):

@@ -99,8 +99,9 @@ class SimplicialComplex(_Frozen):
     The void complex (no faces at all) is distinct from the complex whose only
     face is the empty set (mask 0). The constructor stores n and each face
     as plain ints (graphs._plain_int and _plain_ints), the faces as a
-    frozenset, and refuses a float or a string, a negative n, a face outside
-    1..n and a family that is not downward closed.
+    frozenset, and refuses a float or a string, faces that are not iterable,
+    a negative n, a face outside 1..n and a family that is not downward
+    closed.
     """
 
     __slots__ = ("n", "faces")

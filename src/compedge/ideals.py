@@ -54,11 +54,11 @@ class SquarefreeIdeal(_Frozen):
 
     The constructor takes any iterable of masks and is the one generator check:
     it stores n and each mask as plain ints (graphs._plain_int and
-    _plain_ints), refusing a float or a string, refuses n outside
-    0..AMBIENT_LIMIT before reading a mask, refuses a zero mask (the unit
-    ideal) and a mask outside 1..n, drops duplicate and redundant masks, and
-    stores the minimal ones in increasing mask order. Ambient size 0 is
-    accepted: its one ideal is the zero ideal.
+    _plain_ints), refusing a float or a string and masks that are not
+    iterable, refuses n outside 0..AMBIENT_LIMIT before reading a mask,
+    refuses a zero mask (the unit ideal) and a mask outside 1..n, drops
+    duplicate and redundant masks, and stores the minimal ones in increasing
+    mask order. Ambient size 0 is accepted: its one ideal is the zero ideal.
     """
 
     __slots__ = ("n", "masks")

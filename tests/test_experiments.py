@@ -14,8 +14,47 @@ from compedge import (ExperimentConfig, estimate_licci_probability, sample_gnp,
 from compedge import experiments
 from compedge.experiments import (CSV_HEADER, MONTECARLO_LIMIT, _fraction_6dp, _pairs,
                                   _row_starts, _trial_generator, summary_csv_line)
-from compedge.graphs import is_complete, is_forest
+from compedge.graphs import SimpleGraph, is_complete, is_forest
 from compedge.invariants import is_licci
+
+
+def counting_generator(fills: list[int]):
+    """A stand-in for experiments._trial_generator that appends, per trial, its fill count."""
+    def make(seed, trial):
+        fills.append(0)
+        rng = _trial_generator(seed, trial)
+
+        class Counting:
+            def random(self, *args, **kwargs):
+                fills[-1] += 1
+                return rng.random(*args, **kwargs)
+        return Counting()
+    return make
+
+
+def stream_recount(n, p, seed, trial, chunk):
+    """The graph of a one-p trial, what its spot check sees and its fill count, off the
+    one-shot draw of sample_gnp.
+
+    A forest streams every chunk and is seen whole. A graph with a cycle stops
+    at the chunk whose pairs, in stream order (np.triu_indices order, which
+    is the sorted edge order), close the first cycle; it is seen as its pairs
+    in the chunks drawn, capped at the n with the smallest draws.
+    """
+    total = n * (n - 1) // 2
+    chunks = -(-total // chunk)
+    graph = sample_gnp(n, p, _trial_generator(seed, trial))
+    if is_forest(graph):
+        return graph, graph, chunks
+    draws = _trial_generator(seed, trial).random(total)
+    pairs = zip(*np.triu_indices(n, k=1))
+    offset = {(int(u) + 1, int(v) + 1): k for k, (u, v) in enumerate(pairs)}
+    closing = next(e for k, e in enumerate(graph.edges, 1)
+                   if not is_forest(SimpleGraph(n, graph.edges[:k])))
+    drawn = min(offset[closing] // chunk + 1, chunks)
+    held = [e for e in graph.edges if offset[e] < drawn * chunk]
+    held.sort(key=lambda e: draws[offset[e]])
+    return graph, SimpleGraph(n, held[:n]), drawn
 
 
 class TestConfig:
@@ -136,16 +175,70 @@ class TestChunkedStream:
             tracemalloc.stop()
         assert peak < 16 * 2 ** 20
 
-    @pytest.mark.parametrize("n, p", [(3, 1.0), (12, 0.5), (30, 0.03), (200, 0.02)])
-    def test_spot_checks_see_at_most_n_edges_and_the_full_verdict(self, monkeypatch, n, p):
-        seen = []
+    @pytest.mark.parametrize("n, p, chunk", [
+        (3, 1.0, None), (12, 0.5, None), (30, 0.03, None), (200, 0.02, None),
+        (12, 0.5, 7), (30, 0.1, 16), (30, 0.9, 64), (200, 0.02, 1024)])
+    def test_spot_checks_see_the_chunks_drawn_and_the_full_verdict(self, monkeypatch,
+                                                                    n, p, chunk):
+        if chunk:
+            monkeypatch.setattr(experiments, "CHUNK", chunk)
+        seen, fills = [], []
         monkeypatch.setattr(experiments, "is_licci", lambda g: seen.append(g) or is_licci(g))
+        monkeypatch.setattr(experiments, "_trial_generator", counting_generator(fills))
         estimate_licci_probability(ExperimentConfig(n=n, trials=30, seed=9, p=p))
-        full = [g for g in (sample_gnp(n, p, _trial_generator(9, t)) for t in range(30)) if g.m]
-        assert len(seen) == len(full)
-        for spot, graph in zip(seen, full):
-            assert set(spot.edges) <= set(graph.edges) and spot.m == min(graph.m, n)
+        want = [stream_recount(n, p, 9, t, experiments.CHUNK) for t in range(30)]
+        assert fills == [drawn for _, _, drawn in want]
+        assert seen == [spot for graph, spot, _ in want if graph.m]
+        for graph, spot, _ in want:
             assert is_licci(spot).licci == is_licci(graph).licci
+
+
+class TestStreamStop:
+    """A trial stops drawing once the pairs drawn below the smallest p close a cycle."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(3, 12), st.lists(st.floats(0.05, 15), min_size=1, max_size=3),
+           st.integers(1, 12), st.integers(0, 2 ** 32))
+    def test_counts_match_an_independent_recount(self, n, cs, trials, seed):
+        # no c is zero, so the smallest p is positive and a stream can stop
+        configs = [ExperimentConfig(n=n, trials=trials, seed=seed, c=c) for c in cs]
+        want = []
+        for config in configs:
+            graphs = [sample_gnp(n, config.edge_probability, _trial_generator(seed, t))
+                      for t in range(trials)]
+            want.append((sum(g.m == 0 or is_licci(g).licci for g in graphs),
+                         sum(is_forest(g) for g in graphs)))
+        for chunk in (1, 7, 64, experiments.CHUNK):
+            with mock.patch.object(experiments, "CHUNK", chunk):
+                rows = [*map(estimate_licci_probability, configs),
+                        *threshold_sweep(n, cs, trials=trials, seed=seed).rows]
+            assert [(row.licci_count, row.forest_count) for row in rows] == want * 2
+
+    def test_a_cycle_in_the_first_chunk_makes_one_fill(self, monkeypatch):
+        # C(50, 2) = 1225 pairs are 20 chunks of 64; at p = 1 the first chunk
+        # holds row 1's 49 pairs and then (2, 3), which closes the triangle 123
+        fills = []
+        monkeypatch.setattr(experiments, "CHUNK", 64)
+        monkeypatch.setattr(experiments, "_trial_generator", counting_generator(fills))
+        summary = estimate_licci_probability(ExperimentConfig(n=50, trials=3, seed=0, p=1.0))
+        assert summary.forest_count == 0 and fills == [1, 1, 1]
+
+    @pytest.mark.parametrize("n, seed", [(6, 1), (20, 2), (60, 3)])
+    def test_a_pair_drawn_exactly_at_p_is_absent(self, n, seed):
+        def graph(p):
+            return sample_gnp(n, p, _trial_generator(seed, 0))
+
+        def forests(*ps):
+            configs = [ExperimentConfig(n=n, trials=1, seed=seed, p=float(p)) for p in ps]
+            return [row.forest_count for row in experiments._run_trials(configs)]
+        # tau, the draw of the pair that closes the first cycle in draw order
+        draws = np.sort(_trial_generator(seed, 0).random(n * (n - 1) // 2))
+        tau = next(d for d in draws if not is_forest(graph(np.nextafter(d, 2))))
+        assert is_forest(graph(tau))
+        # the stream joins the pairs drawn strictly below the smallest p, and a
+        # sweep whose stream closed no cycle counts a forest at every p <= tau
+        assert forests(tau) == [1] and forests(np.nextafter(tau, 2)) == [0]
+        assert forests(tau, 1.0) == [1, 0] and forests(tau / 2, tau, 1.0) == [1, 1, 0]
 
 
 class TestEstimates:

@@ -97,6 +97,12 @@ class TestSimpleGraph:
         assert isinstance(info.value, GraphFormatError) == (expected is not None)
         assert getattr(info.value, "edge", None) == expected
 
+    @pytest.mark.parametrize("edges", [5, None, 2.5])
+    def test_edges_that_are_not_iterable_are_refused_by_name(self, edges):
+        with pytest.raises(ValueError, match=f"^edges must be iterable, got {edges!r}$") as info:
+            SimpleGraph(3, edges)
+        assert not isinstance(info.value, GraphFormatError)
+
     @pytest.mark.parametrize("edges, index, shown", [
         (((1, 2, 3),), 0, "(1, 2, 3)"),
         ((1,), 0, "1"),

@@ -278,6 +278,11 @@ class TestSimplicialComplexes:
         with pytest.raises(ValueError, match="^ground size must be nonnegative, got -1$"):
             SimplicialComplex(-1, frozenset({1.0}))
 
+    @pytest.mark.parametrize("faces", [5, None])
+    def test_faces_that_are_not_iterable_are_refused_by_name(self, faces):
+        with pytest.raises(ValueError, match=f"^face masks must be iterable, got {faces}$"):
+            SimplicialComplex(2, faces)
+
     @pytest.mark.parametrize("build", [lambda: SimplicialComplex(-1, frozenset()),
                                        lambda: SimplicialComplex(-1, frozenset({0})),
                                        lambda: simplicial_complex(-1, [])])

@@ -114,6 +114,11 @@ class TestConstructor:
         with pytest.raises(ValueError, match="^ambient size 25 outside"):
             SquarefreeIdeal(25, [1.0])
 
+    @pytest.mark.parametrize("masks", [5, None])
+    def test_masks_that_are_not_iterable_are_refused_by_name(self, masks):
+        with pytest.raises(ValueError, match=f"^generator masks must be iterable, got {masks}$"):
+            SquarefreeIdeal(3, masks)
+
     def test_ambient_size_zero_is_accepted(self):
         # the ideal layer accepts n = 0, whose one ideal is the zero ideal;
         # the polynomial ring in no variables is a field, and every mask is

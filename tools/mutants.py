@@ -46,6 +46,17 @@ class Equivalent(NamedTuple):
 
 
 HOMOLOGY = "tests/test_homology.py::TestBettiTables::"
+STREAM = "tests/test_experiments.py::TestStreamStop::"
+# the end of one chunk of the Monte Carlo stream, and the same lines with the
+# exit tested before this chunk's cycle check (one chunk late) or before this
+# chunk's pairs are kept (one chunk early)
+STREAM_CHECK = "            closed = _closing(parent, us.tolist(), vs.tolist()) >= 0\n"
+STREAM_KEEP = ("            offsets.append(hoffs)\n            kept.append(hdraws)\n"
+               "            size += hits.size\n")
+STREAM_BREAK = "            if closed:\n                break\n"
+STREAM_EXIT = STREAM_CHECK + STREAM_KEEP + STREAM_BREAK
+STREAM_EXIT_LATE = STREAM_KEEP + STREAM_BREAK + STREAM_CHECK
+STREAM_EXIT_EARLY = STREAM_CHECK + STREAM_BREAK + STREAM_KEEP
 
 MUTANTS = [
     # the primal engine's filter and the one face cap on the dual complex
@@ -245,6 +256,40 @@ MUTANTS = [
     Mutant("record-hash-over-edges-only", "graphs.py",
            "return hash(self._values(self))", "return hash(self._values(self)[1:])",
            ("tests/test_graphs.py::TestRecords",)),
+    # the Monte Carlo stream: a union-find over the pairs drawn below the
+    # smallest p, in stream order across chunks, stops a trial at the chunk
+    # whose pairs close a cycle; tau, read in draw order only for a sweep
+    # whose stream closed none, and the spot checks of the first trials
+    Mutant("stream-below-or-at-low", "experiments.py",
+           "hoffs[hdraws < low]", "hoffs[hdraws <= low]",
+           (STREAM + "test_a_pair_drawn_exactly_at_p_is_absent",)),
+    Mutant("stream-below-the-largest-p", "experiments.py",
+           "hoffs[hdraws < low]", "hoffs[hdraws < top]",
+           (STREAM + "test_counts_match_an_independent_recount",)),
+    Mutant("stream-cycle-ignored", "experiments.py",
+           "closed = _closing(parent, us.tolist(), vs.tolist()) >= 0", "closed = False",
+           (STREAM + "test_counts_match_an_independent_recount",)),
+    Mutant("stream-union-find-per-chunk", "experiments.py",
+           "        parent = list(range(n))\n        for lo in range(0, total, CHUNK):\n",
+           "        for lo in range(0, total, CHUNK):\n            parent = list(range(n))\n",
+           (STREAM + "test_counts_match_an_independent_recount",)),
+    Mutant("stream-exit-a-chunk-late", "experiments.py",
+           STREAM_EXIT, STREAM_EXIT_LATE,
+           (STREAM + "test_a_cycle_in_the_first_chunk_makes_one_fill",)),
+    Mutant("stream-exit-a-chunk-early", "experiments.py",
+           STREAM_EXIT, STREAM_EXIT_EARLY,
+           ("tests/test_experiments.py::TestChunkedStream::"
+            "test_spot_checks_see_the_chunks_drawn_and_the_full_verdict",)),
+    Mutant("tau-strictly-above-p", "experiments.py",
+           "forest_trial = p <= tau", "forest_trial = p < tau",
+           (STREAM + "test_a_pair_drawn_exactly_at_p_is_absent",)),
+    Mutant("sweep-without-tau", "experiments.py",
+           "needs_tau = low < top and not closed", "needs_tau = False",
+           ("tests/test_experiments.py::TestSweep::test_rows_match_an_independent_recount",)),
+    Mutant("spot-check-dropped", "experiments.py",
+           "spot = trial < SPOT_CHECK_TRIALS", "spot = False",
+           ("tests/test_experiments.py::TestEstimates::"
+            "test_spot_check_catches_a_broken_fast_path",)),
 ]
 
 EQUIVALENT = [
