@@ -7,7 +7,9 @@ closes stdout early changes no exit code: the rest of the payload is dropped.
 Each handler imports the layers it runs, so a fresh process loads only those:
 `graphs` for every command, `tables` for betti, `invariants` (and with it
 `tables`) for analyze and verify, `experiments` and numpy for montecarlo and
-sweep. No command loads `ideals` or `homology`. Every record type is a
+sweep. No command loads `ideals` or `homology`, so no graph command meets
+the ideal layer's ambient limit: betti and analyze read I_c(G) off graph
+counts and answer at any n in O(m log m). Every record type is a
 NamedTuple, or a slotted class where it checks its input (graphs._Frozen), so
 no command pays for `inspect` and `ast` or for methods generated by exec at
 import, which cost a graph command more than its own work.
@@ -85,7 +87,7 @@ def _cmd_analyze(args: argparse.Namespace, graph: SimpleGraph) -> CommandOutcome
 def _cmd_betti(args: argparse.Namespace, graph: SimpleGraph) -> CommandOutcome:
     from .tables import Field, _graph_oracle
     field = Field(args.field)
-    table, _ = _graph_oracle(graph, field, _join_count(graph.edges))
+    table = _graph_oracle(graph, field, _join_count(graph.edges))
     return CommandOutcome(0, _dump(table.to_json_dict(), False))
 
 

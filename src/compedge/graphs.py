@@ -6,6 +6,7 @@ two graphs are equal exactly when they have the same vertex count and edge set.
 from __future__ import annotations
 
 import json
+from heapq import heappop, heappush
 from itertools import combinations
 from math import factorial
 from operator import attrgetter, index
@@ -316,40 +317,43 @@ def is_forest(graph: SimpleGraph) -> bool:
 
 
 def _is_chordal(graph: SimpleGraph) -> bool:
-    """True iff the graph has no chordless cycle, read on its n-bit neighbour masks.
+    """True iff the graph has no chordless cycle: maximum cardinality search and its PEO check.
 
-    neighbours[v] is the mask of v's neighbours (vertex i <-> bit i-1), built
-    here and read by no other function. Simplicial-vertex elimination: a
-    vertex is simplicial when its neighbours still present form a clique,
-    that is when each of them is adjacent to all the others, one mask test
-    per neighbour. Every chordal graph has a simplicial vertex, and removing
-    a simplicial vertex neither makes nor breaks a chordless cycle (Dirac,
-    Abh. Math. Sem. Univ. Hamburg 25, 1961), so the graph is chordal exactly
-    when every vertex goes. A vertex stays simplicial when others go, so
-    each pass removes all it finds.
+    Only the vertices on an edge take part, each with its set of neighbours,
+    so the work is O(m log m) however large n is. The search visits next a
+    vertex with the most visited neighbours, one component at a time, through
+    a heap of (-weight, vertex) entries: a weight only grows, and each rise
+    pushes a new entry that comes out before the stale ones. The reverse of
+    the visit order is a perfect elimination ordering (PEO), in which the
+    later neighbours of each vertex form a clique, exactly when the graph is
+    chordal (Tarjan-Yannakakis, SIAM J. Comput. 13, 1984). It is checked as
+    each vertex is visited: the neighbours visited before it, less the latest
+    of them, p, must all be adjacent to p. They were visited before p, so
+    they lie among p's earlier neighbours, a clique by the same check at p.
     """
-    neighbours = [0] * (graph.n + 1)
+    adjacent: dict[int, set[int]] = {}
     for u, v in graph.edges:
-        neighbours[u] |= 1 << (v - 1)
-        neighbours[v] |= 1 << (u - 1)
-    left = (1 << graph.n) - 1
-    while left:
-        before = left
-        bits = left
-        while bits:
-            low = bits & -bits
-            bits ^= low
-            near = neighbours[low.bit_length()] & left
-            rest = near
-            while rest:
-                w = rest & -rest
-                rest ^= w
-                if near & ~neighbours[w.bit_length()] != w:
-                    break
-            else:
-                left ^= low
-        if left == before:
-            return False
+        adjacent.setdefault(u, set()).add(v)
+        adjacent.setdefault(v, set()).add(u)
+    weight = dict.fromkeys(adjacent, 0)
+    position: dict[int, int] = {}
+    for start in adjacent:
+        if start in position:
+            continue
+        heap = [(0, start)]
+        while heap:
+            v = heappop(heap)[1]
+            if v in position:
+                continue
+            earlier = adjacent[v] & position.keys()
+            if earlier:
+                p = max(earlier, key=position.__getitem__)
+                if any(w != p and w not in adjacent[p] for w in earlier):
+                    return False
+            position[v] = len(position)
+            for w in adjacent[v] - earlier:
+                weight[w] += 1
+                heappush(heap, (-weight[w], w))
     return True
 
 

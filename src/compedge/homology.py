@@ -29,14 +29,14 @@ components (_graph_betti). Every other ideal goes to an engine.
 The engines, and stanley_reisner, do work that grows as 2^n, and they alone
 refuse an ambient size past ORACLE_LIMIT (14): _mask_betti checks it after
 the count case and before the engine rule. A table read off counts answers
-up to the ideal layer's AMBIENT_LIMIT (24).
+up to the ideal layer's AMBIENT_LIMIT (24), the widest mask an ideal holds.
 
 A complementary edge ideal I_c(G) needs no ideal at all. Its table and its
-height, reg and pd are read off the graph's counts: the edges, and the
-vertices on an edge and the components holding one, which the caller counts
-once (graphs._join_count). The betti command reads the table from
-tables._graph_oracle; the invariants layer reads height, reg and pd from
-tables._count_invariants and builds no table. Neither builds I_c(G) or
+height, reg and pd are read off the graph's counts at any n: the edges,
+and the vertices on an edge and the components holding one, which the
+caller counts once (graphs._join_count). The betti command reads the table
+from tables._graph_oracle; the invariants layer reads height, reg and pd
+from tables._count_invariants and builds no table. Neither builds I_c(G) or
 loads this module. The table type (BettiTable) and the field tag live in
 tables too, and are attributes of this module as well.
 
@@ -79,9 +79,9 @@ from typing import Collection, Iterable
 from .graphs import _clip, _Frozen, _join_count, _plain_int, _plain_ints
 from .ideals import (_DUAL_FACE_CAP, SquarefreeIdeal, _closure, _squarefree_components,
                      alexander_dual, height, support_of)
-# the count-level oracle and the table type live in tables; Field, BettiTable
-# and _graph_oracle stay attributes of this module too
-from .tables import BettiTable, Field, Homological, _count_betti, _graph_oracle
+# the table type lives in tables; Field and BettiTable stay attributes of
+# this module too
+from .tables import BettiTable, Field, Homological, _count_betti
 
 ORACLE_LIMIT = 14
 

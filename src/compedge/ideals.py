@@ -11,7 +11,9 @@ cover search, is the one Alexander dual; complementary_edge_dual runs it on
 I_c(G), whose covers the graph names by a rule that the tests check against
 it. has_linear_quotients is a backtracking search for general ideals; the
 implication suite builds no dual and runs no search, as chordality of G
-settles the dual's linear quotients.
+settles the dual's linear quotients. A mask is n bits wide, so this layer,
+and it alone, refuses an ambient size past AMBIENT_LIMIT (24); the graph
+questions read I_c(G) off counts and meet no such limit.
 """
 from __future__ import annotations
 
@@ -19,16 +21,22 @@ from itertools import islice
 from math import comb
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .graphs import SimpleGraph, _Frozen, _plain_int, _plain_ints
-# the ambient refusals are shared with the count-level oracle, and
-# AMBIENT_LIMIT stays an attribute of this module
-from .tables import AMBIENT_LIMIT, _require_ambient, _require_edge_ambient
+from .graphs import SimpleGraph, _clip, _Frozen, _plain_int, _plain_ints
+from .tables import _require_edge_ambient
 
+# the widest ambient an n-bit generator mask may span
+AMBIENT_LIMIT = 24
 LINEAR_QUOTIENTS_BUDGET = 10 ** 6
 # the one bound on the dual complex, the closure of the generator complements:
 # height reads its f-vector and homology's engine rule its face count only up
 # to this many faces
 _DUAL_FACE_CAP = 4096
+
+
+def _require_ambient(n: int) -> None:
+    """Refuse an ambient size outside 0..AMBIENT_LIMIT, the one bound on the mask width."""
+    if not 0 <= n <= AMBIENT_LIMIT:
+        raise ValueError(f"ambient size {_clip(n)} outside supported range 0..{AMBIENT_LIMIT}")
 
 
 def mask_of(support: Iterable[int]) -> int:

@@ -20,7 +20,7 @@ from math import comb
 from typing import NamedTuple
 
 from .graphs import SimpleGraph, _is_chordal, _join_count, is_forest
-from .tables import Field, _count_invariants, _require_ambient, _require_edge_ambient
+from .tables import Field, _count_invariants, _require_edge_ambient
 
 NOTE_COMPLETE_PD = "complete_pd_adjusted"
 NOTE_ISOLATED = "isolated_vertices_outside_hypotheses"
@@ -200,15 +200,14 @@ def oracle_invariants(graph: SimpleGraph, field: Field = Field.GF2) -> OracleInv
 
     They are read off the graph's counts (the edges, the vertices on an edge
     and the components holding one) by tables._count_invariants, which
-    builds no ideal and no Betti table.
+    builds no ideal and no Betti table, so it answers at any n.
     """
     _require_admissible(graph)
     return _oracle(graph, field, *_join_count(graph.edges))
 
 
 def _oracle(graph: SimpleGraph, field: Field, met: int, joins: int) -> OracleInvariants:
-    """oracle_invariants off graphs._join_count(graph.edges), past the ambient refusal."""
-    _require_ambient(graph.n)
+    """oracle_invariants off graphs._join_count(graph.edges), which gives (met, joins)."""
     ht, reg, pd = _count_invariants(graph.n, graph.m, met, joins)
     return OracleInvariants(field, ht, reg, pd, reg + 1, pd - 1, pd == ht)
 
@@ -278,7 +277,7 @@ def implication_suite(graph: SimpleGraph, field: Field = Field.GF2) -> Implicati
     are linear over every field, so J is componentwise linear exactly when
     J_[2] is, and J_[2] is linear exactly when G is chordal (Froberg, Banach
     Center Publ. 26, 1990). A forest is chordal, so only a graph with a
-    cycle goes to the elimination kernel (graphs._is_chordal). The same
+    cycle goes to the chordality kernel (graphs._is_chordal). The same
     Herzog-Hibi paper gives dual_linear_resolution: J has a linear
     resolution exactly when it is componentwise linear and generated in one
     degree. Its degrees are counts: 1 when an isolated vertex exists
@@ -322,15 +321,14 @@ def implication_suite(graph: SimpleGraph, field: Field = Field.GF2) -> Implicati
     one component holds an edge (tables._count_invariants). One
     graphs._join_count serves the licci verdict, the forest test, that
     component count and the degree count (met, the vertices on an edge).
-    The ambient refusal comes before the chordality kernel, whose n-bit
-    masks it bounds.
+    That kernel reads only the vertices on an edge, so the suite answers at
+    any n in O(m log m).
     """
     _require_admissible(graph)
     met, joins = _join_count(graph.edges)
     n, m = graph.n, graph.m
     forest = joins == m
     verdict = _licci(n, m, forest)
-    _require_ambient(n)
     dual_cl = forest or _is_chordal(graph)
     # J's generator degrees: 1 past the met vertices on an edge, 2 below
     # C(met, 2) edges, 3 with a triangle, which a chordal G has iff it has a cycle

@@ -2,18 +2,19 @@
 
 This layer sits between graphs and the ideal and homology layers. It holds
 the table type (BettiTable, with its regularity and projective dimension),
-the coefficient field tag and the ambient refusals the ideal layer shares
-(AMBIENT_LIMIT). It also holds the oracle of I_c(G) read off graph counts,
-which answers up to AMBIENT_LIMIT: the edges, the vertices on an edge and
-the components holding one. _count_betti gives the dual Hochster table of a
-dual complex that is a graph plus isolated points; _graph_oracle gives that
-table of I_c(G) for the betti command, and _count_invariants the height,
-reg and pd it implies, which the invariants layer reads with no table
-built. No ideal, mask or face is built here, and this module imports only
-graphs: the invariants layer and the CLI's graph commands load neither the
-ideal layer nor the homology engines, whose oracle limit
-(homology.ORACLE_LIMIT) they never meet. homology and ideals import these
-names and keep them as their own attributes.
+the coefficient field tag and the refusal of fewer than 3 vertices that the
+ideal layer shares. It also holds the oracle of I_c(G) read off graph
+counts, at any n: the edges, the vertices on an edge and the components
+holding one. _count_betti gives the dual Hochster table of a dual complex
+that is a graph plus isolated points; _graph_oracle gives that table of
+I_c(G) for the betti command, and _count_invariants the height, reg and pd
+it implies, which the invariants layer reads with no table built. No ideal,
+mask or face is built here, and this module imports only graphs: the
+invariants layer and the CLI's graph commands load neither the ideal layer,
+whose ambient limit (ideals.AMBIENT_LIMIT) bounds its n-bit masks, nor the
+homology engines, whose oracle limit (homology.ORACLE_LIMIT) they never
+meet. homology and ideals import these names and keep them as their own
+attributes.
 """
 from __future__ import annotations
 
@@ -21,9 +22,7 @@ import enum
 from math import comb
 from typing import NamedTuple
 
-from .graphs import SimpleGraph, _clip
-
-AMBIENT_LIMIT = 24
+from .graphs import SimpleGraph
 
 
 class Field(enum.Enum):
@@ -79,43 +78,30 @@ class BettiTable(NamedTuple):
         }
 
 
-def _require_ambient(n: int) -> None:
-    """Refuse an ambient size outside 0..AMBIENT_LIMIT, for ideals and graphs alike."""
-    if not 0 <= n <= AMBIENT_LIMIT:
-        raise ValueError(f"ambient size {_clip(n)} outside supported range 0..{AMBIENT_LIMIT}")
-
-
 def _require_edge_ambient(n: int) -> None:
     """Refuse n < 3, where an edge's complement support is empty: the unit ideal."""
     if n < 3:
         raise ValueError(f"degenerate ambient: need at least 3 vertices, got {n}")
 
 
-def _graph_oracle(graph: SimpleGraph, field: Field,
-                  counts: tuple[int, int]) -> tuple[BettiTable, int]:
-    """The Betti table and the height of I_c(G), read off the graph's counts.
+def _graph_oracle(graph: SimpleGraph, field: Field, counts: tuple[int, int]) -> BettiTable:
+    """The Betti table of I_c(G), read off the graph's counts at any n.
 
     counts is graphs._join_count(graph.edges), which the caller runs once per
     question: the n' vertices on an edge and the n' - c' joins, for the c'
-    components holding an edge. No ideal, mask or face is built. The
-    refusals are those of hochster_betti(complementary_edge_ideal(graph)), in
-    the same order: fewer than 3 vertices, more than AMBIENT_LIMIT, no edge
-    (the zero ideal). That route reads the table off counts too, so both
-    answer up to AMBIENT_LIMIT. The dual complex of I_c(G) is G
-    itself: the empty face, the n' vertices and the m edges. The dual Hochster
-    formula (Miller-Sturmfels, Combinatorial Commutative Algebra, Cor. 5.12)
-    then gives beta_(1, n-2) = m, beta_(2, n-1) = 2m - n', beta_(2, n) =
-    c' - 1 and beta_(3, n) = m - n' + c', over every field: the table of
-    _count_betti with no isolated facet vertex. The height is that of
-    _count_invariants.
+    components holding an edge. No ideal, mask or face is built, and no
+    vertex is walked. Fewer than 3 vertices are refused, then a graph with no
+    edge (the zero ideal). The dual complex of I_c(G) is G itself: the empty
+    face, the n' vertices and the m edges. The dual Hochster formula
+    (Miller-Sturmfels, Combinatorial Commutative Algebra, Cor. 5.12) then
+    gives beta_(1, n-2) = m, beta_(2, n-1) = 2m - n', beta_(2, n) = c' - 1
+    and beta_(3, n) = m - n' + c', over every field: the table of
+    _count_betti with no isolated facet vertex.
     """
-    n = graph.n
-    _require_edge_ambient(n)
-    _require_ambient(n)
-    m = graph.m
-    if not m:
+    _require_edge_ambient(graph.n)
+    if not graph.m:
         raise ValueError("Betti table undefined for the zero ideal")
-    return _count_betti(n, m, *counts, 0, field), _count_invariants(n, m, *counts)[0]
+    return _count_betti(graph.n, graph.m, *counts, 0, field)
 
 
 def _count_invariants(n: int, m: int, met: int, joins: int) -> tuple[int, int, int]:

@@ -13,6 +13,7 @@ import time
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, takewhile
+from math import log
 from typing import Sequence
 
 import networkx as nx
@@ -63,6 +64,31 @@ def closed_form_betti(graph: SimpleGraph, field: Field) -> BettiTable:
     return BettiTable.from_dict(n, field, {
         (0, 0): 1, (1, n - 2): m, (2, n - 1): 2 * m - n_prime,
         (2, n): c_prime - 1, (3, n): m - n_prime + c_prime})
+
+
+def sparse_gnp(n: int, p: float, seed: int) -> tuple[tuple[int, int], ...]:
+    """The edges of one G(n, p) draw, by geometric skips over the pairs: O(n + m), not O(n^2).
+
+    Batagelj-Brandes, Efficient generation of large random networks (Phys.
+    Rev. E 71, 2005): the gap to the next kept pair is geometric.
+    """
+    rng = random.Random(seed)
+    edges = []
+    v, w = 1, -1
+    while v < n:
+        w += 1 + int(log(1 - rng.random()) / log(1 - p))
+        while w >= v and v < n:
+            w -= v
+            v += 1
+        if v < n:
+            edges.append((w + 1, v + 1))
+    return tuple(sorted(edges))
+
+
+def past_the_ambient_limit() -> list[SimpleGraph]:
+    """Seeded G(n, 3/n) draws on 25, 100 and 10,000 vertices, past the ideal layer's
+    ambient limit of 24, where no mask of I_c(G) is built."""
+    return [SimpleGraph(n, sparse_gnp(n, 3 / n, n)) for n in (25, 100, 10 ** 4)]
 
 
 def past_the_oracle_limit() -> list[SimpleGraph]:

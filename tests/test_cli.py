@@ -6,6 +6,8 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
+import tracemalloc
 import types
 from importlib import resources
 from math import comb
@@ -18,7 +20,8 @@ from hypothesis import example, given, settings, strategies as st
 import compedge
 from compedge import Field, cli, graphs, invariants, tables
 from compedge.cli import run
-from conftest import closed_form_betti, labeled_verify, past_the_oracle_limit
+from conftest import (closed_form_betti, labeled_verify, past_the_ambient_limit,
+                      past_the_oracle_limit, sparse_gnp)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SRC = Path(__file__).parents[1] / "src"
@@ -117,14 +120,16 @@ class TestAnalyze:
         assert outcome.exit_code == 2
         assert "edgeless" in outcome.diagnostics
 
-    def test_ambient_limit_is_a_usage_error(self, tmp_path):
+    def test_oracle_answers_past_the_ideal_layers_ambient_limit(self, tmp_path):
+        # 25 vertices, one more than an ideal's masks may span: the oracle
+        # reads I_c(G) off counts, and the isolated vertices leave mismatches
         path = tmp_path / "twenty-five.txt"
         path.write_text("25 1\n1 2\n")
         outcome = run(["analyze", str(path), "--oracle"])
-        assert outcome.exit_code == 2
-        assert outcome.payload == ""
-        assert outcome.diagnostics.startswith("error: ")
-        assert "outside supported range 0..24" in outcome.diagnostics
+        assert (outcome.exit_code, outcome.diagnostics) == (1, "")
+        payload = check(outcome.payload, "analyze")
+        assert payload["notes"] == ["isolated_vertices_outside_hypotheses"]
+        assert payload["oracle"]["height"] == 1
 
     def test_huge_header_is_analyzed_without_walking_the_vertices(self, tmp_path, monkeypatch):
         def walk(graph):
@@ -173,15 +178,18 @@ class TestBetti:
         outcome = run(["betti", str(path)])
         assert outcome.exit_code == 2
 
-    def test_huge_header_refused_before_walking_the_vertices(self, tmp_path, monkeypatch):
+    def test_huge_header_answers_without_walking_the_vertices(self, tmp_path, monkeypatch):
         def walk(graph):
-            raise AssertionError("walked every vertex before the ambient check")
+            raise AssertionError("walked every vertex")
         monkeypatch.setattr(graphs.SimpleGraph, "vertices", walk)
         path = tmp_path / "huge.txt"
         path.write_text("1000000000 1\n1 2\n")
         outcome = run(["betti", str(path)])
-        assert outcome.exit_code == 2
-        assert "ambient size" in outcome.diagnostics
+        assert outcome.exit_code == 0
+        n = 10 ** 9
+        assert check(outcome.payload, "betti") == {
+            "n": n, "field": "gf2",
+            "betti": [{"i": 0, "j": 0, "value": 1}, {"i": 1, "j": n - 2, "value": 1}]}
 
 
 class TestOracleRefusals:
@@ -189,11 +197,10 @@ class TestOracleRefusals:
         ('{"n": 4, "edges": []}', "Betti table undefined for the zero ideal",
          "edgeless graph: the complementary edge ideal is zero"),
         ("2 1\n1 2\n", *["degenerate ambient: need at least 3 vertices, got 2"] * 2),
-        # betti refuses the ambient size before the zero ideal, analyze the
-        # edgeless graph first; 15..24 vertices pass both
-        ('{"n": 25, "edges": []}', "ambient size 25 outside supported range 0..24",
+        # no vertex count is too large: past the ideal layer's ambient limit
+        # of 24, only the missing edge is refused
+        ('{"n": 25, "edges": []}', "Betti table undefined for the zero ideal",
          "edgeless graph: the complementary edge ideal is zero"),
-        ("25 1\n1 2\n", *["ambient size 25 outside supported range 0..24"] * 2),
     ])
     def test_betti_and_analyze_oracle_keep_their_messages(self, tmp_path, text, betti, analyze):
         path = tmp_path / "graph.txt"
@@ -206,10 +213,11 @@ class TestOracleRefusals:
 
 
 class TestPastTheOracleLimit:
-    """betti and analyze --oracle read I_c(G) off counts, so the engines' oracle limit
-    of 14 does not bind them: they answer up to the ambient limit of 24."""
+    """betti and analyze --oracle read I_c(G) off counts, so neither the engines' oracle
+    limit of 14 nor the ideal layer's ambient limit of 24 binds them."""
 
-    @pytest.mark.parametrize("graph", past_the_oracle_limit(), ids=lambda g: f"n{g.n}")
+    @pytest.mark.parametrize("graph", past_the_oracle_limit() + past_the_ambient_limit(),
+                             ids=lambda g: f"n{g.n}")
     @pytest.mark.parametrize("field", list(Field))
     def test_betti_and_analyze_oracle_answer(self, tmp_path, graph, field):
         path = tmp_path / "graph.json"
@@ -230,6 +238,64 @@ class TestPastTheOracleLimit:
         # only the known tension of an isolated vertex leaves a mismatch
         assert bool(payload["mismatches"]) == isolated
         assert outcome.exit_code == (1 if isolated else 0)
+
+
+class TestAnyVertexCount:
+    """Every graph question reads I_c(G) off its edges, so its work is O(m log m) with no
+    limit on n: the vertices are never walked, and off an edge they cost nothing."""
+
+    def test_every_graph_question_on_a_billion_vertices(self, tmp_path, monkeypatch):
+        n = 10 ** 9
+        # a chordless 4-cycle, a triangle with a pendant edge, a far edge
+        edges = ((1, 2), (2, 3), (3, 4), (1, 4), (5, 6), (6, 7), (5, 7), (7, 8), (n - 1, n))
+        graph = graphs.SimpleGraph(n, edges)
+        path = tmp_path / "billion.json"
+        path.write_text(json.dumps(graph.to_json_dict()))
+
+        def walk(graph):
+            raise AssertionError("walked every vertex")
+        monkeypatch.setattr(graphs.SimpleGraph, "vertices", walk)
+        questions = (invariants.oracle_invariants, invariants.cross_validate,
+                     invariants.implication_suite)
+        tracemalloc.start()
+        try:
+            betti = run(["betti", str(path)])
+            analyze = run(["analyze", "--oracle", "--json", str(path)])
+            answers = [question(graph, field) for field in Field for question in questions]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        # m = 9 edges on n' = 10 vertices in c' = 3 components
+        assert betti.exit_code == 0
+        assert check(betti.payload, "betti")["betti"] == [
+            {"i": 0, "j": 0, "value": 1}, {"i": 1, "j": n - 2, "value": 9},
+            {"i": 2, "j": n - 1, "value": 8}, {"i": 2, "j": n, "value": 2},
+            {"i": 3, "j": n, "value": 2}]
+        assert analyze.exit_code == 1
+        oracle = check(analyze.payload, "analyze")["oracle"]
+        assert (oracle["height"], oracle["reg_s_mod_i"], oracle["pd_s_mod_i"]) == (1, n - 2, 3)
+        for answer in answers[2::3]:
+            assert (answer.sequentially_cm, answer.dual_linear_quotients) == (False, "no")
+            assert not answer.licci.licci and answer.failed_claims == ()
+        assert answers[0].to_json_dict() == oracle
+
+    def test_betti_and_analyze_oracle_on_a_hundred_thousand_vertices(self, tmp_path):
+        # seeded G(n, 1/n): about 50,000 edges, and a giant component in the making
+        n = 10 ** 5
+        graph = graphs.SimpleGraph(n, sparse_gnp(n, 1 / n, n))
+        path = tmp_path / "sparse.json"
+        path.write_text(json.dumps(graph.to_json_dict()))
+        start = time.perf_counter()
+        betti = run(["betti", str(path)])
+        analyze = run(["analyze", "--oracle", "--json", str(path)])
+        # under a second on a 2-vCPU host; an O(n^2) step takes minutes
+        assert time.perf_counter() - start < 30
+        assert betti.exit_code == 0
+        assert check(betti.payload, "betti") == closed_form_betti(graph, Field.GF2).to_json_dict()
+        assert analyze.exit_code in (0, 1)
+        payload = check(analyze.payload, "analyze")
+        assert bool(payload["mismatches"]) == (analyze.exit_code == 1)
 
 
 class TestVerify:
@@ -455,7 +521,8 @@ GRAPH_TEXTS = st.one_of(
     st.builds(render, st.integers(0, 12),
               st.lists(st.tuples(st.integers(1, 12), st.integers(1, 12)), max_size=12),
               st.booleans()),
-    # headers every command but a plain analyze must refuse
+    # headers past the ideal layer's ambient limit, which mdensity refuses
+    # and the other graph commands answer
     st.builds(render, st.integers(25, 10 ** 12),
               st.lists(st.sampled_from([(1, 2), (2, 3), (1, 3), (3, 4)]), max_size=3, unique=True),
               st.just(False)),
@@ -501,10 +568,9 @@ class TestMalformedGraphText:
         assert "out of range" in outcome.diagnostics
         assert len(outcome.diagnostics) < 200 + len(str(path))
 
-    @pytest.mark.parametrize("argv", [["betti", "{path}"], ["analyze", "--oracle", "{path}"],
-                                      ["mdensity", "{path}"], ["montecarlo", "--n", "9" * 3000,
-                                                               "--c", "1"]],
-                             ids=["betti", "analyze_oracle", "mdensity", "montecarlo"])
+    @pytest.mark.parametrize("argv", [["mdensity", "{path}"],
+                                      ["montecarlo", "--n", "9" * 3000, "--c", "1"]],
+                             ids=["mdensity", "montecarlo"])
     def test_a_long_vertex_count_is_clipped_in_library_errors(self, tmp_path, argv):
         # a 4,000-digit header parses, and the library refuses the vertex count
         path = tmp_path / "graph.txt"
@@ -673,11 +739,12 @@ class TestNumpyLoadsLazily:
                 assert obj.__module__.startswith("compedge.")
                 assert getattr(sys.modules[obj.__module__], name) is obj, name
         # the names that moved to tables stay attributes of their old homes;
-        # the engines' oracle limit is homology's own
+        # the engines' oracle limit is homology's own, the mask width's
+        # ambient limit the ideal layer's
         from compedge import homology, ideals
-        for name in ("Field", "BettiTable", "_graph_oracle", "_count_betti"):
+        for name in ("Field", "BettiTable", "_count_betti"):
             assert getattr(homology, name) is getattr(tables, name)
-        assert ideals.AMBIENT_LIMIT is tables.AMBIENT_LIMIT
+        assert ideals.AMBIENT_LIMIT == 24 and not hasattr(tables, "AMBIENT_LIMIT")
         assert homology.ORACLE_LIMIT == 14 and not hasattr(tables, "ORACLE_LIMIT")
 
     def test_import_compedge_loads_no_submodule(self):

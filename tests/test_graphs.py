@@ -4,6 +4,8 @@ from __future__ import annotations
 import inspect
 import json
 import pickle
+import random
+import time
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb
@@ -23,7 +25,7 @@ from compedge.homology import SimplicialComplex
 from compedge.ideals import QuotientSearchResult, SquarefreeIdeal
 from compedge.invariants import LicciVerdict, cross_validate, implication_suite, predict_invariants
 from compedge.tables import BettiTable, Field
-from conftest import atlas_graphs
+from conftest import atlas_graphs, sparse_gnp
 
 
 def graphs(min_n: int = 3, max_n: int = 6, min_edges: int = 0) -> st.SearchStrategy[SimpleGraph]:
@@ -391,8 +393,19 @@ def labeled_interval_graphs(draw, max_n: int = 14) -> SimpleGraph:
     return SimpleGraph(n, tuple(edges))
 
 
+def labeled_path_with_a_triangle(n: int, chordless_square: bool = False) -> SimpleGraph:
+    """A path on 1..n under a seeded random labeling, with a chord that closes a triangle
+    on its first three vertices; its twin adds a chord that closes a chordless 4-cycle."""
+    label = list(range(1, n + 1))
+    random.Random(n).shuffle(label)
+    edges = [(label[i], label[i + 1]) for i in range(n - 1)] + [(label[0], label[2])]
+    if chordless_square:
+        edges.append((label[n // 2], label[n // 2 + 3]))
+    return SimpleGraph(n, edges)
+
+
 class TestChordalityKernel:
-    """graphs._is_chordal, simplicial-vertex elimination on neighbour masks, against networkx."""
+    """graphs._is_chordal, maximum cardinality search and its PEO check, against networkx."""
 
     def test_every_atlas_class_to_seven(self):
         graphs = atlas_graphs(3, 7)
@@ -403,8 +416,26 @@ class TestChordalityKernel:
     @settings(max_examples=300)
     @given(st.one_of(labeled_interval_graphs(), graphs(min_n=0, max_n=14)))
     def test_randomly_labeled_graphs_to_fourteen(self, g: SimpleGraph):
-        # the bit a vertex gets is its label, so labels move every mask test
+        # the search breaks ties by label, so labels move the visit order
         assert graphs_module._is_chordal(g) == networkx_chordal(g)
+
+    @pytest.mark.parametrize("n", [4000, 10 ** 5])
+    def test_long_labeled_paths_in_linear_time(self, n):
+        # 0.3-0.7 s a graph at n = 10^5 on a 2-vCPU host, where an O(n^2)
+        # pass takes minutes
+        chordal, twin = labeled_path_with_a_triangle(n), labeled_path_with_a_triangle(n, True)
+        start = time.perf_counter()
+        answers = graphs_module._is_chordal(chordal), graphs_module._is_chordal(twin)
+        assert time.perf_counter() - start < 10
+        assert answers == (True, False)
+
+    @pytest.mark.parametrize("n, c, chordal", [
+        (1000, 0.5, True), (1000, 1, True), (1000, 3, False), (3000, 0.5, True),
+        (3000, 3, False), (10000, 1, False), (10000, 3, False)])
+    def test_seeded_sparse_random_graphs_against_networkx(self, n, c, chordal):
+        # seeded G(n, c/n): below c = 1 mostly a forest, past it a chordless cycle
+        g = SimpleGraph(n, sparse_gnp(n, c / n, n))
+        assert graphs_module._is_chordal(g) == nx.is_chordal(nx.Graph(g.edges)) == chordal
 
     @pytest.mark.parametrize("n", range(4, 9))
     def test_long_cycles_are_not_chordal(self, n):

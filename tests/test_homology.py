@@ -21,12 +21,11 @@ from compedge import (Field, SimpleGraph, SquarefreeIdeal, alexander_dual,
 from compedge.graphs import (_join_count, complete_graph, connected_components, cycle_graph,
                              path_graph)
 from compedge.homology import (BettiTable, SimplicialComplex, _closure, _count_betti,
-                               _dual_betti, _gf2_rank, _graph_betti,
-                               _graph_oracle, _homology, _primal_betti, _rational_rank,
-                               clear_homology_cache, reduced_homology_dims)
-from compedge.tables import _count_invariants
+                               _dual_betti, _gf2_rank, _graph_betti, _homology, _primal_betti,
+                               _rational_rank, clear_homology_cache, reduced_homology_dims)
+from compedge.tables import _count_invariants, _graph_oracle
 from conftest import (atlas_graphs, brute_force_component, closed_form_betti, gnp_graph,
-                      past_the_oracle_limit)
+                      past_the_oracle_limit, sparse_gnp)
 
 
 def fs(*vertices: int) -> frozenset[int]:
@@ -796,27 +795,8 @@ class TestBettiTables:
         assert totals.get(1, 0) == m
 
 
-def sparse_gnp(n: int, p: float, seed: int) -> tuple[tuple[int, int], ...]:
-    """The edges of one G(n, p) draw, by geometric skips over the pairs: O(n + m), not O(n^2).
-
-    Batagelj-Brandes, Efficient generation of large random networks (Phys.
-    Rev. E 71, 2005): the gap to the next kept pair is geometric.
-    """
-    rng = random.Random(seed)
-    edges = []
-    v, w = 1, -1
-    while v < n:
-        w += 1 + int(log(1 - rng.random()) / log(1 - p))
-        while w >= v and v < n:
-            w -= v
-            v += 1
-        if v < n:
-            edges.append((w + 1, v + 1))
-    return tuple(sorted(edges))
-
-
 class TestGraphOracle:
-    """The graph-level entry: the table and height of I_c(G) off m, n' and c'."""
+    """The graph-level entry's table and _count_invariants' height of I_c(G), off m, n' and c'."""
 
     def test_every_labeled_graph_to_six_against_the_graph_kernel_and_height(self, oracle_sweep):
         # oracle_sweep holds height(complementary_edge_ideal(graph)) per labeled graph
@@ -825,10 +805,11 @@ class TestGraphOracle:
         for record in records:
             graph = record.graph
             masks = complementary_edge_ideal(graph).masks
+            counts = _join_count(graph.edges)
+            assert _count_invariants(graph.n, graph.m, *counts)[0] == record.height, graph
             for field in Field:
-                table, ht = _graph_oracle(graph, field, _join_count(graph.edges))
+                table = _graph_oracle(graph, field, counts)
                 assert table == _graph_betti(graph.n, masks, field), graph
-                assert ht == record.height, graph
 
     def test_atlas_classes_to_seven_against_both_engines_and_the_cover_search(self):
         # tables and heights are invariant under relabeling, so one graph per
@@ -839,11 +820,13 @@ class TestGraphOracle:
         assert len(graphs) == 201 + 1043
         for k, graph in enumerate(graphs):
             ideal = complementary_edge_ideal(graph)
+            counts = _join_count(graph.edges)
             for field in Field:
-                table, ht = _graph_oracle(graph, field, _join_count(graph.edges))
+                table = _graph_oracle(graph, field, counts)
                 assert table == dual_engine(ideal, field), graph
                 if graph.n < 7 or (k % 8 == 0 and field is Field.GF2):
                     assert table == _primal_betti(ideal, field), graph
+            ht = _count_invariants(graph.n, graph.m, *counts)[0]
             assert ht == alexander_dual(ideal).indeg, graph
 
     @pytest.mark.parametrize("n", [200, 1000, 10000])
@@ -869,7 +852,7 @@ class TestGraphOracle:
         for graph in (cycle_graph(14), complete_graph(14), SimpleGraph(14, ((1, 2),))):
             counts = _join_count(graph.edges)
             for field in Field:
-                assert _graph_oracle(graph, field, counts)[0] == closed_form_betti(graph, field)
+                assert _graph_oracle(graph, field, counts) == closed_form_betti(graph, field)
 
     @pytest.mark.parametrize("graph", past_the_oracle_limit(), ids=lambda g: f"n{g.n}")
     def test_count_level_questions_answer_past_the_oracle_limit(self, graph):
@@ -877,8 +860,10 @@ class TestGraphOracle:
         # the oracle limit, so it agrees with the graph-level entry; an engine
         # ideal on the same n and stanley_reisner's 2^n table are refused
         ideal = complementary_edge_ideal(graph)
+        counts = _join_count(graph.edges)
+        ht = _count_invariants(graph.n, graph.m, *counts)[0]
         for field in Field:
-            table, ht = _graph_oracle(graph, field, _join_count(graph.edges))
+            table = _graph_oracle(graph, field, counts)
             assert hochster_betti(ideal, field) == table == closed_form_betti(graph, field)
             hom = reg_pd(table)
             assert is_cohen_macaulay(ideal, field) == (hom.pd_s_mod_i == ht)
@@ -1026,8 +1011,7 @@ class TestTableKeyOrder:
         # there); both engines on every ideal on at most four variables and
         # every atlas class to six, over both fields
         graphs = [record.graph for record in oracle_sweep[0]] + [row[0] for row in forest_sweep]
-        tables = {_graph_oracle(graph, Field.GF2, _join_count(graph.edges))[0]
-                  for graph in graphs}
+        tables = {_graph_oracle(graph, Field.GF2, _join_count(graph.edges)) for graph in graphs}
         ideals = [ideal for n in range(1, 5) for ideal in antichain_ideals(n)]
         ideals += [complementary_edge_ideal(graph) for graph in atlas_graphs(3, 6)]
         for field in Field:

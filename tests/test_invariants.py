@@ -23,7 +23,8 @@ from compedge.ideals import mask_of
 from compedge.invariants import NOTE_COMPLETE_PD, NOTE_ISOLATED
 from conftest import (atlas_graphs, brute_force_component, closed_form_betti,
                       has_linear_quotients_in_order, labeled_forests, maximum_cardinality_search,
-                      past_the_oracle_limit, peo_lex_dual_order, reference_linear_quotients)
+                      past_the_ambient_limit, past_the_oracle_limit, peo_lex_dual_order,
+                      reference_linear_quotients)
 
 # the layer modules, for the tests that patch a name and check no other layer holds it
 LAYERS = (graphs, tables, ideals, homology, invariants, cli)
@@ -579,12 +580,15 @@ class TestOneGraphLevelPath:
             implication_suite(graph)
         assert calls == [cycle_graph(4), complete_graph(3)]
 
-    @pytest.mark.parametrize("graph", past_the_oracle_limit(), ids=lambda g: f"n{g.n}")
+    @pytest.mark.parametrize("graph", past_the_oracle_limit() + past_the_ambient_limit(),
+                             ids=lambda g: f"n{g.n}")
     @pytest.mark.parametrize("field", list(Field))
     def test_every_question_answers_past_the_oracle_limit(self, graph, field):
-        # n = 15..24, up to the ambient limit: the table off counts, the dual
-        # claims off chordality
-        hom = closed_form_betti(graph, field).reg_pd()
+        # n = 15..24 and on past the ideal layer's ambient limit to 10,000:
+        # the table off counts, the dual claims off chordality
+        table = closed_form_betti(graph, field)
+        assert tables._graph_oracle(graph, field, graphs._join_count(graph.edges)) == table
+        hom = table.reg_pd()
         oracle = oracle_invariants(graph, field)
         assert (oracle.reg_s_mod_i, oracle.pd_s_mod_i) == (hom.reg_s_mod_i, hom.pd_s_mod_i)
         assert cross_validate(graph, field).oracle == oracle
@@ -597,9 +601,8 @@ class TestOneGraphLevelPath:
     @pytest.mark.parametrize("graph, message", [
         (SimpleGraph(4, ()), "edgeless graph: the complementary edge ideal is zero"),
         (SimpleGraph(2, ((1, 2),)), "degenerate ambient: need at least 3 vertices, got 2"),
-        # no edge is refused before the ambient size, which 15..24 vertices pass
-        (SimpleGraph(25, ()), "edgeless graph: the complementary edge ideal is zero"),
-        (SimpleGraph(25, ((1, 2),)), "ambient size 25 outside supported range 0..24"),
+        # no vertex count is too large: only the missing edge is refused
+        (SimpleGraph(10 ** 9, ()), "edgeless graph: the complementary edge ideal is zero"),
     ])
     @pytest.mark.parametrize("question", [oracle_invariants, cross_validate, implication_suite])
     def test_refusals_keep_their_messages(self, graph, message, question):

@@ -81,8 +81,9 @@ MUTANTS = [
     Mutant("graph-never-route", "homology.py",
            "if indeg >= n - 2:", "if False:",
            (HOMOLOGY + "test_complementary_edge_ideals_skip_the_subset_walk",)),
-    # the graph-level entry: the table and height of I_c(G) off m, n' and c',
-    # through the shared count helper with no isolated facet vertex
+    # the graph-level entry's table of I_c(G) off m, n' and c', through the
+    # shared count helper with no isolated facet vertex, and the height of
+    # _count_invariants
     Mutant("entry-components-without-the-minus-one", "tables.py",
            "((2, n), met + points - joins - 1)", "((2, n), met + points - joins)",
            ("tests/test_homology.py::TestGraphOracle::"
@@ -135,7 +136,7 @@ MUTANTS = [
            ("tests/test_homology.py::TestCountInvariants::"
             "test_every_labeled_graph_to_six_against_the_tables_and_the_cover_search",)),
     # the ideal layer accepts ambient size 0
-    Mutant("ambient-size-zero-refused", "tables.py",
+    Mutant("ambient-size-zero-refused", "ideals.py",
            "if not 0 <= n <= AMBIENT_LIMIT:", "if not 0 < n <= AMBIENT_LIMIT:",
            ("tests/test_ideals.py::TestConstructor::test_ambient_size_zero_is_accepted",)),
     # the predicted initial degree of each class, and the Huneke-Ulrich bound
@@ -184,13 +185,20 @@ MUTANTS = [
            ("tests/test_invariants.py::TestImplicationSuite::"
             "test_payload_digest_over_every_graph_to_five_and_forest_on_six",)),
     # the chordality kernel that decides the dual's componentwise linearity
-    # and its linear quotients
+    # and its linear quotients: maximum cardinality search and the check of
+    # its reverse visit order as a perfect elimination ordering
     Mutant("chordal-skip-the-clique-test", "graphs.py",
-           "if near & ~neighbours[w.bit_length()] != w:", "if False:",
+           "if any(w != p and w not in adjacent[p] for w in earlier):", "if False:",
            ("tests/test_graphs.py::TestChordalityKernel",)),
-    Mutant("chordal-true-with-no-simplicial-vertex-left", "graphs.py",
-           "if left == before:\n            return False",
-           "if left == before:\n            return True",
+    Mutant("chordal-earliest-visited-earlier-neighbour", "graphs.py",
+           "p = max(earlier, key=position.__getitem__)",
+           "p = min(earlier, key=position.__getitem__)",
+           ("tests/test_graphs.py::TestChordalityKernel",)),
+    Mutant("chordal-clique-test-holds-p-to-itself", "graphs.py",
+           "w != p and w not in adjacent[p]", "w not in adjacent[p]",
+           ("tests/test_graphs.py::TestChordalityKernel",)),
+    Mutant("chordal-search-by-least-weight", "graphs.py",
+           "heappush(heap, (-weight[w], w))", "heappush(heap, (weight[w], w))",
            ("tests/test_graphs.py::TestChordalityKernel",)),
     Mutant("suite-quotients-yes-past-a-non-linear-dual", "invariants.py",
            '"yes" if dual_cl else "no"', '"yes"',
