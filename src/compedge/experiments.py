@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from numbers import Real
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -71,7 +72,8 @@ class ExperimentConfig(_Frozen):
     def __init__(self, n: int, trials: int, seed: int, p: float | None = None,
                  c: float | None = None):
         """n, trials and seed are stored as plain ints (graphs._plain_int), so a numpy
-        integer or a bool is normalised and a float or a string refused by name."""
+        integer or a bool is normalised and a float or a string refused by name; p
+        and c are kept as given, and refused by name unless a real number."""
         for name, value in (("n", n), ("trials", trials), ("seed", seed)):
             object.__setattr__(self, name, _plain_int(value, name))
         object.__setattr__(self, "p", p)
@@ -87,10 +89,13 @@ class ExperimentConfig(_Frozen):
             raise ValueError("seed must fit in 64 bits")
         if (self.p is None) == (self.c is None):
             raise ValueError("give exactly one of p and c, not both or neither")
-        if self.p is not None and not self.p >= 0:
-            raise ValueError(f"p must be nonnegative, got {self.p}")
-        if self.c is not None and not self.c >= 0:
-            raise ValueError(f"c must be nonnegative, got {self.c}")
+        for name, value in (("p", self.p), ("c", self.c)):
+            if value is None:
+                continue
+            if not isinstance(value, Real):
+                raise ValueError(f"{name} must be a real number, got {_clip(repr(value))}")
+            if not value >= 0:
+                raise ValueError(f"{name} must be nonnegative, got {value}")
 
     @property
     def edge_probability(self) -> float:

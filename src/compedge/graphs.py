@@ -422,6 +422,8 @@ def _graph_classes(max_n: int) -> list[list[tuple[SimpleGraph, int]]]:
     canonical augmentation. The orbit sizes of level n sum to 2^C(n,2), the
     labeled graphs of enumerate_graphs(n).
     """
+    if max_n < 0:
+        raise ValueError(f"vertex count must be nonnegative, got {max_n}")
     if max_n > DEFAULT_ENUMERATION_LIMIT:
         raise ValueError(f"graph classes on {max_n} vertices exceed the limit of "
                          f"{DEFAULT_ENUMERATION_LIMIT}")

@@ -16,6 +16,7 @@ Two known tensions are flagged rather than silently resolved:
 """
 from __future__ import annotations
 
+from itertools import product
 from math import comb
 from typing import NamedTuple
 
@@ -63,6 +64,22 @@ _LICCI_K3 = LicciVerdict(True, REASON_K3)
 _NOT_LICCI_COMPLETE = LicciVerdict(False, REASON_COMPLETE)
 _LICCI_FOREST = LicciVerdict(True, REASON_FOREST)
 _NOT_LICCI_CYCLE = LicciVerdict(False, REASON_CYCLE)
+
+
+# The other answers are records of one vertex count n, shared by every graph on
+# n vertices: the predictions keyed by (reason, tree, isolated), the oracle
+# values by (field, height, reg, pd) and the mismatch tuples by (prediction,
+# oracle values). Sweeps go n by n, so holding one n at a time bounds them at any n.
+_held: dict[int, dict] = {}
+
+
+def _records(n: int) -> dict:
+    """The shared records of n; those of any other n are dropped first."""
+    records = _held.get(n)
+    if records is None:
+        _held.clear()
+        records = _held[n] = {}
+    return records
 
 
 class InvariantReport(NamedTuple):
@@ -175,15 +192,30 @@ def _predict(graph: SimpleGraph, met: int, joins: int) -> InvariantReport:
     """predict_invariants off graphs._join_count(graph.edges), which gives (met, joins).
 
     met vertices lie on an edge, and joins of the edges join two components:
-    the edges form a forest exactly when every one of them does. Notes and
-    provenance are per-class constants; a complete G has no isolated vertex.
+    the edges form a forest exactly when every one of them does. The report
+    is the shared record of n, the class and whether a vertex is isolated.
     """
     n, m = graph.n, graph.m
     verdict = _licci(n, m, joins == m)
-    notes = _ISOLATED_NOTES if met < n else ()
+    # a forest with c components has n - c edges
+    tree = verdict is _LICCI_FOREST and m == n - 1
+    isolated = met < n
+    key = verdict.reason, tree, isolated
+    records = _records(n)
+    report = records.get(key)
+    if report is None:
+        report = records[key] = _class_report(n, verdict, tree, isolated)
+    return report
+
+
+def _class_report(n: int, verdict: LicciVerdict, tree: bool, isolated: bool) -> InvariantReport:
+    """The prediction for every graph of one class on n vertices.
+
+    Notes and provenance are per-class constants; a complete G has no isolated vertex.
+    """
+    notes = _ISOLATED_NOTES if isolated else ()
     if verdict is _LICCI_FOREST:
-        # a forest with c components has n - c edges
-        if m == n - 1:
+        if tree:
             return InvariantReport("tree", 2, True, 1, (n - 2, n - 2), n - 2, verdict,
                                    notes, _PROVENANCE_TREE)
         return InvariantReport("disconnected_forest", 2, True, 1, (n - 1, n - 1), n - 2,
@@ -207,21 +239,40 @@ def oracle_invariants(graph: SimpleGraph, field: Field = Field.GF2) -> OracleInv
 
 
 def _oracle(graph: SimpleGraph, field: Field, met: int, joins: int) -> OracleInvariants:
-    """oracle_invariants off graphs._join_count(graph.edges), which gives (met, joins)."""
+    """oracle_invariants off graphs._join_count(graph.edges), which gives (met, joins).
+
+    The values are the shared record of n, the field, the height, reg and pd.
+    """
     ht, reg, pd = _count_invariants(graph.n, graph.m, met, joins)
-    return OracleInvariants(field, ht, reg, pd, reg + 1, pd - 1, pd == ht)
+    key = field, ht, reg, pd
+    records = _records(graph.n)
+    oracle = records.get(key)
+    if oracle is None:
+        oracle = records[key] = OracleInvariants(field, ht, reg, pd, reg + 1, pd - 1, pd == ht)
+    return oracle
 
 
 def cross_validate(graph: SimpleGraph, field: Field = Field.GF2) -> DiscrepancyReport:
     """Compare the formula layer against the oracle; reg uses interval containment.
 
     The prediction and the oracle share one graphs._join_count; the refusals
-    are those of predict_invariants, then those of oracle_invariants.
+    are those of predict_invariants, then those of oracle_invariants. The
+    mismatches are the shared tuple of n, the prediction and the oracle values.
     """
     _require_admissible(graph)
     counts = _join_count(graph.edges)
     predicted = _predict(graph, *counts)
     oracle = _oracle(graph, field, *counts)
+    records = _records(graph.n)
+    mismatches = records.get((predicted, oracle))
+    if mismatches is None:
+        mismatches = records[predicted, oracle] = _mismatches(predicted, oracle)
+    return DiscrepancyReport(graph, field, mismatches, predicted, oracle)
+
+
+def _mismatches(predicted: InvariantReport,
+                oracle: OracleInvariants) -> tuple[tuple[str, object, object], ...]:
+    """What the prediction and the oracle disagree on; reg by interval containment."""
     mismatches: list[tuple[str, object, object]] = []
     if predicted.height != oracle.height:
         mismatches.append(("height", predicted.height, oracle.height))
@@ -232,7 +283,7 @@ def cross_validate(graph: SimpleGraph, field: Field = Field.GF2) -> DiscrepancyR
     lo, hi = predicted.reg_ideal
     if not (lo <= oracle.reg_ideal <= hi):
         mismatches.append(("reg_ideal", predicted.reg_ideal, oracle.reg_ideal))
-    return DiscrepancyReport(graph, field, tuple(mismatches), predicted, oracle)
+    return tuple(mismatches)
 
 
 class ImplicationSuite(NamedTuple):
@@ -335,14 +386,15 @@ def implication_suite(graph: SimpleGraph, field: Field = Field.GF2) -> Implicati
     degrees = (met < n) + (m < comb(met, 2)) + (not forest)
     dual_lin = dual_cl and degrees == 1
     primal_lin = met - joins <= 1
-    failed = []
-    if verdict.licci:
-        # sequential CM-ness and the dual's linear quotients are its componentwise linearity
-        if not dual_cl:
-            failed += ("sequentially_cm", "dual_componentwise_linear", "dual_linear_quotients")
-        if not dual_lin:
-            failed.append("dual_linear_resolution")
-        if not primal_lin:
-            failed.append("primal_linear_resolution")
+    failed = _FAILED_CLAIMS[dual_cl, dual_lin, primal_lin] if verdict.licci else ()
     return ImplicationSuite(graph, field, verdict, dual_cl, dual_cl, "yes" if dual_cl else "no",
-                            dual_lin, primal_lin, tuple(failed))
+                            dual_lin, primal_lin, failed)
+
+
+# the claims a licci graph fails, one tuple per (dual_cl, dual_lin, primal_lin) in payload
+# order: sequential CM-ness and the dual's linear quotients are its componentwise linearity
+_FAILED_CLAIMS = {
+    (cl, lin, primal): (("sequentially_cm", "dual_componentwise_linear", "dual_linear_quotients")
+                        * (not cl) + ("dual_linear_resolution",) * (not lin)
+                        + ("primal_linear_resolution",) * (not primal))
+    for cl, lin, primal in product((False, True), repeat=3)}

@@ -199,11 +199,30 @@ def maximum_cardinality_search(graph: SimpleGraph) -> list[int] | None:
     return order
 
 
-def peo_lex_dual_order(graph: SimpleGraph, peo: Sequence[int]) -> list[int]:
-    """The dual's generators by degree, then lexicographically by their vertices in the PEO."""
+def cover_rule(graph: SimpleGraph) -> set[frozenset[int]]:
+    """The minimal covers of I_c(G) as the graph names them: {v} per isolated vertex,
+    {u, v} per non-edge of two vertices that each lie on an edge, and {u, v, w}
+    per triangle."""
+    edges = {frozenset(e) for e in graph.edges}
+    carried = set().union(*edges)
+    covers = {frozenset((v,)) for v in graph.vertices() if v not in carried}
+    covers |= {frozenset(p) for p in combinations(sorted(carried), 2) if frozenset(p) not in edges}
+    covers |= {frozenset(t) for t in combinations(graph.vertices(), 3)
+               if all(frozenset(p) in edges for p in combinations(t, 2))}
+    return covers
+
+
+def peo_lex_dual_order(graph: SimpleGraph, peo: Sequence[int],
+                       masks: Sequence[int] | None = None) -> list[int]:
+    """The dual's generators by degree, then lexicographically by their vertices in the PEO.
+
+    The generators are the masks given (vertex i <-> bit i-1), by default those
+    of complementary_edge_dual(graph), which the cover search finds.
+    """
     position = {v: k for k, v in enumerate(peo)}
-    return sorted(complementary_edge_dual(graph).masks, key=lambda g: (
-        g.bit_count(), sorted(position[v] for v in support_of(g))))
+    if masks is None:
+        masks = complementary_edge_dual(graph).masks
+    return sorted(masks, key=lambda g: (g.bit_count(), sorted(position[v] for v in support_of(g))))
 
 
 def has_linear_quotients_in_order(order: Sequence[int]) -> bool:

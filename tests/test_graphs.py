@@ -565,6 +565,11 @@ class TestGraphClasses:
     def test_limit_guard(self):
         with pytest.raises(ValueError, match="limit"):
             graphs_module._graph_classes(8)
+        # a negative max_n is refused, as enumerate_graphs refuses it, not read as level 0
+        for refused in (lambda: graphs_module._graph_classes(-1),
+                        lambda: list(enumerate_graphs(-1))):
+            with pytest.raises(ValueError, match="^vertex count must be nonnegative, got -1$"):
+                refused()
 
 
 def invariant(g: SimpleGraph) -> tuple:

@@ -17,7 +17,7 @@ from compedge import (SimpleGraph, SquarefreeIdeal, alexander_dual, complementar
 from compedge.graphs import complete_graph, is_complete, path_graph
 from compedge import ideals as ideals_module
 from compedge.ideals import _squarefree_components, mask_of, support_of
-from conftest import (atlas_graphs, brute_force_component, labeled_forests,
+from conftest import (atlas_graphs, brute_force_component, cover_rule, labeled_forests,
                       reference_linear_quotients)
 
 
@@ -237,19 +237,6 @@ class TestComplementaryEdgeIdeal:
             fs(1, 2), fs(1, 3), fs(1, 4), fs(2, 3), fs(2, 4))
         with pytest.raises(AssertionError, match="minimality filter"):
             minimalize(3, [[1], [1, 2]])
-
-
-def cover_rule(graph: SimpleGraph) -> set[frozenset[int]]:
-    """The minimal covers of I_c(G) as the graph names them: {v} per isolated vertex,
-    {u, v} per non-edge of two vertices that each lie on an edge, and {u, v, w}
-    per triangle."""
-    edges = {frozenset(e) for e in graph.edges}
-    carried = set().union(*edges)
-    covers = {fs(v) for v in graph.vertices() if v not in carried}
-    covers |= {fs(u, v) for u, v in combinations(sorted(carried), 2) if fs(u, v) not in edges}
-    covers |= {fs(*t) for t in combinations(graph.vertices(), 3)
-               if all(fs(*p) in edges for p in combinations(t, 2))}
-    return covers
 
 
 class TestComplementaryEdgeDual:

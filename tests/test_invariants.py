@@ -1,8 +1,10 @@
 """Classification layer: predictions, licci verdicts, oracle cross-validation."""
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
+import tracemalloc
 from itertools import combinations
 from math import comb
 
@@ -21,7 +23,7 @@ from compedge.graphs import complete_graph, cycle_graph, path_graph
 from compedge.homology import _primal_betti
 from compedge.ideals import mask_of
 from compedge.invariants import NOTE_COMPLETE_PD, NOTE_ISOLATED
-from conftest import (atlas_graphs, brute_force_component, closed_form_betti,
+from conftest import (atlas_graphs, brute_force_component, closed_form_betti, cover_rule,
                       has_linear_quotients_in_order, labeled_forests, maximum_cardinality_search,
                       past_the_ambient_limit, past_the_oracle_limit, peo_lex_dual_order,
                       reference_linear_quotients)
@@ -260,6 +262,82 @@ class TestOracleAndCrossValidation:
         assert cross_validate(graph).clean
 
 
+class TestSharedRecords:
+    """Every formula-layer answer is one of a few shared records of a vertex count n,
+    so a sweep keeps no new object per prediction and one per report."""
+
+    def test_graphs_of_one_class_or_one_count_share_one_record(self):
+        # every graph with an edge on n = 3..5, over both fields: one prediction per
+        # class and isolated-vertex flag, one set of oracle values per field and
+        # counts, and one mismatch tuple per pair of those, each right for its graph
+        for n in range(3, 6):
+            reports, oracles, mismatches = {}, {}, {}
+            for graph in enumerate_graphs(n):
+                if not graph.m:
+                    continue
+                report = predict_invariants(graph)
+                assert (NOTE_ISOLATED in report.notes) == bool(graph.isolated_vertices()), graph
+                assert reports.setdefault((report.graph_class, report.notes), report) is report
+                for field in Field:
+                    oracle = oracle_invariants(graph, field)
+                    assert oracle.field is field, graph
+                    assert oracles.setdefault(oracle, oracle) is oracle
+                    validation = cross_validate(graph, field)
+                    assert validation.predicted is report and validation.oracle is oracle
+                    assert mismatches.setdefault((report, oracle), validation.mismatches) \
+                        is validation.mismatches
+            assert len(reports) == (3 if n == 3 else 6)
+        suites = {}
+        for graph in labeled_forests(6):
+            failed = implication_suite(graph).failed_claims
+            assert suites.setdefault(failed, failed) is failed
+        assert set(suites) == {(), ("primal_linear_resolution",), (
+            "dual_linear_resolution",), ("dual_linear_resolution", "primal_linear_resolution")}
+
+    def test_a_sweep_keeps_one_new_object_per_report(self):
+        # garbage-collector-tracked objects kept, with the collector off: the two
+        # reports of each graph and the suite of each forest, plus the few records
+        # of each n (11.57 per graph and 1.55 per forest when every answer was new)
+        graphs = [g for n in range(3, 6) for g in enumerate_graphs(n) if g.m]
+        forests = [g for n in range(3, 7) for g in labeled_forests(n)]
+        assert (len(graphs), len(forests)) == (1093, 3264)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            kept = []
+            before = len(gc.get_objects())
+            for graph in graphs:
+                kept.append(predict_invariants(graph))
+                kept += (cross_validate(graph, field) for field in Field)
+            per_graph = (len(gc.get_objects()) - before) / len(graphs)
+            kept.clear()
+            before = len(gc.get_objects())
+            kept += (implication_suite(graph) for graph in forests)
+            per_forest = (len(gc.get_objects()) - before) / len(forests)
+        finally:
+            if enabled:
+                gc.enable()
+        assert per_graph <= 2.2
+        assert per_forest <= 1.0
+
+    def test_records_of_one_vertex_count_at_a_time(self):
+        # a sweep to n = 100,002 holds the records of the last n alone, so the
+        # memory they take stays bounded however large n gets
+        bound = 2 ** 20
+        tracemalloc.start()
+        try:
+            for n in range(3, 100_003):
+                graph = SimpleGraph(n, ((1, 2), (2, 3)))
+                for field in Field:
+                    cross_validate(graph, field)
+                if n % 1000 == 0:
+                    assert tracemalloc.get_traced_memory()[0] < bound, n
+            current, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert current < bound
+
+
 class TestImplicationSuite:
     def test_triangle_satisfies_all_five_claims(self):
         suite = implication_suite(complete_graph(3))
@@ -436,13 +514,13 @@ class TestDualComponentsOffTheGraph:
 
 
 @st.composite
-def chordal_graphs(draw, max_n: int = 16) -> SimpleGraph:
+def chordal_graphs(draw, min_n: int = 3, max_n: int = 16) -> SimpleGraph:
     """A random chordal graph: each vertex in turn joins a clique of the ones before it.
 
     The new vertex is simplicial, so the graph stays chordal; the labels are
     shuffled so that the insertion order is no PEO of the labels.
     """
-    n = draw(st.integers(3, max_n))
+    n = draw(st.integers(min_n, max_n))
     rng = draw(st.randoms(use_true_random=False))
     adjacent: list[set[int]] = []
     for v in range(n):
@@ -502,6 +580,18 @@ class TestPerfectEliminationOrder:
         peo = maximum_cardinality_search(graph)
         assert peo is not None
         assert has_linear_quotients_in_order(peo_lex_dual_order(graph, peo))
+        suite = implication_suite(graph)
+        assert (suite.dual_componentwise_linear, suite.dual_linear_quotients) == (True, "yes")
+
+    @settings(max_examples=10, deadline=None)
+    @given(chordal_graphs(min_n=17, max_n=25))
+    def test_random_chordal_graphs_from_seventeen_to_twenty_five(self, graph: SimpleGraph):
+        # the dual's generators by the cover rule, which reaches past the ideal
+        # layer's ambient limit of 24 vertices
+        peo = maximum_cardinality_search(graph)
+        assert peo is not None
+        masks = [sum(1 << v - 1 for v in cover) for cover in cover_rule(graph)]
+        assert has_linear_quotients_in_order(peo_lex_dual_order(graph, peo, masks))
         suite = implication_suite(graph)
         assert (suite.dual_componentwise_linear, suite.dual_linear_quotients) == (True, "yes")
 

@@ -47,6 +47,7 @@ class Equivalent(NamedTuple):
 
 HOMOLOGY = "tests/test_homology.py::TestBettiTables::"
 STREAM = "tests/test_experiments.py::TestStreamStop::"
+SHARED = "tests/test_invariants.py::TestSharedRecords::"
 # the end of one chunk of the Monte Carlo stream, and the same lines with the
 # exit tested before this chunk's cycle check (one chunk late) or before this
 # chunk's pairs are kept (one chunk early)
@@ -149,6 +150,18 @@ MUTANTS = [
            "(n - 2, n - 1), n - 2, verdict", "(n - 2, n - 1), n + 2, verdict",
            ("tests/test_invariants.py::TestPredictions::"
             "test_every_field_of_every_class_against_slow_paths",)),
+    # the shared records: their keys, and one vertex count held at a time
+    Mutant("oracle-record-without-the-field", "invariants.py",
+           "    key = field, ht, reg, pd\n", "    key = ht, reg, pd\n",
+           (SHARED + "test_graphs_of_one_class_or_one_count_share_one_record",)),
+    Mutant("prediction-record-without-isolated-vertices", "invariants.py",
+           "key = verdict.reason, tree, isolated", "key = verdict.reason, tree",
+           (SHARED + "test_graphs_of_one_class_or_one_count_share_one_record",
+            "tests/test_invariants.py::TestPredictions::"
+            "test_notes_and_provenance_are_one_constant_per_class")),
+    Mutant("records-kept-across-vertex-counts", "invariants.py",
+           "        _held.clear()\n", "",
+           (SHARED + "test_records_of_one_vertex_count_at_a_time",)),
     Mutant("huneke-ulrich-height-minus-two", "invariants.py",
            "(height_ - 1) * (indeg - 1)", "(height_ - 2) * (indeg - 1)",
            ("tests/test_invariants.py::TestHunekeUlrich",)),
