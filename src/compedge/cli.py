@@ -30,8 +30,8 @@ from contextlib import redirect_stderr, redirect_stdout
 from math import comb
 from typing import NamedTuple
 
-from .graphs import (DEFAULT_ENUMERATION_LIMIT, SimpleGraph, _graph_classes, _join_count,
-                     enumerate_graphs, max_subgraph_density, parse_graph)
+from .graphs import (DEFAULT_ENUMERATION_LIMIT, SimpleGraph, _graph_classes, enumerate_graphs,
+                     max_subgraph_density, parse_graph)
 
 
 class CommandOutcome(NamedTuple):
@@ -87,7 +87,7 @@ def _cmd_analyze(args: argparse.Namespace, graph: SimpleGraph) -> CommandOutcome
 def _cmd_betti(args: argparse.Namespace, graph: SimpleGraph) -> CommandOutcome:
     from .tables import Field, _graph_oracle
     field = Field(args.field)
-    table = _graph_oracle(graph, field, _join_count(graph.edges))
+    table = _graph_oracle(graph, field)
     return CommandOutcome(0, _dump(table.to_json_dict(), False))
 
 

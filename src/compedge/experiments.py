@@ -73,7 +73,8 @@ class ExperimentConfig(_Frozen):
                  c: float | None = None):
         """n, trials and seed are stored as plain ints (graphs._plain_int), so a numpy
         integer or a bool is normalised and a float or a string refused by name; p
-        and c are kept as given, and refused by name unless a real number."""
+        and c are kept as given, and refused by name unless a real number other
+        than a bool, which is more likely a mistake than a probability of 0 or 1."""
         for name, value in (("n", n), ("trials", trials), ("seed", seed)):
             object.__setattr__(self, name, _plain_int(value, name))
         object.__setattr__(self, "p", p)
@@ -92,7 +93,7 @@ class ExperimentConfig(_Frozen):
         for name, value in (("p", self.p), ("c", self.c)):
             if value is None:
                 continue
-            if not isinstance(value, Real):
+            if not isinstance(value, Real) or isinstance(value, bool):
                 raise ValueError(f"{name} must be a real number, got {_clip(repr(value))}")
             if not value >= 0:
                 raise ValueError(f"{name} must be nonnegative, got {value}")

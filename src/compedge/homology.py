@@ -207,8 +207,11 @@ def _rational_rank(rows: list[dict[int, int]]) -> int:
 def _homology(faces: Iterable[int], field: Field) -> tuple[int, ...]:
     """Reduced homology dims of a nonvoid downward-closed family of face masks.
 
-    Index 0 of the result is dimension -1 of the reduced chain complex.
+    Index 0 of the result is dimension -1 of the reduced chain complex. A
+    field that is no Field member is refused, as it would pass for Q below.
     """
+    if not isinstance(field, Field):
+        raise ValueError(f"field must be a Field, got {_clip(repr(field))}")
     faces_by_size: list[list[int]] = [[]]
     for f in faces:
         k = f.bit_count()

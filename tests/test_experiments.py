@@ -95,13 +95,14 @@ class TestConfig:
         with pytest.raises(ValueError, match="c must be nonnegative, got nan"):
             ExperimentConfig(n=10, trials=5, seed=0, c=float("nan"))
 
-    @pytest.mark.parametrize("knob, value", [("p", "0.5"), ("c", "1"), ("p", 1j), ("c", [2.0])])
+    @pytest.mark.parametrize("knob, value", [("p", "0.5"), ("c", "1"), ("p", 1j), ("c", [2.0]),
+                                             ("p", True), ("c", True), ("p", False)])
     def test_probabilities_are_real_numbers_or_refused_by_name(self, knob, value):
         with pytest.raises(ValueError) as caught:
             ExperimentConfig(n=10, trials=2, seed=1, **{knob: value})
         assert str(caught.value) == f"{knob} must be a real number, got {value!r}"
-        # a real number of any numeric type is kept as given
-        for real in (Fraction(1, 2), np.float32(0.5), np.int64(2), True):
+        # a real number of any numeric type but bool is kept as given
+        for real in (Fraction(1, 2), np.float32(0.5), np.int64(2), 0):
             assert getattr(ExperimentConfig(n=10, trials=2, seed=1, **{knob: real}), knob) is real
 
     def test_refuses_n_above_the_limit(self):

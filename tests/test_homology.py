@@ -338,13 +338,29 @@ class TestReducedHomology:
         for field in Field:
             assert reduced_homology_dims(boundary, field) == [0, 0, 0, 1]
 
-    def test_projective_plane_distinguishes_the_fields(self):
-        # six-vertex triangulation: 2-torsion is visible over GF(2) only
-        facets = [(1, 2, 4), (1, 2, 6), (1, 3, 4), (1, 3, 5), (1, 5, 6),
+    # six-vertex triangulation of the real projective plane
+    RP2_FACETS = [(1, 2, 4), (1, 2, 6), (1, 3, 4), (1, 3, 5), (1, 5, 6),
                   (2, 3, 5), (2, 3, 6), (2, 4, 5), (3, 4, 6), (4, 5, 6)]
-        rp2 = simplicial_complex(6, facets)
+
+    def test_projective_plane_distinguishes_the_fields(self):
+        # 2-torsion is visible over GF(2) only
+        rp2 = simplicial_complex(6, self.RP2_FACETS)
         assert reduced_homology_dims(rp2, Field.GF2) == [0, 0, 1, 1]
         assert reduced_homology_dims(rp2, Field.RATIONALS) == [0, 0, 0, 0]
+
+    def test_a_field_that_is_no_member_is_refused(self):
+        # a field's value in place of the member would read as Q: [0, 0, 0, 0] here,
+        # and so would the tables of both engines on its Stanley-Reisner ideal, whose
+        # minimal nonfaces are the ten triples that are no facet
+        rp2 = simplicial_complex(6, self.RP2_FACETS)
+        ideal = minimalize(6, set(combinations(range(1, 7), 3)) - set(self.RP2_FACETS))
+        assert stanley_reisner(ideal) == rp2
+        for field in ("gf2", "q", None):
+            with pytest.raises(ValueError, match=f"^field must be a Field, got {field!r}$"):
+                reduced_homology_dims(rp2, field)
+            for engine in (hochster_betti, _primal_betti, dual_engine):
+                with pytest.raises(ValueError, match="^field must be a Field"):
+                    engine(ideal, field)
 
     @settings(max_examples=80)
     @given(complexes())
@@ -808,7 +824,7 @@ class TestGraphOracle:
             counts = _join_count(graph.edges)
             assert _count_invariants(graph.n, graph.m, *counts)[0] == record.height, graph
             for field in Field:
-                table = _graph_oracle(graph, field, counts)
+                table = _graph_oracle(graph, field)
                 assert table == _graph_betti(graph.n, masks, field), graph
 
     def test_atlas_classes_to_seven_against_both_engines_and_the_cover_search(self):
@@ -822,7 +838,7 @@ class TestGraphOracle:
             ideal = complementary_edge_ideal(graph)
             counts = _join_count(graph.edges)
             for field in Field:
-                table = _graph_oracle(graph, field, counts)
+                table = _graph_oracle(graph, field)
                 assert table == dual_engine(ideal, field), graph
                 if graph.n < 7 or (k % 8 == 0 and field is Field.GF2):
                     assert table == _primal_betti(ideal, field), graph
@@ -850,9 +866,8 @@ class TestGraphOracle:
         for name in ("_closure", "_graph_betti", "_union_table"):
             monkeypatch.setattr(homology, name, refuse)
         for graph in (cycle_graph(14), complete_graph(14), SimpleGraph(14, ((1, 2),))):
-            counts = _join_count(graph.edges)
             for field in Field:
-                assert _graph_oracle(graph, field, counts) == closed_form_betti(graph, field)
+                assert _graph_oracle(graph, field) == closed_form_betti(graph, field)
 
     @pytest.mark.parametrize("graph", past_the_oracle_limit(), ids=lambda g: f"n{g.n}")
     def test_count_level_questions_answer_past_the_oracle_limit(self, graph):
@@ -863,7 +878,7 @@ class TestGraphOracle:
         counts = _join_count(graph.edges)
         ht = _count_invariants(graph.n, graph.m, *counts)[0]
         for field in Field:
-            table = _graph_oracle(graph, field, counts)
+            table = _graph_oracle(graph, field)
             assert hochster_betti(ideal, field) == table == closed_form_betti(graph, field)
             hom = reg_pd(table)
             assert is_cohen_macaulay(ideal, field) == (hom.pd_s_mod_i == ht)
@@ -1011,7 +1026,7 @@ class TestTableKeyOrder:
         # there); both engines on every ideal on at most four variables and
         # every atlas class to six, over both fields
         graphs = [record.graph for record in oracle_sweep[0]] + [row[0] for row in forest_sweep]
-        tables = {_graph_oracle(graph, Field.GF2, _join_count(graph.edges)) for graph in graphs}
+        tables = {_graph_oracle(graph, Field.GF2) for graph in graphs}
         ideals = [ideal for n in range(1, 5) for ideal in antichain_ideals(n)]
         ideals += [complementary_edge_ideal(graph) for graph in atlas_graphs(3, 6)]
         for field in Field:

@@ -263,7 +263,7 @@ class TestOracleAndCrossValidation:
 
 
 class TestSharedRecords:
-    """Every formula-layer answer is one of a few shared records of a vertex count n,
+    """Every formula-layer answer is one of a few shared records, bounded in number,
     so a sweep keeps no new object per prediction and one per report."""
 
     def test_graphs_of_one_class_or_one_count_share_one_record(self):
@@ -296,8 +296,8 @@ class TestSharedRecords:
 
     def test_a_sweep_keeps_one_new_object_per_report(self):
         # garbage-collector-tracked objects kept, with the collector off: the two
-        # reports of each graph and the suite of each forest, plus the few records
-        # of each n (11.57 per graph and 1.55 per forest when every answer was new)
+        # reports of each graph and the suite of each forest, plus the few shared
+        # records (11.57 per graph and 1.55 per forest when every answer was new)
         graphs = [g for n in range(3, 6) for g in enumerate_graphs(n) if g.m]
         forests = [g for n in range(3, 7) for g in labeled_forests(n)]
         assert (len(graphs), len(forests)) == (1093, 3264)
@@ -320,9 +320,23 @@ class TestSharedRecords:
         assert per_graph <= 2.2
         assert per_forest <= 1.0
 
+    def test_records_outlive_a_change_of_vertex_count(self):
+        # a sweep that alternates n = 3, 4, 3, ... gets back, for each class and
+        # field, the very records it got the last time it asked
+        first = {}
+        for n in (3, 4, 3, 4, 3):
+            for graph in (path_graph(n), SimpleGraph(n, ((1, 2),)), complete_graph(n)):
+                for field in Field:
+                    report = cross_validate(graph, field)
+                    held = first.setdefault((graph, field), report)
+                    assert report.predicted is held.predicted, (graph, field)
+                    assert report.oracle is held.oracle, (graph, field)
+                    assert report.mismatches is held.mismatches, (graph, field)
+        assert len(first) == 2 * 3 * 2
+
     def test_records_of_one_vertex_count_at_a_time(self):
-        # a sweep to n = 100,002 holds the records of the last n alone, so the
-        # memory they take stays bounded however large n gets
+        # a sweep to n = 100,002 keeps at most 256 records of each kind, the most
+        # recently used, so the memory they take stays bounded however large n gets
         bound = 2 ** 20
         tracemalloc.start()
         try:
@@ -630,7 +644,7 @@ class TestOneGraphLevelPath:
         monkeypatch.setattr(tables.BettiTable, "__new__", refuse)
         assert [q(g, f) for g in graphs_ for f in Field for q in questions] == expected
         with pytest.raises(AssertionError, match="built a Betti table"):
-            tables._graph_oracle(path_graph(5), Field.GF2, graphs._join_count(path_graph(5).edges))
+            tables._graph_oracle(path_graph(5), Field.GF2)
 
     @pytest.mark.parametrize("question", [cross_validate, implication_suite])
     def test_one_union_find_per_question(self, monkeypatch, question):
@@ -677,7 +691,7 @@ class TestOneGraphLevelPath:
         # n = 15..24 and on past the ideal layer's ambient limit to 10,000:
         # the table off counts, the dual claims off chordality
         table = closed_form_betti(graph, field)
-        assert tables._graph_oracle(graph, field, graphs._join_count(graph.edges)) == table
+        assert tables._graph_oracle(graph, field) == table
         hom = table.reg_pd()
         oracle = oracle_invariants(graph, field)
         assert (oracle.reg_s_mod_i, oracle.pd_s_mod_i) == (hom.reg_s_mod_i, hom.pd_s_mod_i)

@@ -140,6 +140,12 @@ MUTANTS = [
     Mutant("ambient-size-zero-refused", "ideals.py",
            "if not 0 <= n <= AMBIENT_LIMIT:", "if not 0 < n <= AMBIENT_LIMIT:",
            ("tests/test_ideals.py::TestConstructor::test_ambient_size_zero_is_accepted",)),
+    # a field that is no Field member would pass for the rationals
+    Mutant("homology-takes-any-field", "homology.py",
+           "    if not isinstance(field, Field):\n"
+           "        raise ValueError(f\"field must be a Field, got {_clip(repr(field))}\")\n", "",
+           ("tests/test_homology.py::TestReducedHomology::"
+            "test_a_field_that_is_no_member_is_refused",)),
     # the predicted initial degree of each class, and the Huneke-Ulrich bound
     Mutant("predicted-indeg-of-a-complete-graph", "invariants.py",
            "n - 2, verdict,\n                           _COMPLETE_NOTES",
@@ -150,17 +156,18 @@ MUTANTS = [
            "(n - 2, n - 1), n - 2, verdict", "(n - 2, n - 1), n + 2, verdict",
            ("tests/test_invariants.py::TestPredictions::"
             "test_every_field_of_every_class_against_slow_paths",)),
-    # the shared records: their keys, and one vertex count held at a time
+    # the shared records: what each is built from, and the bound on how many are kept
     Mutant("oracle-record-without-the-field", "invariants.py",
-           "    key = field, ht, reg, pd\n", "    key = ht, reg, pd\n",
+           "OracleInvariants(field, ht,", "OracleInvariants(Field.GF2, ht,",
            (SHARED + "test_graphs_of_one_class_or_one_count_share_one_record",)),
     Mutant("prediction-record-without-isolated-vertices", "invariants.py",
-           "key = verdict.reason, tree, isolated", "key = verdict.reason, tree",
+           "m == n - 1, met < n)", "m == n - 1, False)",
            (SHARED + "test_graphs_of_one_class_or_one_count_share_one_record",
             "tests/test_invariants.py::TestPredictions::"
             "test_notes_and_provenance_are_one_constant_per_class")),
     Mutant("records-kept-across-vertex-counts", "invariants.py",
-           "        _held.clear()\n", "",
+           "@lru_cache(maxsize=256)\ndef _class_report(",
+           "@lru_cache(maxsize=None)\ndef _class_report(",
            (SHARED + "test_records_of_one_vertex_count_at_a_time",)),
     Mutant("huneke-ulrich-height-minus-two", "invariants.py",
            "(height_ - 1) * (indeg - 1)", "(height_ - 2) * (indeg - 1)",
@@ -307,6 +314,12 @@ MUTANTS = [
     Mutant("sweep-without-tau", "experiments.py",
            "needs_tau = low < top and not closed", "needs_tau = False",
            ("tests/test_experiments.py::TestSweep::test_rows_match_an_independent_recount",)),
+    # a bool is no probability
+    Mutant("probability-takes-a-bool", "experiments.py",
+           "not isinstance(value, Real) or isinstance(value, bool):",
+           "not isinstance(value, Real):",
+           ("tests/test_experiments.py::TestConfig::"
+            "test_probabilities_are_real_numbers_or_refused_by_name",)),
     Mutant("spot-check-dropped", "experiments.py",
            "spot = trial < SPOT_CHECK_TRIALS", "spot = False",
            ("tests/test_experiments.py::TestEstimates::"
