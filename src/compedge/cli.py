@@ -13,10 +13,11 @@ counts and answer at any n in O(m log m). Every record type is a
 NamedTuple, or a slotted class where it checks its input (graphs._Frozen), so
 no command pays for `inspect` and `ast` or for methods generated by exec at
 import, which cost a graph command more than its own work.
-`verify` cross-validates one graph per isomorphism class and weights it by its
-orbit size, which gives the totals of the sweep over every labeled graph; a
-class that mismatches outside the known tensions sends its n through that
-labeled sweep, which lists the mismatches.
+`verify` cross-validates one graph per count type (graphs._census) and
+weights it by the number of labeled graphs of its type, which gives the totals
+of the sweep over every labeled graph; a type that mismatches outside the
+known tensions sends its n through that labeled sweep, which then gives that
+n's totals and lists its mismatches.
 """
 from __future__ import annotations
 
@@ -30,7 +31,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from math import comb
 from typing import NamedTuple
 
-from .graphs import (DEFAULT_ENUMERATION_LIMIT, SimpleGraph, _graph_classes, enumerate_graphs,
+from .graphs import (DEFAULT_ENUMERATION_LIMIT, SimpleGraph, _census, enumerate_graphs,
                      max_subgraph_density, parse_graph)
 
 
@@ -92,16 +93,15 @@ def _cmd_betti(args: argparse.Namespace, graph: SimpleGraph) -> CommandOutcome:
 
 
 def _cmd_verify(args: argparse.Namespace) -> CommandOutcome:
-    """Cross-validate one graph per isomorphism class on 3..max_n vertices, weighted by its orbit.
+    """Cross-validate every labeled graph with an edge on 3..max_n vertices, one per count type.
 
-    Every count is invariant under relabeling, so a class representative
-    (graphs._graph_classes, one pass per run) adds its orbit size n!/|Aut| to
-    each total and the payload is that of the sweep over every labeled
-    graph. When a class on n
-    vertices mismatches outside the known tensions, the mismatches on n are
-    listed by the labeled sweep's own rule: every graph of enumerate_graphs(n)
-    with an edge that cross_validate finds unclean and that has no isolated
-    vertex, in enumeration order.
+    cross_validate reads a graph only through its count type, so the graph
+    of each type (graphs._census) adds the number of labeled graphs of its
+    type to each total, and the payload is that of the sweep over every
+    labeled graph. When a type on n vertices mismatches outside the known
+    tensions, n goes through that labeled sweep, enumerate_graphs(n), in the
+    same loop: it gives n's totals and lists, in enumeration order, every
+    graph that cross_validate finds unclean and that has no isolated vertex.
     """
     from .invariants import NOTE_COMPLETE_PD, NOTE_ISOLATED, cross_validate
     from .tables import Field
@@ -113,33 +113,30 @@ def _cmd_verify(args: argparse.Namespace) -> CommandOutcome:
     isolated_total = isolated_mismatched = 0
     disc_forest_linear = {"true": 0, "false": 0}
     unflagged = []
-    for n, classes in enumerate(_graph_classes(args.max_n)[3:], 3):
+    for n in range(3, args.max_n + 1):
         enumerated += 1 << comb(n, 2)
-        mismatched = False
-        for graph, orbit in classes:
-            if graph.m == 0:
-                continue
-            analyzed += orbit
-            report = cross_validate(graph, field)
+        reports = [(cross_validate(graph, field), weight) for graph, weight in _census(n)]
+        if any(not report.clean and NOTE_ISOLATED not in report.predicted.notes
+               for report, _ in reports):
+            reports = ((cross_validate(graph, field), 1) for graph in enumerate_graphs(n)
+                       if graph.m)
+        for report, weight in reports:
+            analyzed += weight
             if NOTE_COMPLETE_PD in report.predicted.notes:
-                complete_pd_count += orbit
+                complete_pd_count += weight
             isolated = NOTE_ISOLATED in report.predicted.notes
             if isolated:
-                isolated_total += orbit
+                isolated_total += weight
             if report.predicted.graph_class == "disconnected_forest":
                 # every generator has degree n - 2, so the resolution is linear iff reg = n - 2
-                key = "true" if report.oracle.reg_ideal == graph.n - 2 else "false"
-                disc_forest_linear[key] += orbit
+                key = "true" if report.oracle.reg_ideal == n - 2 else "false"
+                disc_forest_linear[key] += weight
             if report.clean:
-                clean += orbit
+                clean += weight
             elif isolated:
-                isolated_mismatched += orbit
+                isolated_mismatched += weight
             else:
-                mismatched = True
-        if mismatched:
-            reports = (cross_validate(graph, field) for graph in enumerate_graphs(n) if graph.m)
-            unflagged += [report.to_json_dict() for report in reports
-                          if not report.clean and NOTE_ISOLATED not in report.predicted.notes]
+                unflagged.append(report.to_json_dict())
     payload = {
         "max_n": args.max_n,
         "field": field.value,

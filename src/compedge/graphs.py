@@ -1,4 +1,4 @@
-"""Simple graphs on vertex set {1, ..., n}: parsing, predicates, enumeration, classes.
+"""Simple graphs on vertex set {1, ..., n}: parsing, predicates, enumeration, census.
 
 Edges are stored canonically as a sorted tuple of pairs (u, v) with u < v, so
 two graphs are equal exactly when they have the same vertex count and edge set.
@@ -8,9 +8,9 @@ from __future__ import annotations
 import json
 from heapq import heappop, heappush
 from itertools import combinations
-from math import factorial
+from math import comb
 from operator import attrgetter, index
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 DEFAULT_ENUMERATION_LIMIT = 7
 MDENSITY_LIMIT = 18
@@ -408,93 +408,53 @@ def enumerate_graphs(n: int) -> Iterator[SimpleGraph]:
         yield SimpleGraph(n, edges)
 
 
-def _graph_classes(max_n: int) -> list[list[tuple[SimpleGraph, int]]]:
-    """Level n = 0..max_n: one graph per class on {1..n}, its orbit size n!/|Aut|, in one pass.
+def _census(n: int) -> list[tuple[SimpleGraph, int]]:
+    """One graph per count type on n >= 3 vertices, with the number of labeled graphs of its type.
 
-    The classes on k + 1 vertices come from those on k by vertex
-    augmentation: a new vertex joined to a subset of the old ones. Deleting a
-    vertex of largest degree from any graph leaves a class on k, so only the
-    subsets that give the new vertex the largest degree are tried. Each class
-    is kept once, as the first augmentation that reaches its canonical code
-    (_canonical_order); so a level is ordered by parent, then by the new
-    vertex's neighbourhood mask. This is isomorph-free exhaustive generation
-    (McKay, J. Algorithms 26, 1998) with a canonical form in place of
-    canonical augmentation. The orbit sizes of level n sum to 2^C(n,2), the
-    labeled graphs of enumerate_graphs(n).
+    A type is what cross_validate reads off a graph: met, the vertices on an
+    edge; c', the components that hold an edge; and a kind, forest, K_n or
+    another graph with a cycle (a forest on met = 2c' vertices is a perfect
+    matching). Its weight is C(n, met) times the number of graphs of that
+    kind on met labeled vertices with no isolated vertex and c' components.
+    Those are counted by splitting off the component of the lowest vertex
+    (Stanley, Enumerative Combinatorics 2, ch. 5): a tree on k vertices in
+    k^(k-2) ways (Cayley), a connected graph in c(k) ways by the recurrence
+    c(k) = 2^C(k,2) - sum_(j<k) C(k-1, j-1) c(j) 2^C(k-j,2) (Harary and
+    Palmer, Graphical Enumeration, 1973). A type's graph is c' - 1 disjoint
+    edges and a path on the other met vertices, which one chord closes into
+    a triangle for the cycle kind; K_n stands for itself. The weights sum to
+    2^C(n,2) - 1, every labeled graph on n vertices with an edge.
     """
-    if max_n < 0:
-        raise ValueError(f"vertex count must be nonnegative, got {max_n}")
-    if max_n > DEFAULT_ENUMERATION_LIMIT:
-        raise ValueError(f"graph classes on {max_n} vertices exceed the limit of "
-                         f"{DEFAULT_ENUMERATION_LIMIT}")
-    # a class is its neighbour masks (vertex i <-> bit i, 0-based) and |Aut|
-    levels: list[dict[int, tuple[list[int], int]]] = [{0: ([], 1)}]
-    for k in range(max_n):
-        grown: dict[int, tuple[list[int], int]] = {}
-        for neighbours, _ in levels[-1].values():
-            degrees = [a.bit_count() for a in neighbours]
-            for s in range(1 << k):
-                if any(d + (s >> u & 1) > s.bit_count() for u, d in enumerate(degrees)):
-                    continue
-                graph = [a | (s >> v & 1) << k for v, a in enumerate(neighbours)] + [s]
-                code, automorphisms = _canonical_order(graph)
-                grown.setdefault(code, (graph, automorphisms))
-        levels.append(grown)
-    return [[(SimpleGraph(n, tuple((u + 1, v + 1) for v, a in enumerate(neighbours)
-                                   for u in range(v) if a >> u & 1)),
-              factorial(n) // automorphisms) for neighbours, automorphisms in level.values()]
-            for n, level in enumerate(levels)]
+    connected = [0, 1]
+    for k in range(2, n + 1):
+        connected.append(2 ** comb(k, 2) - sum(comb(k - 1, j - 1) * connected[j]
+                                               * 2 ** comb(k - j, 2) for j in range(1, k)))
+    graphs = _spread([0, 0, *connected[2:]])
+    forests = _spread([0, 0, *(k ** (k - 2) for k in range(2, n + 1))])
+    census = [(complete_graph(n), 1)]
+    for met in range(2, n + 1):
+        for c in range(1, met // 2 + 1):
+            forest = ([(2 * i - 1, 2 * i) for i in range(1, c)]
+                      + [(v, v + 1) for v in range(2 * c - 1, met)])
+            census.append((SimpleGraph(n, forest), comb(n, met) * forests[met][c]))
+            cycles = graphs[met][c] - forests[met][c] - (met == n and c == 1)
+            if cycles:
+                census.append((SimpleGraph(n, forest + [(2 * c - 1, 2 * c + 1)]),
+                               comb(n, met) * cycles))
+    return census
 
 
-def _canonical_order(neighbours: Sequence[int]) -> tuple[int, int]:
-    """(least code, |Aut|) for the graph with these neighbour masks.
-
-    The code of a vertex order v_0, ..., v_(n-1) is its adjacency bits, most
-    significant first, for j = 1..n-1 and then i = 0..j-1: [v_i ~ v_j]. Only
-    orders that list the vertices by increasing degree are tried. Every
-    isomorphism keeps degrees, so it maps such an order to another with the
-    same code, and two orders with the same code differ by an automorphism:
-    the least code is canonical and |Aut| is the number of orders that reach
-    it. The search places one vertex per position and follows only the
-    candidates whose bits so far are least, the others can reach no least code.
-    """
-    n = len(neighbours)
-    degrees = [a.bit_count() for a in neighbours]
-    allowed = [sum(1 << v for v in range(n) if degrees[v] == d) for d in sorted(degrees)]
-    best = [-1, 0]
-    order: list[int] = []
-    bits = n * (n - 1) // 2
-
-    def place(k: int, used: int, code: int) -> None:
-        if k == n:
-            if best[0] < 0 or code < best[0]:
-                best[:] = [code, 1]
-            elif code == best[0]:
-                best[1] += 1
-            return
-        least = -1
-        candidates: list[int] = []
-        free = allowed[k] & ~used
-        while free:
-            low = free & -free
-            free ^= low
-            v = low.bit_length() - 1
-            c = code
-            for u in order:
-                c = c << 1 | (neighbours[v] >> u & 1)
-            if least < 0 or c < least:
-                least, candidates = c, [v]
-            elif c == least:
-                candidates.append(v)
-        if best[0] >= 0 and least > best[0] >> (bits - k * (k + 1) // 2):
-            return
-        for v in candidates:
-            order.append(v)
-            place(k + 1, used | 1 << v, least)
-            order.pop()
-
-    place(0, 0, 0)
-    return best[0], best[1]
+def _spread(units: list[int]) -> list[list[int]]:
+    """[v][c]: the graphs on v labeled vertices made of c components, each one of the
+    units[k] allowed graphs on its k vertices, counted by the component of the lowest vertex."""
+    spread = [[1]]
+    for v in range(1, len(units)):
+        row = [0] * (v + 1)
+        for k in range(2, v + 1):
+            for c, count in enumerate(spread[v - k]):
+                row[c + 1] += comb(v - 1, k - 1) * units[k] * count
+        spread.append(row)
+    return spread
 
 
 def complete_graph(n: int) -> SimpleGraph:

@@ -81,7 +81,7 @@ from .ideals import (_DUAL_FACE_CAP, SquarefreeIdeal, _closure, _squarefree_comp
                      alexander_dual, height, support_of)
 # the table type lives in tables; Field and BettiTable stay attributes of
 # this module too
-from .tables import BettiTable, Field, Homological, _count_betti
+from .tables import BettiTable, Field, Homological, _count_betti, _require_field
 
 ORACLE_LIMIT = 14
 
@@ -210,8 +210,7 @@ def _homology(faces: Iterable[int], field: Field) -> tuple[int, ...]:
     Index 0 of the result is dimension -1 of the reduced chain complex. A
     field that is no Field member is refused, as it would pass for Q below.
     """
-    if not isinstance(field, Field):
-        raise ValueError(f"field must be a Field, got {_clip(repr(field))}")
+    _require_field(field)
     faces_by_size: list[list[int]] = [[]]
     for f in faces:
         k = f.bit_count()
@@ -301,8 +300,9 @@ def hochster_betti(ideal: SquarefreeIdeal, field: Field = Field.GF2) -> BettiTab
     isqrt(3^(n+1)), which is at most 3,787 for n <= 14. An ideal that goes
     to an engine is refused past ORACLE_LIMIT (14); one read off counts
     answers up to AMBIENT_LIMIT (24). Nothing is memoised: a repeated table
-    is computed again.
+    is computed again. A field that is no Field member is refused first.
     """
+    _require_field(field)
     if ideal.is_zero:
         raise ValueError("Betti table undefined for the zero ideal")
     return _mask_betti(ideal.n, ideal.masks, ideal.indeg, field)
@@ -439,8 +439,10 @@ def is_componentwise_linear(ideal: SquarefreeIdeal, field: Field = Field.GF2) ->
     quotients and so a linear resolution over every field (Herzog-Hibi,
     Monomial Ideals, 2011). A component below that goes to _mask_betti, so
     past ORACLE_LIMIT variables it is refused unless its degree d is at
-    least n - 2, where its table is read off counts.
+    least n - 2, where its table is read off counts. A field that is no
+    Field member is refused first.
     """
+    _require_field(field)
     if ideal.is_zero:
         raise ValueError("componentwise linearity undefined for the zero ideal")
     n = ideal.n

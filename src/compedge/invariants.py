@@ -22,7 +22,7 @@ from math import comb
 from typing import NamedTuple
 
 from .graphs import SimpleGraph, _is_chordal, _join_count, is_forest
-from .tables import Field, _count_invariants, _require_edge_ambient
+from .tables import Field, _count_invariants, _require_edge_ambient, _require_field
 
 NOTE_COMPLETE_PD = "complete_pd_adjusted"
 NOTE_ISOLATED = "isolated_vertices_outside_hypotheses"
@@ -213,9 +213,11 @@ def oracle_invariants(graph: SimpleGraph, field: Field = Field.GF2) -> OracleInv
 
     They are read off the graph's counts (the edges, the vertices on an edge
     and the components holding one) by tables._count_invariants, which
-    builds no ideal and no Betti table, so it answers at any n.
+    builds no ideal and no Betti table, so it answers at any n. A field that
+    is no Field member is refused before any record is built.
     """
     _require_admissible(graph)
+    _require_field(field)
     return _oracle_record(field, *_count_invariants(graph.n, graph.m, *_join_count(graph.edges)))
 
 
@@ -233,6 +235,7 @@ def cross_validate(graph: SimpleGraph, field: Field = Field.GF2) -> DiscrepancyR
     mismatches are the shared tuple of the prediction and the oracle values.
     """
     _require_admissible(graph)
+    _require_field(field)
     counts = _join_count(graph.edges)
     predicted = _predict(graph, *counts)
     oracle = _oracle_record(field, *_count_invariants(graph.n, graph.m, *counts))
@@ -343,9 +346,10 @@ def implication_suite(graph: SimpleGraph, field: Field = Field.GF2) -> Implicati
     graphs._join_count serves the licci verdict, the forest test, that
     component count and the degree count (met, the vertices on an edge).
     That kernel reads only the vertices on an edge, so the suite answers at
-    any n in O(m log m).
+    any n in O(m log m). A field that is no Field member is refused.
     """
     _require_admissible(graph)
+    _require_field(field)
     met, joins = _join_count(graph.edges)
     n, m = graph.n, graph.m
     forest = joins == m

@@ -2,8 +2,9 @@
 
 This layer sits between graphs and the ideal and homology layers. It holds
 the table type (BettiTable, with its regularity and projective dimension),
-the coefficient field tag and the refusal of fewer than 3 vertices that the
-ideal layer shares. It also holds the oracle of I_c(G) read off graph
+the coefficient field tag and its refusal of any other value, which the
+homology and invariants layers share, and the refusal of fewer than 3
+vertices that the ideal layer shares. It also holds the oracle of I_c(G) read off graph
 counts, at any n: the edges, the vertices on an edge and the components
 holding one. _count_betti gives the dual Hochster table of a dual complex
 that is a graph plus isolated points; _graph_oracle gives that table of
@@ -22,7 +23,7 @@ import enum
 from math import comb
 from typing import NamedTuple
 
-from .graphs import SimpleGraph, _join_count
+from .graphs import SimpleGraph, _clip, _join_count
 
 
 class Field(enum.Enum):
@@ -76,6 +77,13 @@ class BettiTable(NamedTuple):
             "field": self.field.value,
             "betti": [{"i": i, "j": j, "value": v} for (i, j), v in self.entries],
         }
+
+
+def _require_field(field: object) -> None:
+    """Refuse a field that is no Field member, such as its value "gf2": the count routes
+    would tag their record with it, and the homology engines read it as the rationals."""
+    if not isinstance(field, Field):
+        raise ValueError(f"field must be a Field, got {_clip(repr(field))}")
 
 
 def _require_edge_ambient(n: int) -> None:

@@ -268,8 +268,9 @@ def reference_linear_quotients(ideal: SquarefreeIdeal) -> QuotientSearchResult:
 def labeled_verify(max_n: int, field: Field) -> CommandOutcome:
     """`compedge verify` over every labeled graph on 3..max_n vertices, one cross_validate each.
 
-    The sweep the command ran before it took one graph per isomorphism
-    class: the slow leg its payload, diagnostic and exit code are held to.
+    The sweep the command stands for when it takes one graph per count type
+    (graphs._census): the slow leg its payload, diagnostic and exit code are
+    held to.
     """
     enumerated = analyzed = clean = 0
     complete_pd_count = 0

@@ -1,6 +1,7 @@
 """Command line behavior: exit codes, payload schemas, pinned outputs."""
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -29,6 +30,21 @@ SRC = Path(__file__).parents[1] / "src"
 LAZY_NAMES = ("ExperimentConfig", "ExperimentSummary", "SweepResult", "sample_gnp",
               "estimate_licci_probability", "threshold_sweep", "summaries_to_csv")
 DEEP_JSON = '{"n": 3, "edges": ' + "[" * 2000 + "]" * 2000 + "}"
+# SHA-256 of the JSON list [exit code, stdout, stderr] of `verify` with each argument line
+VERIFY_DIGESTS = {
+    "--max-n 3 --field gf2": "7cbecee78624d80b60e6ad51505c8523ce3d1a5776d665e08ee37dab5e750d4d",
+    "--max-n 3 --field q": "e8dce79070958de5aec8b9c4c421c7e4524f96ec586968ebb33cbae49dd2aba0",
+    "--max-n 4 --field gf2": "1b32b762914e05232812a70f44e01fa92add016e498c151f43d4fa99bf14b7e6",
+    "--max-n 4 --field q": "1749b817eafad31da3b46026ad308d48ffec6287374c72c5e9e7761d1a1fd05e",
+    "--max-n 5 --field gf2": "18783174580b6ecb44fdae6358a3d92af6572d92f82d6cb1658100eb65cdb0a1",
+    "--max-n 5 --field q": "268ef3a49795ca604bc00bd9c34850b6e27abca1278367aa7a271f1346222b69",
+    "--max-n 6 --field gf2": "3fe1a7f2e8e5b79973b310ad25edfead1df573cc0b6d01eb60a6b860137f0ade",
+    "--max-n 6 --field q": "23abb73aaed22c3da58ec2dff2a9f4163d95473a9432b545a760b92a8bbae8fe",
+    "--max-n 7 --field gf2": "7372fa7b7e204a1d2c905ced3c0e5be8d0b1f606a5996a0226b6076ef659e3fc",
+    "--max-n 7 --field q": "ba4de23d6bd46316466cde37fae668299a1832e3f0da64bce7f7e12ee83a5083",
+    "--max-n 2": "e945aa45348ca656109b84e6a2a589c92195eaff995345da13ff444a80b6a59f",
+    "--max-n 8": "e945aa45348ca656109b84e6a2a589c92195eaff995345da13ff444a80b6a59f",
+}
 
 
 def schema(name: str) -> dict:
@@ -325,6 +341,12 @@ class TestVerify:
             "disconnected_forest_primal_linear_resolution"] == {"true": 21, "false": 3}
         assert "unflagged mismatches" in outcome.diagnostics
 
+    @pytest.mark.parametrize("argv", VERIFY_DIGESTS)
+    def test_exit_code_stdout_and_stderr_are_pinned(self, argv):
+        outcome = run(["verify", *argv.split()])
+        blob = json.dumps([outcome.exit_code, outcome.payload, outcome.diagnostics])
+        assert hashlib.sha256(blob.encode()).hexdigest() == VERIFY_DIGESTS[argv]
+
     def test_max_n_guard(self):
         assert run(["verify", "--max-n", "8"]).exit_code == 2
         assert run(["verify", "--max-n", "2"]).exit_code == 2
@@ -338,8 +360,9 @@ class TestVerify:
     def test_a_class_mismatch_lists_its_labeled_orbit_in_enumeration_order(self, monkeypatch):
         # a wrong height on every graph with as many edges as vertices and no
         # isolated vertex: K_3, C_4 (3 labeled copies) and the paw (12) on
-        # n = 4, and 5 classes (222 labeled graphs) on n = 5, each listed as
-        # every member it stands for
+        # n = 4, and 5 classes (222 labeled graphs) on n = 5. That is no
+        # function of the count type, so each such n goes through the
+        # labeled sweep, which gives its totals and lists each graph
         real = invariants._predict
 
         def wrong(graph, met, joins):
@@ -404,13 +427,13 @@ class TestOnePassPerGraph:
         assert len(calls) == 1
 
     def test_verify_predicts_each_graph_once(self, monkeypatch):
-        # once per isomorphism class: one representative per class with an
-        # edge, 3 on n = 3 and 10 on n = 4, stands for the 70 labeled graphs
+        # once per count type: one graph per type, 3 on n = 3 and 7 on n = 4,
+        # stands for the 70 labeled graphs with an edge
         calls = count_calls(monkeypatch, "_predict", invariants)
         outcome = run(["verify", "--max-n", "4"])
         assert json.loads(outcome.payload)["graphs_analyzed"] == 70
-        assert len(calls) == 13
-        assert len({graph for graph, *_ in calls}) == 13
+        assert len(calls) == 10
+        assert len({graph for graph, *_ in calls}) == 10
 
 
 class TestMonteCarloCommands:

@@ -1,4 +1,4 @@
-"""Graph parsing, predicates, density, and enumeration."""
+"""Graph parsing, predicates, density, enumeration and the census of count types."""
 from __future__ import annotations
 
 import inspect
@@ -6,9 +6,10 @@ import json
 import pickle
 import random
 import time
+from collections import Counter
 from fractions import Fraction
-from itertools import combinations, permutations
-from math import comb
+from itertools import combinations
+from math import comb, factorial
 
 import networkx as nx
 import numpy as np
@@ -23,7 +24,8 @@ from compedge.cli import CommandOutcome
 from compedge.experiments import ExperimentConfig, ExperimentSummary, SweepResult
 from compedge.homology import SimplicialComplex
 from compedge.ideals import QuotientSearchResult, SquarefreeIdeal
-from compedge.invariants import LicciVerdict, cross_validate, implication_suite, predict_invariants
+from compedge.invariants import (NOTE_ISOLATED, LicciVerdict, cross_validate, implication_suite,
+                                 predict_invariants)
 from compedge.tables import BettiTable, Field
 from conftest import atlas_graphs, sparse_gnp
 
@@ -493,93 +495,90 @@ class TestEnumeration:
         assert seen[0].m == 0
         assert len(set(seen)) == 64
 
+    def test_graph_k_has_edge_slot_i_iff_bit_i_of_k_is_set(self):
+        # the slots are the pairs in lexicographic order; verify lists the
+        # mismatches of a labeled sweep in this order
+        for n in range(6):
+            slots = list(combinations(range(1, n + 1), 2))
+            labeled = list(enumerate_graphs(n))
+            assert len(labeled) == 2 ** len(slots)
+            for k, g in enumerate(labeled):
+                assert sum(1 << slots.index(e) for e in g.edges) == k
+
     def test_limit_guard(self):
         with pytest.raises(ValueError, match="limit"):
             list(enumerate_graphs(8))
         assert sum(1 for _ in enumerate_graphs(4)) == 64
+        with pytest.raises(ValueError, match="^vertex count must be nonnegative, got -1$"):
+            list(enumerate_graphs(-1))
 
     def test_builders(self):
         assert complete_graph(3).edges == ((1, 2), (1, 3), (2, 3))
         assert SimpleGraph(4, ((4, 3),)) == SimpleGraph(4, ((3, 4),))
 
 
-@pytest.fixture(scope="module")
-def graph_classes() -> list[list[tuple[SimpleGraph, int]]]:
-    """The levels n = 0..7 of graphs._graph_classes, grown in one pass for the tests below."""
-    return graphs_module._graph_classes(7)
+def count_type(g: SimpleGraph) -> tuple[int, int, int, str]:
+    """What cross_validate reads off a graph with an edge: n, the vertices on an edge,
+    the components holding one, and the kind, forest, complete or another with a cycle."""
+    met, joins = graphs_module._join_count(g.edges)
+    kind = "forest" if g.m == joins else "complete" if g.m == comb(g.n, 2) else "cycle"
+    return g.n, met, met - joins, kind
 
 
-class TestGraphClasses:
-    def test_class_counts_are_oeis_a000088(self, graph_classes):
-        assert [len(graph_classes[n]) for n in range(8)] == [1, 1, 2, 4, 11, 34, 156, 1044]
-
-    def test_orbit_sizes_sum_to_the_labeled_graphs(self, graph_classes):
-        for n in range(8):
-            assert sum(orbit for _, orbit in graph_classes[n]) == 2 ** comb(n, 2)
-
-    def test_one_representative_per_atlas_class_to_seven(self, graph_classes):
-        # networkx's atlas lists one graph per isomorphism class on n <= 7;
-        # each representative with an edge is isomorphic to exactly one
-        atlas: dict[tuple, list[nx.Graph]] = {}
+class TestCensus:
+    def test_weights_are_the_atlas_orbit_sums_of_each_type_to_seven(self):
+        # networkx's atlas lists one graph per isomorphism class on n <= 7; a
+        # class stands for n!/|Aut| labeled graphs, |Aut| counted by its matcher
+        orbits: Counter = Counter()
         for g in atlas_graphs(3, 7):
-            atlas.setdefault(invariant(g), []).append(nx_graph(g))
-        matched = 0
+            h = nx_graph(g)
+            automorphisms = sum(1 for _ in nx.isomorphism.GraphMatcher(h, h).isomorphisms_iter())
+            orbits[count_type(g)] += factorial(g.n) // automorphisms
+        census = {}
         for n in range(3, 8):
-            for g, _ in graph_classes[n]:
-                if g.m:
-                    same = [h for h in atlas[invariant(g)] if nx.is_isomorphic(nx_graph(g), h)]
-                    assert len(same) == 1, g
-                    matched += 1
-        assert matched == sum(map(len, atlas.values())) == 4 + 11 + 34 + 156 + 1044 - 5
+            for g, weight in graphs_module._census(n):
+                assert count_type(g) not in census, g
+                census[count_type(g)] = weight
+        assert census == orbits
 
-    def test_orbits_partition_the_labeled_graphs_to_six(self, graph_classes):
-        # every relabeling of each representative, looked up by its index in
-        # enumerate_graphs: graph k has edge slot i iff bit i of k is set
-        for n in range(3, 7):
-            labeled = list(enumerate_graphs(n))
-            bit = {}
-            for i, (u, v) in enumerate(combinations(range(1, n + 1), 2)):
-                bit[u, v] = bit[v, u] = 1 << i
-            seen = []
-            for g, orbit in graph_classes[n]:
-                members = {}
-                for p in permutations(range(1, n + 1)):
-                    edges = tuple((p[u - 1], p[v - 1]) for u, v in g.edges)
-                    k = sum(bit[e] for e in edges)
-                    if k not in members:
-                        members[k] = SimpleGraph(n, edges)
-                assert len(members) == orbit, g
-                assert all(labeled[k] == member for k, member in members.items())
-                seen += members
-            assert sorted(seen) == list(range(len(labeled)))
+    def test_weights_give_the_oeis_counts_to_twelve(self):
+        # n = 3..12: connected graphs (A001187), forests (A001858) and graphs
+        # with no isolated vertex (A006129)
+        connected = [4, 38, 728, 26704, 1866256, 251548592, 66296291072, 34496488594816,
+                     35641657548953344, 73354596206766622208]
+        forests = [7, 38, 291, 2932, 36961, 561948, 10026505, 205608536, 4767440679,
+                   123373203208]
+        spread = [4, 41, 768, 27449, 1887284, 252522481, 66376424160, 34509011894545,
+                  35645504882731588, 73356937912127722841]
+        for n, *counts in zip(range(3, 13), connected, forests, spread):
+            types = [(count_type(g), weight) for g, weight in graphs_module._census(n)]
+            assert sum(weight for _, weight in types) == 2 ** comb(n, 2) - 1
+            assert counts == [
+                sum(weight for (_, met, c, _), weight in types if met == n and c == 1),
+                1 + sum(weight for (*_, kind), weight in types if kind == "forest"),
+                sum(weight for (_, met, *_), weight in types if met == n)]
 
-    def test_one_pass_hands_out_each_level_once(self, graph_classes):
-        # level n holds graphs on n vertices, and a shorter pass grows the
-        # same levels: no level is handed out twice, late or past max_n
-        assert len(graph_classes) == 8
-        for n, level in enumerate(graph_classes):
-            assert {graph.n for graph, _ in level} == {n}
-        for max_n in range(7):
-            assert graphs_module._graph_classes(max_n) == graph_classes[:max_n + 1]
+    def test_flagged_weights_to_eight(self):
+        # the totals of a verify run to n = 8, with its limit raised: every graph
+        # with an edge and an isolated vertex is flagged, and nothing else
+        analyzed = flagged = 0
+        for n in range(3, 9):
+            for g, weight in graphs_module._census(n):
+                analyzed += weight
+                report = cross_validate(g)
+                if not report.clean and NOTE_ISOLATED in report.predicted.notes:
+                    flagged += weight
+        assert (analyzed, flagged) == (270_566_466, 16_128_439)
 
-    def test_limit_guard(self):
-        with pytest.raises(ValueError, match="limit"):
-            graphs_module._graph_classes(8)
-        # a negative max_n is refused, as enumerate_graphs refuses it, not read as level 0
-        for refused in (lambda: graphs_module._graph_classes(-1),
-                        lambda: list(enumerate_graphs(-1))):
-            with pytest.raises(ValueError, match="^vertex count must be nonnegative, got -1$"):
-                refused()
-
-
-def invariant(g: SimpleGraph) -> tuple:
-    """Degree and sorted neighbour degrees of every vertex, sorted: equal on isomorphic graphs."""
-    neighbours = {v: [] for v in g.vertices()}
-    for u, v in g.edges:
-        neighbours[u].append(v)
-        neighbours[v].append(u)
-    return g.n, tuple(sorted((len(near), tuple(sorted(len(neighbours[w]) for w in near)))
-                             for near in neighbours.values()))
+    @settings(max_examples=100)
+    @given(graphs(min_n=3, max_n=9, min_edges=1))
+    def test_graphs_of_one_type_share_their_records(self, g: SimpleGraph):
+        twin = {count_type(h): h for h, _ in graphs_module._census(g.n)}[count_type(g)]
+        for field in Field:
+            mine, its = cross_validate(g, field), cross_validate(twin, field)
+            assert mine.predicted is its.predicted
+            assert mine.oracle is its.oracle
+            assert mine.mismatches is its.mismatches
 
 
 def nx_graph(g: SimpleGraph) -> nx.Graph:

@@ -154,7 +154,7 @@ class TestMinimalize:
         ideal = minimalize(4, [[1, 2], [1, 2, 3], [4]])
         assert ideal.gens == (fs(1, 2), fs(4))
 
-    def test_canonical_order(self):
+    def test_generators_sorted_canonically(self):
         ideal = minimalize(4, [[2, 3], [1, 4], [1, 2]])
         assert ideal.gens == (fs(1, 2), fs(1, 4), fs(2, 3))
 

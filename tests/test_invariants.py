@@ -255,6 +255,22 @@ class TestOracleAndCrossValidation:
         with pytest.raises(ValueError, match="edgeless"):
             cross_validate(SimpleGraph(5, ()))
 
+    @pytest.mark.parametrize("ask", [
+        oracle_invariants, cross_validate, implication_suite,
+        lambda graph, field: homology.hochster_betti(complementary_edge_ideal(graph), field),
+        lambda graph, field: homology.is_sequentially_cm(complementary_edge_ideal(graph), field)],
+        ids=["oracle_invariants", "cross_validate", "implication_suite", "hochster_betti",
+             "is_sequentially_cm"])
+    def test_a_field_that_is_no_member_is_refused_before_any_record(self, ask):
+        # a field's value would tag the answer, whose JSON then raises, and
+        # would stay among the shared records
+        records = (invariants._class_report, invariants._oracle_record, invariants._mismatches)
+        before = [record.cache_info() for record in records]
+        for field in ("gf2", "q", None):
+            with pytest.raises(ValueError, match=f"^field must be a Field, got {field!r}$"):
+                ask(path_graph(4), field)
+        assert [record.cache_info() for record in records] == before
+
     @settings(max_examples=40, deadline=None)
     @given(graphs_with_edges())
     def test_graphs_without_isolated_vertices_validate_cleanly(self, graph: SimpleGraph):

@@ -48,6 +48,10 @@ class Equivalent(NamedTuple):
 HOMOLOGY = "tests/test_homology.py::TestBettiTables::"
 STREAM = "tests/test_experiments.py::TestStreamStop::"
 SHARED = "tests/test_invariants.py::TestSharedRecords::"
+FIELD = ("tests/test_invariants.py::TestOracleAndCrossValidation::"
+         "test_a_field_that_is_no_member_is_refused_before_any_record")
+CENSUS = "tests/test_graphs.py::TestCensus::"
+VERIFY = "tests/test_cli.py::TestVerify::"
 # the end of one chunk of the Monte Carlo stream, and the same lines with the
 # exit tested before this chunk's cycle check (one chunk late) or before this
 # chunk's pairs are kept (one chunk early)
@@ -140,12 +144,26 @@ MUTANTS = [
     Mutant("ambient-size-zero-refused", "ideals.py",
            "if not 0 <= n <= AMBIENT_LIMIT:", "if not 0 < n <= AMBIENT_LIMIT:",
            ("tests/test_ideals.py::TestConstructor::test_ambient_size_zero_is_accepted",)),
-    # a field that is no Field member would pass for the rationals
+    # a field that is no Field member would pass for the rationals in the
+    # engines, and tag the answer of a count route, whose JSON then raises
     Mutant("homology-takes-any-field", "homology.py",
-           "    if not isinstance(field, Field):\n"
-           "        raise ValueError(f\"field must be a Field, got {_clip(repr(field))}\")\n", "",
+           "    _require_field(field)\n    faces_by_size", "    faces_by_size",
            ("tests/test_homology.py::TestReducedHomology::"
             "test_a_field_that_is_no_member_is_refused",)),
+    Mutant("betti-takes-any-field", "homology.py",
+           "    _require_field(field)\n    if ideal.is_zero:\n        raise ValueError(\"Betti",
+           "    if ideal.is_zero:\n        raise ValueError(\"Betti", (FIELD,)),
+    Mutant("componentwise-linear-takes-any-field", "homology.py",
+           "    _require_field(field)\n    if ideal.is_zero:\n"
+           "        raise ValueError(\"componentwise",
+           "    if ideal.is_zero:\n        raise ValueError(\"componentwise", (FIELD,)),
+    Mutant("oracle-takes-any-field", "invariants.py",
+           "    _require_field(field)\n    return _oracle_record(", "    return _oracle_record(",
+           (FIELD,)),
+    Mutant("cross-validate-takes-any-field", "invariants.py",
+           "    _require_field(field)\n    counts = ", "    counts = ", (FIELD,)),
+    Mutant("suite-takes-any-field", "invariants.py",
+           "    _require_field(field)\n    met, joins = ", "    met, joins = ", (FIELD,)),
     # the predicted initial degree of each class, and the Huneke-Ulrich bound
     Mutant("predicted-indeg-of-a-complete-graph", "invariants.py",
            "n - 2, verdict,\n                           _COMPLETE_NOTES",
@@ -224,32 +242,38 @@ MUTANTS = [
            '"yes" if dual_cl else "no"', '"yes"',
            ("tests/test_invariants.py::TestImplicationSuite::"
             "test_payload_digest_over_every_graph_to_five_and_forest_on_six",)),
-    # verify over isomorphism classes: the class generator's canonical code,
-    # orbit sizes and levels grown in one pass, and the labeled sweep that
-    # lists a mismatch
-    Mutant("class-orbit-weight-one", "graphs.py",
-           "factorial(n) // automorphisms)", "1)",
-           ("tests/test_cli.py::TestVerify::test_classes_give_the_labeled_sweep_byte_for_byte",)),
-    Mutant("class-automorphisms-fixed-at-one", "graphs.py",
-           "return best[0], best[1]", "return best[0], 1",
-           ("tests/test_graphs.py::TestGraphClasses::"
-            "test_orbit_sizes_sum_to_the_labeled_graphs",)),
-    Mutant("class-code-of-the-first-order", "graphs.py",
-           "if best[0] < 0 or code < best[0]:", "if best[0] < 0:",
-           ("tests/test_graphs.py::TestGraphClasses::test_class_counts_are_oeis_a000088",)),
-    Mutant("class-augment-below-the-largest-degree", "graphs.py",
-           "> s.bit_count() for u, d", ">= s.bit_count() for u, d",
-           ("tests/test_graphs.py::TestGraphClasses::test_class_counts_are_oeis_a000088",)),
-    Mutant("class-level-handed-out-stale", "graphs.py",
-           "levels.append(grown)", "levels.append(levels[-1])",
-           ("tests/test_graphs.py::TestGraphClasses::test_class_counts_are_oeis_a000088",)),
+    # verify from the census of count types: Cayley's tree count, the perfect
+    # matchings (the forests on met = 2c' vertices), K_n kept out of the
+    # cycle kind, a graph of each type's own kind, and a type that mismatches
+    # outside the tensions sending its n through the labeled sweep, which
+    # then gives that n's totals and its list
+    Mutant("census-cayley-k-to-the-k-minus-one", "graphs.py",
+           "k ** (k - 2)", "k ** (k - 1)",
+           (CENSUS + "test_weights_give_the_oeis_counts_to_twelve",)),
+    Mutant("census-without-perfect-matchings", "graphs.py",
+           "for c in range(1, met // 2 + 1):", "for c in range(1, (met - 1) // 2 + 1):",
+           (CENSUS + "test_weights_are_the_atlas_orbit_sums_of_each_type_to_seven",)),
+    Mutant("census-complete-also-a-cycle", "graphs.py",
+           " - (met == n and c == 1)", "",
+           (CENSUS + "test_weights_are_the_atlas_orbit_sums_of_each_type_to_seven",)),
+    Mutant("census-cycle-type-drawn-as-a-forest", "graphs.py",
+           "forest + [(2 * c - 1, 2 * c + 1)]", "forest",
+           (CENSUS + "test_weights_are_the_atlas_orbit_sums_of_each_type_to_seven",)),
     Mutant("verify-reads-the-level-below", "cli.py",
-           "_graph_classes(args.max_n)[3:], 3)", "_graph_classes(args.max_n)[2:], 3)",
-           ("tests/test_cli.py::TestVerify::test_classes_give_the_labeled_sweep_byte_for_byte",)),
+           "for graph, weight in _census(n)]", "for graph, weight in _census(n - 1)]",
+           (VERIFY + "test_exit_code_stdout_and_stderr_are_pinned",)),
     Mutant("verify-expand-lists-isolated", "cli.py",
-           " and NOTE_ISOLATED not in report.predicted.notes]", "]",
-           ("tests/test_cli.py::TestVerify::"
-            "test_a_class_mismatch_lists_its_labeled_orbit_in_enumeration_order",)),
+           "            elif isolated:\n", "            elif False:\n",
+           (VERIFY + "test_a_class_mismatch_lists_its_labeled_orbit_in_enumeration_order",)),
+    Mutant("verify-fallback-totals-from-the-census", "cli.py",
+           "reports = ((cross_validate(graph, field), 1)",
+           "reports += ((cross_validate(graph, field), 0)",
+           (VERIFY + "test_a_class_mismatch_lists_its_labeled_orbit_in_enumeration_order",)),
+    Mutant("verify-sweeps-past-the-tensions", "cli.py",
+           "if any(not report.clean and NOTE_ISOLATED not in report.predicted.notes\n"
+           "               for report, _ in reports):",
+           "if any(not report.clean for report, _ in reports):",
+           ("tests/test_cli.py::TestOnePassPerGraph::test_verify_predicts_each_graph_once",)),
     # the one Alexander dual, the cover search, against the cover rule of
     # I_c(G); the component chain and the quotient search
     Mutant("dual-branch-on-the-lowest-vertex-only", "ideals.py",
@@ -331,12 +355,6 @@ EQUIVALENT = [
                "        if u != sigma:\n            continue\n", "",
                "a sigma off the lcm lattice has a vertex in no generator inside it, so its "
                "restriction is a cone on that vertex, with no reduced homology"),
-    Equivalent("class-orders-ignore-degrees", "graphs.py",
-               "allowed = [sum(1 << v for v in range(n) if degrees[v] == d) "
-               "for d in sorted(degrees)]", "allowed = [(1 << n) - 1] * n",
-               "the trivial partition is also kept by every isomorphism, so the least code "
-               "is still canonical and |Aut| still the number of orders reaching it; only "
-               "the search grows"),
     Equivalent("suite-chordality-kernel-on-forests", "invariants.py",
                "dual_cl = forest or _is_chordal(graph)", "dual_cl = _is_chordal(graph)",
                "every forest is chordal"),
