@@ -218,7 +218,8 @@ def _run_trials(configs: Sequence[ExperimentConfig]) -> tuple[ExperimentSummary,
             hoffs, hdraws = hits + lo, draws[hits]
             # not graphs._join_count: the stream needs the pair that closes a
             # cycle, which a count cannot give, and the spot check below would
-            # compare _join_count (under is_licci -> is_forest) with itself.
+            # compare _join_count (which SimpleGraph runs when it is built, for
+            # is_licci -> is_forest to read) with itself.
             # Until a cycle closes, fewer than n pairs lie below low, so the
             # cut (the n-th smallest draw held) stays at or above low.
             us, vs = _pairs(starts, hoffs[hdraws < low])

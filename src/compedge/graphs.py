@@ -10,7 +10,10 @@ from heapq import heappop, heappush
 from itertools import combinations
 from math import comb
 from operator import attrgetter, index
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 DEFAULT_ENUMERATION_LIMIT = 7
 MDENSITY_LIMIT = 18
@@ -65,15 +68,18 @@ class _Frozen:
     """Base of the value types that check their input, frozen and slotted.
 
     A subclass's __init__ validates and stores each field of its __slots__ with
-    object.__setattr__. Instances compare equal within one type only, hash as
-    the tuple of their fields, and print and pickle by them. They are not
-    NamedTuples, whose _replace would skip the validation.
+    object.__setattr__. Its fields are the slots with a public name; a private
+    slot holds a value derived from them. Instances compare equal within one
+    type only, hash as the tuple of their fields, and print and pickle by them,
+    so unpickling runs __init__ again. They are not NamedTuples, whose
+    _replace would skip the validation.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls):
-        cls._values = attrgetter(*cls.__slots__)
+        cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+        cls._values = attrgetter(*cls._fields)
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -84,7 +90,7 @@ class _Frozen:
         return hash(self._values(self))
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__name__}({fields})"
 
     def __setattr__(self, name, value):
@@ -98,9 +104,15 @@ class _Frozen:
 
 
 class SimpleGraph(_Frozen):
-    """A finite simple graph on {1, ..., n}: fields n and edges."""
+    """A finite simple graph on {1, ..., n}: fields n and edges.
 
-    __slots__ = ("n", "edges")
+    Two private ints hold the counts every question reads, taken by one
+    _join_count when the graph is built: _met, the vertices on an edge, and
+    _joins, the edges that join two components. They are ints, which the
+    garbage collector does not track, so the counts add no tracked object.
+    """
+
+    __slots__ = ("n", "edges", "_met", "_joins")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         """The one edge check: a GraphFormatError names the input edge at fault by index.
@@ -138,6 +150,9 @@ class SimpleGraph(_Frozen):
         object.__setattr__(self, "n", n)
         # sort the input-order list: timsort is linear on already-sorted pairs
         object.__setattr__(self, "edges", tuple(sorted(canon)))
+        met, joins = _join_count(canon)
+        object.__setattr__(self, "_met", met)
+        object.__setattr__(self, "_joins", joins)
 
     @property
     def m(self) -> int:
@@ -309,11 +324,9 @@ def _join_count(pairs: Iterable[tuple[int, int]]) -> tuple[int, int]:
 def is_forest(graph: SimpleGraph) -> bool:
     """True iff the graph is acyclic: every edge joins two components of the edges before it.
 
-    Isolated vertices are their own components and join nothing, so this is
-    O(m) however large n is. A forest has at most n - 1 edges, so a denser
-    graph is refused before any union.
+    The joins are read at construction, so this is O(1) however large n is.
     """
-    return graph.m < max(graph.n, 1) and _join_count(graph.edges)[1] == graph.m
+    return graph._joins == graph.m
 
 
 def _is_chordal(graph: SimpleGraph) -> bool:
@@ -363,7 +376,7 @@ def is_complete(graph: SimpleGraph) -> bool:
 
 
 def is_tree(graph: SimpleGraph) -> bool:
-    """A forest with n - 1 edges has exactly one component; O(m) like is_forest."""
+    """A forest with n - 1 edges has exactly one component; O(1) like is_forest."""
     return graph.m == graph.n - 1 and is_forest(graph)
 
 

@@ -34,11 +34,12 @@ up to the ideal layer's AMBIENT_LIMIT (24), the widest mask an ideal holds.
 A complementary edge ideal I_c(G) needs no ideal at all. Its table and its
 height, reg and pd are read off the graph's counts at any n: the edges,
 and the vertices on an edge and the components holding one, which the
-caller counts once (graphs._join_count). The betti command reads the table
-from tables._graph_oracle; the invariants layer reads height, reg and pd
-from tables._count_invariants and builds no table. Neither builds I_c(G) or
-loads this module. The table type (BettiTable) and the field tag live in
-tables too, and are attributes of this module as well.
+graph counts once when it is built (graphs._join_count). The betti command
+reads the table from tables._graph_oracle; the invariants layer reads
+height, reg and pd from tables._count_invariants and builds no table.
+Neither builds I_c(G) or loads this module. The table type (BettiTable)
+and the field tag live in tables too, and are attributes of this module as
+well.
 
 Nothing is memoised. The exhaustive sweeps repeat small tables, but they
 read every complementary edge ideal off counts, so a verify round sends no

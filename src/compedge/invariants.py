@@ -21,7 +21,7 @@ from itertools import product
 from math import comb
 from typing import NamedTuple
 
-from .graphs import SimpleGraph, _is_chordal, _join_count, is_forest
+from .graphs import SimpleGraph, _is_chordal, is_forest
 from .tables import Field, _count_invariants, _require_edge_ambient, _require_field
 
 NOTE_COMPLETE_PD = "complete_pd_adjusted"
@@ -170,20 +170,21 @@ def huneke_ulrich_check(reg_s_mod_i: int, height_: int, indeg: int) -> bool:
 def predict_invariants(graph: SimpleGraph) -> InvariantReport:
     """Classification-driven predictions for height, CM, pd and reg of I_c(G)."""
     _require_admissible(graph)
-    return _predict(graph, *_join_count(graph.edges))
+    return _predict(graph)
 
 
-def _predict(graph: SimpleGraph, met: int, joins: int) -> InvariantReport:
-    """predict_invariants off graphs._join_count(graph.edges), which gives (met, joins).
+def _predict(graph: SimpleGraph) -> InvariantReport:
+    """predict_invariants off the counts the graph took when it was built.
 
-    met vertices lie on an edge, and joins of the edges join two components:
-    the edges form a forest exactly when every one of them does. The report
-    is the shared record of the class on n vertices and the isolated-vertex flag.
+    graph._met vertices lie on an edge, and graph._joins of the edges join
+    two components: the edges form a forest exactly when every one of them
+    does. The report is the shared record of the class on n vertices and the
+    isolated-vertex flag.
     """
     n, m = graph.n, graph.m
-    verdict = _licci(n, m, joins == m)
+    verdict = _licci(n, m, graph._joins == m)
     # a forest with c components has n - c edges
-    return _class_report(n, verdict, verdict is _LICCI_FOREST and m == n - 1, met < n)
+    return _class_report(n, verdict, verdict is _LICCI_FOREST and m == n - 1, graph._met < n)
 
 
 # The records below are shared by every graph that asks for the same values, and
@@ -218,7 +219,7 @@ def oracle_invariants(graph: SimpleGraph, field: Field = Field.GF2) -> OracleInv
     """
     _require_admissible(graph)
     _require_field(field)
-    return _oracle_record(field, *_count_invariants(graph.n, graph.m, *_join_count(graph.edges)))
+    return _oracle_record(field, *_count_invariants(graph.n, graph.m, graph._met, graph._joins))
 
 
 @lru_cache(maxsize=256)
@@ -230,15 +231,15 @@ def _oracle_record(field: Field, ht: int, reg: int, pd: int) -> OracleInvariants
 def cross_validate(graph: SimpleGraph, field: Field = Field.GF2) -> DiscrepancyReport:
     """Compare the formula layer against the oracle; reg uses interval containment.
 
-    The prediction and the oracle share one graphs._join_count; the refusals
-    are those of predict_invariants, then those of oracle_invariants. The
-    mismatches are the shared tuple of the prediction and the oracle values.
+    The prediction and the oracle read the counts the graph took when it was
+    built; the refusals are those of predict_invariants, then those of
+    oracle_invariants. The mismatches are the shared tuple of the prediction
+    and the oracle values.
     """
     _require_admissible(graph)
     _require_field(field)
-    counts = _join_count(graph.edges)
-    predicted = _predict(graph, *counts)
-    oracle = _oracle_record(field, *_count_invariants(graph.n, graph.m, *counts))
+    predicted = _predict(graph)
+    oracle = _oracle_record(field, *_count_invariants(graph.n, graph.m, graph._met, graph._joins))
     return DiscrepancyReport(graph, field, _mismatches(predicted, oracle), predicted, oracle)
 
 
@@ -342,16 +343,16 @@ def implication_suite(graph: SimpleGraph, field: Field = Field.GF2) -> Implicati
     difference, and has_linear_quotients on the dual against the suite.
     primal_linear_resolution: I_c(G) is generated in degree n - 2, so its
     resolution is linear exactly when reg(I) = n - 2, that is when at most
-    one component holds an edge (tables._count_invariants). One
-    graphs._join_count serves the licci verdict, the forest test, that
-    component count and the degree count (met, the vertices on an edge).
-    That kernel reads only the vertices on an edge, so the suite answers at
-    any n in O(m log m). A field that is no Field member is refused.
+    one component holds an edge (tables._count_invariants). The counts the
+    graph took when it was built serve the licci verdict, the forest test,
+    that component count and the degree count (met, the vertices on an
+    edge). The chordality kernel reads only the vertices on an edge, so the
+    suite answers at any n in O(m log m). A field that is no Field member is
+    refused.
     """
     _require_admissible(graph)
     _require_field(field)
-    met, joins = _join_count(graph.edges)
-    n, m = graph.n, graph.m
+    n, m, met, joins = graph.n, graph.m, graph._met, graph._joins
     forest = joins == m
     verdict = _licci(n, m, forest)
     dual_cl = forest or _is_chordal(graph)

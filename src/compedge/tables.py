@@ -23,7 +23,7 @@ import enum
 from math import comb
 from typing import NamedTuple
 
-from .graphs import SimpleGraph, _clip, _join_count
+from .graphs import SimpleGraph, _clip
 
 
 class Field(enum.Enum):
@@ -95,12 +95,12 @@ def _require_edge_ambient(n: int) -> None:
 def _graph_oracle(graph: SimpleGraph, field: Field) -> BettiTable:
     """The Betti table of I_c(G), read off the graph's counts at any n.
 
-    The counts are graphs._join_count(graph.edges): the n' vertices on an
-    edge and the n' - c' joins, for the c' components holding an edge. No
-    ideal, mask or face is built, and no vertex is walked. Fewer than 3
-    vertices are refused, then a graph with no edge (the zero ideal). The
-    dual complex of I_c(G) is G itself: the empty face, the n' vertices and
-    the m edges. The dual Hochster formula
+    The counts are those the graph took when it was built: the n' vertices
+    on an edge (graph._met) and the n' - c' joins (graph._joins), for the c'
+    components holding an edge. No ideal, mask or face is built, and no
+    vertex is walked. Fewer than 3 vertices are refused, then a graph with no
+    edge (the zero ideal). The dual complex of I_c(G) is G itself: the empty
+    face, the n' vertices and the m edges. The dual Hochster formula
     (Miller-Sturmfels, Combinatorial Commutative Algebra, Cor. 5.12) then
     gives beta_(1, n-2) = m, beta_(2, n-1) = 2m - n', beta_(2, n) = c' - 1
     and beta_(3, n) = m - n' + c', over every field: the table of
@@ -109,7 +109,7 @@ def _graph_oracle(graph: SimpleGraph, field: Field) -> BettiTable:
     _require_edge_ambient(graph.n)
     if not graph.m:
         raise ValueError("Betti table undefined for the zero ideal")
-    return _count_betti(graph.n, graph.m, *_join_count(graph.edges), 0, field)
+    return _count_betti(graph.n, graph.m, graph._met, graph._joins, 0, field)
 
 
 def _count_invariants(n: int, m: int, met: int, joins: int) -> tuple[int, int, int]:

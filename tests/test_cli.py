@@ -365,9 +365,9 @@ class TestVerify:
         # labeled sweep, which gives its totals and lists each graph
         real = invariants._predict
 
-        def wrong(graph, met, joins):
-            report = real(graph, met, joins)
-            if graph.m == graph.n == met:
+        def wrong(graph):
+            report = real(graph)
+            if graph.m == graph.n == graph._met:
                 return report._replace(height=report.height + 1)
             return report
         monkeypatch.setattr(invariants, "_predict", wrong)
@@ -415,8 +415,9 @@ def count_calls(monkeypatch, name: str, *modules) -> list:
 class TestOnePassPerGraph:
     def test_analyze_oracle_counts_once_and_builds_no_betti_table(self, monkeypatch):
         # the prediction and the oracle's height, reg and pd share one
-        # union-find count, and no table of I_c(G) is built to read them
-        calls = count_calls(monkeypatch, "_join_count", graphs, invariants)
+        # union-find count, which the parsed graph takes when it is built,
+        # and no table of I_c(G) is built to read them
+        calls = count_calls(monkeypatch, "_join_count", graphs)
 
         def refuse(*args):
             raise AssertionError("built a Betti table")

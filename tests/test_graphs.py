@@ -1,13 +1,18 @@
 """Graph parsing, predicates, density, enumeration and the census of count types."""
 from __future__ import annotations
 
+import ast
+import gc
 import inspect
 import json
 import pickle
+import pkgutil
 import random
 import time
+import typing
 from collections import Counter
 from fractions import Fraction
+from importlib import import_module
 from itertools import combinations
 from math import comb, factorial
 
@@ -16,6 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import compedge
 from compedge import (GraphFormatError, SimpleGraph, connected_components, enumerate_graphs,
                       is_complete, is_forest, is_tree, max_subgraph_density, parse_graph,
                       complete_graph, cycle_graph, path_graph)
@@ -223,6 +229,65 @@ class TestRecords:
             assert SimpleGraph(3) != SquarefreeIdeal(3, ())
             with pytest.raises(AttributeError):
                 del record.n
+
+
+class TestStoredCounts:
+    @settings(max_examples=300, deadline=None)
+    @given(graphs(min_n=0, max_n=9), st.data())
+    def test_counts_taken_at_construction(self, graph, data):
+        # the same graph again, its labels numpy ints or ints and its pairs
+        # reversed at random and shuffled
+        label = data.draw(st.sampled_from([int, np.int64, np.int32]))
+        flips = data.draw(st.lists(st.booleans(), min_size=graph.m, max_size=graph.m))
+        pairs = [(label(v), label(u)) if flip else (label(u), label(v))
+                 for (u, v), flip in zip(graph.edges, flips)]
+        twin = SimpleGraph(label(graph.n), data.draw(st.permutations(pairs)))
+        # networkx reference: the nodes of the edge subgraph, less its components
+        edge_subgraph = nx.Graph(graph.edges)
+        met = edge_subgraph.number_of_nodes()
+        joins = met - nx.number_connected_components(edge_subgraph)
+        copy = pickle.loads(pickle.dumps(twin))
+        for g in (graph, twin, copy):
+            assert (g._met, g._joins) == graphs_module._join_count(g.edges) == (met, joins)
+            assert not gc.is_tracked(g._met) and not gc.is_tracked(g._joins)
+            assert repr(g) == f"SimpleGraph(n={graph.n}, edges={graph.edges!r})"
+            for name in ("_met", "_joins"):
+                with pytest.raises(AttributeError):
+                    setattr(g, name, 0)
+        assert twin == graph == copy and hash(twin) == hash(graph) == hash(copy)
+
+
+def _checking_names(module) -> dict:
+    """The names a module imports under `if TYPE_CHECKING:`, which exist for type checkers only."""
+    names = {"__name__": module.__name__, "__package__": module.__package__}
+    for node in ast.parse(inspect.getsource(module)).body:
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "TYPE_CHECKING":
+            exec(compile(ast.Module(node.body, []), module.__file__, "exec"), names)
+    return names
+
+
+def _defined(module):
+    """Every function and class the module defines, and the methods and properties of each class."""
+    for obj in vars(module).values():
+        if (inspect.isfunction(obj) or inspect.isclass(obj)) and obj.__module__ == module.__name__:
+            yield obj
+            for member in vars(obj).values() if inspect.isclass(obj) else ():
+                member = getattr(member, "__func__", getattr(member, "fget", member))
+                if inspect.isfunction(member):
+                    yield member
+
+
+class TestTypeHints:
+    @pytest.mark.parametrize("name", [info.name for info in pkgutil.iter_modules(compedge.__path__)])
+    def test_every_hint_resolves(self, name):
+        # string annotations resolve in the module's namespace, together with
+        # the names it imports for type checkers only
+        module = import_module(f"compedge.{name}")
+        namespace = vars(module) | _checking_names(module)
+        defined = list(_defined(module))
+        assert defined
+        for obj in defined:
+            typing.get_type_hints(obj, globalns=namespace)
 
 
 class TestParseLineFormat:

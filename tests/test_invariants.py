@@ -663,22 +663,31 @@ class TestOneGraphLevelPath:
             tables._graph_oracle(path_graph(5), Field.GF2)
 
     @pytest.mark.parametrize("question", [cross_validate, implication_suite])
-    def test_one_union_find_per_question(self, monkeypatch, question):
-        # the licci verdict and the oracle table share one graphs._join_count
+    def test_one_union_find_per_graph(self, monkeypatch, question):
+        # a graph runs graphs._join_count once, when it is built; the licci
+        # verdict and the oracle values read those counts, and no question recounts
         real = graphs._join_count
         calls = []
 
         def counted(pairs):
             calls.append(pairs)
             return real(pairs)
-        for module in (graphs, homology, invariants):
+        for module in (graphs, homology):
             monkeypatch.setattr(module, "_join_count", counted)
-        for graph in (path_graph(5), cycle_graph(5), complete_graph(3), complete_graph(4),
-                      SimpleGraph(6, ((1, 2), (3, 4), (4, 5), (3, 5)))):
+        for module in set(LAYERS) - {graphs, homology}:
+            assert not hasattr(module, "_join_count"), module
+        graphs_ = []
+        for build, *args in ((path_graph, 5), (cycle_graph, 5), (complete_graph, 3),
+                             (complete_graph, 4),
+                             (SimpleGraph, 6, ((1, 2), (3, 4), (4, 5), (3, 5)))):
+            calls.clear()
+            graphs_.append(build(*args))
+            assert len(calls) == 1, graphs_[-1]
+        calls.clear()
+        for graph in graphs_:
             for field in Field:
-                calls.clear()
                 question(graph, field)
-                assert len(calls) == 1, graph
+                assert calls == [], graph
 
     def test_the_chordality_kernel_never_runs_on_a_forest(self, monkeypatch):
         # a forest is chordal, so the suite reads its dual claims off the one

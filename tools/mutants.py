@@ -161,9 +161,10 @@ MUTANTS = [
            "    _require_field(field)\n    return _oracle_record(", "    return _oracle_record(",
            (FIELD,)),
     Mutant("cross-validate-takes-any-field", "invariants.py",
-           "    _require_field(field)\n    counts = ", "    counts = ", (FIELD,)),
+           "    _require_field(field)\n    predicted = ", "    predicted = ", (FIELD,)),
     Mutant("suite-takes-any-field", "invariants.py",
-           "    _require_field(field)\n    met, joins = ", "    met, joins = ", (FIELD,)),
+           "    _require_field(field)\n    n, m, met, joins = ", "    n, m, met, joins = ",
+           (FIELD,)),
     # the predicted initial degree of each class, and the Huneke-Ulrich bound
     Mutant("predicted-indeg-of-a-complete-graph", "invariants.py",
            "n - 2, verdict,\n                           _COMPLETE_NOTES",
@@ -179,7 +180,7 @@ MUTANTS = [
            "OracleInvariants(field, ht,", "OracleInvariants(Field.GF2, ht,",
            (SHARED + "test_graphs_of_one_class_or_one_count_share_one_record",)),
     Mutant("prediction-record-without-isolated-vertices", "invariants.py",
-           "m == n - 1, met < n)", "m == n - 1, False)",
+           "m == n - 1, graph._met < n)", "m == n - 1, False)",
            (SHARED + "test_graphs_of_one_class_or_one_count_share_one_record",
             "tests/test_invariants.py::TestPredictions::"
             "test_notes_and_provenance_are_one_constant_per_class")),
@@ -222,6 +223,18 @@ MUTANTS = [
            "primal_lin = met - joins <= 1", "primal_lin = met - joins <= 2",
            ("tests/test_invariants.py::TestImplicationSuite::"
             "test_payload_digest_over_every_graph_to_five_and_forest_on_six",)),
+    # the counts a graph takes when it is built, which every question reads,
+    # and the value fields they stay out of
+    Mutant("graph-counts-one-edge-short", "graphs.py",
+           "_join_count(canon)", "_join_count(canon[1:])",
+           ("tests/test_graphs.py::TestStoredCounts",)),
+    Mutant("is-forest-reads-met", "graphs.py",
+           "return graph._joins == graph.m", "return graph._met == graph.m",
+           ("tests/test_graphs.py::TestPredicates::test_forest_tree_complete",)),
+    Mutant("frozen-fields-take-private-slots", "graphs.py",
+           "for name in cls.__slots__ if not name.startswith(\"_\")",
+           "for name in cls.__slots__",
+           ("tests/test_graphs.py::TestRecords::test_repr_hash_frozen_fields_and_pickle",)),
     # the chordality kernel that decides the dual's componentwise linearity
     # and its linear quotients: maximum cardinality search and the check of
     # its reverse visit order as a perfect elimination ordering
