@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -25,7 +26,8 @@ from conftest import (closed_form_betti, labeled_verify, past_the_ambient_limit,
                       past_the_oracle_limit, sparse_gnp)
 
 FIXTURES = Path(__file__).parent / "fixtures"
-SRC = Path(__file__).parents[1] / "src"
+ROOT = Path(__file__).parents[1]
+SRC = ROOT / "src"
 # the Monte Carlo names that `compedge` resolves on first use
 LAZY_NAMES = ("ExperimentConfig", "ExperimentSummary", "SweepResult", "sample_gnp",
               "estimate_licci_probability", "threshold_sweep", "summaries_to_csv")
@@ -399,6 +401,15 @@ class TestVerify:
         assert payload["unflagged_mismatches"] == []
 
 
+class TestGoldenCorpus:
+    def test_every_command_line_gives_its_committed_bytes(self, tmp_path):
+        # tools/golden.py defines the corpus; `tools/golden.py --write` regenerates the file
+        spec = importlib.util.spec_from_file_location("golden", ROOT / "tools" / "golden.py")
+        tool = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tool)
+        assert tool.digests(tmp_path) == json.loads((FIXTURES / "golden.json").read_text())
+
+
 def count_calls(monkeypatch, name: str, *modules) -> list:
     """Replace `name` in each module by one counting wrapper; returns the call log."""
     calls = []
@@ -523,7 +534,9 @@ TOKENS = ["{", "}", "[", "]", ",", ":", '"n"', '"edges"', '"x"', "true", "null",
 # every number a strategy writes stands alone, so no two can run together
 # into an n above 12 that the commands would accept and walk
 SPACED_TOKEN = st.sampled_from(TOKENS).map(lambda token: f" {token} ")
-FIXTURE_TEXTS = [path.read_text() for path in sorted(FIXTURES.iterdir())]
+# the graph fixtures, not the golden corpus's digests
+FIXTURE_TEXTS = [path.read_text() for path in sorted(FIXTURES.iterdir())
+                 if path.name != "golden.json"]
 
 
 def mutate(text: str, at: int, cut: int, insert: str) -> str:
