@@ -73,13 +73,15 @@ def _cmd_analyze(args: argparse.Namespace, graph: SimpleGraph) -> CommandOutcome
     field = Field(args.field)
     validation = cross_validate(graph, field) if args.oracle else None
     report = validation.predicted if validation else predict_invariants(graph)
-    payload = {"graph": graph.to_json_dict()}
+    # the graph is serialised once: with the mismatches when there is an oracle
+    checked = validation.to_json_dict() if validation else {"graph": graph.to_json_dict()}
+    payload = {"graph": checked["graph"]}
     payload.update(report.to_json_dict())
     payload["licci_reason"] = report.verdict.reason
     exit_code = 0
     if validation:
         payload["oracle"] = validation.oracle.to_json_dict()
-        payload["mismatches"] = validation.to_json_dict()["mismatches"]
+        payload["mismatches"] = checked["mismatches"]
         if not validation.clean:
             exit_code = 1
     return CommandOutcome(exit_code, _dump(payload, args.json))

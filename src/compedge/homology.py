@@ -12,11 +12,11 @@ whose faces are the complements of the nonfaces: position i of multidegree
 sigma is dim of reduced H_(i-2) of the link of sigma's complement. It visits
 one link per dual face. hochster_betti runs the engine with less work to do,
 comparing the squared dual face count with a bound on the primal
-restrictions (see its docstring); the dual complex is listed only up to
-ideals._DUAL_FACE_CAP faces, the cap height uses too. The table
-aggregates multidegrees by cardinality either way. The complex {emptyset}
-has reduced H_(-1) = K, which makes the links of the dual facets count the
-generators.
+restrictions (see its docstring); the dual complex is listed only up to the
+largest face count that rule can send to the dual engine. Both engines read
+the generator masks alone and build no ideal. The table aggregates
+multidegrees by cardinality either way. The complex {emptyset} has reduced
+H_(-1) = K, which makes the links of the dual facets count the generators.
 
 One case takes neither engine, and reads the table off counts with no face
 list and no link. Generators all of degree at least n - 2 have a dual
@@ -74,12 +74,12 @@ it and ideals.has_linear_quotients serve general ideals.
 from __future__ import annotations
 
 from bisect import bisect_right
-from math import comb, gcd
+from math import comb, gcd, isqrt
 from typing import Collection, Iterable
 
 from .graphs import _clip, _Frozen, _join_count, _plain_int, _plain_ints
-from .ideals import (_DUAL_FACE_CAP, SquarefreeIdeal, _closure, _squarefree_components,
-                     alexander_dual, height, support_of)
+from .ideals import (SquarefreeIdeal, _closure, _squarefree_components, alexander_dual, height,
+                     support_of)
 # the table type lives in tables; Field and BettiTable stay attributes of
 # this module too
 from .tables import BettiTable, Field, Homological, _count_betti, _require_field
@@ -148,16 +148,15 @@ def stanley_reisner(ideal: SquarefreeIdeal) -> SimplicialComplex:
     if ideal.is_zero:
         raise ValueError("Stanley-Reisner complex undefined for the zero ideal")
     _require_oracle(ideal.n)
-    union = _union_table(ideal)
+    union = _union_table(ideal.n, ideal.masks)
     return SimplicialComplex(ideal.n, frozenset(s for s, u in enumerate(union) if not u))
 
 
-def _union_table(ideal: SquarefreeIdeal) -> list[int]:
+def _union_table(n: int, masks: Iterable[int]) -> list[int]:
     """union[s] is the OR of the generators inside s: 0 exactly on the faces."""
-    n = ideal.n
     full = (1 << n) - 1
     union = [0] * (1 << n)
-    for g in ideal.masks:
+    for g in masks:
         rest = full & ~g
         sub = rest
         while True:
@@ -294,13 +293,11 @@ def hochster_betti(ideal: SquarefreeIdeal, field: Field = Field.GF2) -> BettiTab
     an upper bound on the faces the primal restrictions hold, since every
     lattice sigma but the empty one is a nonface with at most 2^|sigma|
     faces inside it. The rule:
-    the dual engine runs when F^2 <= 3 * P, the primal one otherwise. The
-    dual faces are enumerated only up to ideals._DUAL_FACE_CAP (4,096), the
-    cap height uses; past it the primal engine runs. The cap never moves the
-    choice: P <= 3^n, so the rule already refuses every F above
-    isqrt(3^(n+1)), which is at most 3,787 for n <= 14. An ideal that goes
-    to an engine is refused past ORACLE_LIMIT (14); one read off counts
-    answers up to AMBIENT_LIMIT (24). Nothing is memoised: a repeated table
+    the dual engine runs when F^2 <= 3 * P, the primal one otherwise. As
+    P <= 3^n, the rule refuses every F above isqrt(3^(n+1)) (3,787 at
+    n = 14), so the dual faces are listed only up to that bound, and past it
+    the primal engine runs. An ideal that goes to an engine is refused past
+    ORACLE_LIMIT (14); one read off counts answers up to AMBIENT_LIMIT (24). Nothing is memoised: a repeated table
     is computed again. A field that is no Field member is refused first.
     """
     _require_field(field)
@@ -310,23 +307,25 @@ def hochster_betti(ideal: SquarefreeIdeal, field: Field = Field.GF2) -> BettiTab
 
 
 def _mask_betti(n: int, masks: Collection[int], indeg: int, field: Field) -> BettiTable:
-    """The table of the ideal with these minimal generators, of least degree indeg.
+    """The table of the ideal whose minimal generators are masks, of least degree indeg.
 
-    The one routing of hochster_betti, with no ideal to build: _graph_betti,
-    else the engine rule, which refuses n past ORACLE_LIMIT first. Only the
-    primal engine needs a SquarefreeIdeal, and only it gets one.
+    masks must be a minimal antichain, as ideal.masks or a squarefree
+    component of one degree is; nothing here checks it. The one routing of
+    hochster_betti: _graph_betti, else the engine rule, which refuses n past
+    ORACLE_LIMIT first. The dual complex is listed to isqrt(3^(n+1)) faces,
+    the most the rule can send to the dual engine (see hochster_betti).
     """
     if indeg >= n - 2:
         return _graph_betti(n, masks, field)
     _require_oracle(n)
     full = (1 << n) - 1
-    faces = _closure([full & ~g for g in masks], _DUAL_FACE_CAP)
+    faces = _closure([full & ~g for g in masks], isqrt(3 ** (n + 1)))
     if faces is None or len(faces) ** 2 > 3 * sum(1 << (n - tau.bit_count()) for tau in faces):
-        return _primal_betti(SquarefreeIdeal(n, masks), field)
+        return _primal_betti(n, masks, field)
     return _dual_betti(n, faces, field)
 
 
-def _primal_betti(ideal: SquarefreeIdeal, field: Field) -> BettiTable:
+def _primal_betti(n: int, masks: Iterable[int], field: Field) -> BettiTable:
     """Hochster's formula: beta_(i,sigma) = dim H~_(|sigma|-i-1) of the restriction to sigma.
 
     Only sigma in the lcm lattice, the unions of generators, can carry
@@ -336,10 +335,10 @@ def _primal_betti(ideal: SquarefreeIdeal, field: Field) -> BettiTable:
     increasing mask order, and each lattice sigma filters them to its
     restriction, summed and dropped before the next, so one restriction is
     held at a time. A face inside sigma is no greater than sigma as a mask,
-    so only the prefix up to sigma is filtered.
+    so only the prefix up to sigma is filtered. masks must be the minimal
+    generators, an antichain, as for _mask_betti.
     """
-    n = ideal.n
-    union = _union_table(ideal)
+    union = _union_table(n, masks)
     faces = [f for f, u in enumerate(union) if not u]
     entries: dict[tuple[int, int], int] = {}
     for sigma, u in enumerate(union):

@@ -27,9 +27,9 @@ from .tables import _require_edge_ambient
 # the widest ambient an n-bit generator mask may span
 AMBIENT_LIMIT = 24
 LINEAR_QUOTIENTS_BUDGET = 10 ** 6
-# the one bound on the dual complex, the closure of the generator complements:
-# height reads its f-vector and homology's engine rule its face count only up
-# to this many faces
+# height reads the f-vector of the dual complex, the closure of the generator
+# complements, up to this many faces, and past it runs the cover search; both
+# give the same height, so the cap only picks the faster one
 _DUAL_FACE_CAP = 4096
 
 

@@ -438,6 +438,13 @@ class TestOnePassPerGraph:
         assert json.loads(outcome.payload)["oracle"]["pd_s_mod_i"] == 3
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("flags", [[], ["--oracle"], ["--oracle", "--json"]])
+    def test_analyze_serialises_the_graph_once(self, monkeypatch, flags):
+        calls = count_calls(monkeypatch, "to_json_dict", graphs.SimpleGraph)
+        outcome = run(["analyze", str(FIXTURES / "c4.json"), *flags])
+        assert outcome.exit_code == 0
+        assert len(calls) == 1
+
     def test_verify_predicts_each_graph_once(self, monkeypatch):
         # once per count type: one graph per type, 3 on n = 3 and 7 on n = 4,
         # stands for the 70 labeled graphs with an edge
@@ -777,12 +784,14 @@ class TestNumpyLoadsLazily:
                 assert getattr(sys.modules[obj.__module__], name) is obj, name
         # the names that moved to tables stay attributes of their old homes;
         # the engines' oracle limit is homology's own, the mask width's
-        # ambient limit the ideal layer's
+        # ambient limit the ideal layer's; height's face cap stays there too,
+        # as the engine rule lists the dual complex to a bound of its own
         from compedge import homology, ideals
         for name in ("Field", "BettiTable", "_count_betti"):
             assert getattr(homology, name) is getattr(tables, name)
         assert ideals.AMBIENT_LIMIT == 24 and not hasattr(tables, "AMBIENT_LIMIT")
         assert homology.ORACLE_LIMIT == 14 and not hasattr(tables, "ORACLE_LIMIT")
+        assert not hasattr(homology, "_DUAL_FACE_CAP")
 
     def test_import_compedge_loads_no_submodule(self):
         proc = run_python("-c", "import json, sys, compedge; print(json.dumps("

@@ -210,6 +210,10 @@ def brute_force_betti(ideal: SquarefreeIdeal, field: Field) -> BettiTable:
     return BettiTable.from_dict(n, field, expected)
 
 
+def primal_engine(ideal: SquarefreeIdeal, field: Field) -> BettiTable:
+    return _primal_betti(ideal.n, ideal.masks, field)
+
+
 def dual_engine(ideal: SquarefreeIdeal, field: Field) -> BettiTable:
     full = (1 << ideal.n) - 1
     faces = sorted(_closure([full & ~g for g in ideal.masks], 1 << ideal.n))
@@ -358,7 +362,7 @@ class TestReducedHomology:
         for field in ("gf2", "q", None):
             with pytest.raises(ValueError, match=f"^field must be a Field, got {field!r}$"):
                 reduced_homology_dims(rp2, field)
-            for engine in (hochster_betti, _primal_betti, dual_engine):
+            for engine in (hochster_betti, primal_engine, dual_engine):
                 with pytest.raises(ValueError, match="^field must be a Field"):
                     engine(ideal, field)
 
@@ -534,7 +538,7 @@ class TestBettiTables:
         for ideal in every:
             for field in Field:
                 expected = brute_force_betti(ideal, field)
-                assert _primal_betti(ideal, field) == expected
+                assert primal_engine(ideal, field) == expected
                 assert hochster_betti(ideal, field) == expected
 
     @settings(max_examples=60)
@@ -562,7 +566,7 @@ class TestBettiTables:
             for e in range(n - d + 1):
                 from_faces[d + e] += (-1) ** e * comb(n - d, e)
         for field in Field:
-            for engine in (_primal_betti, dual_engine):
+            for engine in (primal_engine, dual_engine):
                 from_table = [0] * (n + 1)
                 for (i, j), v in engine(ideal, field).entries:
                     from_table[j] += (-1) ** i * v
@@ -579,14 +583,14 @@ class TestBettiTables:
         relabeled = SquarefreeIdeal(n, [sum(1 << image[v] for v in range(n) if g >> v & 1)
                                         for g in ideal.masks])
         for field in Field:
-            for engine in (_primal_betti, dual_engine, hochster_betti):
+            for engine in (primal_engine, dual_engine, hochster_betti):
                 assert engine(relabeled, field) == engine(ideal, field)
 
     @settings(max_examples=100)
     @given(ideals(8))
     def test_primal_and_dual_engines_agree(self, ideal: SquarefreeIdeal):
         for field in Field:
-            primal = _primal_betti(ideal, field)
+            primal = primal_engine(ideal, field)
             assert dual_engine(ideal, field) == primal
 
     @pytest.mark.parametrize("n, count", [(3, 18), (4, 113), (5, 1450)])
@@ -597,7 +601,7 @@ class TestBettiTables:
             assert ideal.indeg >= n - 2
             for field in Field:
                 table = _graph_betti(n, ideal.masks, field)
-                assert table == _primal_betti(ideal, field) == dual_engine(ideal, field)
+                assert table == primal_engine(ideal, field) == dual_engine(ideal, field)
 
     @settings(max_examples=150, deadline=None)
     @given(one_dimensional_duals(14))
@@ -677,7 +681,7 @@ class TestBettiTables:
         try:
             before = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            table = _primal_betti(ideal, Field.GF2)
+            table = primal_engine(ideal, Field.GF2)
             now, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -701,6 +705,25 @@ class TestBettiTables:
         monkeypatch.setattr(homology, slow, refuse)
         table = hochster_betti(ideal)
         assert sum(v for (i, _), v in table.entries if i == 1) == len(ideal.masks)
+
+    def test_the_primal_engine_builds_no_ideal(self, monkeypatch):
+        # the route hands the primal engine the masks it was given
+        ideal = engine_rule_witness("primal")
+        built, ran = [], []
+        init, primal = SquarefreeIdeal.__init__, homology._primal_betti
+
+        def counted_init(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        def counted_primal(*args):
+            ran.append(args)
+            return primal(*args)
+        monkeypatch.setattr(SquarefreeIdeal, "__init__", counted_init)
+        monkeypatch.setattr(homology, "_primal_betti", counted_primal)
+        hochster_betti(ideal)
+        assert not is_componentwise_linear(ideal)
+        assert (len(ran), built) == (2, [])
 
     @settings(max_examples=150, deadline=None)
     @given(st.one_of(ideals(9), ideals_past_the_graph_kernel(9)))
@@ -748,7 +771,7 @@ class TestBettiTables:
         for ideal in every:
             for field in Field:
                 table = hochster_betti(ideal, field)
-                assert table == _primal_betti(ideal, field) == brute_force_betti(ideal, field)
+                assert table == primal_engine(ideal, field) == brute_force_betti(ideal, field)
 
     @settings(max_examples=60, deadline=None)
     @given(forest_complexes(14), st.sampled_from(Field))
@@ -841,7 +864,7 @@ class TestGraphOracle:
                 table = _graph_oracle(graph, field)
                 assert table == dual_engine(ideal, field), graph
                 if graph.n < 7 or (k % 8 == 0 and field is Field.GF2):
-                    assert table == _primal_betti(ideal, field), graph
+                    assert table == primal_engine(ideal, field), graph
             ht = _count_invariants(graph.n, graph.m, *counts)[0]
             assert ht == alexander_dual(ideal).indeg, graph
 
@@ -925,7 +948,7 @@ class TestCountInvariants:
         for field in Field:
             tables = [dual_engine(ideal, field)]
             if graph.n <= (11 if field is Field.GF2 else 8):
-                tables.append(_primal_betti(ideal, field))
+                tables.append(primal_engine(ideal, field))
             for table in tables:
                 hom = table.reg_pd()
                 assert (reg, pd) == (hom.reg_s_mod_i, hom.pd_s_mod_i), (graph, field)
@@ -972,7 +995,7 @@ class TestRegPd:
         ideals += [complementary_edge_ideal(graph) for graph in atlas_graphs(3, 5)]
         for field in Field:
             for ideal in ideals:
-                for table in (_primal_betti(ideal, field), dual_engine(ideal, field)):
+                for table in (primal_engine(ideal, field), dual_engine(ideal, field)):
                     shuffled = list(table.entries)
                     rng.shuffle(shuffled)
                     for entries in (shuffled, table.entries[::-1]):
@@ -1031,7 +1054,7 @@ class TestTableKeyOrder:
         ideals += [complementary_edge_ideal(graph) for graph in atlas_graphs(3, 6)]
         for field in Field:
             for ideal in ideals:
-                tables |= {_primal_betti(ideal, field), dual_engine(ideal, field)}
+                tables |= {primal_engine(ideal, field), dual_engine(ideal, field)}
         for table in tables:
             keys = [ij for ij, _ in table.entries]
             assert all(a < b for a, b in zip(keys, keys[1:])), table

@@ -765,7 +765,7 @@ def slow_suite_payload(graph: SimpleGraph, field: Field) -> dict:
 def slow_linear_resolution(ideal: SquarefreeIdeal, field: Field) -> bool:
     """has_linear_resolution on the primal engine's table, past every routing of hochster_betti."""
     degrees = set(ideal.degrees)
-    return len(degrees) == 1 and reg_pd(_primal_betti(ideal, field)).reg_ideal == min(degrees)
+    return len(degrees) == 1 and reg_pd(_primal_betti(ideal.n, ideal.masks, field)).reg_ideal == min(degrees)
 
 
 class TestDualityTheorems:

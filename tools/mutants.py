@@ -4,14 +4,14 @@
     python3 tools/mutants.py NAME ...    # the named ones
 
 A mutant is one exact-string replacement in one module. For each, the script
-copies src/, tests/ and pyproject.toml to a fresh temporary directory, applies
-the replacement there and runs the mutant's pytest selection on the copy with
-a fixed hypothesis seed, so the tree it is run from is never written. A
-failing selection prints "caught", a passing one "survived". Equivalent
-mutants, which cannot change any result, are listed with the reason and not
-run. A last line gives the totals, "N caught, M equivalent, K survived".
-The exit status is 0 when every mutant is caught, 1 when one survives,
-and 2 when a mutant's text is no longer found exactly once in its module or
+copies src/, tests/, tools/ and pyproject.toml to a fresh temporary
+directory, applies the replacement there and runs the mutant's pytest
+selection on the copy with a fixed hypothesis seed, so the tree it is run from
+is never written. A failing selection prints "caught", a passing one
+"survived". Equivalent mutants, which cannot change any result, are listed
+with the reason and not run. A last line gives the totals, "N caught, M
+equivalent, K survived". The exit status is 0 when every mutant is caught, 1
+when one survives, and 2 when a mutant's text is no longer found exactly once in its module or
 its selection does not run. Standard library only; not part of tier-1, as it
 runs pytest once per mutant. tests/test_mutants.py, which is, checks without
 running a mutant that each text is found once and each selection exists.
@@ -52,6 +52,7 @@ FIELD = ("tests/test_invariants.py::TestOracleAndCrossValidation::"
          "test_a_field_that_is_no_member_is_refused_before_any_record")
 CENSUS = "tests/test_graphs.py::TestCensus::"
 VERIFY = "tests/test_cli.py::TestVerify::"
+GOLDEN = "tests/test_cli.py::TestGoldenCorpus::test_every_command_line_gives_its_committed_bytes"
 # the end of one chunk of the Monte Carlo stream, and the same lines with the
 # exit tested before this chunk's cycle check (one chunk late) or before this
 # chunk's pairs are kept (one chunk early)
@@ -64,12 +65,13 @@ STREAM_EXIT_LATE = STREAM_KEEP + STREAM_BREAK + STREAM_CHECK
 STREAM_EXIT_EARLY = STREAM_CHECK + STREAM_BREAK + STREAM_KEEP
 
 MUTANTS = [
-    # the primal engine's filter and the one face cap on the dual complex
+    # the primal engine's filter, and the bound to which the engine rule lists
+    # the dual complex (the dual witness has 158 faces)
     Mutant("primal-filter-inside-the-complement", "homology.py",
            "f & ~sigma == 0", "f & sigma == 0",
            (HOMOLOGY + "test_every_ideal_on_at_most_four_variables",)),
-    Mutant("face-cap-64", "ideals.py",
-           "_DUAL_FACE_CAP = 4096", "_DUAL_FACE_CAP = 64",
+    Mutant("dual-face-bound-64", "homology.py",
+           "isqrt(3 ** (n + 1))", "64",
            (HOMOLOGY + "test_the_face_cap_never_moves_the_engine_choice",)),
     # the graph kernel: the dual formula on a dual complex of dimension <= 1,
     # its table built from counts by the helper the graph-level entry shares
@@ -275,6 +277,13 @@ MUTANTS = [
     Mutant("verify-reads-the-level-below", "cli.py",
            "for graph, weight in _census(n)]", "for graph, weight in _census(n - 1)]",
            (VERIFY + "test_exit_code_stdout_and_stderr_are_pinned",)),
+    # the bytes of every command, pinned by the golden corpus
+    Mutant("dump-indent-one", "cli.py",
+           "json.dumps(obj, indent=2)", "json.dumps(obj, indent=1)", (GOLDEN,)),
+    Mutant("verify-payload-keys-swapped", "cli.py",
+           '        "graphs_enumerated": enumerated,\n        "graphs_analyzed": analyzed,\n',
+           '        "graphs_analyzed": analyzed,\n        "graphs_enumerated": enumerated,\n',
+           (GOLDEN,)),
     Mutant("verify-expand-lists-isolated", "cli.py",
            "            elif isolated:\n", "            elif False:\n",
            (VERIFY + "test_a_class_mismatch_lists_its_labeled_orbit_in_enumeration_order",)),
@@ -368,6 +377,10 @@ EQUIVALENT = [
                "        if u != sigma:\n            continue\n", "",
                "a sigma off the lcm lattice has a vertex in no generator inside it, so its "
                "restriction is a cone on that vertex, with no reduced homology"),
+    Equivalent("height-face-cap-64", "ideals.py",
+               "_DUAL_FACE_CAP = 4096", "_DUAL_FACE_CAP = 64",
+               "the cap only picks between height's f-vector and alexander_dual's cover "
+               "search, which give the same height"),
     Equivalent("suite-chordality-kernel-on-forests", "invariants.py",
                "dual_cl = forest or _is_chordal(graph)", "dual_cl = _is_chordal(graph)",
                "every forest is chordal"),
@@ -389,6 +402,7 @@ def run(selection: tuple[str, ...], mutant: Mutant | None = None) -> int:
         skip = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
         shutil.copytree(ROOT / "src", copy / "src", ignore=skip)
         shutil.copytree(ROOT / "tests", copy / "tests", ignore=skip)
+        shutil.copytree(ROOT / "tools", copy / "tools", ignore=skip)
         shutil.copy(ROOT / "pyproject.toml", copy)
         if mutant:
             target = copy / "src" / "compedge" / mutant.module
