@@ -73,6 +73,11 @@ MUTANTS = [
     Mutant("dual-face-bound-64", "homology.py",
            "isqrt(3 ** (n + 1))", "64",
            (HOMOLOGY + "test_the_face_cap_never_moves_the_engine_choice",)),
+    # height's own cap, which picks the f-vector over the cover search
+    Mutant("height-face-cap-64", "ideals.py",
+           "_DUAL_FACE_CAP = 4096", "_DUAL_FACE_CAP = 64",
+           ("tests/test_ideals.py::TestCoversHeightDual::"
+            "test_height_does_not_search_covers_under_the_face_cap",)),
     # the graph kernel: the dual formula on a dual complex of dimension <= 1,
     # its table built from counts by the helper the graph-level entry shares
     # (tables._count_betti)
@@ -377,10 +382,6 @@ EQUIVALENT = [
                "        if u != sigma:\n            continue\n", "",
                "a sigma off the lcm lattice has a vertex in no generator inside it, so its "
                "restriction is a cone on that vertex, with no reduced homology"),
-    Equivalent("height-face-cap-64", "ideals.py",
-               "_DUAL_FACE_CAP = 4096", "_DUAL_FACE_CAP = 64",
-               "the cap only picks between height's f-vector and alexander_dual's cover "
-               "search, which give the same height"),
     Equivalent("suite-chordality-kernel-on-forests", "invariants.py",
                "dual_cl = forest or _is_chordal(graph)", "dual_cl = _is_chordal(graph)",
                "every forest is chordal"),
