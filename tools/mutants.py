@@ -11,9 +11,9 @@ is never written. A failing selection prints "caught", a passing one
 "survived". Equivalent mutants, which cannot change any result, are listed
 with the reason and not run. A last line gives the totals, "N caught, M
 equivalent, K survived". The exit status is 0 when every mutant is caught, 1
-when one survives, and 2 when a mutant's text is no longer found exactly once in its module or
-its selection does not run. Standard library only; not part of tier-1, as it
-runs pytest once per mutant. tests/test_mutants.py, which is, checks without
+when one survives, and 2 when a mutant's text is no longer found exactly once
+in its module or its selection does not run. Standard library only; not part
+of tier-1, as it runs pytest once per mutant. tests/test_mutants.py, which is, checks without
 running a mutant that each text is found once and each selection exists.
 """
 from __future__ import annotations
