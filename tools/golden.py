@@ -79,6 +79,7 @@ def command_lines() -> list[list[str]]:
               for n in range(3, 8) for field in ("gf2", "q")]
     lines += [["montecarlo", "--n", "50", "--c", "0.5", "--trials", "20", "--seed", "7"],
               ["sweep", "--n", "40", "--c", "0.2,2,8", "--trials", "50", "--seed", "3"]]
+    lines += [["--help"], ["analyze", "--help"]]
     # exit 2: unreadable, malformed and refused input, then usage errors
     for name in ("does-not-exist.json", *REFUSED, *RAW):
         lines += [["analyze", name], ["analyze", "--oracle", name], ["betti", name],
