@@ -22,6 +22,7 @@ n's totals and lists its mismatches.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import os
@@ -193,10 +194,13 @@ def _cmd_mdensity(args: argparse.Namespace, graph: SimpleGraph) -> CommandOutcom
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """The CLI's parser. Usage and help wrap at 78 columns, whatever the terminal."""
+    parser_class = functools.partial(argparse.ArgumentParser, formatter_class=functools.partial(
+        argparse.HelpFormatter, width=78))
+    parser = parser_class(
         prog="compedge",
         description="Complementary edge ideals: invariants, Betti tables, experiments.")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=parser_class)
 
     p = sub.add_parser("analyze", help="classify a graph and predict ideal invariants")
     p.add_argument("graph", help="path to a graph file (edge list or JSON)")
@@ -238,13 +242,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once: parse_args makes a fresh Namespace on every call, and argparse
+# looks up sys.stdout and sys.stderr only when it prints
+_PARSER = build_parser()
+
+
 def run(argv: list[str]) -> CommandOutcome:
     """Parse and execute; a ValueError, from the library or the input checks, is exit code 2."""
-    parser = build_parser()
     captured_out, captured_err = io.StringIO(), io.StringIO()
     try:
         with redirect_stdout(captured_out), redirect_stderr(captured_err):
-            args = parser.parse_args(argv)
+            args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else 2
         return CommandOutcome(code, captured_out.getvalue(), captured_err.getvalue())

@@ -191,8 +191,6 @@ def _parse_json_graph(text: str) -> SimpleGraph:
         raise GraphFormatError("invalid JSON: nested too deeply") from None
     except ValueError as exc:  # an integer longer than Python's int-string limit
         raise GraphFormatError(f"invalid JSON: {exc}") from None
-    if not isinstance(obj, dict):
-        raise GraphFormatError("JSON graph must be an object")
     if "n" not in obj or "edges" not in obj:
         raise GraphFormatError("JSON graph needs fields 'n' and 'edges'")
     n = obj["n"]

@@ -1,6 +1,7 @@
 """Command line behavior: exit codes, payload schemas, pinned outputs."""
 from __future__ import annotations
 
+import argparse
 import hashlib
 import importlib.util
 import json
@@ -657,6 +658,34 @@ class TestArgumentErrors:
     def test_unknown_field_choice(self):
         outcome = run(["betti", str(FIXTURES / "p4.json"), "--field", "gf3"])
         assert outcome.exit_code == 2
+
+
+class TestOneParser:
+    """cli builds its parser once, at import, and wraps usage and help at a fixed width."""
+
+    def test_runs_build_no_parser(self, monkeypatch):
+        built = []
+        real = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            real(self, *args, **kwargs)
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        assert run(["mdensity", str(FIXTURES / "k4.json")]).payload == '"3/2"'
+        assert run([]).exit_code == 2
+        assert built == []
+
+    @pytest.mark.parametrize("argv", [
+        [], ["frobnicate"], ["montecarlo", "--n", "10", "--p", "0.5", "--c", "1.0"],
+        ["--help"], ["analyze", "--help"],
+    ])
+    def test_usage_and_help_do_not_read_the_terminal(self, argv, monkeypatch):
+        monkeypatch.delenv("COLUMNS", raising=False)
+        outcomes = [run(argv)]
+        for columns in ("40", "80", "200"):
+            monkeypatch.setenv("COLUMNS", columns)
+            outcomes.append(run(argv))
+        assert outcomes[1:] == outcomes[:1] * 3
 
 
 def run_python(*args: str) -> subprocess.CompletedProcess:

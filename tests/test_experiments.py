@@ -12,8 +12,10 @@ from hypothesis import given, settings, strategies as st
 from compedge import (ExperimentConfig, estimate_licci_probability, sample_gnp,
                       summaries_to_csv, threshold_sweep)
 from compedge import experiments
-from compedge.experiments import (CSV_HEADER, MONTECARLO_LIMIT, _fraction_6dp, _pairs,
-                                  _row_starts, _trial_generator, summary_csv_line)
+from compedge.cli import run
+from compedge.experiments import (CSV_HEADER, MONTECARLO_LIMIT, ExperimentSummary,
+                                  _fraction_6dp, _pairs, _row_starts, _trial_generator,
+                                  summary_csv_line)
 from compedge.graphs import SimpleGraph, is_complete, is_forest
 from compedge.invariants import is_licci
 
@@ -333,6 +335,22 @@ class TestSweep:
         result = threshold_sweep(20, [0.5, 1.0, 3.0, 1.0], trials=80, seed=9)
         for row in result.rows:
             assert estimate_licci_probability(row.config) == row
+
+    def test_a_fraction_that_rises_with_c_is_reported(self, monkeypatch):
+        # the shared draws keep the fractions monotone, so rows that rise with
+        # c come from a stand-in for the trials: the diagnostic must see them
+        def rising(configs):
+            return tuple(ExperimentSummary(config, k, k, config.trials - k,
+                                           Fraction(k, config.trials))
+                         for k, config in enumerate(configs, 1))
+        monkeypatch.setattr(experiments, "_run_trials", rising)
+        assert threshold_sweep(10, [0.5, 2.0], trials=4, seed=0).monotone_violations == (
+            (0.5, 2.0),)
+        outcome = run(["sweep", "--n", "10", "--c", "0.5,2", "--trials", "4", "--seed", "0"])
+        assert outcome.exit_code == 0
+        wall, *warnings = outcome.diagnostics.split("\n")
+        assert wall.startswith("wall time ")
+        assert warnings == ["warning: licci fraction increased from c=0.5 to c=2"]
 
 
 class TestCsv:

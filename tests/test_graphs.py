@@ -330,6 +330,27 @@ class TestParseLineFormat:
             parse_graph("3 1\nx y\n")
         assert info.value.line == 2
 
+    def test_negative_header_count(self):
+        with pytest.raises(GraphFormatError) as info:
+            parse_graph("3 -1\n")
+        assert str(info.value) == "line 1: header counts must be nonnegative"
+        assert info.value.line == 1
+
+    def test_edge_line_without_two_tokens(self):
+        with pytest.raises(GraphFormatError) as info:
+            parse_graph("3 1\n1 2 3\n")
+        assert str(info.value) == "line 2: expected an edge 'u v', got '1 2 3'"
+        assert info.value.line == 2
+
+    def test_a_json_array_is_read_as_an_edge_list_header(self):
+        # only text whose first non-blank character is "{" is read as JSON, and
+        # json.loads makes an object of such text or refuses it
+        with pytest.raises(GraphFormatError) as info:
+            parse_graph("[[1, 2]]")
+        assert str(info.value) == (
+            "line 1: malformed header, expected two integers, got '[[1, 2]]'")
+        assert info.value.line == 1
+
     def test_empty_input(self):
         with pytest.raises(GraphFormatError, match="empty input"):
             parse_graph("   \n  \n")

@@ -7,9 +7,8 @@ Each command runs in process through compedge.cli.run, and its digest is the
 SHA-256 of the JSON list [exit code, stdout, stderr], as the verify pins in
 tests/test_cli.py take it. The wall time that montecarlo and sweep print on
 stderr is masked first. The commands run in a scratch directory that holds
-the six fixtures and the generated graphs below under relative names, with
-COLUMNS fixed for argparse's usage lines, so no command line or echoed path
-depends on the checkout, a temporary directory or the terminal.
+the six fixtures and the generated graphs below under relative names, so no
+command line or echoed path depends on the checkout or a temporary directory.
 tests/test_cli.py::TestGoldenCorpus runs the same corpus in tier-1. A change
 that means to move bytes regenerates the file and names each moved command.
 Standard library only.
@@ -106,7 +105,7 @@ def digest(outcome) -> str:
 
 def digests(directory: Path) -> dict[str, str]:
     """Write the corpus inputs into directory, run every command there, and map each
-    command line to its digest. The working directory and COLUMNS are restored after."""
+    command line to its digest. The working directory is restored after."""
     from compedge.cli import run
     for name in GRAPH_FIXTURES:
         shutil.copy(FIXTURES / name, directory / name)
@@ -114,17 +113,12 @@ def digests(directory: Path) -> dict[str, str]:
         (directory / name).write_text(text)
     for name, raw in RAW.items():
         (directory / name).write_bytes(raw)
-    cwd, columns = os.getcwd(), os.environ.get("COLUMNS")
+    cwd = os.getcwd()
     os.chdir(directory)
-    os.environ["COLUMNS"] = "80"
     try:
         return {" ".join(argv): digest(run(argv)) for argv in command_lines()}
     finally:
         os.chdir(cwd)
-        if columns is None:
-            del os.environ["COLUMNS"]
-        else:
-            os.environ["COLUMNS"] = columns
 
 
 def main(argv: list[str]) -> int:

@@ -53,6 +53,7 @@ FIELD = ("tests/test_invariants.py::TestOracleAndCrossValidation::"
 CENSUS = "tests/test_graphs.py::TestCensus::"
 VERIFY = "tests/test_cli.py::TestVerify::"
 GOLDEN = "tests/test_cli.py::TestGoldenCorpus::test_every_command_line_gives_its_committed_bytes"
+ONE_PARSER = "tests/test_cli.py::TestOneParser::"
 # the end of one chunk of the Monte Carlo stream, and the same lines with the
 # exit tested before this chunk's cycle check (one chunk late) or before this
 # chunk's pairs are kept (one chunk early)
@@ -319,6 +320,13 @@ MUTANTS = [
     Mutant("quotients-keep-a-choice-on-backtrack", "ideals.py",
            "            chosen.pop()\n            continue\n", "            continue\n",
            ("tests/test_ideals.py",)),
+    # one parser, built at import, wrapping usage and help at 78 columns
+    Mutant("cli-width-from-the-terminal", "cli.py",
+           "argparse.HelpFormatter, width=78)", "argparse.HelpFormatter, width=None)",
+           (ONE_PARSER + "test_usage_and_help_do_not_read_the_terminal",)),
+    Mutant("cli-parser-per-call", "cli.py",
+           "args = _PARSER.parse_args(argv)", "args = build_parser().parse_args(argv)",
+           (ONE_PARSER + "test_runs_build_no_parser",)),
     # each command imports the layers it runs inside its handler
     Mutant("cli-eager-invariants-import", "cli.py",
            "from .graphs import (DEFAULT_ENUMERATION_LIMIT",
