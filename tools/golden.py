@@ -58,6 +58,18 @@ REFUSED = {
     "edge_past_digit_limit.txt": "3 1\n1 " + "9" * 4301 + "\n",
     "long_label.txt": "3 1\n1 " + "9" * 4000 + "\n",
     "long_header.txt": "9" * 4000 + " 1\n1 2\n",
+    # the line numbers of edge-list errors, past blank and whitespace-only lines
+    "blank_lines.txt": " \n3 2\n1 2\n\t\n2 2\n",
+    "duplicate_after_blank.txt": "3 2\n1 2\n\n2 1\n",
+    "out_of_range_after_blank.txt": "3 2\n1 2\n\n\n1 4\n",
+    "crlf.txt": "3 2\r\n1 2\r\n\r\n3 3\r\n",
+    "whitespace_only.txt": " \n\t\n  \n",
+    "header_three_tokens.txt": "\n3 1 1\n1 2\n",
+    "header_not_integer.txt": "\n3 x\n1 2\n",
+    "header_negative.txt": "\n\n3 -1\n",
+    "too_few_edges.txt": "\n3 3\n1 2\n\n2 3\n",
+    "edge_three_tokens.txt": "3 2\n1 2\n\n2 3 1\n",
+    "edge_not_integer.txt": "3 2\n\n1 2\n2 x\n",
 }
 RAW = {
     "invalid_utf8.txt": b"3 1\n1 2\xff",
