@@ -176,8 +176,7 @@ def parse_graph(text: str) -> SimpleGraph:
     JSON format: ``{"n": <int>, "edges": [[u, v], ...]}``.
     Edge order is irrelevant; endpoint order within an edge is normalized.
     """
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
+    if text.lstrip().startswith("{"):
         return _parse_json_graph(text)
     return _parse_edge_list(text)
 
@@ -196,17 +195,15 @@ def _parse_json_graph(text: str) -> SimpleGraph:
     n = obj["n"]
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise GraphFormatError(f"field 'n' must be a nonnegative integer, got {_clip(repr(n))}")
-    raw = obj["edges"]
-    if not isinstance(raw, list):
+    edges = obj["edges"]
+    if not isinstance(edges, list):
         raise GraphFormatError("field 'edges' must be an array of pairs")
-    edges = []
-    for k, item in enumerate(raw):
+    for k, item in enumerate(edges):
         if (not isinstance(item, list) or len(item) != 2
                 or not all(isinstance(x, int) and not isinstance(x, bool) for x in item)):
             raise GraphFormatError(
                 f"edge #{k + 1} must be a pair of integers, got {_clip(repr(item))}")
-        edges.append((item[0], item[1]))
-    return SimpleGraph(n, tuple(edges))
+    return SimpleGraph(n, edges)
 
 
 def _integer(token: str, line: int) -> int | None:
@@ -224,32 +221,29 @@ def _integer(token: str, line: int) -> int | None:
 
 
 def _parse_edge_list(text: str) -> SimpleGraph:
+    """The line format, read in one walk over the indices of its nonblank lines.
+
+    rows[0] is the header's index and rows[k + 1] that of edge k, so the edge
+    SimpleGraph refuses, named by index, is reported on its own line.
+    """
     lines = text.splitlines()
-    header_idx = None
-    for idx, line in enumerate(lines):
-        if line.strip():
-            header_idx = idx
-            break
-    if header_idx is None:
+    rows = [idx for idx, line in enumerate(lines) if line.strip()]
+    if not rows:
         raise GraphFormatError("empty input, expected a header 'n m'")
-    header = lines[header_idx].split()
-    if len(header) != 2:
+    header, at = lines[rows[0]], rows[0] + 1
+    tokens = header.split()
+    if len(tokens) != 2:
         raise GraphFormatError(
-            f"malformed header, expected 'n m', got {_clip(lines[header_idx].strip())!r}",
-            line=header_idx + 1)
-    n, m = (_integer(token, header_idx + 1) for token in header)
+            f"malformed header, expected 'n m', got {_clip(header.strip())!r}", line=at)
+    n, m = (_integer(token, at) for token in tokens)
     if n is None or m is None:
         raise GraphFormatError(
-            f"malformed header, expected two integers, got {_clip(lines[header_idx].strip())!r}",
-            line=header_idx + 1)
+            f"malformed header, expected two integers, got {_clip(header.strip())!r}", line=at)
     if n < 0 or m < 0:
-        raise GraphFormatError("header counts must be nonnegative", line=header_idx + 1)
+        raise GraphFormatError("header counts must be nonnegative", line=at)
     edges: list[tuple[int, int]] = []
-    line_nos: list[int] = []
-    for idx in range(header_idx + 1, len(lines)):
+    for idx in rows[1:]:
         line = lines[idx]
-        if not line.strip():
-            continue
         parts = line.split()
         if len(parts) != 2:
             raise GraphFormatError(f"expected an edge 'u v', got {_clip(line.strip())!r}",
@@ -259,14 +253,12 @@ def _parse_edge_list(text: str) -> SimpleGraph:
             raise GraphFormatError(f"edge endpoints must be integers, got {_clip(line.strip())!r}",
                                    line=idx + 1)
         edges.append((u, v))
-        line_nos.append(idx + 1)
     if len(edges) != m:
-        raise GraphFormatError(f"header promised {m} edges, found {len(edges)}",
-                               line=header_idx + 1)
+        raise GraphFormatError(f"header promised {m} edges, found {len(edges)}", line=at)
     try:
-        return SimpleGraph(n, tuple(edges))
+        return SimpleGraph(n, edges)
     except GraphFormatError as exc:
-        raise GraphFormatError(str(exc), line=line_nos[exc.edge]) from None
+        raise GraphFormatError(str(exc), line=rows[exc.edge + 1] + 1) from None
 
 
 def connected_components(graph: SimpleGraph) -> list[tuple[int, ...]]:
@@ -394,14 +386,14 @@ def max_subgraph_density(graph: SimpleGraph) -> Fraction:
     masks = []
     for u, v in graph.edges:
         masks.append((1 << (u - 1)) | (1 << (v - 1)))
-    best = Fraction(0)
+    # the best count / size so far, compared in ints: one Fraction, at the end
+    best_count, best_size = 0, 1
     for w in range(1, 1 << graph.n):
         count = sum(1 for em in masks if em & w == em)
         size = w.bit_count()
-        val = Fraction(count, size)
-        if val > best:
-            best = val
-    return best
+        if count * best_size > best_count * size:
+            best_count, best_size = count, size
+    return Fraction(best_count, best_size)
 
 
 def enumerate_graphs(n: int) -> Iterator[SimpleGraph]:

@@ -77,7 +77,7 @@ from bisect import bisect_right
 from math import comb, gcd, isqrt
 from typing import Collection, Iterable
 
-from .graphs import _clip, _Frozen, _join_count, _plain_int, _plain_ints
+from .graphs import _clip, _Frozen, _iterate, _join_count, _plain_int, _plain_ints
 from .ideals import (SquarefreeIdeal, _closure, _squarefree_components, alexander_dual, height,
                      support_of)
 # the table type lives in tables; Field and BettiTable stay attributes of
@@ -132,9 +132,16 @@ class SimplicialComplex(_Frozen):
 
 
 def simplicial_complex(n: int, facets: Iterable[Iterable[int]]) -> SimplicialComplex:
-    """Downward closure of the given facets (always includes the empty face)."""
+    """Downward closure of the given facets (always includes the empty face).
+
+    n and each label are read as plain ints (graphs._plain_int and _plain_ints),
+    so a float or a string, or facets that are not iterable, are a ValueError
+    that names them.
+    """
+    n = _plain_int(n, "ground size")
     tops = []
-    for facet in map(set, facets):
+    for facet in _iterate(facets, "facets"):
+        facet = _plain_ints(facet, "facet label")
         # labels first: a huge one would make a huge mask
         if not all(0 < v <= n for v in facet):
             raise ValueError(f"facet {sorted(facet)} out of ground range 1..{n}")

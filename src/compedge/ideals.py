@@ -21,7 +21,7 @@ from itertools import islice
 from math import comb
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .graphs import SimpleGraph, _clip, _Frozen, _plain_int, _plain_ints
+from .graphs import SimpleGraph, _clip, _Frozen, _iterate, _plain_int, _plain_ints
 from .tables import _require_edge_ambient
 
 # the widest ambient an n-bit generator mask may span
@@ -43,10 +43,13 @@ def mask_of(support: Iterable[int]) -> int:
     """Bit mask of a support (vertex i <-> bit i-1).
 
     A label outside 1..AMBIENT_LIMIT lies in no ambient, so it gives -1, which
-    every ambient refuses, in place of a mask that could be huge.
+    every ambient refuses, in place of a mask that could be huge. Each label
+    is read as a plain int (graphs._plain_int) as it comes, so a float or a
+    string, or a support that is not iterable, is a ValueError that names it.
     """
     mask = 0
-    for v in support:
+    for v in _iterate(support, "support labels"):
+        v = _plain_int(v, "support label")
         if not 0 < v <= AMBIENT_LIMIT:
             return -1
         mask |= 1 << (v - 1)
@@ -120,7 +123,7 @@ def _minimal_masks(masks: Iterable[int]) -> list[int]:
 
 def minimalize(n: int, supports: Iterable[Iterable[int]]) -> SquarefreeIdeal:
     """The ideal generated by the given supports; the constructor drops redundant ones."""
-    return SquarefreeIdeal(n, [mask_of(s) for s in supports])
+    return SquarefreeIdeal(n, [mask_of(s) for s in _iterate(supports, "supports")])
 
 
 def complementary_edge_ideal(graph: SimpleGraph) -> SquarefreeIdeal:

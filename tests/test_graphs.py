@@ -355,6 +355,23 @@ class TestParseLineFormat:
         with pytest.raises(GraphFormatError, match="empty input"):
             parse_graph("   \n  \n")
 
+    @pytest.mark.parametrize("text, line, message", [
+        (" \n3 2\n1 2\n\t\n2 2\n", 5, "self-loop 2 2"),
+        ("3 2\n1 2\n\n2 1\n", 4, "duplicate edge 2 1"),
+        ("\n3 2\n1 2\n\n\n1 4\n", 6, "vertex label out of range 1..3 in edge 1 4"),
+        ("3 2\r\n1 2\r\n\r\n3 3\r\n", 4, "self-loop 3 3"),
+        ("\n3 1 1\n1 2\n", 2, "malformed header, expected 'n m', got '3 1 1'"),
+        ("\n\n3 -1\n", 3, "header counts must be nonnegative"),
+        ("\n3 3\n1 2\n\n2 3\n", 2, "header promised 3 edges, found 2"),
+        ("3 2\n\n1 2\n2 x\n", 4, "edge endpoints must be integers, got '2 x'"),
+    ])
+    def test_blank_lines_keep_their_numbers(self, text, line, message):
+        # each error names the line it is on, counting blank and whitespace-only lines
+        with pytest.raises(GraphFormatError) as info:
+            parse_graph(text)
+        assert str(info.value) == f"line {line}: {message}"
+        assert info.value.line == line
+
 
 class TestParseJsonFormat:
     def test_basic(self):

@@ -242,6 +242,20 @@ class TestSimplicialComplexes:
         point_free = simplicial_complex(3, [])
         assert not point_free.is_void and point_free.faces == {0}
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: simplicial_complex(3, [[1.5]]), "facet label must be an integer: 'float'"),
+        (lambda: simplicial_complex(3, [["a"]]), "facet label must be an integer: 'str'"),
+        (lambda: simplicial_complex(3, [1, 2]), "facet labels must be iterable, got 1"),
+        (lambda: simplicial_complex("3", [[1]]), "ground size must be an integer, got '3'"),
+        (lambda: minimalize(3, [[1.5, 2]]), "support label must be an integer, got 1.5"),
+        (lambda: minimalize(3, [1, 2]), "support labels must be iterable, got 1"),
+    ])
+    def test_the_facet_and_support_readers_refuse_non_integers_by_name(self, build, message):
+        # a ValueError that names the input, not a TypeError from a shift or a comparison
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}") as info:
+            build()
+        assert type(info.value) is ValueError
+
     def test_facet_range_guard(self):
         for facet in ((1, 3), (0, 1), (1, 10 ** 12)):
             with pytest.raises(ValueError, match="out of ground range"):

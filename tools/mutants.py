@@ -243,6 +243,14 @@ MUTANTS = [
            "for name in cls.__slots__ if not name.startswith(\"_\")",
            "for name in cls.__slots__",
            ("tests/test_graphs.py::TestRecords::test_repr_hash_frozen_fields_and_pickle",)),
+    # the edge-list parser numbers its nonblank lines once: the line of edge k,
+    # which SimpleGraph names by index, counts the blank lines before it
+    Mutant("edge-error-on-the-header-line", "graphs.py",
+           "line=rows[exc.edge + 1] + 1", "line=rows[0] + 1",
+           ("tests/test_graphs.py::TestParseLineFormat",)),
+    Mutant("edge-lines-numbered-without-the-blank-ones", "graphs.py",
+           "line=rows[exc.edge + 1] + 1", "line=exc.edge + 2",
+           ("tests/test_graphs.py::TestParseLineFormat",)),
     # the chordality kernel that decides the dual's componentwise linearity
     # and its linear quotients: maximum cardinality search and the check of
     # its reverse visit order as a perfect elimination ordering
