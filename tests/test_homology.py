@@ -252,9 +252,8 @@ class TestSimplicialComplexes:
     ])
     def test_the_facet_and_support_readers_refuse_non_integers_by_name(self, build, message):
         # a ValueError that names the input, not a TypeError from a shift or a comparison
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}") as info:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
             build()
-        assert type(info.value) is ValueError
 
     def test_facet_range_guard(self):
         for facet in ((1, 3), (0, 1), (1, 10 ** 12)):
