@@ -41,7 +41,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .graphs import SimpleGraph, _clip, _Frozen, _plain_int
+from .graphs import SimpleGraph, _clip, _Frozen, _iterate, _plain_int
 from .invariants import is_licci
 
 SPOT_CHECK_TRIALS = 100
@@ -285,7 +285,8 @@ def threshold_sweep(n: int, c_values: Sequence[float], trials: int, seed: int) -
     licci fraction increased; every row reads the same tau per trial, so it
     stays empty by construction.
     """
-    configs = [ExperimentConfig(n=n, trials=trials, seed=seed, c=float(c)) for c in c_values]
+    configs = [ExperimentConfig(n=n, trials=trials, seed=seed, c=float(c))
+               for c in _iterate(c_values, "c values")]
     rows = _run_trials(configs) if configs else ()
     violations = []
     ordered = sorted(rows, key=lambda s: s.config.c)

@@ -402,6 +402,7 @@ def enumerate_graphs(n: int) -> Iterator[SimpleGraph]:
     Edge slots are the pairs of {1..n} in lexicographic order; graph k has edge
     slot i present iff bit i of k is set.
     """
+    n = _plain_int(n, "vertex count")
     if n > DEFAULT_ENUMERATION_LIMIT:
         raise ValueError(f"enumeration of graphs on {n} vertices exceeds the limit of "
                          f"{DEFAULT_ENUMERATION_LIMIT}")
@@ -461,14 +462,17 @@ def _spread(units: list[int]) -> list[list[int]]:
 
 
 def complete_graph(n: int) -> SimpleGraph:
+    n = _plain_int(n, "vertex count")
     return SimpleGraph(n, tuple(combinations(range(1, n + 1), 2)))
 
 
 def path_graph(n: int) -> SimpleGraph:
+    n = _plain_int(n, "vertex count")
     return SimpleGraph(n, tuple((i, i + 1) for i in range(1, n)))
 
 
 def cycle_graph(n: int) -> SimpleGraph:
+    n = _plain_int(n, "vertex count")
     if n < 3:
         raise ValueError("a cycle needs at least 3 vertices")
     return SimpleGraph(n, tuple((i, i + 1) for i in range(1, n)) + ((1, n),))

@@ -289,6 +289,7 @@ def squarefree_component(ideal: SquarefreeIdeal, d: int) -> SquarefreeIdeal:
     These are the degree-d supersets of generators of degree <= d; the result
     may be the zero ideal. It is read off the chain of _squarefree_components.
     """
+    d = _plain_int(d, "degree")
     if d < 0 or d > ideal.n:
         raise ValueError(f"degree {d} outside 0..{ideal.n}")
     return SquarefreeIdeal(ideal.n, next(islice(_squarefree_components(ideal), d, None)))

@@ -21,7 +21,7 @@ from itertools import product
 from math import comb
 from typing import NamedTuple
 
-from .graphs import SimpleGraph, _is_chordal, is_forest
+from .graphs import SimpleGraph, _is_chordal, _plain_int, is_forest
 from .tables import Field, _count_invariants, _require_edge_ambient, _require_field
 
 NOTE_COMPLETE_PD = "complete_pd_adjusted"
@@ -34,6 +34,10 @@ REASON_CYCLE = "contains_cycle_not_complete"
 
 _ISOLATED_NOTES = (NOTE_ISOLATED,)
 _COMPLETE_NOTES = (NOTE_COMPLETE_PD,)
+
+# _record(Report, values) is Report(*values) built as a NamedTuple's _make builds it,
+# with no Python frame for its __new__: the reports built once per call use it
+_record = tuple.__new__
 
 
 def _provenance(height: str, pd: str, reg: str) -> tuple[tuple[str, str], ...]:
@@ -163,7 +167,14 @@ def _licci(n: int, m: int, forest: bool) -> LicciVerdict:
 
 
 def huneke_ulrich_check(reg_s_mod_i: int, height_: int, indeg: int) -> bool:
-    """Necessary licci condition: reg(S/I) >= (height - 1) * (indeg - 1)."""
+    """Necessary licci condition: reg(S/I) >= (height - 1) * (indeg - 1).
+
+    Each argument is read as a plain int, so a float or a string is a
+    ValueError that names it.
+    """
+    reg_s_mod_i = _plain_int(reg_s_mod_i, "reg_s_mod_i")
+    height_ = _plain_int(height_, "height")
+    indeg = _plain_int(indeg, "indeg")
     return reg_s_mod_i >= (height_ - 1) * (indeg - 1)
 
 
@@ -181,14 +192,15 @@ def _predict(graph: SimpleGraph) -> InvariantReport:
     does. The report is the shared record of the class on n vertices and the
     isolated-vertex flag.
     """
-    n, m = graph.n, graph.m
+    n, m = graph.n, len(graph.edges)
     verdict = _licci(n, m, graph._joins == m)
     # a forest with c components has n - c edges
     return _class_report(n, verdict, verdict is _LICCI_FOREST and m == n - 1, graph._met < n)
 
 
 # The records below are shared by every graph that asks for the same values, and
-# bounded at any n: verify --max-n 7 over both fields fills 27, 62 and 78 of the 256.
+# bounded at any n: verify --max-n 7 over either field or both fills 27 of the 256
+# predictions, 62 oracle records and 39 entries of _checked.
 @lru_cache(maxsize=256)
 def _class_report(n: int, verdict: LicciVerdict, tree: bool, isolated: bool) -> InvariantReport:
     """The prediction for every graph of one class on n vertices.
@@ -219,7 +231,8 @@ def oracle_invariants(graph: SimpleGraph, field: Field = Field.GF2) -> OracleInv
     """
     _require_admissible(graph)
     _require_field(field)
-    return _oracle_record(field, *_count_invariants(graph.n, graph.m, graph._met, graph._joins))
+    return _oracle_record(field, *_count_invariants(graph.n, len(graph.edges), graph._met,
+                                                    graph._joins))
 
 
 @lru_cache(maxsize=256)
@@ -231,22 +244,28 @@ def _oracle_record(field: Field, ht: int, reg: int, pd: int) -> OracleInvariants
 def cross_validate(graph: SimpleGraph, field: Field = Field.GF2) -> DiscrepancyReport:
     """Compare the formula layer against the oracle; reg uses interval containment.
 
-    The prediction and the oracle read the counts the graph took when it was
-    built; the refusals are those of predict_invariants, then those of
-    oracle_invariants. The mismatches are the shared tuple of the prediction
-    and the oracle values.
+    The prediction is _predict's, and the oracle values are read off the
+    counts the graph took when it was built; the refusals are those of
+    predict_invariants, then those of oracle_invariants. One lookup keyed by
+    the prediction and the oracle values gives the shared oracle record of
+    each field and the shared tuple of mismatches, which no field changes.
     """
     _require_admissible(graph)
     _require_field(field)
     predicted = _predict(graph)
-    oracle = _oracle_record(field, *_count_invariants(graph.n, graph.m, graph._met, graph._joins))
-    return DiscrepancyReport(graph, field, _mismatches(predicted, oracle), predicted, oracle)
+    oracles, mismatches = _checked(predicted, *_count_invariants(
+        graph.n, len(graph.edges), graph._met, graph._joins))
+    return _record(DiscrepancyReport, (graph, field, mismatches, predicted, oracles[field]))
 
 
 @lru_cache(maxsize=256)
-def _mismatches(predicted: InvariantReport,
-                oracle: OracleInvariants) -> tuple[tuple[str, object, object], ...]:
-    """What the prediction and the oracle disagree on; reg by interval containment."""
+def _checked(predicted: InvariantReport, ht: int, reg: int, pd: int
+             ) -> tuple[dict[Field, OracleInvariants], tuple[tuple[str, object, object], ...]]:
+    """The oracle record of these values over each field, and what the prediction and
+    the values disagree on; reg by interval containment. The key holds no field: the
+    values, and so the mismatches, are the same over every field."""
+    oracle = _oracle_record(Field.GF2, ht, reg, pd)
+    oracles = {Field.GF2: oracle, Field.RATIONALS: _oracle_record(Field.RATIONALS, ht, reg, pd)}
     mismatches: list[tuple[str, object, object]] = []
     if predicted.height != oracle.height:
         mismatches.append(("height", predicted.height, oracle.height))
@@ -257,7 +276,7 @@ def _mismatches(predicted: InvariantReport,
     lo, hi = predicted.reg_ideal
     if not (lo <= oracle.reg_ideal <= hi):
         mismatches.append(("reg_ideal", predicted.reg_ideal, oracle.reg_ideal))
-    return tuple(mismatches)
+    return oracles, tuple(mismatches)
 
 
 class ImplicationSuite(NamedTuple):
@@ -352,7 +371,7 @@ def implication_suite(graph: SimpleGraph, field: Field = Field.GF2) -> Implicati
     """
     _require_admissible(graph)
     _require_field(field)
-    n, m, met, joins = graph.n, graph.m, graph._met, graph._joins
+    n, m, met, joins = graph.n, len(graph.edges), graph._met, graph._joins
     forest = joins == m
     verdict = _licci(n, m, forest)
     dual_cl = forest or _is_chordal(graph)
@@ -362,8 +381,8 @@ def implication_suite(graph: SimpleGraph, field: Field = Field.GF2) -> Implicati
     dual_lin = dual_cl and degrees == 1
     primal_lin = met - joins <= 1
     failed = _FAILED_CLAIMS[dual_cl, dual_lin, primal_lin] if verdict.licci else ()
-    return ImplicationSuite(graph, field, verdict, dual_cl, dual_cl, "yes" if dual_cl else "no",
-                            dual_lin, primal_lin, failed)
+    return _record(ImplicationSuite, (graph, field, verdict, dual_cl, dual_cl,
+                                      "yes" if dual_cl else "no", dual_lin, primal_lin, failed))
 
 
 # the claims a licci graph fails, one tuple per (dual_cl, dual_lin, primal_lin) in payload

@@ -27,10 +27,16 @@ from .graphs import SimpleGraph, _clip
 
 
 class Field(enum.Enum):
-    """Coefficient field tag for homology ranks."""
+    """Coefficient field tag for homology ranks.
+
+    A member hashes by identity, in C: members are singletons that compare by
+    identity, and Enum's own hash of the name runs in Python on every cache key.
+    """
 
     GF2 = "gf2"
     RATIONALS = "q"
+
+    __hash__ = object.__hash__
 
 
 class Homological(NamedTuple):

@@ -319,6 +319,10 @@ class TestSweep:
             assert row.licci_count == sum(g.m == 0 or is_licci(g).licci for g in graphs)
             assert row.forest_count == sum(is_forest(g) for g in graphs)
 
+    def test_c_values_that_are_not_iterable_are_refused_by_name(self):
+        with pytest.raises(ValueError, match="^c values must be iterable, got 5$"):
+            threshold_sweep(10, 5, 2, 1)
+
     def test_a_sweep_draws_each_trial_once(self, monkeypatch):
         import compedge.experiments as exp
         drawn = []

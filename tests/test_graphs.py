@@ -8,6 +8,7 @@ import json
 import pickle
 import pkgutil
 import random
+import re
 import time
 import typing
 from collections import Counter
@@ -30,8 +31,8 @@ from compedge.cli import CommandOutcome
 from compedge.experiments import ExperimentConfig, ExperimentSummary, SweepResult
 from compedge.homology import SimplicialComplex
 from compedge.ideals import QuotientSearchResult, SquarefreeIdeal
-from compedge.invariants import (NOTE_ISOLATED, LicciVerdict, cross_validate, implication_suite,
-                                 predict_invariants)
+from compedge.invariants import (NOTE_ISOLATED, LicciVerdict, cross_validate,
+                                 huneke_ulrich_check, implication_suite, predict_invariants)
 from compedge.tables import BettiTable, Field
 from conftest import atlas_graphs, sparse_gnp
 
@@ -618,6 +619,22 @@ class TestEnumeration:
     def test_builders(self):
         assert complete_graph(3).edges == ((1, 2), (1, 3), (2, 3))
         assert SimpleGraph(4, ((4, 3),)) == SimpleGraph(4, ((3, 4),))
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: path_graph(2.0), "vertex count must be an integer, got 2.0"),
+        (lambda: complete_graph(3.0), "vertex count must be an integer, got 3.0"),
+        (lambda: cycle_graph("5"), "vertex count must be an integer, got '5'"),
+        (lambda: list(enumerate_graphs(2.5)), "vertex count must be an integer, got 2.5"),
+        (lambda: list(enumerate_graphs("3")), "vertex count must be an integer, got '3'"),
+        (lambda: huneke_ulrich_check("a", 2, 3), "reg_s_mod_i must be an integer, got 'a'"),
+        (lambda: huneke_ulrich_check(2, 2.0, 3), "height must be an integer, got 2.0"),
+        (lambda: huneke_ulrich_check(2, 2, "3"), "indeg must be an integer, got '3'")],
+        ids=["path", "complete", "cycle", "enumerate-float", "enumerate-str",
+             "huneke-ulrich-reg", "huneke-ulrich-height", "huneke-ulrich-indeg"])
+    def test_an_argument_that_is_no_integer_is_refused_by_name(self, call, message):
+        # each was a TypeError from deep inside range, a comparison or arithmetic
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call()
 
 
 def count_type(g: SimpleGraph) -> tuple[int, int, int, str]:

@@ -532,6 +532,13 @@ class TestSquarefreeComponent:
         with pytest.raises(ValueError, match="outside"):
             squarefree_component(ideal, 4)
 
+    @pytest.mark.parametrize("d", ["1", 1.5])
+    def test_a_degree_that_is_no_integer_is_refused_by_name(self, d):
+        ideal = minimalize(3, [[1]])
+        message = f"degree must be an integer, got {d!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            squarefree_component(ideal, d)
+
     @settings(max_examples=40)
     @given(ideals(max_n=5), st.integers(0, 5))
     def test_component_members_are_exactly_the_degree_d_monomials_of_i(self, ideal, d):

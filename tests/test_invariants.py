@@ -264,12 +264,24 @@ class TestOracleAndCrossValidation:
     def test_a_field_that_is_no_member_is_refused_before_any_record(self, ask):
         # a field's value would tag the answer, whose JSON then raises, and
         # would stay among the shared records
-        records = (invariants._class_report, invariants._oracle_record, invariants._mismatches)
+        records = (invariants._class_report, invariants._oracle_record, invariants._checked)
         before = [record.cache_info() for record in records]
         for field in ("gf2", "q", None):
             with pytest.raises(ValueError, match=f"^field must be a Field, got {field!r}$"):
                 ask(path_graph(4), field)
         assert [record.cache_info() for record in records] == before
+
+    def test_the_mismatches_are_those_of_the_prediction_predict_gives(self, monkeypatch):
+        # the lookup past the prediction is keyed by the prediction itself, so a
+        # changed one is compared afresh, even on a graph whose class is warm
+        graph = path_graph(4)
+        assert all(cross_validate(graph, field).clean for field in Field)
+        real = invariants._predict
+        monkeypatch.setattr(invariants, "_predict", lambda g: real(g)._replace(height=3))
+        for field in Field:
+            report = cross_validate(graph, field)
+            assert report.predicted.height == 3
+            assert report.mismatches == (("height", 3, 2),)
 
     @settings(max_examples=40, deadline=None)
     @given(graphs_with_edges())
@@ -335,6 +347,24 @@ class TestSharedRecords:
                 gc.enable()
         assert per_graph <= 2.2
         assert per_forest <= 1.0
+
+    def test_a_warm_class_costs_one_lookup_past_the_prediction(self):
+        # once a graph's class is warm, cross_validate on another graph of the
+        # class hits the prediction's cache and _checked once each, and the
+        # oracle record's cache not at all: no entry is made, none is missed
+        records = (invariants._class_report, invariants._oracle_record, invariants._checked)
+        for first, second in ((path_graph(5), SimpleGraph(5, ((1, 2), (1, 3), (1, 4), (1, 5)))),
+                              (cycle_graph(5), SimpleGraph(5, ((1, 3), (3, 5), (5, 2), (2, 4),
+                                                               (4, 1)))),
+                              (complete_graph(5), complete_graph(5)),
+                              (SimpleGraph(6, ((1, 2), (3, 4))), SimpleGraph(6, ((5, 6), (1, 3))))):
+            for field in Field:
+                cross_validate(first, field)
+                before = [record.cache_info() for record in records]
+                cross_validate(second, field)
+                after = [record.cache_info() for record in records]
+                assert [(a.hits - b.hits, a.misses - b.misses, a.currsize - b.currsize)
+                        for a, b in zip(after, before)] == [(1, 0, 0), (0, 0, 0), (1, 0, 0)]
 
     def test_records_outlive_a_change_of_vertex_count(self):
         # a sweep that alternates n = 3, 4, 3, ... gets back, for each class and

@@ -196,6 +196,21 @@ MUTANTS = [
            "@lru_cache(maxsize=256)\ndef _class_report(",
            "@lru_cache(maxsize=None)\ndef _class_report(",
            (SHARED + "test_records_of_one_vertex_count_at_a_time",)),
+    # cross_validate's one lookup past the prediction: keyed by the prediction
+    # _predict gives, not by one read again off the counts, it holds the
+    # oracle record of each field, and as few entries as the other records
+    Mutant("checked-key-is-the-class-not-the-prediction", "invariants.py",
+           "_checked(predicted, *_count_invariants(",
+           "_checked(_class_report(graph.n, predicted.verdict, predicted.graph_class == "
+           "\"tree\", graph._met < graph.n), *_count_invariants(",
+           ("tests/test_invariants.py::TestOracleAndCrossValidation::"
+            "test_the_mismatches_are_those_of_the_prediction_predict_gives",)),
+    Mutant("checked-oracle-of-one-field", "invariants.py",
+           "predicted, oracles[field]))", "predicted, oracles[Field.GF2]))",
+           (SHARED + "test_graphs_of_one_class_or_one_count_share_one_record",)),
+    Mutant("checked-kept-across-vertex-counts", "invariants.py",
+           "@lru_cache(maxsize=256)\ndef _checked(", "@lru_cache(maxsize=None)\ndef _checked(",
+           (SHARED + "test_records_of_one_vertex_count_at_a_time",)),
     Mutant("huneke-ulrich-height-minus-two", "invariants.py",
            "(height_ - 1) * (indeg - 1)", "(height_ - 2) * (indeg - 1)",
            ("tests/test_invariants.py::TestHunekeUlrich",)),
@@ -401,6 +416,11 @@ EQUIVALENT = [
     Equivalent("suite-chordality-kernel-on-forests", "invariants.py",
                "dual_cl = forest or _is_chordal(graph)", "dual_cl = _is_chordal(graph)",
                "every forest is chordal"),
+    Equivalent("checked-key-without-isolated-vertices", "invariants.py",
+               "_checked(predicted, *_count_invariants(",
+               "_checked(predicted._replace(notes=()), *_count_invariants(",
+               "the isolated-vertex flag sets only the prediction's notes, which no mismatch "
+               "reads, and the report keeps the prediction _predict gave"),
 ]
 
 

@@ -3,11 +3,13 @@
     python3 tools/tier1.py
 
 Runs `PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python -m pytest -q
---continue-on-collection-errors` from the repository root, the tier-1
-command of ROADMAP.md, and prints the passed and failed counts and the wall
-time. Six acceptance criteria, tests/test_acceptance.py::test_criterion_01..06,
-fail on purpose: each quantifies a textbook rule over a universe holding
-graphs with isolated vertices, where the rule is false. The first E line of
+--continue-on-collection-errors --durations=10` from the repository root,
+the tier-1 command of ROADMAP.md with pytest's report of its ten slowest
+test phases, and prints the passed and failed counts and the wall time,
+then those ten phases, slowest first. Six acceptance criteria,
+tests/test_acceptance.py::test_criterion_01..06, fail on purpose: each
+quantifies a textbook rule over a universe holding graphs with isolated
+vertices, where the rule is false. The first E line of
 each, the assertion message that carries its counterexample census, must equal
 the copy in tools/tier1_censuses.json, so a failure that moved to another
 assertion or changed its census is seen. The exit status is 0 when the
@@ -37,6 +39,10 @@ CENSUSES = ROOT / "tools" / "tier1_censuses.json"
 COUNT = re.compile(r"(\d+) (passed|failed|errors?)\b")
 # the header of one failure's traceback: its test name between rules of underscores
 SECTION = re.compile(r"^_{3,} (\S+) _{3,}$")
+# pytest's --durations report: a header between rules of equals signs, then one
+# line per test phase, "12.34s call     tests/...::test_name"
+SLOWEST = re.compile(r"^=+ slowest \d+ durations =+$")
+DURATION = re.compile(r"^\d+\.\d+s \w+ ")
 
 
 def first_e_lines(lines: list[str]) -> dict[str, str]:
@@ -52,11 +58,25 @@ def first_e_lines(lines: list[str]) -> dict[str, str]:
     return found
 
 
+def slowest(lines: list[str]) -> list[str]:
+    """The lines of pytest's --durations report, slowest first, with its header."""
+    for k, line in enumerate(lines):
+        if SLOWEST.match(line):
+            report = [line.strip("= ")]
+            for entry in lines[k + 1:]:
+                if not DURATION.match(entry):
+                    break
+                report.append(f"  {entry}")
+            return report
+    return []
+
+
 def main() -> int:
     path = os.environ.get("PYTHONPATH")
     env = os.environ | {"PYTHONPATH": f"src:{path}" if path else "src"}
     start = time.monotonic()
-    command = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
+    command = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
+               "--durations=10"]
     proc = subprocess.run(command, cwd=ROOT, env=env, capture_output=True, text=True)
     wall = time.monotonic() - start
     lines = proc.stdout.splitlines()
@@ -70,6 +90,8 @@ def main() -> int:
         totals[kind.rstrip("s")] += int(count)
     print(f"{totals['passed']} passed, {totals['failed']} failed, {totals['error']} errors "
           f"in {wall:.1f} s")
+    for line in slowest(lines):
+        print(line)
     if totals["failed"] != len(failed) or totals["error"] != len(errored) or proc.returncode > 1:
         print(f"pytest exited {proc.returncode} with a summary this script cannot read:",
               file=sys.stderr)
