@@ -70,9 +70,15 @@ REFUSED = {
     "too_few_edges.txt": "\n3 3\n1 2\n\n2 3\n",
     "edge_three_tokens.txt": "3 2\n1 2\n\n2 3 1\n",
     "edge_not_integer.txt": "3 2\n\n1 2\n2 x\n",
+    # numbers that Python's int() reads but the format does not: digit-group underscores
+    "header_underscore.txt": "1_0 1\n1 2\n",
+    "edge_underscore.txt": "3 1\n1 0_2\n",
 }
 RAW = {
     "invalid_utf8.txt": b"3 1\n1 2\xff",
+    # ... and non-ASCII decimal digits, as UTF-8: ARABIC-INDIC DIGIT THREE, FULLWIDTH DIGIT THREE
+    "header_arabic_indic.txt": "\u0663 1\n1 2\n".encode(),
+    "header_full_width.txt": "\uff13 1\n1 2\n".encode(),
     "long_json_integer.json": b'{"n": ' + b"9" * 5000 + b', "edges": []}',
 }
 
