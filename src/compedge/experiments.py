@@ -283,9 +283,10 @@ def threshold_sweep(n: int, c_values: Sequence[float], trials: int, seed: int) -
 
     The monotone_violations diagnostic lists consecutive c pairs where the
     licci fraction increased; every row reads the same tau per trial, so it
-    stays empty by construction.
+    stays empty by construction. Each c is kept as given, and ExperimentConfig
+    refuses one that is no real number, or a bool, by name.
     """
-    configs = [ExperimentConfig(n=n, trials=trials, seed=seed, c=float(c))
+    configs = [ExperimentConfig(n=n, trials=trials, seed=seed, c=c)
                for c in _iterate(c_values, "c values")]
     rows = _run_trials(configs) if configs else ()
     violations = []

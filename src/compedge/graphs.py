@@ -192,73 +192,81 @@ def _parse_json_graph(text: str) -> SimpleGraph:
         raise GraphFormatError(f"invalid JSON: {exc}") from None
     if "n" not in obj or "edges" not in obj:
         raise GraphFormatError("JSON graph needs fields 'n' and 'edges'")
+    # json.loads makes no subclass of int or list, and the type of true is bool
     n = obj["n"]
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+    if type(n) is not int or n < 0:
         raise GraphFormatError(f"field 'n' must be a nonnegative integer, got {_clip(repr(n))}")
     edges = obj["edges"]
-    if not isinstance(edges, list):
+    if type(edges) is not list:
         raise GraphFormatError("field 'edges' must be an array of pairs")
     for k, item in enumerate(edges):
-        if (not isinstance(item, list) or len(item) != 2
-                or not all(isinstance(x, int) and not isinstance(x, bool) for x in item)):
+        if (type(item) is not list or len(item) != 2
+                or type(item[0]) is not int or type(item[1]) is not int):
             raise GraphFormatError(
                 f"edge #{k + 1} must be a pair of integers, got {_clip(repr(item))}")
     return SimpleGraph(n, edges)
 
 
 def _integer(token: str, line: int) -> int | None:
-    """The token as an int, or None if it is not one.
+    """The token as an int, or None unless it is ASCII decimal digits after at most one sign.
 
-    A signed run of decimal digits always is one, so int() refuses it only past
-    Python's int-string digit limit: that is a number out of range.
+    Such a token always is an int, so int() refuses it only past Python's
+    int-string digit limit: that is a number out of range.
     """
+    digits = token[1:] if token[:1] in "+-" else token
+    if not (digits.isascii() and digits.isdigit()):
+        return None
     try:
         return int(token)
     except ValueError:
-        if (token[1:] if token[:1] in "+-" else token).isdecimal():
-            raise GraphFormatError(f"number {_clip(token)} out of range", line=line) from None
-        return None
+        raise GraphFormatError(f"number {_clip(token)} out of range", line=line) from None
+
+
+def _pair(line: str, at: int, shape: str, kind: str) -> tuple[int, int]:
+    """The two integers on line number at, or a GraphFormatError there whose message
+    starts with shape when the line does not hold two tokens, or with kind when one
+    of them is not an integer."""
+    tokens = line.split()
+    if len(tokens) != 2:
+        raise GraphFormatError(f"{shape}, got {_clip(line.strip())!r}", line=at)
+    first, second = _integer(tokens[0], at), _integer(tokens[1], at)
+    if first is None or second is None:
+        raise GraphFormatError(f"{kind}, got {_clip(line.strip())!r}", line=at)
+    return first, second
+
+
+def _read_edge_list(text: str) -> tuple[int, list[tuple[int, int]], list[int]]:
+    """(n, edges, rows) of the line format, read in one walk over its nonblank lines.
+
+    rows holds the 1-based number of each nonblank line: rows[0] is the
+    header's and rows[k + 1] that of edge k.
+    """
+    lines = text.splitlines()
+    rows = [at for at, line in enumerate(lines, 1) if line.strip()]
+    if not rows:
+        raise GraphFormatError("empty input, expected a header 'n m'")
+    n, m = _pair(lines[rows[0] - 1], rows[0], "malformed header, expected 'n m'",
+                 "malformed header, expected two integers")
+    if n < 0 or m < 0:
+        raise GraphFormatError("header counts must be nonnegative", line=rows[0])
+    edges = [_pair(lines[at - 1], at, "expected an edge 'u v'", "edge endpoints must be integers")
+             for at in rows[1:]]
+    if len(edges) != m:
+        raise GraphFormatError(f"header promised {m} edges, found {len(edges)}", line=rows[0])
+    return n, edges, rows
 
 
 def _parse_edge_list(text: str) -> SimpleGraph:
-    """The line format, read in one walk over the indices of its nonblank lines.
+    """The line format, built into a graph once its split lines are freed.
 
-    rows[0] is the header's index and rows[k + 1] that of edge k, so the edge
-    SimpleGraph refuses, named by index, is reported on its own line.
+    The edge SimpleGraph refuses, named by index k, is reported on its own
+    line, rows[k + 1].
     """
-    lines = text.splitlines()
-    rows = [idx for idx, line in enumerate(lines) if line.strip()]
-    if not rows:
-        raise GraphFormatError("empty input, expected a header 'n m'")
-    header, at = lines[rows[0]], rows[0] + 1
-    tokens = header.split()
-    if len(tokens) != 2:
-        raise GraphFormatError(
-            f"malformed header, expected 'n m', got {_clip(header.strip())!r}", line=at)
-    n, m = (_integer(token, at) for token in tokens)
-    if n is None or m is None:
-        raise GraphFormatError(
-            f"malformed header, expected two integers, got {_clip(header.strip())!r}", line=at)
-    if n < 0 or m < 0:
-        raise GraphFormatError("header counts must be nonnegative", line=at)
-    edges: list[tuple[int, int]] = []
-    for idx in rows[1:]:
-        line = lines[idx]
-        parts = line.split()
-        if len(parts) != 2:
-            raise GraphFormatError(f"expected an edge 'u v', got {_clip(line.strip())!r}",
-                                   line=idx + 1)
-        u, v = (_integer(token, idx + 1) for token in parts)
-        if u is None or v is None:
-            raise GraphFormatError(f"edge endpoints must be integers, got {_clip(line.strip())!r}",
-                                   line=idx + 1)
-        edges.append((u, v))
-    if len(edges) != m:
-        raise GraphFormatError(f"header promised {m} edges, found {len(edges)}", line=at)
+    n, edges, rows = _read_edge_list(text)
     try:
         return SimpleGraph(n, edges)
     except GraphFormatError as exc:
-        raise GraphFormatError(str(exc), line=rows[exc.edge + 1] + 1) from None
+        raise GraphFormatError(str(exc), line=rows[exc.edge + 1]) from None
 
 
 def connected_components(graph: SimpleGraph) -> list[tuple[int, ...]]:

@@ -323,6 +323,17 @@ class TestSweep:
         with pytest.raises(ValueError, match="^c values must be iterable, got 5$"):
             threshold_sweep(10, 5, 2, 1)
 
+    @pytest.mark.parametrize("c, message", [
+        ("0.5", "c must be a real number, got '0.5'"),
+        (True, "c must be a real number, got True"),
+        (None, "give exactly one of p and c, not both or neither"),
+    ])
+    def test_each_c_is_checked_as_given(self, c, message):
+        # as ExperimentConfig checks it: no float() reads a string or a bool first
+        with pytest.raises(ValueError) as caught:
+            threshold_sweep(10, [c], 2, 1)
+        assert str(caught.value) == message
+
     def test_a_sweep_draws_each_trial_once(self, monkeypatch):
         import compedge.experiments as exp
         drawn = []

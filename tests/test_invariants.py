@@ -325,7 +325,10 @@ class TestSharedRecords:
     def test_a_sweep_keeps_one_new_object_per_report(self):
         # garbage-collector-tracked objects kept, with the collector off: the two
         # reports of each graph and the suite of each forest, plus the few shared
-        # records (11.57 per graph and 1.55 per forest when every answer was new)
+        # records (11.57 per graph and 1.55 per forest when every answer was new);
+        # the shared records start empty, so the count is the same in any test order
+        for record in (invariants._class_report, invariants._oracle_record, invariants._checked):
+            record.cache_clear()
         graphs = [g for n in range(3, 6) for g in enumerate_graphs(n) if g.m]
         forests = [g for n in range(3, 7) for g in labeled_forests(n)]
         assert (len(graphs), len(forests)) == (1093, 3264)

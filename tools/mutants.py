@@ -258,14 +258,30 @@ MUTANTS = [
            "for name in cls.__slots__ if not name.startswith(\"_\")",
            "for name in cls.__slots__",
            ("tests/test_graphs.py::TestRecords::test_repr_hash_frozen_fields_and_pickle",)),
-    # the edge-list parser numbers its nonblank lines once: the line of edge k,
-    # which SimpleGraph names by index, counts the blank lines before it
+    # the edge-list parser numbers its nonblank lines once, from 1: the line of
+    # edge k, which SimpleGraph names by index, counts the blank lines before it
     Mutant("edge-error-on-the-header-line", "graphs.py",
-           "line=rows[exc.edge + 1] + 1", "line=rows[0] + 1",
+           "line=rows[exc.edge + 1])", "line=rows[0])",
            ("tests/test_graphs.py::TestParseLineFormat",)),
     Mutant("edge-lines-numbered-without-the-blank-ones", "graphs.py",
-           "line=rows[exc.edge + 1] + 1", "line=exc.edge + 2",
+           "line=rows[exc.edge + 1])", "line=exc.edge + 2)",
            ("tests/test_graphs.py::TestParseLineFormat",)),
+    Mutant("edge-list-lines-numbered-from-zero", "graphs.py",
+           "enumerate(lines, 1)", "enumerate(lines)",
+           ("tests/test_graphs.py::TestParseLineFormat",)),
+    # its numbers are ASCII decimal digits after at most one sign, and a JSON
+    # edge is a pair of ints, neither of them a bool
+    Mutant("edge-list-number-without-isascii", "graphs.py",
+           "digits.isascii() and digits.isdigit()", "digits.isdigit()",
+           ("tests/test_graphs.py::TestParseLineFormat::"
+            "test_numbers_are_ascii_decimal_with_an_optional_sign",)),
+    Mutant("edge-list-number-without-a-sign", "graphs.py",
+           'digits = token[1:] if token[:1] in "+-" else token', "digits = token",
+           ("tests/test_graphs.py::TestParseLineFormat::test_a_sign_and_leading_zeros_are_read",)),
+    Mutant("json-edge-first-endpoint-unchecked", "graphs.py",
+           "or type(item[0]) is not int or type(item[1]) is not int",
+           "or type(item[1]) is not int",
+           ("tests/test_graphs.py::TestParseJsonFormat::test_wrong_types",)),
     # the chordality kernel that decides the dual's componentwise linearity
     # and its linear quotients: maximum cardinality search and the check of
     # its reverse visit order as a perfect elimination ordering
